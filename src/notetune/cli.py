@@ -4,23 +4,22 @@ Stages write checkpoints and reports into --checkpoint-dir and read the
 dataset produced by synth-data/extract from --data-dir.  Configuration
 comes from defaults, then --config FILE, then --set key.path=value
 overrides (flags win).  NOTETUNE_CACHE_DIR, when set, caches feature
-tracks extracted by `correct` (the only environment variable consulted).
+tracks extracted by `correct` (the only environment variable consulted);
+a cached track is keyed on the SHA-256 of the decoded waveform plus
+audio.sample_rate, hop, win, n_mels and the feature-track format version.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
 import sys
-from pathlib import Path
 
 from . import workflow as wf
-from .config import apply_override, load_config
-from .datakit import AnnotationError
-from .evalkit import MissingCheckpointError
+from .config import load_config
+from .evalkit import format_ablation_table
 from .features import AudioIOError
 
 log = logging.getLogger("notetune")
@@ -152,13 +151,9 @@ def main(argv=None) -> int:
                 print(f"{args.split} {v}: RPA {pooled['rpa_percent']:.2f}% over {pooled['n_frames']} frames")
         elif args.command == "ablate":
             table = wf.stage_ablate(cfg, args.data_dir, args.checkpoint_dir, splits=tuple(args.splits))
-            from .evalkit import format_ablation_table
-
             print(format_ablation_table(table, list(args.splits)))
-    except (wf.StageOrderError, MissingCheckpointError, AnnotationError, AudioIOError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    # MissingCheckpointError is a FileNotFoundError, AnnotationError a ValueError
+    except (wf.StageOrderError, AudioIOError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -147,13 +147,17 @@ def shift_audio(
             MAX_SHIFT_SEMITONES,
         )
         deltas = np.clip(deltas, -MAX_SHIFT_SEMITONES, MAX_SHIFT_SEMITONES)
+    if not deltas.any():
+        return wav.copy()
+    if len(plan.note_map) != track.n_frames:
+        raise ValueError(
+            f"plan covers {len(plan.note_map)} frames but the track has {track.n_frames}"
+        )
 
     # frame-level ratio, expanded to samples
     frame_ratio = np.ones(track.n_frames)
     covered = plan.note_map >= 0
     frame_ratio[covered] = np.exp2(-deltas[plan.note_map[covered]] / 12.0)
-    if np.allclose(frame_ratio, 1.0, atol=1e-12):
-        return wav.copy()
 
     frame_voiced = track.voiced.astype(bool) & covered
     sample_idx = np.minimum(np.arange(n) // hop, track.n_frames - 1)

@@ -58,16 +58,6 @@ def teacher_inputs(pitches, dur_beats, errors) -> np.ndarray:
 
 # ---- stateful rollout (plain numpy; no gradients needed) -----------------------
 
-def _gru_cell(x, h, w_ih, b_ih, w_hh, b_hh):
-    gi = x @ w_ih + b_ih
-    gh = h @ w_hh + b_hh
-    H = h.shape[-1]
-    r = 1.0 / (1.0 + np.exp(-(gi[:H] + gh[:H])))
-    z = 1.0 / (1.0 + np.exp(-(gi[H : 2 * H] + gh[H : 2 * H])))
-    n = np.tanh(gi[2 * H :] + r * gh[2 * H :])
-    return (1.0 - z) * n + z * h
-
-
 def generate_errors(
     model: Detuner,
     sigma_e: float,
@@ -87,8 +77,8 @@ def generate_errors(
     errors = np.empty(len(pitches))
     for i in range(len(pitches)):
         x = note_features(pitches[i : i + 1], dur_beats[i : i + 1], [prev])[0]
-        h1 = _gru_cell(x, h1, g1.w_ih.data, g1.b_ih.data, g1.w_hh.data, g1.b_hh.data)
-        h2 = _gru_cell(h1, h2, g2.w_ih.data, g2.b_ih.data, g2.w_hh.data, g2.b_hh.data)
+        h1 = nn.gru_cell(x @ g1.w_ih.data + g1.b_ih.data, h1, g1.w_hh.data, g1.b_hh.data)[0]
+        h2 = nn.gru_cell(h1 @ g2.w_ih.data + g2.b_ih.data, h2, g2.w_hh.data, g2.b_hh.data)[0]
         pred = float(h2 @ out.w.data[:, 0] + out.b.data[0])
         err = pred + rng.normal(0.0, sigma_e) if sigma_e > 0 else pred
         err = float(np.clip(err, -ERROR_CLAMP, ERROR_CLAMP))
@@ -127,10 +117,7 @@ def train_detuner(
             f"refusing to train the detuner on {n_notes} notes (< {cfg.min_notes})"
         )
     model = Detuner(cfg)
-    opt = nn.AdamW(
-        model.params(),
-        nn.OptimizerConfig(lr=lr, t_max=steps, eta_min=lr / 100, warmup=min(50, steps // 10)),
-    )
+    opt = nn.cosine_adamw(model.params(), lr, steps, warmup=min(50, steps // 10))
     rng = np.random.default_rng(cfg.seed + 23)
     max_len = max(len(s[2]) for s in sequences)
     losses = []

@@ -37,18 +37,6 @@ def rpa_from_curves(pred_curve: np.ndarray, gt_curve: np.ndarray, voiced: np.nda
     return {"rpa_percent": 100.0 * float(correct.mean()), "n_frames": n}
 
 
-def rpa(pred_pitches, gt_pitches, notes, voiced) -> dict:
-    """RPA for aligned per-note predictions/GT sharing one note list."""
-    pred_pitches = np.asarray(pred_pitches, dtype=np.float64)
-    gt_pitches = np.asarray(gt_pitches, dtype=np.float64)
-    if len(pred_pitches) != len(gt_pitches) or len(pred_pitches) != len(notes):
-        raise ValueError("predictions, ground truth and notes must align")
-    n_frames = len(voiced)
-    pred_curve = note_pitch_curve(notes, pred_pitches, n_frames)
-    gt_curve = note_pitch_curve(notes, gt_pitches, n_frames)
-    return rpa_from_curves(pred_curve, gt_curve, voiced)
-
-
 def pooled_rpa(per_song: list[dict]) -> dict:
     """Frame-weighted pool of per-song RPA dicts."""
     n = sum(r["n_frames"] for r in per_song)
@@ -60,24 +48,6 @@ def pooled_rpa(per_song: list[dict]) -> dict:
 
 class MissingCheckpointError(FileNotFoundError):
     pass
-
-
-def run_ablation(variants: dict[str, object], evaluate_fn, splits: list[str]) -> dict:
-    """Evaluate each variant on each split via `evaluate_fn(variant, split)`.
-
-    `variants` maps a variant name to whatever evaluate_fn needs (e.g. a
-    checkpoint path); a missing value raises MissingCheckpointError naming
-    the variant.
-    """
-    table: dict[str, dict[str, float]] = {}
-    for name, handle in variants.items():
-        if handle is None:
-            raise MissingCheckpointError(f"no checkpoint for ablation variant {name!r}")
-        table[name] = {}
-        for split in splits:
-            result = evaluate_fn(handle, split)
-            table[name][split] = result["rpa_percent"]
-    return table
 
 
 def format_ablation_table(table: dict[str, dict[str, float]], splits: list[str]) -> str:

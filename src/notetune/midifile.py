@@ -7,7 +7,7 @@ note-on/note-off pairing, no pitch bend, no SysEx interpretation.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 

@@ -23,6 +23,7 @@ from .tensor import (
     embedding,
     dropout,
     cross_entropy_logits,
+    gru_cell,
     gru_sequence,
 )
 from .layers import (
@@ -42,6 +43,6 @@ from .layers import (
     uniform_init,
 )
 from .losses import focal_loss, cross_entropy, PROB_EPS
-from .optim import AdamW, OptimizerConfig, schedule_lr, train_step, DivergenceError
+from .optim import AdamW, OptimizerConfig, cosine_adamw, schedule_lr, train_step, DivergenceError
 from .checkpoint import save_checkpoint, load_checkpoint, CheckpointError
-from .gradcheck import finite_difference_check, rand_tensor
+from .gradcheck import finite_difference_check

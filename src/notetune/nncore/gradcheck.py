@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
-
 
 def finite_difference_check(fn, tensors, h: float = 1e-5, rtol: float = 1e-4) -> float:
     """Compare analytic gradients of scalar fn() against central differences.
@@ -41,6 +39,3 @@ def finite_difference_check(fn, tensors, h: float = 1e-5, rtol: float = 1e-4) ->
         t.zero_grad()
     return worst
 
-
-def rand_tensor(rng: np.random.Generator, shape, scale: float = 1.0, requires_grad: bool = True) -> Tensor:
-    return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=requires_grad)

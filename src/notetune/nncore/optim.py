@@ -70,13 +70,27 @@ class AdamW:
             p.zero_grad()
 
 
+def cosine_adamw(
+    params: dict[str, Tensor],
+    lr: float,
+    steps: int,
+    warmup: int,
+    weight_decay: float = OptimizerConfig.weight_decay,
+) -> AdamW:
+    """AdamW whose schedule warms up, then anneals over `steps` to lr / 100."""
+    return AdamW(
+        params,
+        OptimizerConfig(lr=lr, weight_decay=weight_decay, t_max=steps, eta_min=lr / 100, warmup=warmup),
+    )
+
+
 class DivergenceError(RuntimeError):
     """Raised when a training loss stops being finite."""
 
 
 def train_step(loss: Tensor, optimizer: AdamW, context: str = "") -> float:
     """Backward + parameter update; aborts loudly on a non-finite loss."""
-    value = float(loss.data)
+    value = loss.data.item()
     if not math.isfinite(value):
         raise DivergenceError(f"non-finite loss {value!r} at step {optimizer.step_count} {context}")
     loss.backward()

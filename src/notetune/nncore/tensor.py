@@ -34,10 +34,6 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
     if grad.shape == shape:
@@ -468,6 +464,22 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray, mask: np.ndarray |
     return _make(out_data, (logits,), bw)
 
 
+def gru_cell(gi: np.ndarray, h: np.ndarray, w_hh: np.ndarray, b_hh: np.ndarray):
+    """One GRU step on plain arrays (no graph).
+
+    gi : [..., 3H] input-side preactivations (x @ W_ih + b_ih), gate order
+         (reset, update, candidate); h : [..., H] previous hidden state.
+    Returns the new hidden state and the gates (r, z, n, h @ W_hn + b_hn)
+    that the backward pass of `gru_sequence` needs.
+    """
+    xr, xz, xn = np.split(gi, 3, axis=-1)
+    hr, hz, hn = np.split(h @ w_hh + b_hh, 3, axis=-1)
+    r = 1.0 / (1.0 + np.exp(-(xr + hr)))
+    z = 1.0 / (1.0 + np.exp(-(xz + hz)))
+    n = np.tanh(xn + r * hn)
+    return (1.0 - z) * n + z * h, r, z, n, hn
+
+
 def gru_sequence(x_pre: Tensor, w_hh: Tensor, b_hh: Tensor, h0: Tensor):
     """Gated recurrent unit over a precomputed input projection.
 
@@ -487,13 +499,7 @@ def gru_sequence(x_pre: Tensor, w_hh: Tensor, b_hh: Tensor, h0: Tensor):
     hns = np.empty((B, T, H))
     h = h0.data
     for t in range(T):
-        gates_h = h @ wh + bh
-        xr, xz, xn = np.split(x_pre.data[:, t, :], 3, axis=-1)
-        hr, hz, hn = np.split(gates_h, 3, axis=-1)
-        r = 1.0 / (1.0 + np.exp(-(xr + hr)))
-        z = 1.0 / (1.0 + np.exp(-(xz + hz)))
-        n = np.tanh(xn + r * hn)
-        h = (1.0 - z) * n + z * h
+        h, r, z, n, hn = gru_cell(x_pre.data[:, t, :], h, wh, bh)
         rs[:, t], zs[:, t], ns[:, t], hns[:, t], hs[:, t] = r, z, n, hn, h
 
     def bw(g):

@@ -8,7 +8,7 @@ adds the singing-region endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,10 +21,6 @@ DEFAULT_THETA = 0.5
 DEFAULT_SOFT_SIGMA = 2.0
 DEFAULT_MIN_NOTE_FRAMES = 5
 BRIDGE_SEC = 0.2
-
-FOCAL_GAMMA = 4.0
-FOCAL_ALPHA_POS = 29.0
-FOCAL_ALPHA_NEG = 1.0
 
 
 @dataclass

@@ -8,13 +8,12 @@ center-weighted (Hann) median.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nncore as nn
-from .features import FrameTrack, interpolate_pitch, semitones_to_hz
+from .features import FrameTrack, interpolate_pitch
 from .frontend import FrameEncoder, FrameEncoderConfig, track_inputs
 from .segmenter import NoteInterval
 
@@ -192,18 +191,3 @@ def evaluate_spp(estimated: np.ndarray, annotated: np.ndarray) -> dict:
         "n_notes": int(len(err_cents)),
     }
 
-
-def dump_estimates(path, track: FrameTrack, notes: list[NoteInterval], ests: list[StationaryEstimate]):
-    """Line-oriented estimate dump: index, span (s), pitch (st, Hz), entropy."""
-    lines = ["note\tstart_sec\tend_sec\tpitch_semitones\tpitch_hz\tweight_entropy"]
-    for note, est in zip(notes, ests):
-        t0 = track.frame_time(note.start_frame)
-        t1 = track.frame_time(note.end_frame)
-        hz = semitones_to_hz(est.pitch)
-        lines.append(
-            f"{est.note_index}\t{t0:.4f}\t{t1:.4f}\t{est.pitch:.4f}\t{hz:.3f}\t{est.entropy:.4f}"
-        )
-    from pathlib import Path
-
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")

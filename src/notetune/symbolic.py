@@ -9,17 +9,14 @@ head classifies over the 128 discrete pitches.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nncore as nn
 from .datakit import AnnotatedSample
-from .features import FrameTrack
 from .segmenter import NoteInterval
 from .spp import StationaryEstimate
 
@@ -35,7 +32,6 @@ VELOCITY_VOCAB = 128
 INSTRUMENT_VOCAB = 4
 
 PITCH_TOKENS = 128
-PITCH_PAD = 128
 PITCH_MASK = 129
 PITCH_TABLE_ROWS = 130
 
@@ -53,9 +49,6 @@ FIELD_VOCABS = {
 
 DEFAULT_VELOCITY = 64
 DEFAULT_INSTRUMENT = 0
-
-OCTUPLE_FORMAT_VERSION = 1
-
 
 @dataclass
 class GridMeta:
@@ -162,48 +155,6 @@ def octuples_from_annotation(sample: AnnotatedSample, pitches=None) -> list[Octu
 def round_pitch(p_hat: float) -> int:
     """Nearest discrete pitch token, half rounding up."""
     return int(np.clip(math.floor(p_hat + 0.5), 0, 127))
-
-
-# ---- octuple corpus file -----------------------------------------------------
-
-def write_octuple_corpus(path, songs: dict[str, list[OctupleEvent]]):
-    """Line-oriented corpus: header, then one 8-field record per event."""
-    lines = [
-        f"#octuple\tversion={OCTUPLE_FORMAT_VERSION}\tgrid_per_beat={GRID_PER_BEAT}"
-        f"\tfields={','.join(FIELD_NAMES)}"
-    ]
-    for song_id, events in songs.items():
-        lines.append(f"#song\t{song_id}")
-        for e in events:
-            lines.append(
-                f"{e.bar}\t{e.pos}\t{e.pitch:.6f}\t{e.dur}\t{e.vel}\t{e.tempo}\t{e.sig}\t{e.instr}"
-            )
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_octuple_corpus(path) -> dict[str, list[OctupleEvent]]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("#octuple"):
-        raise ValueError(f"{path}: not an octuple corpus file")
-    header = dict(kv.split("=", 1) for kv in lines[0].split("\t")[1:])
-    if int(header.get("version", -1)) != OCTUPLE_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported octuple corpus version")
-    songs: dict[str, list[OctupleEvent]] = {}
-    current: list[OctupleEvent] | None = None
-    for line in lines[1:]:
-        if line.startswith("#song"):
-            song_id = line.split("\t", 1)[1]
-            current = songs.setdefault(song_id, [])
-        elif line.strip():
-            f = line.split("\t")
-            current.append(
-                OctupleEvent(
-                    bar=int(f[0]), pos=int(f[1]), pitch=float(f[2]), dur=int(f[3]),
-                    vel=int(f[4]), tempo=int(f[5]), sig=int(f[6]), instr=int(f[7]),
-                )
-            )
-    return songs
 
 
 # ---- model -------------------------------------------------------------------

@@ -79,7 +79,10 @@ def manifest_add(out_dir, stage: str, cfg: dict, files: dict, extra: dict | None
             "stage": stage,
             "seed": cfg.get("seed"),
             "config_hash": config_hash(cfg),
-            "files": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in files.items()},
+            "files": {
+                name: {"path": Path(p).relative_to(out_dir).as_posix(), "sha256": _sha256(p)}
+                for name, p in files.items()
+            },
             "extra": extra or {},
         }
     )
@@ -169,6 +172,16 @@ def stage_synth_data(cfg: dict, data_dir) -> dict:
 
 # ---- stage: extract ------------------------------------------------------------
 
+def _extract_track(wav: np.ndarray, audio_cfg: dict) -> ft.FrameTrack:
+    return ft.extract_track(
+        wav,
+        sr=audio_cfg["sample_rate"],
+        hop=audio_cfg["hop"],
+        win=audio_cfg["win"],
+        n_mels=audio_cfg["n_mels"],
+    )
+
+
 def stage_extract(cfg: dict, data_dir, jobs: int = 1) -> dict:
     """Extract feature tracks, score corpus pitch errors, assign splits."""
     paths = data_paths(data_dir)
@@ -179,13 +192,7 @@ def stage_extract(cfg: dict, data_dir, jobs: int = 1) -> dict:
     def work(item):
         sid, entry = item
         wav = ft.load_audio(paths["root"] / entry["audio"], audio_cfg["sample_rate"])
-        track = ft.extract_track(
-            wav,
-            sr=audio_cfg["sample_rate"],
-            hop=audio_cfg["hop"],
-            win=audio_cfg["win"],
-            n_mels=audio_cfg["n_mels"],
-        )
+        track = _extract_track(wav, audio_cfg)
         ft.save_track(paths["features"] / f"{sid}.npz", track)
         ann = dk.import_annotations(paths["root"] / entry["annotation"])
         _, mean_err = dk.sample_pitch_error(track, ann)
@@ -249,6 +256,18 @@ def songs_by(data_dir, doc: dict, subset=None, role=None, group=None) -> list[So
     return out
 
 
+def annotated_notes(song: SongData):
+    """The song's annotated notes as intervals clipped to its track, with
+    their intended pitches and sung pitches (intended where none is given)."""
+    T = song.track.n_frames
+    spans = song.ann.note_frames(song.track.sample_rate, song.track.hop)
+    notes = [seg.NoteInterval(a, min(b, T)) for a, b in spans if a < T]
+    kept = song.ann.notes[: len(notes)]
+    pitches = [n.pitch for n in kept]
+    sung = [n.sung_pitch if n.sung_pitch is not None else float(n.pitch) for n in kept]
+    return notes, pitches, sung
+
+
 def gt_onset_frames(ann: dk.AnnotatedSample, sr: int, hop: int, n_frames: int) -> list[int]:
     frames = [int(round(n.onset_sec * sr / hop)) for n in ann.notes]
     return [f for f in frames if 0 <= f < n_frames]
@@ -290,15 +309,8 @@ def train_segmenter_on(songs, val_songs, cfg: dict) -> tuple[seg.Segmenter, dict
     scfg = cfg["segmenter"]
     tr = scfg["train"]
     model = seg.Segmenter(_frame_model_cfg(cfg, "segmenter"))
-    opt = nn.AdamW(
-        model.params(),
-        nn.OptimizerConfig(
-            lr=tr["lr"],
-            weight_decay=tr["weight_decay"],
-            t_max=tr["steps"],
-            eta_min=tr["lr"] / 100,
-            warmup=tr["warmup"],
-        ),
+    opt = nn.cosine_adamw(
+        model.params(), tr["lr"], tr["steps"], warmup=tr["warmup"], weight_decay=tr["weight_decay"]
     )
     rng = np.random.default_rng(_derived_seed(cfg["seed"], "train_segmenter", 0))
     labels = []
@@ -357,47 +369,33 @@ def stage_train_segmenter(cfg: dict, data_dir, out_dir) -> dict:
 
 # ---- stage: train-spp ---------------------------------------------------------------
 
-def _song_note_data(song: SongData):
-    spans = song.ann.note_frames(song.track.sample_rate, song.track.hop)
-    T = song.track.n_frames
-    spans = [(a, min(b, T)) for a, b in spans if a < T and min(b, T) - a >= 1]
-    pitches = [n.pitch for n in song.ann.notes[: len(spans)]]
-    sung = [n.sung_pitch if n.sung_pitch is not None else float(n.pitch) for n in song.ann.notes]
-    interp = ft.interpolate_pitch(song.track.pitch_semitones, song.track.voiced)
-    sigma = sp.local_pitch_std(interp)
-    return spans, pitches, sung[: len(spans)], sigma
-
-
 def train_spp_on(songs, val_songs, cfg: dict) -> tuple[sp.StationaryPitchPredictor, dict]:
     pcfg = cfg["spp"]
     tr = pcfg["train"]
     lw = sp.SppLossWeights(**pcfg["loss"])
     model = sp.StationaryPitchPredictor(_frame_model_cfg(cfg, "spp"))
-    opt = nn.AdamW(
-        model.params(),
-        nn.OptimizerConfig(
-            lr=tr["lr"],
-            weight_decay=tr["weight_decay"],
-            t_max=tr["steps"],
-            eta_min=tr["lr"] / 100,
-            warmup=tr["warmup"],
-        ),
+    opt = nn.cosine_adamw(
+        model.params(), tr["lr"], tr["steps"], warmup=tr["warmup"], weight_decay=tr["weight_decay"]
     )
     rng = np.random.default_rng(_derived_seed(cfg["seed"], "train_spp", 0))
-    data = [(_song_note_data(s), s) for s in songs]
+    data = []
+    for song in songs:
+        notes, pitches, _sung = annotated_notes(song)
+        interp = ft.interpolate_pitch(song.track.pitch_semitones, song.track.voiced)
+        data.append((song, notes, pitches, sp.local_pitch_std(interp)))
     crop = tr["crop"]
     history = {"loss": [], "val": []}
     for step in range(tr["steps"]):
         batch = []
         for _ in range(tr["batch"]):
-            (spans, pitches, _sung, sigma), song = data[int(rng.integers(0, len(data)))]
+            song, notes, pitches, sigma = data[int(rng.integers(0, len(data)))]
             T = song.track.n_frames
-            j = int(rng.integers(0, len(spans)))
-            start = int(np.clip(spans[j][0], 0, max(T - crop, 0)))
+            j = int(rng.integers(0, len(notes)))
+            start = int(np.clip(notes[j].start_frame, 0, max(T - crop, 0)))
             inside = [
-                (a - start, b - start, p)
-                for (a, b), p in zip(spans, pitches)
-                if a >= start and b <= start + crop
+                (n.start_frame - start, n.end_frame - start, p)
+                for n, p in zip(notes, pitches)
+                if n.start_frame >= start and n.end_frame <= start + crop
             ]
             if not inside:
                 continue
@@ -436,8 +434,7 @@ def train_spp_on(songs, val_songs, cfg: dict) -> tuple[sp.StationaryPitchPredict
 def _validate_spp(model, songs) -> dict:
     est_all, gt_all = [], []
     for song in songs:
-        spans, _pitches, sung, _sigma = _song_note_data(song)
-        notes = [seg.NoteInterval(a, b) for a, b in spans]
+        notes, _pitches, sung = annotated_notes(song)
         ests = model.estimate(song.track, notes)
         for e, s in zip(ests, sung):
             if not e.flagged:
@@ -473,13 +470,12 @@ def stage_train_detuner(cfg: dict, data_dir, out_dir) -> dict:
     songs = songs_by(data_dir, doc, subset="high", role="train")
     sequences = []
     for song in songs:
-        spans, pitches, _sung, _sigma = _song_note_data(song)
-        notes = [seg.NoteInterval(a, b) for a, b in spans]
+        notes, pitches, _sung = annotated_notes(song)
         ests = spp_model.estimate(song.track, notes)
         events = sym.octuples_from_annotation(song.ann)
-        durs = np.array([e.dur / sym.GRID_PER_BEAT for e in events[: len(spans)]])
-        errors = np.array([e.pitch for e in ests]) - np.array(pitches, dtype=np.float64)
-        sequences.append((np.array(pitches, dtype=np.float64), durs, errors))
+        durs = np.array([e.dur / sym.GRID_PER_BEAT for e in events[: len(notes)]])
+        pitches = np.array(pitches, dtype=np.float64)
+        sequences.append((pitches, durs, np.array([e.pitch for e in ests]) - pitches))
     dcfg = dt.DetunerConfig(
         hidden=cfg["detuner"]["hidden"],
         seed=cfg["seed"],
@@ -554,10 +550,7 @@ def _other_field_loss(logits: dict, fields: dict, pad: np.ndarray):
 def pretrain_cnpp(cfg: dict, sequences) -> sym.Cnpp:
     pt = cfg["cnpp"]["pretrain"]
     model = sym.Cnpp(_cnpp_cfg(cfg))
-    opt = nn.AdamW(
-        model.params(),
-        nn.OptimizerConfig(lr=pt["lr"], t_max=pt["steps"], eta_min=pt["lr"] / 100, warmup=100),
-    )
+    opt = nn.cosine_adamw(model.params(), pt["lr"], pt["steps"], warmup=100)
     rng = np.random.default_rng(_derived_seed(cfg["seed"], "pretrain_cnpp", 0))
     drop_rng = np.random.default_rng(_derived_seed(cfg["seed"], "pretrain_dropout", 0))
     w_other = cfg["cnpp"]["finetune"]["field_loss_weight"]
@@ -598,46 +591,26 @@ def finetune_cnpp(
     pitch_mode = "round" if variant == "rounded_embed" else "interp"
     if p_max > 0 and detuner_model is None:
         raise StageOrderError("detune augmentation requires a trained detuner checkpoint")
-    opt = nn.AdamW(
-        model.params(),
-        nn.OptimizerConfig(lr=ftc["lr"], t_max=ftc["steps"], eta_min=ftc["lr"] / 100, warmup=100),
-    )
+    opt = nn.cosine_adamw(model.params(), ftc["lr"], ftc["steps"], warmup=100)
     rng = np.random.default_rng(_derived_seed(cfg["seed"], f"finetune_{variant}", 0))
     drop_rng = np.random.default_rng(_derived_seed(cfg["seed"], f"finetune_drop_{variant}", 0))
     losses = []
     for step in range(ftc["steps"]):
         p_det = sym.detune_schedule(step, ftc["steps"], p_max=p_max, ramp_frac=ftc["ramp_frac"])
-        idx = rng.integers(0, len(sequences), size=ftc["batch"])
-        seqs = []
-        for j in idx:
-            rec = sequences[j]
-            pitch_values = rec["gt"].astype(np.float64)
+        recs = [sequences[j] for j in rng.integers(0, len(sequences), size=ftc["batch"])]
+        fields, pv, pad = sym.pack_sequences([rec["events"] for rec in recs])
+        gt = pv.astype(np.int64)
+        for b, rec in enumerate(recs):
             if p_det > 0 and rng.random() < p_det:
+                L = len(rec["events"])
                 errors = dt.generate_errors(
                     detuner_model,
                     sigma_e,
-                    rec["gt"].astype(np.float64),
+                    pv[b, :L],
                     rec["dur_beats"],
                     seed=int(rng.integers(0, 2**31 - 1)),
                 )
-                pitch_values = np.clip(pitch_values + errors, 0.0, 127.0)
-            seqs.append((rec, pitch_values))
-        n_max = max(len(r["gt"]) for r, _ in seqs)
-        fields = {
-            name: np.zeros((len(seqs), n_max), dtype=np.int64)
-            for name in sym.FIELD_NAMES
-            if name != "pitch"
-        }
-        pv = np.zeros((len(seqs), n_max))
-        pad = np.zeros((len(seqs), n_max))
-        gt = np.zeros((len(seqs), n_max), dtype=np.int64)
-        for b, (rec, pitch_values) in enumerate(seqs):
-            L = len(rec["gt"])
-            for name in fields:
-                fields[name][b, :L] = rec["fields"][name]
-            pv[b, :L] = pitch_values
-            gt[b, :L] = rec["gt"]
-            pad[b, :L] = 1.0
+                pv[b, :L] = np.clip(pv[b, :L] + errors, 0.0, 127.0)
         logits = model.forward(fields, pv, pad, pitch_mode=pitch_mode, rng=drop_rng)
         B, N = pad.shape
         pitch_loss = nn.cross_entropy(
@@ -652,13 +625,10 @@ def annotation_sequences(songs: list[SongData]) -> list[dict]:
     out = []
     for song in songs:
         events = sym.octuples_from_annotation(song.ann)
-        fields, pitch_values, _ = sym.pack_sequences([events])
         out.append(
             {
                 "sid": song.sid,
                 "events": events,
-                "fields": {k: v[0] for k, v in fields.items()},
-                "gt": np.array([n.pitch for n in song.ann.notes], dtype=np.int64),
                 "dur_beats": np.array([e.dur / sym.GRID_PER_BEAT for e in events]),
             }
         )
@@ -804,11 +774,8 @@ def evaluate_split(
     for song in songs:
         notes, ests = pipeline.transcribe_base(song.track)
         T = song.track.n_frames
-        gt_spans = song.ann.note_frames(sr, hop)
-        gt_notes = [seg.NoteInterval(a, min(b, T)) for a, b in gt_spans if a < T]
-        gt_curve = ek.note_pitch_curve(
-            gt_notes, [n.pitch for n in song.ann.notes[: len(gt_notes)]], T
-        )
+        gt_notes, gt_pitches, _sung = annotated_notes(song)
+        gt_curve = ek.note_pitch_curve(gt_notes, gt_pitches, T)
         meta = sym.GridMeta.from_annotation(song.ann)
         for v in variants:
             targets = pipeline.note_targets(notes, ests, meta, v, sr, hop)
@@ -828,24 +795,15 @@ def evaluate_spp_benchmark(pipeline: Pipeline, data_dir, split: str = "spp_bench
     methods = {"spp": [], "average": [], "weighted_median": []}
     gt = []
     for song in songs:
-        T = song.track.n_frames
-        spans = [
-            (a, min(b, T))
-            for a, b in song.ann.note_frames(song.track.sample_rate, song.track.hop)
-            if a < T and min(b, T) > a
-        ]
-        notes = [seg.NoteInterval(a, b) for a, b in spans]
+        notes, _pitches, sung = annotated_notes(song)
         ests = pipeline.spp.estimate(song.track, notes)
-        for i, note in enumerate(notes):
-            if ests[i].flagged:
+        for note, est, s in zip(notes, ests, sung):
+            if est.flagged:
                 continue
-            avg = sp.aggregate_average(song.track, note)
-            wm = sp.aggregate_weighted_median(song.track, note)
-            methods["spp"].append(ests[i].pitch)
-            methods["average"].append(avg.pitch)
-            methods["weighted_median"].append(wm.pitch)
-            sung = song.ann.notes[i].sung_pitch
-            gt.append(sung if sung is not None else float(song.ann.notes[i].pitch))
+            methods["spp"].append(est.pitch)
+            methods["average"].append(sp.aggregate_average(song.track, note).pitch)
+            methods["weighted_median"].append(sp.aggregate_weighted_median(song.track, note).pitch)
+            gt.append(s)
     gt = np.array(gt)
     return {
         name: sp.evaluate_spp(np.array(vals), gt) for name, vals in methods.items()
@@ -894,21 +852,21 @@ def stage_correct(
     variant: str = "full",
     cache_dir=None,
 ) -> dict:
-    pipeline = Pipeline.load(ckpt_dir, cfg, variants=(variant,) if variant != "no_cnpp" else ())
+    pipeline = Pipeline.load(ckpt_dir, cfg, variants=(variant,))
     audio_cfg = cfg["audio"]
     sr, hop = audio_cfg["sample_rate"], audio_cfg["hop"]
     wav = ft.load_audio(in_wav, sr)
     track = None
     cache_path = None
     if cache_dir:
-        digest = hashlib.sha256(wav.tobytes()).hexdigest()[:24]
-        cache_path = Path(cache_dir) / f"track_{digest}.npz"
+        key = hashlib.sha256(wav.tobytes())
+        settings = [sr, hop, audio_cfg["win"], audio_cfg["n_mels"], ft.TRACK_FORMAT_VERSION]
+        key.update(json.dumps(settings).encode())
+        cache_path = Path(cache_dir) / f"track_{key.hexdigest()[:24]}.npz"
         if cache_path.exists():
             track = ft.load_track(cache_path)
     if track is None:
-        track = ft.extract_track(
-            wav, sr=sr, hop=hop, win=audio_cfg["win"], n_mels=audio_cfg["n_mels"]
-        )
+        track = _extract_track(wav, audio_cfg)
         if cache_path is not None:
             ft.save_track(cache_path, track)
     if annotations is not None:
@@ -942,9 +900,7 @@ def stage_correct(
         return result
     corrected = corr.shift_audio(wav, plan, track)
     ft.write_wav(out_path, corrected, sr)
-    track2 = ft.extract_track(
-        corrected, sr=sr, hop=hop, win=audio_cfg["win"], n_mels=audio_cfg["n_mels"]
-    )
+    track2 = _extract_track(corrected, audio_cfg)
     ests2 = pipeline.spp.estimate(track2, notes)
     rows = corr.verify_plan(ests2, plan, track)
     residuals = [r["residual_cents"] for r in rows if not r["flagged"]]
@@ -968,7 +924,7 @@ def stage_correct(
 # ---- full recipe -----------------------------------------------------------------------
 
 def run_full_recipe(cfg: dict, workdir, jobs: int = 1) -> dict:
-    """synth-data -> extract -> all trainings -> detuner realism -> evaluation.
+    """synth-data -> extract -> all trainings -> evaluation.
 
     Returns a summary dict; writes reports under <workdir>/checkpoints.
     Deterministic given cfg (fixed seed): running twice yields byte-identical

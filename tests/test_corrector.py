@@ -30,6 +30,13 @@ def test_plan_identity_when_target_equals_estimate():
     assert np.array_equal(out, wav)
 
 
+def test_shift_audio_rejects_plan_for_other_frame_count():
+    plan = C.build_plan([_est(60.5, 10)], [60.0], [NoteInterval(0, 10)], make_track(np.full(10, 60.5)))
+    wav = np.random.default_rng(0).normal(0, 0.1, SR)
+    with pytest.raises(ValueError, match="10 frames.* 87"):
+        C.shift_audio(wav, plan, make_track(np.full(87, 60.5)))
+
+
 def test_plan_misaligned_inputs_error():
     track = make_track(np.full(10, 60.0))
     with pytest.raises(ValueError):

@@ -160,14 +160,3 @@ def test_model_estimate_runs_on_synthetic_track(intune_song):
             lo, hi = np.nanmin(seg_pitch), np.nanmax(seg_pitch)
             assert lo - 1e-9 <= est.pitch <= hi + 1e-9
 
-
-def test_dump_estimates_format(tmp_path, intune_song):
-    _wav, ann, track = intune_song
-    spans = ann.note_frames(track.sample_rate, track.hop)
-    notes = [NoteInterval(a, min(b, track.n_frames)) for a, b in spans[:3]]
-    ests = spp.estimates_from_logits(np.zeros(track.n_frames), track, notes)
-    out = tmp_path / "est.tsv"
-    spp.dump_estimates(out, track, notes, ests)
-    lines = out.read_text().strip().split("\n")
-    assert lines[0].startswith("note\t")
-    assert len(lines) == 4

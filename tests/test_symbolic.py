@@ -138,27 +138,6 @@ def test_cnpp_rejects_overlong_sequences():
         model.predict(_events(10))
 
 
-def test_octuple_corpus_roundtrip(tmp_path):
-    songs = {"a": _events(5), "b": _events(3)}
-    path = tmp_path / "corpus.oct"
-    sym.write_octuple_corpus(path, songs)
-    loaded = sym.read_octuple_corpus(path)
-    assert set(loaded) == {"a", "b"}
-    for sid in songs:
-        for e1, e2 in zip(songs[sid], loaded[sid]):
-            assert (e1.bar, e1.pos, e1.dur, e1.vel, e1.tempo, e1.sig, e1.instr) == (
-                e2.bar, e2.pos, e2.dur, e2.vel, e2.tempo, e2.sig, e2.instr
-            )
-            assert e2.pitch == pytest.approx(e1.pitch, abs=1e-6)
-
-
-def test_octuple_corpus_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.oct"
-    path.write_text("not a corpus\n")
-    with pytest.raises(ValueError):
-        sym.read_octuple_corpus(path)
-
-
 def test_octuples_from_annotation_and_midi_import(tmp_path):
     from notetune import midifile
     from notetune.datakit import import_annotations

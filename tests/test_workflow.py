@@ -1,0 +1,106 @@
+"""End-to-end runs of every CLI subcommand and of the full recipe on a tiny
+fixed-seed configuration (20 songs, 4 steps per trainer)."""
+
+import json
+
+import pytest
+
+from notetune import cli
+from notetune import features as ft
+from notetune import workflow as wf
+from notetune.config import load_config
+
+TINY = [
+    "corpus.n_songs=20",
+    "corpus.notes_min=12",
+    "corpus.notes_max=16",
+    *(f"corpus.eval_sets.{s}.n_songs=2" for s in ("spp_bench", "moderate_eval", "high_eval", "intune_eval")),
+    *(f"{k}.steps=4" for k in ("segmenter.train", "spp.train", "detuner", "cnpp.pretrain", "cnpp.finetune")),
+    "segmenter.train.eval_every=2",
+    "spp.train.eval_every=2",
+    "detuner.min_notes=5",
+    "cnpp.pretrain.n_songs=8",
+]
+
+
+def run_cli(*argv) -> int:
+    flags = [arg for item in TINY for arg in ("--set", item)]
+    return cli.main([str(a) for a in argv] + flags + ["-q"])
+
+
+def manifest_stages(ckpt_dir) -> dict:
+    doc = json.loads((ckpt_dir / "run_manifest.json").read_text())
+    return {s["stage"]: s for s in doc["stages"]}
+
+
+@pytest.fixture(scope="module")
+def cli_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    data, ckpt, out = root / "data", root / "ckpt", root / "out"
+    take = data / "audio" / "moderate_eval_000.wav"
+    ann = data / "annotations" / "moderate_eval_000.json"
+    common = ["--data-dir", data, "--checkpoint-dir", ckpt]
+    codes = {
+        "synth-data": run_cli("synth-data", "--data-dir", data),
+        "extract": run_cli("extract", "--data-dir", data, "--jobs", 2),
+    }
+    for cmd in ("train-segmenter", "train-spp", "train-detuner"):
+        codes[cmd] = run_cli(cmd, *common)
+    for v in wf.CNPP_VARIANTS:
+        codes[f"train-cnpp {v}"] = run_cli("train-cnpp", *common, "--variant", v)
+    codes["evaluate"] = run_cli("evaluate", *common, "--split", "moderate_eval")
+    codes["ablate"] = run_cli("ablate", *common)
+    correct = ["correct", "--checkpoint-dir", ckpt, "--annotations", ann]
+    codes["correct"] = run_cli(*correct, take, out / "plain.wav")
+    codes["correct --dry-run"] = run_cli(*correct, take, out / "dry.wav", "--dry-run")
+    codes["correct no_cnpp"] = run_cli(*correct, take, out / "raw.wav", "--variant", "no_cnpp")
+    return {"root": root, "data": data, "ckpt": ckpt, "out": out, "take": take, "codes": codes}
+
+
+def test_every_subcommand_exits_zero_and_writes_its_files(cli_run):
+    assert cli_run["codes"] == {k: 0 for k in cli_run["codes"]}
+    data, ckpt, out = cli_run["data"], cli_run["ckpt"], cli_run["out"]
+    doc = wf.load_dataset(data)
+    assert all((data / e["features"]).exists() for e in doc["samples"].values())
+    for name in ["segmenter", "spp", "detuner", "cnpp_pretrained"] + [f"cnpp_{v}" for v in wf.CNPP_VARIANTS]:
+        assert (ckpt / f"{name}.npz").exists()
+    assert (ckpt / "reports" / "moderate_eval" / "metrics.json").exists()
+    assert (ckpt / "reports" / "ablation" / "ablation.txt").exists()
+    for stem in ("plain", "raw"):
+        for suffix in (".wav", ".plan.tsv", ".residuals.tsv"):
+            assert (out / f"{stem}{suffix}").exists()
+    assert (out / "dry.plan.tsv").exists() and not (out / "dry.wav").exists()
+
+
+def test_manifest_paths_are_relative_to_the_checkpoint_dir(cli_run):
+    ckpt = cli_run["ckpt"]
+    for stage in manifest_stages(ckpt).values():
+        for entry in stage["files"].values():
+            assert wf._sha256(ckpt / entry["path"]) == entry["sha256"]
+
+
+def test_correct_without_checkpoints_exits_2(cli_run, tmp_path):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert run_cli("correct", cli_run["take"], tmp_path / "o.wav", "--checkpoint-dir", empty) == 2
+
+
+def test_full_recipe_matches_cli_run(cli_run, tmp_path):
+    wf.run_full_recipe(load_config(None, TINY), tmp_path, jobs=2)
+    recipe = manifest_stages(tmp_path / "checkpoints")
+    by_cli = manifest_stages(cli_run["ckpt"])
+    shared = set(recipe) & set(by_cli)
+    assert shared == {"train_segmenter", "train_spp", "train_detuner", "ablate"} | {
+        f"train_cnpp_{v}" for v in wf.CNPP_VARIANTS
+    }
+    for stage in shared:
+        assert recipe[stage] == by_cli[stage]
+
+
+def test_correct_cache_is_keyed_on_audio_settings(cli_run, tmp_path):
+    cache = tmp_path / "cache"
+    for hop in (256, 128):
+        cfg = load_config(None, TINY + [f"audio.hop={hop}"])
+        wf.stage_correct(cfg, cli_run["take"], tmp_path / "o.wav", cli_run["ckpt"], dry_run=True, cache_dir=cache)
+    tracks = [ft.load_track(p) for p in sorted(cache.glob("track_*.npz"))]
+    assert sorted(t.hop for t in tracks) == [128, 256]
