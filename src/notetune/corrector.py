@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import FrameTrack, interpolate_pitch, semitones_to_hz
+from .features import FrameTrack, semitones_to_hz
 from .segmenter import NoteInterval
 from .spp import StationaryEstimate
 
@@ -171,8 +171,7 @@ def shift_audio(
     sample_idx = np.minimum(np.arange(n) // hop, track.n_frames - 1)
     sample_voiced = frame_voiced[sample_idx]
     sample_ratio = frame_ratio[sample_idx]
-    pitch_curve = interpolate_pitch(track.pitch_semitones, track.voiced)
-    sample_f0 = semitones_to_hz(pitch_curve[sample_idx])
+    sample_f0 = semitones_to_hz(track.pitch_filled[sample_idx])
 
     synth = np.zeros(n)
     norm = np.zeros(n)

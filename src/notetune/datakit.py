@@ -9,7 +9,7 @@ Annotation schema (JSON, one file per recording):
     time_signature  [num, den]
     key             str     informational, e.g. "E major"
     notes           list of objects, sorted by onset, non-overlapping:
-        onset_sec   float   note start in seconds
+        onset_sec   float   note start in seconds, >= 0
         offset_sec  float   end of the sounding region in seconds
         pitch       int     intended MIDI pitch, 0..127
         sung_pitch  float   stationary pitch actually sung, semitones
@@ -77,6 +77,8 @@ def validate_notes(notes: list[Note]):
     for i, n in enumerate(notes):
         if not (0 <= n.pitch <= 127):
             raise AnnotationError(f"note {i}: pitch {n.pitch} outside 0..127")
+        if n.onset_sec < 0:
+            raise AnnotationError(f"note {i}: negative onset {n.onset_sec}")
         if n.offset_sec <= n.onset_sec:
             raise AnnotationError(f"note {i}: empty or negative duration")
         if prev is not None and n.onset_sec < prev.offset_sec - 1e-9:

@@ -2,13 +2,11 @@
 
 A 2-layer GRU regresses each note's pitch error from (note pitch, duration,
 previous error); generation rolls the model forward on its own noised
-predictions.  Uniform-random baselines and histogram utilities live here
-too.
+predictions.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,13 +85,6 @@ def generate_errors(
     return errors
 
 
-def uniform_detune(n_notes: int, lo: float, hi: float, seed: int) -> np.ndarray:
-    """Independent per-note errors from Uniform(lo, hi)."""
-    if lo >= hi:
-        raise ValueError("lo must be < hi")
-    return np.random.default_rng(seed).uniform(lo, hi, size=n_notes)
-
-
 # ---- training --------------------------------------------------------------
 
 @dataclass
@@ -142,40 +133,3 @@ def train_detuner(
             residuals.append(pred - errs)
     sigma_e = float(np.concatenate(residuals).std())
     return DetunerTrainResult(model=model, sigma_e=sigma_e, losses=losses)
-
-
-# ---- distribution utilities ---------------------------------------------------
-
-def error_histogram(errors: np.ndarray, bin_width: float = 0.1) -> dict:
-    """Histogram plus summary stats, serializable for plotting."""
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
-    errors = np.asarray(errors, dtype=np.float64)
-    if len(errors) == 0:
-        return {"bin_width": bin_width, "edges": [], "counts": [], "n": 0}
-    lo = math.floor(errors.min() / bin_width) * bin_width
-    hi = math.ceil(errors.max() / bin_width) * bin_width
-    n_bins = max(1, int(round((hi - lo) / bin_width)))
-    counts, edges = np.histogram(errors, bins=n_bins, range=(lo, lo + n_bins * bin_width))
-    pct = np.percentile(errors, [5, 25, 50, 75, 95])
-    return {
-        "bin_width": bin_width,
-        "edges": edges.tolist(),
-        "counts": counts.tolist(),
-        "n": int(len(errors)),
-        "mean": float(errors.mean()),
-        "std": float(errors.std()),
-        "percentiles": {"p5": pct[0], "p25": pct[1], "p50": pct[2], "p75": pct[3], "p95": pct[4]},
-    }
-
-
-def l1_histogram_distance(
-    a: np.ndarray, b: np.ndarray, bin_width: float = 0.1, span: float = ERROR_CLAMP
-) -> float:
-    """L1 distance between normalized histograms on a shared bin grid."""
-    bins = np.arange(-span, span + bin_width, bin_width)
-    ha, _ = np.histogram(np.clip(a, -span, span - 1e-9), bins=bins)
-    hb, _ = np.histogram(np.clip(b, -span, span - 1e-9), bins=bins)
-    pa = ha / max(ha.sum(), 1)
-    pb = hb / max(hb.sum(), 1)
-    return float(np.abs(pa - pb).sum())

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
@@ -60,26 +59,14 @@ def format_ablation_table(table: dict[str, dict[str, float]], splits: list[str])
 
 # ---- reports -------------------------------------------------------------------
 
-def emit_report(metrics: dict, histograms: dict[str, dict], outdir) -> dict:
-    """Write a metrics JSON plus one CSV per histogram; returns written paths.
+def emit_report(metrics: dict, outdir) -> Path:
+    """Write the metrics JSON into `outdir` and return its path.
 
     The JSON is fully deterministic (sorted keys, repr floats) so a
     fixed-seed run reproduces it byte-identically.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paths = {}
     metrics_path = outdir / "metrics.json"
     metrics_path.write_text(json.dumps(metrics, sort_keys=True, indent=1) + "\n")
-    paths["metrics"] = metrics_path
-    for name, hist in histograms.items():
-        csv_path = outdir / f"hist_{name}.csv"
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_left", "bin_right", "count"])
-            edges = hist.get("edges", [])
-            counts = hist.get("counts", [])
-            for left, right, count in zip(edges[:-1], edges[1:], counts):
-                writer.writerow([f"{left:.6f}", f"{right:.6f}", count])
-        paths[f"hist_{name}"] = csv_path
-    return paths
+    return metrics_path

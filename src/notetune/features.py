@@ -6,7 +6,7 @@ with frame i centered at sample i * hop (reflect padding at the edges).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,11 @@ class FrameTrack:
     when it crosses a power of two, so a correction plan moves every frame
     of a note by exactly its delta.
     Rounding is idempotent, so saved tracks load back bit for bit.
+
+    `pitch_filled` is the gridded pitch with unvoiced gaps filled by linear
+    interpolation between voiced frames (held flat before the first and
+    after the last), or 60.0 everywhere when no frame is voiced.  It is
+    derived, so it is not saved.
     """
 
     sample_rate: int
@@ -48,6 +53,7 @@ class FrameTrack:
     voiced: np.ndarray
     mel: np.ndarray
     n_mels: int
+    pitch_filled: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pitch = np.asarray(self.pitch_semitones, dtype=np.float64)
@@ -57,6 +63,11 @@ class FrameTrack:
             raise ValueError("pitch, voicing and mel tracks must share one frame count")
         if self.hop <= 0:
             raise ValueError("hop must be positive")
+        v = np.asarray(self.voiced, dtype=bool)
+        idx = np.arange(T)
+        self.pitch_filled = (
+            np.interp(idx, idx[v], self.pitch_semitones[v]) if v.any() else np.full(T, 60.0)
+        )
 
     @property
     def n_frames(self) -> int:
@@ -204,15 +215,6 @@ def track_pitch(
     v = voiced.astype(bool)
     pitch[v] = hz_to_semitones(f0[v])
     return pitch, voiced
-
-
-def interpolate_pitch(pitch: np.ndarray, voiced: np.ndarray, fill: float = 60.0) -> np.ndarray:
-    """Linear interpolation of the pitch curve across unvoiced gaps."""
-    v = np.asarray(voiced, dtype=bool)
-    if not v.any():
-        return np.full(len(pitch), fill)
-    idx = np.arange(len(pitch))
-    return np.interp(idx, idx[v], pitch[v])
 
 
 # ---- mel spectrogram ---------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore as nn
-from .features import FrameTrack, interpolate_pitch
+from .features import FrameTrack
 
 PITCH_CENTER = 60.0
 PITCH_SCALE = 12.0
@@ -23,8 +23,7 @@ MEL_SCALE = 8.0
 
 def track_inputs(track: FrameTrack) -> np.ndarray:
     """Stack normalized per-frame features [T, 2 + n_mels]."""
-    pitch = interpolate_pitch(track.pitch_semitones, track.voiced)
-    p = (pitch - PITCH_CENTER) / PITCH_SCALE
+    p = (track.pitch_filled - PITCH_CENTER) / PITCH_SCALE
     v = track.voiced.astype(np.float64)
     m = (track.mel + MEL_SHIFT) / MEL_SCALE
     return np.concatenate([p[:, None], v[:, None], m], axis=1)

@@ -6,7 +6,6 @@ from .tensor import (
     add,
     mul,
     matmul,
-    texp,
     tlog,
     sigmoid,
     tanh,

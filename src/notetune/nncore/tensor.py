@@ -244,15 +244,6 @@ def matmul(a: Tensor, b: Tensor):
 
 # ---- elementwise nonlinearities -------------------------------------------
 
-def texp(a: Tensor):
-    out_data = np.exp(a.data)
-
-    def bw(g):
-        a._accumulate(g * out_data)
-
-    return _make(out_data, (a,), bw)
-
-
 def tlog(a: Tensor):
     def bw(g):
         a._accumulate(g / a.data)
@@ -264,6 +255,12 @@ _SIGMOID_LO = np.nextafter(0.0, 1.0)
 _SIGMOID_HI = np.nextafter(1.0, 0.0)
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1/(1 + exp(-x)) on plain arrays; exp overflowing to inf gives 0.0 silently."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def sigmoid(a: Tensor):
     """Logistic function, kept strictly inside (0, 1).
 
@@ -273,8 +270,7 @@ def sigmoid(a: Tensor):
     1 - 2^-53.  Every other output and its gradient is the plain formula's.
     The gradient is that of the clamped function: 0 where it clamps.
     """
-    with np.errstate(over="ignore"):
-        raw = 1.0 / (1.0 + np.exp(-a.data))
+    raw = _logistic(a.data)
     out_data = np.clip(raw, _SIGMOID_LO, _SIGMOID_HI)
 
     def bw(g):
@@ -488,8 +484,8 @@ def gru_cell(gi: np.ndarray, h: np.ndarray, w_hh: np.ndarray, b_hh: np.ndarray):
     """
     xr, xz, xn = np.split(gi, 3, axis=-1)
     hr, hz, hn = np.split(h @ w_hh + b_hh, 3, axis=-1)
-    r = 1.0 / (1.0 + np.exp(-(xr + hr)))
-    z = 1.0 / (1.0 + np.exp(-(xz + hz)))
+    r = _logistic(xr + hr)
+    z = _logistic(xz + hz)
     n = np.tanh(xn + r * hn)
     return (1.0 - z) * n + z * h, r, z, n, hn
 

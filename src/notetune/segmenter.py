@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore as nn
-from .features import FrameTrack, interpolate_pitch
+from .features import FrameTrack
 from .frontend import FrameEncoder, FrameEncoderConfig, track_inputs
 
 DEFAULT_NMS_WINDOW = 5
@@ -29,7 +29,6 @@ class NoteInterval:
 
     start_frame: int
     end_frame: int
-    gt_pitch: int | None = None
 
     def __post_init__(self):
         if self.start_frame >= self.end_frame:
@@ -155,9 +154,7 @@ def boundaries_to_intervals(
     if len(boundaries) < 2:
         return []
     spans = [[boundaries[i], boundaries[i + 1]] for i in range(len(boundaries) - 1)]
-    pitch = None
-    if track is not None:
-        pitch = interpolate_pitch(track.pitch_semitones, track.voiced)
+    pitch = None if track is None else track.pitch_filled
 
     def mean_pitch(span):
         if pitch is None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore as nn
-from .features import FrameTrack, interpolate_pitch
+from .features import FrameTrack
 from .frontend import FrameEncoder, FrameEncoderConfig, track_inputs
 from .segmenter import NoteInterval
 
@@ -39,11 +39,6 @@ class StationaryEstimate:
     pitch: float
     weights: np.ndarray  # over the note's frames; zero at unvoiced frames
     flagged: bool = False
-
-    @property
-    def entropy(self) -> float:
-        w = self.weights[self.weights > 0]
-        return float(-(w * np.log(w)).sum()) if len(w) else 0.0
 
 
 class StationaryPitchPredictor(nn.Module):
@@ -79,7 +74,6 @@ def estimates_from_logits(
     logits: np.ndarray, track: FrameTrack, notes: list[NoteInterval]
 ) -> list[StationaryEstimate]:
     voiced = track.voiced.astype(bool)
-    interp = interpolate_pitch(track.pitch_semitones, track.voiced)
     out = []
     for i, note in enumerate(notes):
         a, b = note.start_frame, note.end_frame
@@ -87,7 +81,7 @@ def estimates_from_logits(
         weights = np.zeros(b - a)
         if len(idx) == 0:
             # no voiced frame: fall back to the interpolated curve's mean
-            out.append(StationaryEstimate(i, float(interp[a:b].mean()), weights, flagged=True))
+            out.append(StationaryEstimate(i, float(track.pitch_filled[a:b].mean()), weights, flagged=True))
             continue
         w = _softmax(logits[a:b][idx])
         weights[idx] = w
@@ -104,8 +98,7 @@ def aggregate_average(track: FrameTrack, note: NoteInterval) -> StationaryEstima
     weights = np.zeros(b - a)
     vals = track.pitch_semitones[a:b][voiced]
     if len(vals) == 0:
-        interp = interpolate_pitch(track.pitch_semitones, track.voiced)
-        return StationaryEstimate(0, float(interp[a:b].mean()), weights, flagged=True)
+        return StationaryEstimate(0, float(track.pitch_filled[a:b].mean()), weights, flagged=True)
     weights[voiced] = 1.0 / len(vals)
     return StationaryEstimate(0, float(vals.mean()), weights)
 
@@ -122,8 +115,7 @@ def aggregate_weighted_median(track: FrameTrack, note: NoteInterval) -> Stationa
     vals = track.pitch_semitones[a:b][voiced]
     weights = np.zeros(n)
     if len(vals) == 0:
-        interp = interpolate_pitch(track.pitch_semitones, track.voiced)
-        return StationaryEstimate(0, float(interp[a:b].mean()), weights, flagged=True)
+        return StationaryEstimate(0, float(track.pitch_filled[a:b].mean()), weights, flagged=True)
     hann = np.hanning(n + 2)[1:-1]
     wv = hann[voiced]
     order = np.argsort(vals, kind="stable")

@@ -10,7 +10,6 @@ head classifies over the 128 discrete pitches.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,20 +140,18 @@ def notes_to_octuples(
     return events_from_times(onsets, durs, pitches, meta)
 
 
-def octuples_from_annotation(sample: AnnotatedSample, pitches=None) -> list[OctupleEvent]:
-    """Octuples from a note annotation; `pitches` overrides the pitch field
-    (defaults to the intended integer pitches)."""
+def octuples_from_annotation(sample: AnnotatedSample) -> list[OctupleEvent]:
+    """Octuples from a note annotation, with the intended integer pitches."""
     meta = GridMeta.from_annotation(sample)
     onsets = np.array([n.onset_sec for n in sample.notes])
     durs = np.array([n.offset_sec - n.onset_sec for n in sample.notes])
-    if pitches is None:
-        pitches = np.array([float(n.pitch) for n in sample.notes])
-    return events_from_times(onsets, durs, np.asarray(pitches, dtype=np.float64), meta)
+    pitches = np.array([float(n.pitch) for n in sample.notes])
+    return events_from_times(onsets, durs, pitches, meta)
 
 
-def round_pitch(p_hat: float) -> int:
-    """Nearest discrete pitch token, half rounding up."""
-    return int(np.clip(math.floor(p_hat + 0.5), 0, 127))
+def round_pitch(p_hat) -> np.ndarray:
+    """Nearest discrete pitch tokens (int64, 0..127), half rounding up."""
+    return np.clip(np.floor(np.asarray(p_hat, dtype=np.float64) + 0.5), 0, 127).astype(np.int64)
 
 
 # ---- model -------------------------------------------------------------------
@@ -242,8 +239,7 @@ class Cnpp(nn.Module):
                 if pitch_mode == "interp":
                     emb = interp_pitch_embedding(self.embeds["pitch"].table, pitch_values)
                 elif pitch_mode == "round":
-                    tokens = np.clip(np.floor(pitch_values + 0.5), 0, 127).astype(np.int64)
-                    emb = self.embeds["pitch"](tokens)
+                    emb = self.embeds["pitch"](round_pitch(pitch_values))
                 else:
                     raise ValueError(f"unknown pitch_mode {pitch_mode!r}")
                 if mask_positions is not None and mask_positions.any():
@@ -277,9 +273,9 @@ class Cnpp(nn.Module):
         return tokens, probs
 
 
-def pack_sequences(seqs: list[list[OctupleEvent]], pad_to: int | None = None):
+def pack_sequences(seqs: list[list[OctupleEvent]]):
     """Pad event lists into field arrays; returns (fields, pitch_values, pad_mask)."""
-    n = pad_to or max(len(s) for s in seqs)
+    n = max(len(s) for s in seqs)
     B = len(seqs)
     fields = {name: np.zeros((B, n), dtype=np.int64) for name in FIELD_NAMES if name != "pitch"}
     pitch_values = np.zeros((B, n))

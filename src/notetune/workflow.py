@@ -241,7 +241,7 @@ def load_song(data_dir, sid: str, entry: dict) -> SongData:
     return SongData(sid=sid, ann=ann, track=track, inputs=track_inputs(track))
 
 
-def songs_by(data_dir, doc: dict, subset=None, role=None, group=None) -> list[SongData]:
+def songs_by(data_dir, doc: dict, subset=None, role=None) -> list[SongData]:
     out = []
     for sid, entry in sorted(doc["samples"].items()):
         if subset is not None and entry.get("subset") not in (
@@ -249,8 +249,6 @@ def songs_by(data_dir, doc: dict, subset=None, role=None, group=None) -> list[So
         ):
             continue
         if role is not None and entry.get("role") != role:
-            continue
-        if group is not None and entry.get("group") != group:
             continue
         out.append(load_song(data_dir, sid, entry))
     return out
@@ -268,23 +266,10 @@ def annotated_notes(song: SongData):
     return notes, pitches, sung
 
 
-def gt_onset_frames(ann: dk.AnnotatedSample, sr: int, hop: int, n_frames: int) -> list[int]:
-    frames = [int(round(n.onset_sec * sr / hop)) for n in ann.notes]
-    return [f for f in frames if 0 <= f < n_frames]
-
-
 # ---- stage: train-segmenter --------------------------------------------------------
 
 def _frame_model_cfg(cfg: dict, section: str) -> FrameEncoderConfig:
-    m = cfg[section]["model"]
-    return FrameEncoderConfig(
-        n_mels=cfg["audio"]["n_mels"],
-        layers=m["layers"],
-        model_dim=m["model_dim"],
-        heads=m["heads"],
-        window=m["window"],
-        seed=cfg["seed"],
-    )
+    return FrameEncoderConfig(n_mels=cfg["audio"]["n_mels"], seed=cfg["seed"], **cfg[section]["model"])
 
 
 def _validate_segmenter(model, songs, cfg):
@@ -299,7 +284,7 @@ def _validate_segmenter(model, songs, cfg):
                 probs, w=scfg["nms_window"], theta=scfg["theta"], span=span
             )
             pred.extend(b for b in bounds if b != span[1] - 1)  # span ends are offsets
-        gt = gt_onset_frames(song.ann, sr, hop, song.track.n_frames)
+        gt = [n.start_frame for n in annotated_notes(song)[0]]
         scores.append(seg.boundary_prf(sorted(set(pred)), gt))
     p, r, f = (float(np.mean([s[i] for s in scores])) for i in range(3))
     return {"precision": p, "recall": r, "f1": f}
@@ -316,8 +301,7 @@ def train_segmenter_on(songs, val_songs, cfg: dict) -> tuple[seg.Segmenter, dict
     labels = []
     for song in songs:
         hard = np.zeros(song.track.n_frames)
-        for f in gt_onset_frames(song.ann, song.track.sample_rate, song.track.hop, song.track.n_frames):
-            hard[f] = 1.0
+        hard[[n.start_frame for n in annotated_notes(song)[0]]] = 1.0
         labels.append((hard, seg.soften_labels(hard, scfg["soft_sigma"])))
 
     crop = tr["crop"]
@@ -356,12 +340,9 @@ def stage_train_segmenter(cfg: dict, data_dir, out_dir) -> dict:
     train_songs = songs_by(data_dir, doc, role="train")
     val_songs = songs_by(data_dir, doc, role="val")
     model, history = train_segmenter_on(train_songs, val_songs, cfg)
-    ckpt = Path(out_dir) / "segmenter.npz"
-    nn.save_checkpoint(
-        ckpt,
-        model.params(),
-        {"kind": "segmenter", "model": cfg["segmenter"]["model"], "seed": cfg["seed"]},
-        extra={"final_val": history.get("final_val", {})},
+    ckpt = _save_model(
+        out_dir, "segmenter", model, cfg, {"model": cfg["segmenter"]["model"]},
+        {"final_val": history.get("final_val", {})},
     )
     manifest_add(out_dir, "train_segmenter", cfg, {"segmenter": ckpt}, history.get("final_val"))
     return history
@@ -381,8 +362,7 @@ def train_spp_on(songs, val_songs, cfg: dict) -> tuple[sp.StationaryPitchPredict
     data = []
     for song in songs:
         notes, pitches, _sung = annotated_notes(song)
-        interp = ft.interpolate_pitch(song.track.pitch_semitones, song.track.voiced)
-        data.append((song, notes, pitches, sp.local_pitch_std(interp)))
+        data.append((song, notes, pitches, sp.local_pitch_std(song.track.pitch_filled)))
     crop = tr["crop"]
     history = {"loss": [], "val": []}
     for step in range(tr["steps"]):
@@ -450,12 +430,9 @@ def stage_train_spp(cfg: dict, data_dir, out_dir) -> dict:
     if not train_songs:
         raise StageOrderError("no in-tune training songs found; run extract first")
     model, history = train_spp_on(train_songs, val_songs, cfg)
-    ckpt = Path(out_dir) / "spp.npz"
-    nn.save_checkpoint(
-        ckpt,
-        model.params(),
-        {"kind": "spp", "model": cfg["spp"]["model"], "seed": cfg["seed"]},
-        extra={"final_val": history.get("final_val", {})},
+    ckpt = _save_model(
+        out_dir, "spp", model, cfg, {"model": cfg["spp"]["model"]},
+        {"final_val": history.get("final_val", {})},
     )
     manifest_add(out_dir, "train_spp", cfg, {"spp": ckpt}, history.get("final_val"))
     return history
@@ -463,24 +440,24 @@ def stage_train_spp(cfg: dict, data_dir, out_dir) -> dict:
 
 # ---- stage: train-detuner --------------------------------------------------------------
 
+def _detuner_cfg(cfg: dict) -> dt.DetunerConfig:
+    d = cfg["detuner"]
+    return dt.DetunerConfig(hidden=d["hidden"], seed=cfg["seed"], min_notes=d["min_notes"])
+
+
 def stage_train_detuner(cfg: dict, data_dir, out_dir) -> dict:
     manifest_require(out_dir, "train_spp", "train-detuner (stationary estimates feed the error model)")
     doc = load_dataset(data_dir)
     spp_model = load_spp(out_dir, cfg)
     songs = songs_by(data_dir, doc, subset="high", role="train")
     sequences = []
-    for song in songs:
+    for song, rec in zip(songs, annotation_sequences(songs)):
         notes, pitches, _sung = annotated_notes(song)
         ests = spp_model.estimate(song.track, notes)
-        events = sym.octuples_from_annotation(song.ann)
-        durs = np.array([e.dur / sym.GRID_PER_BEAT for e in events[: len(notes)]])
         pitches = np.array(pitches, dtype=np.float64)
-        sequences.append((pitches, durs, np.array([e.pitch for e in ests]) - pitches))
-    dcfg = dt.DetunerConfig(
-        hidden=cfg["detuner"]["hidden"],
-        seed=cfg["seed"],
-        min_notes=cfg["detuner"]["min_notes"],
-    )
+        errors = np.array([e.pitch for e in ests]) - pitches
+        sequences.append((pitches, rec["dur_beats"][: len(notes)], errors))
+    dcfg = _detuner_cfg(cfg)
     result = dt.train_detuner(
         sequences,
         dcfg,
@@ -488,12 +465,9 @@ def stage_train_detuner(cfg: dict, data_dir, out_dir) -> dict:
         batch_size=cfg["detuner"]["batch"],
         lr=cfg["detuner"]["lr"],
     )
-    ckpt = Path(out_dir) / "detuner.npz"
-    nn.save_checkpoint(
-        ckpt,
-        result.model.params(),
-        {"kind": "detuner", "hidden": dcfg.hidden, "seed": cfg["seed"]},
-        extra={"sigma_e": result.sigma_e, "final_loss": result.losses[-1]},
+    ckpt = _save_model(
+        out_dir, "detuner", result.model, cfg, {"hidden": dcfg.hidden},
+        {"sigma_e": result.sigma_e, "final_loss": result.losses[-1]},
     )
     manifest_add(out_dir, "train_detuner", cfg, {"detuner": ckpt}, {"sigma_e": result.sigma_e})
     return {"sigma_e": result.sigma_e, "losses": result.losses}
@@ -502,16 +476,7 @@ def stage_train_detuner(cfg: dict, data_dir, out_dir) -> dict:
 # ---- stage: train-cnpp ------------------------------------------------------------------
 
 def _cnpp_cfg(cfg: dict) -> sym.CnppConfig:
-    m = cfg["cnpp"]["model"]
-    return sym.CnppConfig(
-        layers=m["layers"],
-        model_dim=m["model_dim"],
-        heads=m["heads"],
-        embed_dim=m["embed_dim"],
-        max_events=m["max_events"],
-        dropout=m["dropout"],
-        seed=cfg["seed"],
-    )
+    return sym.CnppConfig(seed=cfg["seed"], **cfg["cnpp"]["model"])
 
 
 def _symbolic_pretrain_sequences(cfg: dict) -> list[list[sym.OctupleEvent]]:
@@ -644,17 +609,11 @@ def stage_train_cnpp(cfg: dict, data_dir, out_dir, variant: str = "full") -> dic
     out_dir = Path(out_dir)
     doc = load_dataset(data_dir)
 
-    pre_path = out_dir / "cnpp_pretrained.npz"
-    if pre_path.exists():
-        model = sym.Cnpp(_cnpp_cfg(cfg))
-        nn.load_checkpoint(pre_path, model.params())
+    if (out_dir / "cnpp_pretrained.npz").exists():
+        model = load_cnpp(out_dir, cfg, "pretrained")
     else:
         model = pretrain_cnpp(cfg, _symbolic_pretrain_sequences(cfg))
-        nn.save_checkpoint(
-            pre_path,
-            model.params(),
-            {"kind": "cnpp_pretrained", "model": cfg["cnpp"]["model"], "seed": cfg["seed"]},
-        )
+        _save_model(out_dir, "cnpp_pretrained", model, cfg, {"model": cfg["cnpp"]["model"]})
 
     detuner_model, sigma_e = None, 0.0
     if variant != "no_augment":
@@ -664,51 +623,46 @@ def stage_train_cnpp(cfg: dict, data_dir, out_dir, variant: str = "full") -> dic
     songs = songs_by(data_dir, doc, subset="moderate", role="train")
     sequences = annotation_sequences(songs)
     losses = finetune_cnpp(cfg, model, sequences, detuner_model, sigma_e, variant)
-    ckpt = out_dir / f"cnpp_{variant}.npz"
-    nn.save_checkpoint(
-        ckpt,
-        model.params(),
-        {"kind": f"cnpp_{variant}", "model": cfg["cnpp"]["model"], "seed": cfg["seed"]},
-        extra={"final_loss": losses[-1] if losses else None},
+    ckpt = _save_model(
+        out_dir, f"cnpp_{variant}", model, cfg, {"model": cfg["cnpp"]["model"]},
+        {"final_loss": losses[-1] if losses else None},
     )
     manifest_add(out_dir, f"train_cnpp_{variant}", cfg, {f"cnpp_{variant}": ckpt})
     return {"losses": losses}
 
 
-# ---- model loading -----------------------------------------------------------------
+# ---- checkpoints -------------------------------------------------------------------
 
-def _require_ckpt(out_dir, name: str) -> Path:
-    path = Path(out_dir) / name
-    if not path.exists():
-        raise ek.MissingCheckpointError(
-            f"checkpoint {name} not found in {out_dir}; train it first"
-        )
+def _save_model(out_dir, name: str, model, cfg: dict, shape: dict, extra: dict | None = None) -> Path:
+    """Write <out_dir>/<name>.npz; its config block is {"kind": name, **shape, "seed"}."""
+    path = Path(out_dir) / f"{name}.npz"
+    nn.save_checkpoint(path, model.params(), {"kind": name, **shape, "seed": cfg["seed"]}, extra)
     return path
 
 
+def _load_model(out_dir, name: str, model):
+    """Fill `model` from <out_dir>/<name>.npz; returns it with the checkpoint's extra block."""
+    path = Path(out_dir) / f"{name}.npz"
+    if not path.exists():
+        raise ek.MissingCheckpointError(f"checkpoint {path.name} not found in {out_dir}; train it first")
+    return model, nn.load_checkpoint(path, model.params())["extra"]
+
+
 def load_segmenter(out_dir, cfg: dict) -> seg.Segmenter:
-    model = seg.Segmenter(_frame_model_cfg(cfg, "segmenter"))
-    nn.load_checkpoint(_require_ckpt(out_dir, "segmenter.npz"), model.params())
-    return model
+    return _load_model(out_dir, "segmenter", seg.Segmenter(_frame_model_cfg(cfg, "segmenter")))[0]
 
 
 def load_spp(out_dir, cfg: dict) -> sp.StationaryPitchPredictor:
-    model = sp.StationaryPitchPredictor(_frame_model_cfg(cfg, "spp"))
-    nn.load_checkpoint(_require_ckpt(out_dir, "spp.npz"), model.params())
-    return model
+    return _load_model(out_dir, "spp", sp.StationaryPitchPredictor(_frame_model_cfg(cfg, "spp")))[0]
 
 
-def load_detuner(out_dir, cfg: dict):
-    dcfg = dt.DetunerConfig(hidden=cfg["detuner"]["hidden"], seed=cfg["seed"])
-    model = dt.Detuner(dcfg)
-    meta = nn.load_checkpoint(_require_ckpt(out_dir, "detuner.npz"), model.params())
-    return model, float(meta["extra"]["sigma_e"])
+def load_detuner(out_dir, cfg: dict) -> tuple[dt.Detuner, float]:
+    model, extra = _load_model(out_dir, "detuner", dt.Detuner(_detuner_cfg(cfg)))
+    return model, float(extra["sigma_e"])
 
 
 def load_cnpp(out_dir, cfg: dict, variant: str = "full") -> sym.Cnpp:
-    model = sym.Cnpp(_cnpp_cfg(cfg))
-    nn.load_checkpoint(_require_ckpt(out_dir, f"cnpp_{variant}.npz"), model.params())
-    return model
+    return _load_model(out_dir, f"cnpp_{variant}", sym.Cnpp(_cnpp_cfg(cfg)))[0]
 
 
 # ---- transcription + evaluation -------------------------------------------------------
@@ -752,20 +706,16 @@ class Pipeline:
         if not notes:
             return np.zeros(0)
         if variant == "no_cnpp":
-            return np.array([float(sym.round_pitch(e.pitch)) for e in ests])
+            return sym.round_pitch([e.pitch for e in ests]).astype(np.float64)
         pitch_mode = "round" if variant == "rounded_embed" else "interp"
         events = sym.notes_to_octuples(notes, ests, meta, sr, hop)
         tokens, _ = self.cnpps[variant].predict(events, pitch_mode=pitch_mode)
         return tokens.astype(np.float64)
 
 
-def evaluate_split(
-    pipeline: Pipeline, data_dir, split: str, variants=("full",), max_songs: int | None = None
-) -> dict:
+def evaluate_split(pipeline: Pipeline, data_dir, split: str, variants=("full",)) -> dict:
     doc = load_dataset(data_dir)
     songs = songs_by(data_dir, doc, subset=split)
-    if max_songs:
-        songs = songs[:max_songs]
     if not songs:
         raise ValueError(f"no songs in split {split!r}")
     per_variant = {v: [] for v in variants}
@@ -817,25 +767,21 @@ def stage_evaluate(cfg: dict, data_dir, out_dir, split: str, variants=("full",))
         "split": split,
         "rpa": {v: results[v]["pooled"] for v in results},
     }
-    report_dir = Path(out_dir) / "reports" / split
-    ek.emit_report(metrics, {}, report_dir)
-    manifest_add(out_dir, f"evaluate_{split}", cfg, {"metrics": report_dir / "metrics.json"})
+    report = ek.emit_report(metrics, Path(out_dir) / "reports" / split)
+    manifest_add(out_dir, f"evaluate_{split}", cfg, {"metrics": report})
     return results
 
 
 def stage_ablate(cfg: dict, data_dir, out_dir, splits=("moderate_eval", "high_eval")) -> dict:
     variants = list(CNPP_VARIANTS) + ["no_cnpp"]
-    for v in CNPP_VARIANTS:
-        _require_ckpt(out_dir, f"cnpp_{v}.npz")
     pipeline = Pipeline.load(out_dir, cfg, variants=CNPP_VARIANTS)
     cache = {s: evaluate_split(pipeline, data_dir, s, variants=variants) for s in splits}
     table = {v: {s: cache[s][v]["pooled"]["rpa_percent"] for s in splits} for v in variants}
     text = ek.format_ablation_table(table, list(splits))
     report_dir = Path(out_dir) / "reports" / "ablation"
-    report_dir.mkdir(parents=True, exist_ok=True)
+    report = ek.emit_report({"ablation_rpa": table}, report_dir)
     (report_dir / "ablation.txt").write_text(text + "\n")
-    ek.emit_report({"ablation_rpa": table}, {}, report_dir)
-    manifest_add(out_dir, "ablate", cfg, {"table": report_dir / "metrics.json"})
+    manifest_add(out_dir, "ablate", cfg, {"table": report})
     log.info("ablation table:\n%s", text)
     return table
 
@@ -947,7 +893,6 @@ def run_full_recipe(cfg: dict, workdir, jobs: int = 1) -> dict:
         "ablation_rpa": table,
         "spp_benchmark": spp_bench,
     }
-    report_dir = out_dir / "reports" / "summary"
-    ek.emit_report(metrics, {}, report_dir)
-    manifest_add(out_dir, "full_recipe", cfg, {"summary": report_dir / "metrics.json"})
-    return {"metrics": metrics, "report": report_dir / "metrics.json", "out_dir": out_dir}
+    report = ek.emit_report(metrics, out_dir / "reports" / "summary")
+    manifest_add(out_dir, "full_recipe", cfg, {"summary": report})
+    return {"metrics": metrics, "report": report, "out_dir": out_dir}

@@ -166,6 +166,14 @@ def test_pitch_out_of_range_rejected():
         )
 
 
+def test_negative_onset_rejected(tmp_path):
+    path = tmp_path / "early.json"
+    notes = [{"onset_sec": -0.1, "offset_sec": 0.4, "pitch": 60}]
+    path.write_text(json.dumps({"version": 1, "notes": notes}))
+    with pytest.raises(dk.AnnotationError, match="note 0: negative onset"):
+        dk.import_annotations(path)
+
+
 def test_midi_tick_conversion_120bpm():
     song = midifile.MidiSong(tpqn=480, notes=[], tempo_map=[(0, 500000.0)])
     assert song.tick_to_seconds(480) == pytest.approx(0.5)

@@ -4,50 +4,6 @@ import pytest
 from notetune import detuner as dt
 
 
-def test_uniform_detune_bounds_and_mean():
-    errs = dt.uniform_detune(10_000, -1.0, 1.0, seed=1)
-    assert np.all((errs >= -1.0) & (errs <= 1.0))
-    assert abs(errs.mean()) < 0.05
-
-
-def test_uniform_detune_narrow_range_is_near_constant():
-    errs = dt.uniform_detune(100, 0.3, 0.3 + 1e-9, seed=2)
-    assert np.allclose(errs, 0.3, atol=1e-8)
-
-
-def test_uniform_detune_rejects_bad_range():
-    with pytest.raises(ValueError):
-        dt.uniform_detune(5, 1.0, -1.0, seed=0)
-
-
-def test_error_histogram_single_value():
-    hist = dt.error_histogram(np.array([0.42]), bin_width=0.1)
-    assert hist["n"] == 1
-    assert sum(hist["counts"]) == 1
-
-
-def test_error_histogram_symmetric_mean():
-    rng = np.random.default_rng(3)
-    x = rng.normal(0, 0.5, size=5000)
-    sym = np.concatenate([x, -x])
-    hist = dt.error_histogram(sym, bin_width=0.1)
-    assert abs(hist["mean"]) < 0.01
-
-
-def test_error_histogram_uniform_flatness():
-    errs = dt.uniform_detune(10_000, -1.0, 1.0, seed=4)
-    hist = dt.error_histogram(errs, bin_width=0.2)
-    counts = np.array(hist["counts"], dtype=float)
-    counts = counts[counts > 0]
-    assert counts.max() / counts.min() < 1.5
-
-
-def test_error_histogram_empty_and_validation():
-    assert dt.error_histogram(np.array([]))["n"] == 0
-    with pytest.raises(ValueError):
-        dt.error_histogram(np.array([1.0]), bin_width=0.0)
-
-
 def _const_sequences(value, n_seq=12, length=30):
     rng = np.random.default_rng(7)
     out = []
@@ -109,13 +65,3 @@ def test_zero_noise_rollout_matches_prediction_chain():
             pred = result.model.forward(feats[None])
         expected.append(float(np.clip(pred.data[0, -1], -dt.ERROR_CLAMP, dt.ERROR_CLAMP)))
     assert np.allclose(gen, expected, atol=1e-9)
-
-
-def test_l1_histogram_distance_orders_similarity():
-    rng = np.random.default_rng(11)
-    target = rng.normal(0, 0.6, size=4000)
-    similar = rng.normal(0, 0.6, size=4000)
-    different = rng.uniform(-1, 1, size=4000)
-    d_sim = dt.l1_histogram_distance(similar, target)
-    d_diff = dt.l1_histogram_distance(different, target)
-    assert d_sim < d_diff

@@ -176,8 +176,20 @@ def test_track_roundtrip_keeps_pitch_bytes(tmp_path):
     assert loaded.pitch_semitones.tobytes() == track.pitch_semitones.tobytes()
 
 
-def test_interpolate_pitch_fills_gaps():
+def test_pitch_filled_fills_gaps():
     pitch = np.array([np.nan, 60.0, np.nan, np.nan, 63.0, np.nan])
     voiced = np.array([0, 1, 0, 0, 1, 0], dtype=np.uint8)
-    interp = F.interpolate_pitch(pitch, voiced)
-    assert np.allclose(interp, [60.0, 60.0, 61.0, 62.0, 63.0, 63.0])
+    track = make_track(pitch, voiced)
+    assert np.allclose(track.pitch_filled, [60.0, 60.0, 61.0, 62.0, 63.0, 63.0])
+
+
+def test_pitch_filled_without_voiced_frames_is_60():
+    track = make_track(np.full(5, np.nan))
+    assert np.array_equal(track.pitch_filled, np.full(5, 60.0))
+
+
+def test_track_roundtrip_keeps_pitch_filled_bytes(tmp_path):
+    track = make_track(_sung_pitch())
+    F.save_track(tmp_path / "track.npz", track)
+    loaded = F.load_track(tmp_path / "track.npz")
+    assert loaded.pitch_filled.tobytes() == track.pitch_filled.tobytes()

@@ -57,6 +57,18 @@ def test_gru_length_one_equals_single_cell_step():
     assert np.allclose(y, h, atol=1e-12)
 
 
+def test_gru_cell_extreme_gates_give_finite_state_without_warning():
+    # r and z preactivations of +-1000: exp(1000) overflows in the plain formula
+    gi = np.array([1000.0, -1000.0, 1000.0, -1000.0, 0.3, -0.2])
+    h = np.array([0.5, -0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h_new, r, z, _n, _hn = nn.gru_cell(gi, h, np.zeros((2, 6)), np.zeros(6))
+    assert np.all(np.isfinite(h_new))
+    assert np.array_equal(r, [1.0, 0.0]) and np.array_equal(z, [1.0, 0.0])
+    assert np.array_equal(h_new, [0.5, np.tanh(-0.2)])
+
+
 def test_gru_input_gradient():
     rng = np.random.default_rng(4)
     gru = nn.GRU(rng, 2, 3)

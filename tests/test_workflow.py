@@ -1,12 +1,15 @@
 """End-to-end runs of every CLI subcommand and of the full recipe on a tiny
 fixed-seed configuration (20 songs, 4 steps per trainer)."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from notetune import cli
 from notetune import features as ft
+from notetune import nncore as nn
 from notetune import workflow as wf
 from notetune.config import load_config
 
@@ -26,6 +29,19 @@ TINY = [
 def run_cli(*argv) -> int:
     flags = [arg for item in TINY for arg in ("--set", item)]
     return cli.main([str(a) for a in argv] + flags + ["-q"])
+
+
+FRAME_MODEL = {"layers": 2, "model_dim": 64, "heads": 2, "window": 64}
+CNPP_MODEL = {"layers": 2, "model_dim": 64, "heads": 4, "embed_dim": 64, "max_events": 512, "dropout": 0.1}
+CHECKPOINT_CONFIGS = {
+    "segmenter": {"kind": "segmenter", "model": FRAME_MODEL, "seed": 1234},
+    "spp": {"kind": "spp", "model": FRAME_MODEL, "seed": 1234},
+    "detuner": {"kind": "detuner", "hidden": 64, "seed": 1234},
+    **{
+        f"cnpp_{v}": {"kind": f"cnpp_{v}", "model": CNPP_MODEL, "seed": 1234}
+        for v in ("pretrained",) + wf.CNPP_VARIANTS
+    },
+}
 
 
 def manifest_stages(ckpt_dir) -> dict:
@@ -104,3 +120,30 @@ def test_correct_cache_is_keyed_on_audio_settings(cli_run, tmp_path):
         wf.stage_correct(cfg, cli_run["take"], tmp_path / "o.wav", cli_run["ckpt"], dry_run=True, cache_dir=cache)
     tracks = [ft.load_track(p) for p in sorted(cache.glob("track_*.npz"))]
     assert sorted(t.hop for t in tracks) == [128, 256]
+
+
+def test_checkpoint_config_blocks(cli_run):
+    written = sorted(p.stem for p in cli_run["ckpt"].glob("*.npz"))
+    assert written == sorted(CHECKPOINT_CONFIGS)
+    for name, config in CHECKPOINT_CONFIGS.items():
+        assert nn.load_checkpoint(cli_run["ckpt"] / f"{name}.npz")["config"] == config
+
+
+def test_correct_rejects_negative_onset_annotation(cli_run, tmp_path):
+    ann = json.loads((cli_run["data"] / "annotations" / "moderate_eval_000.json").read_text())
+    ann["notes"][0]["onset_sec"] = -0.1
+    path = tmp_path / "early.json"
+    path.write_text(json.dumps(ann))
+    argv = ["correct", cli_run["take"], tmp_path / "o.wav", "--checkpoint-dir", cli_run["ckpt"]]
+    assert run_cli(*argv, "--annotations", path) == 2
+
+
+def test_benchmark_layers_are_own_attributes():
+    # the benchmark's tracer reads and swaps owner.__dict__[attr], so each
+    # traced name must be defined on its owner itself, not inherited
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for owner, attr, _name in spans.LAYERS:
+        assert attr in vars(owner), (owner, attr)
