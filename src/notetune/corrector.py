@@ -135,12 +135,7 @@ def _psola_region(wav, out, norm, a, b, f0_hz, ratio, sr):
         s += period / ratio[local]
 
 
-def shift_audio(
-    wav: np.ndarray,
-    plan: CorrectionPlan,
-    track: FrameTrack,
-    fade_sec: float = CROSSFADE_SEC,
-) -> np.ndarray:
+def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.ndarray:
     """Per-note pitch shift by 2^(-delta/12), duration preserved."""
     sr = track.sample_rate
     hop = track.hop
@@ -180,7 +175,7 @@ def shift_audio(
         _psola_region(wav, synth, norm, a, b, sample_f0[a:b], sample_ratio[a:b], sr)
 
     out = wav.copy()
-    fade = max(int(fade_sec * sr), 8)
+    fade = max(int(CROSSFADE_SEC * sr), 8)
     theta = 0.5 * np.pi * (np.arange(fade) + 1) / (fade + 1)
     win_in, win_out = np.sin(theta), np.cos(theta)
     for a, b in regions:

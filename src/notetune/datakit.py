@@ -267,24 +267,28 @@ class DetuneSpec:
 
 # ---- synthetic singing generator -----------------------------------------------
 
+# Expression of the rendered voice: per-note probabilities and the ranges
+# their sizes are drawn from.  Songs are in 4/4.
+SYNTH_TIME_SIGNATURE = (4, 4)
+GLIDE_PROB = 0.65
+GLIDE_FRAC = (0.15, 0.45)  # of the sounding note, capped at 0.25 s
+GLIDE_DEPTH = (0.5, 1.5)  # semitones below the note, unless legato
+VIBRATO_PROB = 0.5
+VIBRATO_RATE = (4.0, 7.0)  # Hz
+VIBRATO_DEPTH = (0.15, 0.6)  # semitones
+RELEASE_PROB = 0.25
+GAP_PROB = 0.45
+REST_PROB = 0.10
+DRIFT_STD = 0.02  # semitones, slow pitch drift over the whole song
+
+
 @dataclass
 class SynthSpec:
     seed: int
     n_notes: int = 42
     tonic: int | None = None  # None -> random in [57, 68]
     tempo_bpm: float | None = None  # None -> random in [85, 140]
-    time_signature: tuple[int, int] = (4, 4)
     detune: DetuneSpec = field(default_factory=DetuneSpec)
-    glide_prob: float = 0.65
-    glide_frac: tuple[float, float] = (0.15, 0.45)
-    glide_depth: tuple[float, float] = (0.5, 1.5)
-    vibrato_prob: float = 0.5
-    vibrato_rate: tuple[float, float] = (4.0, 7.0)
-    vibrato_depth: tuple[float, float] = (0.15, 0.6)
-    release_prob: float = 0.25
-    gap_prob: float = 0.45
-    rest_prob: float = 0.10
-    drift_std: float = 0.02
     sample_rate: int = 22050
 
 
@@ -315,7 +319,7 @@ def synth_melody(spec: SynthSpec, rng: np.random.Generator):
         beats = float(rng.choice(_BEATS, p=_BEATS_P))
         events.append((_degree_to_pitch(tonic, degree), cursor, beats))
         cursor += beats
-        if rng.random() < spec.rest_prob:
+        if rng.random() < REST_PROB:
             cursor += float(rng.choice([0.5, 1.0, 2.0]))
         if rng.random() < 0.08:
             continue  # repeated note
@@ -350,7 +354,7 @@ def synth_song(spec: SynthSpec) -> tuple[np.ndarray, AnnotatedSample]:
         repeated = i + 1 < len(events) and events[i + 1][0] == pitch
         next_onset = events[i + 1][1] * spb if i + 1 < len(events) else None
         contiguous_next = next_onset is not None and abs(next_onset - (onset + slot)) < 1e-9
-        if contiguous_next and (repeated or rng.random() < spec.gap_prob):
+        if contiguous_next and (repeated or rng.random() < GAP_PROB):
             gap = float(rng.uniform(0.03, 0.10))
         sounding = max(slot - gap, 0.12)
         offset = onset + sounding
@@ -362,23 +366,23 @@ def synth_song(spec: SynthSpec) -> tuple[np.ndarray, AnnotatedSample]:
         tt = np.arange(n) / sr
 
         curve = np.full(n, sung)
-        if rng.random() < spec.glide_prob:
-            frac = rng.uniform(*spec.glide_frac)
+        if rng.random() < GLIDE_PROB:
+            frac = rng.uniform(*GLIDE_FRAC)
             glide_len = min(frac * sounding, 0.25)
             legato = prev_sung is not None and onset - prev_end <= 0.06
-            start = prev_sung if legato else sung - rng.uniform(*spec.glide_depth)
+            start = prev_sung if legato else sung - rng.uniform(*GLIDE_DEPTH)
             gn = min(int(glide_len * sr), n)
             if gn > 1:
                 u = np.linspace(0.0, 1.0, gn)
                 curve[:gn] = sung + (start - sung) * (1.0 + np.cos(np.pi * u)) / 2.0
-        if sounding >= 0.3 and rng.random() < spec.vibrato_prob:
-            rate = rng.uniform(*spec.vibrato_rate)
-            depth = rng.uniform(*spec.vibrato_depth)
+        if sounding >= 0.3 and rng.random() < VIBRATO_PROB:
+            rate = rng.uniform(*VIBRATO_RATE)
+            depth = rng.uniform(*VIBRATO_DEPTH)
             v_start = min(0.4 * sounding, 0.15)
             ramp = np.clip((tt - v_start) * rate, 0.0, 1.0)
             curve += depth * ramp * np.sin(2.0 * np.pi * rate * (tt - v_start))
         has_tail_gap = not contiguous_next or gap >= 0.06
-        if has_tail_gap and rng.random() < spec.release_prob:
+        if has_tail_gap and rng.random() < RELEASE_PROB:
             rel_len = min(rng.uniform(0.06, 0.12), 0.4 * sounding)
             rn = int(rel_len * sr)
             if rn > 1:
@@ -400,18 +404,17 @@ def synth_song(spec: SynthSpec) -> tuple[np.ndarray, AnnotatedSample]:
         prev_sung = sung
         prev_end = offset
 
-    if spec.drift_std > 0:
-        hop_drift = 256
-        m = n_samples // hop_drift + 2
-        white = rng.normal(0.0, 1.0, m)
-        kernel = np.hanning(25)
-        kernel /= kernel.sum()
-        smooth = np.convolve(white, kernel, mode="same")
-        std = smooth.std()
-        if std > 0:
-            smooth *= spec.drift_std / std
-        drift = np.interp(np.arange(n_samples) / hop_drift, np.arange(m), smooth)
-        f0_semi = f0_semi + drift * (env > 0)
+    hop_drift = 256
+    m = n_samples // hop_drift + 2
+    white = rng.normal(0.0, 1.0, m)
+    kernel = np.hanning(25)
+    kernel /= kernel.sum()
+    smooth = np.convolve(white, kernel, mode="same")
+    std = smooth.std()
+    if std > 0:
+        smooth *= DRIFT_STD / std
+    drift = np.interp(np.arange(n_samples) / hop_drift, np.arange(m), smooth)
+    f0_semi = f0_semi + drift * (env > 0)
 
     f0_hz = semitones_to_hz(np.where(env > 0, f0_semi, 60.0))
     phase = 2.0 * np.pi * np.cumsum(f0_hz) / sr
@@ -425,7 +428,7 @@ def synth_song(spec: SynthSpec) -> tuple[np.ndarray, AnnotatedSample]:
         sample_id=f"synth_{spec.seed}",
         notes=notes,
         tempo_bpm=tempo,
-        time_signature=spec.time_signature,
+        time_signature=SYNTH_TIME_SIGNATURE,
         key=key,
     )
     return wav, sample

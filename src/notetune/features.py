@@ -23,6 +23,14 @@ LOG_FLOOR_EPS = 1e-10
 TRACK_FORMAT_VERSION = 1
 PITCH_GRID = 2.0**-32  # semitones; see FrameTrack
 
+# YIN search range and decision rule (see track_pitch)
+YIN_FMIN = 55.0
+YIN_FMAX = 1000.0
+YIN_THRESHOLD = 0.15
+YIN_INTEGRATION = 1024
+RMS_FLOOR_DB = -50.0
+MEL_FMIN = 40.0
+
 
 class AudioIOError(IOError):
     pass
@@ -30,7 +38,8 @@ class AudioIOError(IOError):
 
 @dataclass
 class FrameTrack:
-    """Per-frame pitch (semitones, NaN where unvoiced), voicing and mel.
+    """Per-frame pitch (semitones, NaN where unvoiced), voicing and mel
+    [T, n_mels].
 
     The track keeps its own float64 copy of the pitch, rounded to the
     nearest multiple of PITCH_GRID = 2^-32 semitones (at most 2^-33 away,
@@ -52,7 +61,6 @@ class FrameTrack:
     pitch_semitones: np.ndarray
     voiced: np.ndarray
     mel: np.ndarray
-    n_mels: int
     pitch_filled: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -134,27 +142,19 @@ def _frame_signal(wav: np.ndarray, frame_len: int, hop: int, n_frames: int) -> n
     return as_strided(padded, shape=(n_frames, frame_len), strides=(hop * s, s))
 
 
-def track_pitch(
-    wav: np.ndarray,
-    sr: int = DEFAULT_SR,
-    hop: int = DEFAULT_HOP,
-    fmin: float = 55.0,
-    fmax: float = 1000.0,
-    threshold: float = 0.15,
-    integration: int = 1024,
-    rms_floor_db: float = -50.0,
-):
+def track_pitch(wav: np.ndarray, sr: int = DEFAULT_SR, hop: int = DEFAULT_HOP):
     """Per-frame f0 via the cumulative-mean-normalized difference function.
 
     Returns (pitch_semitones[T], voiced[T]); unvoiced frames hold NaN pitch.
-    A frame counts as voiced when its best normalized-difference trough is
-    below `threshold` and the local RMS exceeds `rms_floor_db` dBFS.
+    The lag search covers YIN_FMIN..YIN_FMAX Hz over a YIN_INTEGRATION-sample
+    window.  A frame counts as voiced when its best normalized-difference
+    trough is below YIN_THRESHOLD and the local RMS exceeds RMS_FLOOR_DB dBFS.
     """
     if len(wav) == 0:
         raise ValueError("empty waveform")
-    tau_min = max(2, int(sr / fmax))
-    tau_max = int(np.ceil(sr / fmin))
-    W = integration
+    tau_min = max(2, int(sr / YIN_FMAX))
+    tau_max = int(np.ceil(sr / YIN_FMIN))
+    W = YIN_INTEGRATION
     # Offset of the comparison region inside each analysis frame, chosen so
     # that typical singing lags (~100 samples) sit centered on the frame.
     pad0 = max(0, tau_max - 101)
@@ -187,7 +187,7 @@ def track_pitch(
     interior = region[:, 1:-1]
     is_min = (interior <= region[:, :-2]) & (interior <= region[:, 2:])
     candidates = np.where(is_min, interior, np.inf)
-    below = candidates < threshold
+    below = candidates < YIN_THRESHOLD
     any_below = below.any(axis=1)
     first_below = np.argmax(below, axis=1)
     global_min = np.argmin(candidates, axis=1)
@@ -209,7 +209,7 @@ def track_pitch(
     rms = np.sqrt(np.mean(frames[:, center - W // 2 : center + W // 2] ** 2, axis=1))
     with np.errstate(divide="ignore"):
         rms_db = 20.0 * np.log10(np.where(rms > 0, rms, 1e-12))
-    voiced = (any_below & (rms_db > rms_floor_db)).astype(np.uint8)
+    voiced = (any_below & (rms_db > RMS_FLOOR_DB)).astype(np.uint8)
 
     pitch = np.full(T, np.nan)
     v = voiced.astype(bool)
@@ -219,13 +219,12 @@ def track_pitch(
 
 # ---- mel spectrogram ---------------------------------------------------------
 
-def mel_filterbank(sr: int, n_fft: int, n_mels: int, fmin: float = 40.0, fmax: float | None = None):
-    """Triangular filters on the HTK mel scale, [n_mels, n_fft // 2 + 1]."""
-    if fmax is None:
-        fmax = sr / 2.0
+def mel_filterbank(sr: int, n_fft: int, n_mels: int):
+    """Triangular filters on the HTK mel scale from MEL_FMIN to Nyquist,
+    [n_mels, n_fft // 2 + 1]."""
     to_mel = lambda f: 2595.0 * np.log10(1.0 + np.asarray(f) / 700.0)
     from_mel = lambda m: 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
-    mel_pts = np.linspace(to_mel(fmin), to_mel(fmax), n_mels + 2)
+    mel_pts = np.linspace(to_mel(MEL_FMIN), to_mel(sr / 2.0), n_mels + 2)
     hz_pts = from_mel(mel_pts)
     freqs = np.fft.rfftfreq(n_fft, 1.0 / sr)
     fb = np.zeros((n_mels, len(freqs)))
@@ -268,9 +267,7 @@ def extract_track(
 ) -> FrameTrack:
     pitch, voiced = track_pitch(wav, sr=sr, hop=hop)
     mel = mel_spectrogram(wav, sr=sr, hop=hop, win=win, n_mels=n_mels)
-    return FrameTrack(
-        sample_rate=sr, hop=hop, pitch_semitones=pitch, voiced=voiced, mel=mel, n_mels=n_mels
-    )
+    return FrameTrack(sample_rate=sr, hop=hop, pitch_semitones=pitch, voiced=voiced, mel=mel)
 
 
 def save_track(path, track: FrameTrack):
@@ -298,5 +295,4 @@ def load_track(path) -> FrameTrack:
             pitch_semitones=zf["pitch"],
             voiced=zf["voiced"],
             mel=zf["mel"],
-            n_mels=zf["mel"].shape[1],
         )

@@ -30,22 +30,10 @@ def track_inputs(track: FrameTrack) -> np.ndarray:
 
 
 @dataclass
-class FrameEncoderConfig:
-    n_mels: int = 80
-    layers: int = 2
-    model_dim: int = 64
-    heads: int = 2
-    window: int = 64
-    seed: int = 0
+class FrameEncoderConfig(nn.LocalEncoderConfig):
+    """The windowed-attention encoder's shape plus the mel input width."""
 
-    def encoder_config(self) -> nn.LocalEncoderConfig:
-        return nn.LocalEncoderConfig(
-            layers=self.layers,
-            model_dim=self.model_dim,
-            heads=self.heads,
-            window=self.window,
-            seed=self.seed,
-        )
+    n_mels: int = 80
 
 
 class FrameEncoder(nn.Module):
@@ -56,7 +44,7 @@ class FrameEncoder(nn.Module):
         self.pitch_proj = nn.Linear(rng, 2, d)
         self.mel_proj = nn.Linear(rng, cfg.n_mels, d)
         self.fuse = nn.Linear(rng, 2 * d, d)
-        self.encoder = nn.LocalEncoder(cfg.encoder_config())
+        self.encoder = nn.LocalEncoder(cfg)
 
     def __call__(self, x) -> nn.Tensor:
         """x: Tensor or ndarray [B, T, 2 + n_mels] -> hidden [B, T, D]."""

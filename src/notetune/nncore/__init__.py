@@ -8,7 +8,6 @@ from .tensor import (
     matmul,
     tlog,
     sigmoid,
-    tanh,
     gelu,
     clip,
     reshape,
@@ -41,7 +40,7 @@ from .layers import (
     sinusoid_positions,
     uniform_init,
 )
-from .losses import focal_loss, cross_entropy, PROB_EPS
+from .losses import focal_loss, PROB_EPS
 from .optim import AdamW, OptimizerConfig, cosine_adamw, schedule_lr, train_step, DivergenceError
 from .checkpoint import save_checkpoint, load_checkpoint, CheckpointError
 from .gradcheck import finite_difference_check

@@ -34,10 +34,6 @@ class Module:
                             out[f"{name}.{i}.{k}"] = v
         return out
 
-    def zero_grad(self):
-        for p in self.params().values():
-            p.zero_grad()
-
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
     bound = 1.0 / np.sqrt(max(fan_in, 1))
@@ -45,15 +41,12 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
 
 
 class Linear(Module):
-    def __init__(self, rng, d_in: int, d_out: int, bias: bool = True):
+    def __init__(self, rng, d_in: int, d_out: int):
         self.w = uniform_init(rng, (d_in, d_out), d_in)
-        self.b = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
+        self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = x @ self.w
-        if self.b is not None:
-            y = y + self.b
-        return y
+        return x @ self.w + self.b
 
 
 class Embedding(Module):
@@ -65,13 +58,12 @@ class Embedding(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-6):
+    def __init__(self, dim: int):
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return tz.layer_norm(x, self.gamma, self.beta, self.eps)
+        return tz.layer_norm(x, self.gamma, self.beta)
 
 
 class GRU(Module):
@@ -84,10 +76,9 @@ class GRU(Module):
         self.b_hh = Tensor(np.zeros(3 * d_hidden), requires_grad=True)
         self.d_hidden = d_hidden
 
-    def __call__(self, x: Tensor, h0: Tensor | None = None) -> Tensor:
-        B = x.shape[0]
-        if h0 is None:
-            h0 = Tensor(np.zeros((B, self.d_hidden)))
+    def __call__(self, x: Tensor) -> Tensor:
+        """Runs from a zero initial state."""
+        h0 = Tensor(np.zeros((x.shape[0], self.d_hidden)))
         x_pre = x @ self.w_ih + self.b_ih
         return tz.gru_sequence(x_pre, self.w_hh, self.b_hh, h0)
 
@@ -134,7 +125,6 @@ class LocalEncoderConfig:
     model_dim: int = 64
     heads: int = 2
     window: int = 64
-    ffn_inner: int = 0  # 0 -> round(model_dim * 682 / 256)
     seed: int = 0
 
     def __post_init__(self):
@@ -142,12 +132,14 @@ class LocalEncoderConfig:
             raise ValueError("model_dim must divide evenly into heads")
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.ffn_inner == 0:
-            self.ffn_inner = int(round(self.model_dim * 682 / 256))
 
     @property
     def head_dim(self) -> int:
         return self.model_dim // self.heads
+
+    @property
+    def ffn_inner(self) -> int:
+        return int(round(self.model_dim * 682 / 256))
 
 
 class StreamAttention(Module):
@@ -239,14 +231,9 @@ class TransformerConfig:
     layers: int = 2
     model_dim: int = 64
     heads: int = 4
-    ffn_inner: int = 0  # 0 -> 4 * model_dim
     dropout: float = 0.1
     max_len: int = 512
     seed: int = 0
-
-    def __post_init__(self):
-        if self.ffn_inner == 0:
-            self.ffn_inner = 4 * self.model_dim
 
 
 class TransformerBlock(Module):
@@ -254,8 +241,8 @@ class TransformerBlock(Module):
         self.norm1 = LayerNorm(cfg.model_dim)
         self.attn = MultiHeadAttention(rng, cfg.model_dim, cfg.heads)
         self.norm2 = LayerNorm(cfg.model_dim)
-        self.ff1 = Linear(rng, cfg.model_dim, cfg.ffn_inner)
-        self.ff2 = Linear(rng, cfg.ffn_inner, cfg.model_dim)
+        self.ff1 = Linear(rng, cfg.model_dim, 4 * cfg.model_dim)
+        self.ff2 = Linear(rng, 4 * cfg.model_dim, cfg.model_dim)
         self.p_drop = cfg.dropout
 
     def __call__(self, x, mask, rng=None):

@@ -40,7 +40,3 @@ def pow_term(x, gamma: float):
         return 1.0 if not isinstance(x, Tensor) else x * 0.0 + 1.0
     return x**gamma
 
-
-def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
-    """Mean token cross-entropy; thin wrapper over the fused primitive."""
-    return tz.cross_entropy_logits(logits, targets, mask)

@@ -68,10 +68,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -279,15 +275,6 @@ def sigmoid(a: Tensor):
     return _make(out_data, (a,), bw)
 
 
-def tanh(a: Tensor):
-    out_data = np.tanh(a.data)
-
-    def bw(g):
-        a._accumulate(g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (a,), bw)
-
-
 def gelu(a: Tensor):
     """Exact (erf-based) Gaussian error linear unit."""
     x = a.data
@@ -447,7 +434,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator):
     return _make(x.data * mask, (x,), bw)
 
 
-def cross_entropy_logits(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None):
+def cross_entropy_logits(logits: Tensor, targets: np.ndarray, mask: np.ndarray):
     """Mean cross-entropy from raw logits [N, C] against int targets [N].
 
     `mask` (0/1 per row) selects which rows contribute; the mean is over
@@ -459,10 +446,7 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray, mask: np.ndarray |
     logp = z - lse
     rows = np.arange(t.shape[0])
     nll = -logp[rows, t]
-    if mask is None:
-        m = np.ones_like(nll)
-    else:
-        m = np.asarray(mask, dtype=np.float64)
+    m = np.asarray(mask, dtype=np.float64)
     count = max(m.sum(), 1.0)
     out_data = np.asarray((nll * m).sum() / count)
 

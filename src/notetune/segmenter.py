@@ -21,6 +21,8 @@ DEFAULT_THETA = 0.5
 DEFAULT_SOFT_SIGMA = 2.0
 DEFAULT_MIN_NOTE_FRAMES = 5
 BRIDGE_SEC = 0.2
+MIN_SPAN_FRAMES = 10
+BOUNDARY_TOL = 3  # frames, for boundary matching
 
 
 @dataclass
@@ -116,19 +118,14 @@ def greedy_nms(
     return sorted(picked)
 
 
-def singing_spans(
-    voiced: np.ndarray,
-    hop: int,
-    sr: int,
-    bridge_sec: float = BRIDGE_SEC,
-    min_span_frames: int = 10,
-) -> list[tuple[int, int]]:
-    """Maximal voiced spans with gaps <= bridge_sec bridged, as half-open ranges."""
+def singing_spans(voiced: np.ndarray, hop: int, sr: int) -> list[tuple[int, int]]:
+    """Maximal voiced spans with gaps <= BRIDGE_SEC bridged, as half-open
+    ranges; spans shorter than MIN_SPAN_FRAMES are dropped."""
     v = np.asarray(voiced, dtype=bool)
     if not v.any():
         return []
     idx = np.nonzero(v)[0]
-    max_gap = int(round(bridge_sec * sr / hop))
+    max_gap = int(round(BRIDGE_SEC * sr / hop))
     spans = []
     start = prev = idx[0]
     for t in idx[1:]:
@@ -137,28 +134,25 @@ def singing_spans(
             start = t
         prev = t
     spans.append((start, prev + 1))
-    return [(a, b) for a, b in spans if b - a >= min_span_frames]
+    return [(a, b) for a, b in spans if b - a >= MIN_SPAN_FRAMES]
 
 
 def boundaries_to_intervals(
     boundaries: list[int],
-    track: FrameTrack | None = None,
+    track: FrameTrack,
     min_note_frames: int = DEFAULT_MIN_NOTE_FRAMES,
 ) -> list[NoteInterval]:
     """Turn sorted boundary frames into half-open intervals.
 
     Intervals shorter than min_note_frames are merged into the neighbor
-    whose mean (interpolated) pitch is closer; without pitch context they
-    merge into the shorter neighbor.
+    whose mean (interpolated) pitch is closer.
     """
     if len(boundaries) < 2:
         return []
     spans = [[boundaries[i], boundaries[i + 1]] for i in range(len(boundaries) - 1)]
-    pitch = None if track is None else track.pitch_filled
+    pitch = track.pitch_filled
 
     def mean_pitch(span):
-        if pitch is None:
-            return 0.0
         a, b = span
         seg = pitch[a:b]
         return float(seg.mean()) if len(seg) else 0.0
@@ -174,11 +168,9 @@ def boundaries_to_intervals(
             j = 1
         elif i == len(spans) - 1:
             j = i - 1
-        elif pitch is not None:
+        else:
             me = mean_pitch(spans[i])
             j = i - 1 if abs(mean_pitch(spans[i - 1]) - me) <= abs(mean_pitch(spans[i + 1]) - me) else i + 1
-        else:
-            j = i - 1 if spans[i - 1][1] - spans[i - 1][0] <= spans[i + 1][1] - spans[i + 1][0] else i + 1
         a = min(spans[i][0], spans[j][0])
         b = max(spans[i][1], spans[j][1])
         spans[min(i, j)] = [a, b]
@@ -204,29 +196,29 @@ def detect_notes(
 
 # ---- evaluation helpers ----------------------------------------------------
 
-def match_boundaries(pred: list[int], gt: list[int], tol: int = 3):
-    """Greedy one-to-one matching within +-tol frames; returns (tp, fp, fn)."""
+def match_boundaries(pred: list[int], gt: list[int]):
+    """Greedy one-to-one matching within +-BOUNDARY_TOL frames; returns (tp, fp, fn)."""
     pred = sorted(pred)
     gt = sorted(gt)
     used = [False] * len(pred)
     tp = 0
     for g in gt:
         best = None
-        best_d = tol + 1
+        best_d = BOUNDARY_TOL + 1
         for k, p in enumerate(pred):
             if used[k]:
                 continue
             d = abs(p - g)
             if d < best_d:
                 best, best_d = k, d
-        if best is not None and best_d <= tol:
+        if best is not None and best_d <= BOUNDARY_TOL:
             used[best] = True
             tp += 1
     return tp, len(pred) - tp, len(gt) - tp
 
 
-def boundary_prf(pred: list[int], gt: list[int], tol: int = 3):
-    tp, fp, fn = match_boundaries(pred, gt, tol)
+def boundary_prf(pred: list[int], gt: list[int]):
+    tp, fp, fn = match_boundaries(pred, gt)
     precision = tp / max(tp + fp, 1)
     recall = tp / max(tp + fn, 1)
     f1 = 2 * precision * recall / max(precision + recall, 1e-12)

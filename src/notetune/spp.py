@@ -128,11 +128,10 @@ def aggregate_weighted_median(track: FrameTrack, note: NoteInterval) -> Stationa
 
 # ---- training objective -----------------------------------------------------
 
-def local_pitch_std(pitch_interp: np.ndarray, window: int = STAT_WINDOW) -> np.ndarray:
-    """Rolling standard deviation of the pitch curve, centered window."""
-    half = window // 2
-    padded = np.pad(pitch_interp, half, mode="edge")
-    sw = np.lib.stride_tricks.sliding_window_view(padded, window)
+def local_pitch_std(pitch_interp: np.ndarray) -> np.ndarray:
+    """Rolling standard deviation of the pitch curve, centered STAT_WINDOW."""
+    padded = np.pad(pitch_interp, STAT_WINDOW // 2, mode="edge")
+    sw = np.lib.stride_tricks.sliding_window_view(padded, STAT_WINDOW)
     return sw.std(axis=1)
 
 

@@ -51,12 +51,11 @@ DEFAULT_INSTRUMENT = 0
 
 @dataclass
 class GridMeta:
-    """Beat-grid metadata: constant tempo and time signature, grid anchored
-    at `anchor_sec` (bar 0, beat 0)."""
+    """Beat-grid metadata: constant tempo and time signature; bar 0, beat 0
+    falls at 0 s."""
 
     tempo_bpm: float = 120.0
     time_signature: tuple[int, int] = (4, 4)
-    anchor_sec: float = 0.0
 
     @classmethod
     def from_annotation(cls, sample: AnnotatedSample) -> "GridMeta":
@@ -106,7 +105,7 @@ def events_from_times(
     events = []
     prev_grid = -1
     for onset, dur, pitch in zip(onsets_sec, durations_sec, pitches):
-        beats = (onset - meta.anchor_sec) * beats_per_sec
+        beats = onset * beats_per_sec
         grid = int(round(beats * GRID_PER_BEAT))
         if grid <= prev_grid:
             grid = prev_grid + 1
@@ -202,19 +201,15 @@ class Cnpp(nn.Module):
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed + 11)
         E = cfg.embed_dim
-        self.embeds = {name: nn.Embedding(rng, FIELD_VOCABS[name], E) for name in FIELD_NAMES}
-        # attribute registration for params()
+        # one embed_<field> and one head_<field> attribute per field
         for name in FIELD_NAMES:
-            setattr(self, f"embed_{name}", self.embeds[name])
+            setattr(self, f"embed_{name}", nn.Embedding(rng, FIELD_VOCABS[name], E))
         self.down = nn.Linear(rng, 8 * E, cfg.model_dim)
         self.encoder = nn.TransformerEncoder(cfg.encoder_config())
         self.up = nn.Linear(rng, cfg.model_dim, 8 * E)
-        self.heads = {}
         for name in FIELD_NAMES:
             vocab = PITCH_TOKENS if name == "pitch" else FIELD_VOCABS[name]
-            head = nn.Linear(rng, E, vocab)
-            self.heads[name] = head
-            setattr(self, f"head_{name}", head)
+            setattr(self, f"head_{name}", nn.Linear(rng, E, vocab))
 
     def forward(
         self,
@@ -237,27 +232,27 @@ class Cnpp(nn.Module):
         for name in FIELD_NAMES:
             if name == "pitch":
                 if pitch_mode == "interp":
-                    emb = interp_pitch_embedding(self.embeds["pitch"].table, pitch_values)
+                    emb = interp_pitch_embedding(self.embed_pitch.table, pitch_values)
                 elif pitch_mode == "round":
-                    emb = self.embeds["pitch"](round_pitch(pitch_values))
+                    emb = self.embed_pitch(round_pitch(pitch_values))
                 else:
                     raise ValueError(f"unknown pitch_mode {pitch_mode!r}")
                 if mask_positions is not None and mask_positions.any():
                     mask_row = nn.embedding(
-                        self.embeds["pitch"].table,
+                        self.embed_pitch.table,
                         np.full(pitch_values.shape, PITCH_MASK, dtype=np.int64),
                     )
                     sel = mask_positions.astype(np.float64)[..., None]
                     emb = emb * (1.0 - sel) + mask_row * sel
             else:
-                emb = self.embeds[name](fields[name])
+                emb = getattr(self, f"embed_{name}")(fields[name])
             parts.append(emb)
         x = self.down(nn.concat(parts, axis=-1))
         h = self.encoder(x, pad_mask=pad_mask, rng=rng)
         u = self.up(h)
         out = {}
         for k, name in enumerate(FIELD_NAMES):
-            out[name] = self.heads[name](u[:, :, k * E : (k + 1) * E])
+            out[name] = getattr(self, f"head_{name}")(u[:, :, k * E : (k + 1) * E])
         return out
 
     def predict(self, events: list[OctupleEvent], pitch_mode: str = "interp"):

@@ -199,11 +199,8 @@ def stage_extract(cfg: dict, data_dir, jobs: int = 1) -> dict:
         return sid, mean_err
 
     items = sorted(doc["samples"].items())
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(work, items))
-    else:
-        results = dict(work(it) for it in items)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        results = dict(pool.map(work, items))
 
     corpus_errors = {
         sid: results[sid] for sid, e in doc["samples"].items() if e["group"] == "corpus"
@@ -495,21 +492,27 @@ def _symbolic_pretrain_sequences(cfg: dict) -> list[list[sym.OctupleEvent]]:
     return out
 
 
-def _other_field_loss(logits: dict, fields: dict, pad: np.ndarray):
-    losses = []
+def _cnpp_loss(logits: dict, fields: dict, pad: np.ndarray, gt: np.ndarray, pitch_rows: np.ndarray,
+               w_other: float):
+    """Pitch cross-entropy over `pitch_rows` plus `w_other` times the mean
+    cross-entropy of the other seven fields over every real event."""
     B, N = pad.shape
+    pitch_loss = nn.cross_entropy_logits(
+        logits["pitch"].reshape((B * N, sym.PITCH_TOKENS)), gt.reshape(-1), pitch_rows.reshape(-1)
+    )
+    losses = []
     flat_mask = pad.reshape(-1)
     for name in sym.FIELD_NAMES:
         if name == "pitch":
             continue
         V = logits[name].shape[-1]
         losses.append(
-            nn.cross_entropy(logits[name].reshape((B * N, V)), fields[name].reshape(-1), flat_mask)
+            nn.cross_entropy_logits(logits[name].reshape((B * N, V)), fields[name].reshape(-1), flat_mask)
         )
-    total = losses[0]
+    other = losses[0]
     for term in losses[1:]:
-        total = total + term
-    return total / len(losses)
+        other = other + term
+    return pitch_loss + w_other * (other / len(losses))
 
 
 def pretrain_cnpp(cfg: dict, sequences) -> sym.Cnpp:
@@ -532,13 +535,7 @@ def pretrain_cnpp(cfg: dict, sequences) -> sym.Cnpp:
         logits = model.forward(
             fields, pitch_values, pad, pitch_mode="interp", mask_positions=mask_pos, rng=drop_rng
         )
-        B, N = pad.shape
-        pitch_loss = nn.cross_entropy(
-            logits["pitch"].reshape((B * N, sym.PITCH_TOKENS)),
-            gt.reshape(-1),
-            mask_pos.astype(np.float64).reshape(-1),
-        )
-        loss = pitch_loss + w_other * _other_field_loss(logits, fields, pad)
+        loss = _cnpp_loss(logits, fields, pad, gt, mask_pos.astype(np.float64), w_other)
         nn.train_step(loss, opt, context="cnpp-pretrain")
     return model
 
@@ -577,11 +574,7 @@ def finetune_cnpp(
                 )
                 pv[b, :L] = np.clip(pv[b, :L] + errors, 0.0, 127.0)
         logits = model.forward(fields, pv, pad, pitch_mode=pitch_mode, rng=drop_rng)
-        B, N = pad.shape
-        pitch_loss = nn.cross_entropy(
-            logits["pitch"].reshape((B * N, sym.PITCH_TOKENS)), gt.reshape(-1), pad.reshape(-1)
-        )
-        loss = pitch_loss + ftc["field_loss_weight"] * _other_field_loss(logits, fields, pad)
+        loss = _cnpp_loss(logits, fields, pad, gt, pad, ftc["field_loss_weight"])
         losses.append(nn.train_step(loss, opt, context=f"cnpp-{variant}"))
     return losses
 

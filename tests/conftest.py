@@ -13,7 +13,7 @@ def make_track(pitch, voiced=None, sr=22050, hop=256, n_mels=80):
     mel = np.full((len(pitch), n_mels), ft.LOG_FLOOR)
     return ft.FrameTrack(
         sample_rate=sr, hop=hop, pitch_semitones=pitch, voiced=np.asarray(voiced, dtype=np.uint8),
-        mel=mel, n_mels=n_mels,
+        mel=mel,
     )
 
 

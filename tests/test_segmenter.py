@@ -79,12 +79,12 @@ def test_nms_properties_random():
 
 
 def test_boundaries_to_intervals_basic():
-    notes = seg.boundaries_to_intervals([0, 10, 20])
+    notes = seg.boundaries_to_intervals([0, 10, 20], make_track(np.full(20, 60.0)))
     assert [(n.start_frame, n.end_frame) for n in notes] == [(0, 10), (10, 20)]
 
 
 def test_boundaries_to_intervals_merges_short():
-    notes = seg.boundaries_to_intervals([0, 2, 20], min_note_frames=5)
+    notes = seg.boundaries_to_intervals([0, 2, 20], make_track(np.full(20, 60.0)), min_note_frames=5)
     assert [(n.start_frame, n.end_frame) for n in notes] == [(0, 20)]
 
 
@@ -96,8 +96,9 @@ def test_boundaries_to_intervals_merge_prefers_closer_pitch():
 
 
 def test_boundaries_to_intervals_empty_when_too_few():
-    assert seg.boundaries_to_intervals([5]) == []
-    assert seg.boundaries_to_intervals([]) == []
+    track = make_track(np.full(10, 60.0))
+    assert seg.boundaries_to_intervals([5], track) == []
+    assert seg.boundaries_to_intervals([], track) == []
 
 
 def test_intervals_tile_span_property():
@@ -106,7 +107,9 @@ def test_intervals_tile_span_property():
         bounds = np.unique(rng.integers(0, 300, size=rng.integers(2, 15)))
         if len(bounds) < 2:
             continue
-        notes = seg.boundaries_to_intervals(list(bounds), min_note_frames=int(rng.integers(1, 8)))
+        notes = seg.boundaries_to_intervals(
+            list(bounds), make_track(np.full(300, 60.0)), min_note_frames=int(rng.integers(1, 8))
+        )
         assert notes[0].start_frame == bounds[0]
         assert notes[-1].end_frame == bounds[-1]
         for a, b in zip(notes[:-1], notes[1:]):
@@ -123,7 +126,7 @@ def test_singing_spans_bridges_small_gaps():
     voiced[10:30] = 1
     voiced[35:60] = 1  # 5-frame gap, bridged (~58 ms < 200 ms)
     voiced[90:95] = 1  # 30-frame gap splits; span shorter than min dropped
-    spans = seg.singing_spans(voiced, hop=256, sr=22050, min_span_frames=10)
+    spans = seg.singing_spans(voiced, hop=256, sr=22050)
     assert spans == [(10, 60)]
 
 
@@ -139,8 +142,8 @@ def test_forward_outputs_are_probabilities_and_deterministic():
 
 
 def test_boundary_matching_counts():
-    tp, fp, fn = seg.match_boundaries([10, 50, 90], [11, 52, 200], tol=3)
+    tp, fp, fn = seg.match_boundaries([10, 50, 90], [11, 52, 200])
     assert (tp, fp, fn) == (2, 1, 1)
-    p, r, f1 = seg.boundary_prf([10, 50, 90], [11, 52, 200], tol=3)
+    p, r, f1 = seg.boundary_prf([10, 50, 90], [11, 52, 200])
     assert p == pytest.approx(2 / 3)
     assert r == pytest.approx(2 / 3)
