@@ -3,10 +3,13 @@
 Stages write checkpoints and reports into --checkpoint-dir and read the
 dataset produced by synth-data/extract from --data-dir.  Configuration
 comes from defaults, then --config FILE, then --set key.path=value
-overrides (flags win).  NOTETUNE_CACHE_DIR, when set, caches feature
-tracks extracted by `correct` (the only environment variable consulted);
-a cached track is keyed on the SHA-256 of the decoded waveform plus
-audio.sample_rate, hop, win, n_mels and the feature-track format version.
+overrides (flags win).  A key the defaults do not have, from the file or
+from --set, is rejected with exit status 2; only corpus.eval_sets may name
+new sets, each with exactly n_songs and detune.  NOTETUNE_CACHE_DIR, when
+set, caches feature tracks extracted by `correct` (the only environment
+variable consulted); a cached track is keyed on the SHA-256 of the decoded
+waveform plus audio.sample_rate, hop, win, n_mels and the feature-track
+format version.
 """
 
 from __future__ import annotations

@@ -3,6 +3,8 @@
 `load_config` starts from the defaults below, deep-merges an optional JSON
 file, then applies dotted-path overrides (e.g. "cnpp.finetune.steps=500").
 CLI flags map onto those overrides, so flags always win over file values.
+A key that DEFAULTS does not have is an error, except a new evaluation set
+under corpus.eval_sets, which must give exactly n_songs and detune.
 """
 
 from __future__ import annotations
@@ -116,7 +118,31 @@ def apply_override(cfg: dict, dotted: str):
     node[keys[-1]] = _parse_value(value.strip())
 
 
+EVAL_SET_KEYS = {"n_songs", "detune"}
+
+
+def _check_keys(node: dict, ref: dict, path: str = ""):
+    """Reject keys that `ref` (DEFAULTS) does not have, and objects where
+    it has a plain value or the reverse.  New corpus.eval_sets entries must
+    give exactly n_songs and detune."""
+    for key, value in node.items():
+        name = path + key
+        if key not in ref:
+            if path != "corpus.eval_sets.":
+                raise ValueError(f"unknown config key {name}")
+            if not (isinstance(value, dict) and set(value) == EVAL_SET_KEYS):
+                raise ValueError(f"new eval set {name} must give exactly n_songs and detune")
+        elif isinstance(ref[key], dict):
+            if not isinstance(value, dict):
+                raise ValueError(f"config key {name} must be an object")
+            _check_keys(value, ref[key], name + ".")
+        elif isinstance(value, dict):
+            raise ValueError(f"unknown config key {name}.{next(iter(value), '')}")
+
+
 def load_config(path=None, overrides: list[str] | None = None) -> dict:
+    """DEFAULTS, merged with the JSON file at `path`, then the overrides;
+    raises ValueError for a key that DEFAULTS does not have."""
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
         doc = json.loads(Path(path).read_text())
@@ -125,6 +151,7 @@ def load_config(path=None, overrides: list[str] | None = None) -> dict:
         cfg = _deep_merge(cfg, doc)
     for item in overrides or []:
         apply_override(cfg, item)
+    _check_keys(cfg, DEFAULTS)
     return cfg
 
 

@@ -75,6 +75,10 @@ class AnnotatedSample:
 def validate_notes(notes: list[Note]):
     prev = None
     for i, n in enumerate(notes):
+        for name in ("onset_sec", "offset_sec", "sung_pitch"):
+            value = getattr(n, name)
+            if value is not None and not math.isfinite(value):
+                raise AnnotationError(f"note {i}: non-finite {name} {value}")
         if not (0 <= n.pitch <= 127):
             raise AnnotationError(f"note {i}: pitch {n.pitch} outside 0..127")
         if n.onset_sec < 0:

@@ -602,11 +602,17 @@ def stage_train_cnpp(cfg: dict, data_dir, out_dir, variant: str = "full") -> dic
     out_dir = Path(out_dir)
     doc = load_dataset(data_dir)
 
-    if (out_dir / "cnpp_pretrained.npz").exists():
+    # the pretrained model is shared by all variants; it is reused only when
+    # it was pretrained under the settings pretraining reads
+    c = cfg["cnpp"]
+    settings = config_hash({"seed": cfg["seed"], "model": c["model"], "pretrain": c["pretrain"],
+                            "field_loss_weight": c["finetune"]["field_loss_weight"]})
+    pretrained = out_dir / "cnpp_pretrained.npz"
+    if pretrained.exists() and nn.load_checkpoint(pretrained)["extra"].get("pretrain_hash") == settings:
         model = load_cnpp(out_dir, cfg, "pretrained")
     else:
         model = pretrain_cnpp(cfg, _symbolic_pretrain_sequences(cfg))
-        _save_model(out_dir, "cnpp_pretrained", model, cfg, {"model": cfg["cnpp"]["model"]})
+        _save_model(out_dir, "cnpp_pretrained", model, cfg, {"model": c["model"]}, {"pretrain_hash": settings})
 
     detuner_model, sigma_e = None, 0.0
     if variant != "no_augment":

@@ -174,6 +174,21 @@ def test_negative_onset_rejected(tmp_path):
         dk.import_annotations(path)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("onset_sec", float("nan")), ("offset_sec", float("inf")), ("sung_pitch", float("nan"))]
+)
+def test_non_finite_note_values_rejected_with_index(tmp_path, field, value):
+    notes = [
+        {"onset_sec": 0.0, "offset_sec": 0.4, "pitch": 60},
+        {"onset_sec": 0.5, "offset_sec": 0.9, "pitch": 62, "sung_pitch": 62.1},
+    ]
+    notes[1][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"version": 1, "notes": notes}))  # writes bare NaN / Infinity
+    with pytest.raises(dk.AnnotationError, match=f"note 1: non-finite {field}"):
+        dk.import_annotations(path)
+
+
 def test_midi_tick_conversion_120bpm():
     song = midifile.MidiSong(tpqn=480, notes=[], tempo_map=[(0, 500000.0)])
     assert song.tick_to_seconds(480) == pytest.approx(0.5)

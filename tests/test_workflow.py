@@ -3,6 +3,7 @@ fixed-seed configuration (20 songs, 4 steps per trainer)."""
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,47 @@ def test_correct_rejects_negative_onset_annotation(cli_run, tmp_path):
     path.write_text(json.dumps(ann))
     argv = ["correct", cli_run["take"], tmp_path / "o.wav", "--checkpoint-dir", cli_run["ckpt"]]
     assert run_cli(*argv, "--annotations", path) == 2
+
+
+def test_correct_rejects_non_finite_annotation(cli_run, tmp_path):
+    ann = json.loads((cli_run["data"] / "annotations" / "moderate_eval_000.json").read_text())
+    ann["notes"][1]["onset_sec"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(ann))  # a bare NaN, which json.loads accepts
+    argv = ["correct", cli_run["take"], tmp_path / "o.wav", "--checkpoint-dir", cli_run["ckpt"]]
+    assert run_cli(*argv, "--annotations", path) == 2
+    assert not (tmp_path / "o.wav").exists()
+
+
+def test_extract_with_zero_jobs_exits_2(cli_run):
+    assert run_cli("extract", "--data-dir", cli_run["data"], "--jobs", 0) == 2
+
+
+def test_changed_pretrain_settings_retrain_the_pretrained_cnpp(cli_run, tmp_path):
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    shutil.copytree(cli_run["ckpt"], reused)
+    before = (reused / "cnpp_pretrained.npz").read_bytes()
+    cfg = load_config(None, TINY + ["cnpp.pretrain.steps=8", "cnpp.pretrain.n_songs=16"])
+    for ckpt in (reused, fresh):
+        wf.stage_train_cnpp(cfg, cli_run["data"], ckpt, variant="no_augment")
+    after = (reused / "cnpp_pretrained.npz").read_bytes()
+    assert after != before
+    assert after == (fresh / "cnpp_pretrained.npz").read_bytes()
+    assert (reused / "cnpp_no_augment.npz").read_bytes() == (fresh / "cnpp_no_augment.npz").read_bytes()
+
+
+def test_unchanged_config_reuses_the_pretrained_cnpp(cli_run, tmp_path, monkeypatch):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(cli_run["ckpt"], ckpt)
+    before = (ckpt / "cnpp_pretrained.npz").read_bytes()
+
+    def no_pretraining(*_args):
+        raise AssertionError("pretrained CNPP was not reused")
+
+    monkeypatch.setattr(wf, "pretrain_cnpp", no_pretraining)
+    wf.stage_train_cnpp(load_config(None, TINY), cli_run["data"], ckpt, variant="no_augment")
+    assert (ckpt / "cnpp_pretrained.npz").read_bytes() == before
+    assert (ckpt / "cnpp_no_augment.npz").read_bytes() == (cli_run["ckpt"] / "cnpp_no_augment.npz").read_bytes()
 
 
 def test_benchmark_layers_are_own_attributes():
