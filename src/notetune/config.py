@@ -121,7 +121,7 @@ def apply_override(cfg: dict, dotted: str):
 EVAL_SET_KEYS = {"n_songs", "detune"}
 
 
-def _check_keys(node: dict, ref: dict, path: str = ""):
+def _check_keys(node: dict, ref: dict, path: str):
     """Reject keys that `ref` (DEFAULTS) does not have, and objects where
     it has a plain value or the reverse.  New corpus.eval_sets entries must
     give exactly n_songs and detune."""
@@ -146,12 +146,14 @@ def load_config(path=None, overrides: list[str] | None = None) -> dict:
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
         doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
         if doc.get("version", CONFIG_VERSION) != CONFIG_VERSION:
             raise ValueError(f"unsupported config version in {path}")
         cfg = _deep_merge(cfg, doc)
     for item in overrides or []:
         apply_override(cfg, item)
-    _check_keys(cfg, DEFAULTS)
+    _check_keys(cfg, DEFAULTS, "")
     return cfg
 
 

@@ -3,11 +3,7 @@ import json
 import pytest
 
 from notetune import cli
-from notetune.config import DEFAULTS, config_hash, load_config
-
-
-def test_defaults_load_unchanged():
-    assert config_hash(load_config()) == config_hash(DEFAULTS)
+from notetune.config import DEFAULTS, load_config
 
 
 def test_unknown_override_key_rejected():
@@ -21,6 +17,13 @@ def test_unknown_file_key_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"spp": {"train": {"steps": 10, "stepz": 4}}}))
     with pytest.raises(ValueError, match="unknown config key spp.train.stepz"):
+        load_config(path)
+
+
+def test_config_file_must_hold_an_object(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text("[]")
+    with pytest.raises(ValueError, match="must hold a JSON object"):
         load_config(path)
 
 
