@@ -201,7 +201,7 @@ class Cnpp(nn.Module):
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed + 11)
         E = cfg.embed_dim
-        # one embed_<field> and one head_<field> attribute per field
+        # attributes, not dicts: params() collects Module attributes only
         for name in FIELD_NAMES:
             setattr(self, f"embed_{name}", nn.Embedding(rng, FIELD_VOCABS[name], E))
         self.down = nn.Linear(rng, 8 * E, cfg.model_dim)
