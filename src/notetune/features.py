@@ -29,6 +29,9 @@ YIN_FMAX = 1000.0
 YIN_THRESHOLD = 0.15
 YIN_INTEGRATION = 1024
 RMS_FLOOR_DB = -50.0
+# track_pitch runs YIN over this many frames at a time, so its FFT and
+# cumsum temporaries stay bounded for any length of audio
+YIN_CHUNK = 512
 MEL_FMIN = 40.0
 
 
@@ -142,26 +145,12 @@ def _frame_signal(wav: np.ndarray, frame_len: int, hop: int, n_frames: int) -> n
     return as_strided(padded, shape=(n_frames, frame_len), strides=(hop * s, s))
 
 
-def track_pitch(wav: np.ndarray, sr: int = DEFAULT_SR, hop: int = DEFAULT_HOP):
-    """Per-frame f0 via the cumulative-mean-normalized difference function.
-
-    Returns (pitch_semitones[T], voiced[T]); unvoiced frames hold NaN pitch.
-    The lag search covers YIN_FMIN..YIN_FMAX Hz over a YIN_INTEGRATION-sample
-    window.  A frame counts as voiced when its best normalized-difference
-    trough is below YIN_THRESHOLD and the local RMS exceeds RMS_FLOOR_DB dBFS.
-    """
-    if len(wav) == 0:
-        raise ValueError("empty waveform")
-    tau_min = max(2, int(sr / YIN_FMAX))
-    tau_max = int(np.ceil(sr / YIN_FMIN))
+def _yin_rows(frames: np.ndarray, sr: int, pad0: int, tau_min: int, tau_max: int):
+    """YIN decision for each row of `frames` [n, frame_len] on its own:
+    returns (f0 in Hz, voiced as uint8).  Every step is per row, so any
+    split of the frames into chunks gives the same bytes."""
     W = YIN_INTEGRATION
-    # Offset of the comparison region inside each analysis frame, chosen so
-    # that typical singing lags (~100 samples) sit centered on the frame.
-    pad0 = max(0, tau_max - 101)
-    frame_len = pad0 + W + tau_max + 1
-    T = frame_count(len(wav), hop)
-    frames = _frame_signal(wav, frame_len, hop, T)
-
+    frame_len = frames.shape[1]
     nfft = 1 << int(np.ceil(np.log2(frame_len + tau_max + 1)))
     head = frames[:, pad0 : pad0 + W]
     spec_all = np.fft.rfft(frames, nfft)
@@ -194,7 +183,7 @@ def track_pitch(wav: np.ndarray, sr: int = DEFAULT_SR, hop: int = DEFAULT_HOP):
     pick = np.where(any_below, first_below, global_min)
     tau_star = pick + tau_min + 1
 
-    rows = np.arange(T)
+    rows = np.arange(len(frames))
     d0 = cmndf[rows, tau_star - 1]
     d1 = cmndf[rows, tau_star]
     d2 = cmndf[rows, np.minimum(tau_star + 1, tau_max)]
@@ -210,6 +199,32 @@ def track_pitch(wav: np.ndarray, sr: int = DEFAULT_SR, hop: int = DEFAULT_HOP):
     with np.errstate(divide="ignore"):
         rms_db = 20.0 * np.log10(np.where(rms > 0, rms, 1e-12))
     voiced = (any_below & (rms_db > RMS_FLOOR_DB)).astype(np.uint8)
+    return f0, voiced
+
+
+def track_pitch(wav: np.ndarray, sr: int = DEFAULT_SR, hop: int = DEFAULT_HOP):
+    """Per-frame f0 via the cumulative-mean-normalized difference function.
+
+    Returns (pitch_semitones[T], voiced[T]); unvoiced frames hold NaN pitch.
+    The lag search covers YIN_FMIN..YIN_FMAX Hz over a YIN_INTEGRATION-sample
+    window.  A frame counts as voiced when its best normalized-difference
+    trough is below YIN_THRESHOLD and the local RMS exceeds RMS_FLOOR_DB dBFS.
+    """
+    if len(wav) == 0:
+        raise ValueError("empty waveform")
+    tau_min = max(2, int(sr / YIN_FMAX))
+    tau_max = int(np.ceil(sr / YIN_FMIN))
+    W = YIN_INTEGRATION
+    # Offset of the comparison region inside each analysis frame, chosen so
+    # that typical singing lags (~100 samples) sit centered on the frame.
+    pad0 = max(0, tau_max - 101)
+    frame_len = pad0 + W + tau_max + 1
+    T = frame_count(len(wav), hop)
+    frames = _frame_signal(wav, frame_len, hop, T)
+
+    f0, voiced = zip(*(_yin_rows(frames[i : i + YIN_CHUNK], sr, pad0, tau_min, tau_max)
+                       for i in range(0, T, YIN_CHUNK)))
+    f0, voiced = np.concatenate(f0), np.concatenate(voiced)
 
     pitch = np.full(T, np.nan)
     v = voiced.astype(bool)

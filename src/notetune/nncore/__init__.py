@@ -18,6 +18,7 @@ from .tensor import (
     tmean,
     softmax,
     layer_norm,
+    banded_attention,
     embedding,
     dropout,
     cross_entropy_logits,
@@ -36,7 +37,6 @@ from .layers import (
     TransformerConfig,
     MultiHeadAttention,
     attention,
-    band_mask,
     sinusoid_positions,
     uniform_init,
 )

@@ -3,7 +3,10 @@
 Two encoder families live here: a windowed-attention encoder whose
 attention runs as parallel single-head channel streams (used by the frame
 models), and a conventional pre-norm transformer encoder (used by the note
-model).
+model).  The windowed encoder scores only keys within +-window of each
+query (block-banded, `tensor.banded_attention`), so its time and memory
+grow as O(T * window) in the frame count T; the note model's attention is
+dense, O(T^2) in the event count.
 """
 
 from __future__ import annotations
@@ -94,13 +97,6 @@ def sinusoid_positions(T: int, dim: int) -> np.ndarray:
     return table
 
 
-def band_mask(T: int, window: int) -> np.ndarray:
-    """Additive attention mask [T, T]: 0 within +-window, large negative outside."""
-    idx = np.arange(T)
-    inside = np.abs(idx[:, None] - idx[None, :]) <= window
-    return np.where(inside, 0.0, -1e30)
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None):
     """Scaled dot-product attention; q, k, v are [..., T, d]."""
     d = q.shape[-1]
@@ -113,6 +109,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None):
 @dataclass
 class LocalEncoderConfig:
     """Windowed-attention encoder shape.
+
+    Each frame attends to the frames within +-`window` of it.  Attention is
+    block-banded: blocks of `window` queries score three blocks of keys, so
+    a forward or backward pass costs O(T * window) time and memory, never
+    a T x T score matrix.
 
     `heads` is also the number of parallel channel streams: attention runs
     single-headed per stream of width model_dim // heads, and the streams
@@ -143,7 +144,11 @@ class LocalEncoderConfig:
 
 
 class StreamAttention(Module):
-    """Parallel single-head attention paths over channel groups."""
+    """Parallel single-head attention paths over channel groups.
+
+    Each stream attends within +-cfg.window frames through the block-banded
+    `tensor.banded_attention`: O(T * window) per stream, no mask argument.
+    """
 
     def __init__(self, rng, cfg: LocalEncoderConfig):
         d = cfg.head_dim
@@ -153,13 +158,13 @@ class StreamAttention(Module):
         self.wk = [Linear(rng, d, d) for _ in range(cfg.heads)]
         self.wv = [Linear(rng, d, d) for _ in range(cfg.heads)]
 
-    def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         d = self.cfg.head_dim
         outs = []
         for j in range(self.cfg.heads):
             xs = x[..., j * d : (j + 1) * d]
             h = self.norms[j](xs)
-            a = attention(self.wq[j](h), self.wk[j](h), self.wv[j](h), mask)
+            a = tz.banded_attention(self.wq[j](h), self.wk[j](h), self.wv[j](h), self.cfg.window)
             outs.append(xs + a)
         return tz.concat(outs, axis=-1)
 
@@ -191,11 +196,9 @@ class LocalEncoder(Module):
         self.final_norm = LayerNorm(cfg.model_dim)
 
     def __call__(self, x: Tensor) -> Tensor:
-        T = x.shape[-2]
-        mask = band_mask(T, self.cfg.window)
-        h = x + sinusoid_positions(T, self.cfg.model_dim)
+        h = x + sinusoid_positions(x.shape[-2], self.cfg.model_dim)
         for i in range(0, len(self.blocks), 2):
-            h = self.blocks[i](h, mask)
+            h = self.blocks[i](h)
             h = self.blocks[i + 1](h)
         return self.final_norm(h)
 

@@ -797,6 +797,12 @@ def stage_correct(
     variant: str = "full",
     cache_dir=None,
 ) -> dict:
+    if annotations is not None:
+        ann = dk.import_annotations(annotations)
+        meta = sym.GridMeta.from_annotation(ann)
+    else:
+        log.warning("no annotations given; assuming 120 BPM, 4/4 for the beat grid")
+        meta = sym.GridMeta()
     pipeline = Pipeline.load(ckpt_dir, cfg, variants=(variant,))
     audio_cfg = cfg["audio"]
     sr, hop = audio_cfg["sample_rate"], audio_cfg["hop"]
@@ -814,12 +820,6 @@ def stage_correct(
         track = _extract_track(wav, audio_cfg)
         if cache_path is not None:
             ft.save_track(cache_path, track)
-    if annotations is not None:
-        ann = dk.import_annotations(annotations)
-        meta = sym.GridMeta.from_annotation(ann)
-    else:
-        log.warning("no annotations given; assuming 120 BPM, 4/4 for the beat grid")
-        meta = sym.GridMeta()
     notes, ests = pipeline.transcribe_base(track)
     targets = pipeline.note_targets(notes, ests, meta, variant, sr, hop)
     plan = corr.build_plan(ests, targets, notes, track)

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -193,3 +196,34 @@ def test_track_roundtrip_keeps_pitch_filled_bytes(tmp_path):
     F.save_track(tmp_path / "track.npz", track)
     loaded = F.load_track(tmp_path / "track.npz")
     assert loaded.pitch_filled.tobytes() == track.pitch_filled.tobytes()
+
+
+def gliding_take(seconds, seed):
+    """A tone gliding over +-half an octave around 220 Hz in noise, near
+    silent for 0.6 s of every 3 s, so voiced and unvoiced frames alternate."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(int(SR * seconds)) / SR
+    f0 = 220.0 * 2.0 ** (0.5 * np.sin(2 * np.pi * 0.2 * t))
+    wav = 0.3 * np.sin(2 * np.pi * np.cumsum(f0) / SR) + 0.02 * rng.normal(size=len(t))
+    wav[t % 3.0 > 2.4] *= 1e-3
+    return wav
+
+
+def test_track_pitch_bytes_pinned_on_a_long_take():
+    # 2584 frames span several YIN chunks; the digest is that of the
+    # whole-track computation, so chunking must not move a single bit
+    pitch, voiced = F.track_pitch(gliding_take(30.0, 7))
+    assert len(pitch) == 2584 and voiced.sum() == 2078
+    digest = hashlib.sha256(pitch.tobytes() + voiced.tobytes()).hexdigest()
+    assert digest == "33c4b7f13c9c519fe0e0877362ccf6ed61c427e9bccfb03ab0f6ba08cfd9e4f5"
+
+
+def test_track_pitch_memory_is_bounded_on_a_minute_of_audio():
+    wav = gliding_take(60.0, 7)
+    tracemalloc.start()
+    try:
+        F.track_pitch(wav)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160e6

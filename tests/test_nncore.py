@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -151,6 +152,54 @@ def test_local_attention_masks_outside_window():
         changed = enc(nn.Tensor(x2)).data[0, q]
     # single layer: position q only sees [q-w, q+w]
     assert np.allclose(full, changed, atol=1e-12)
+
+
+def dense_band_attention(q, k, v, window):
+    """Reference: full T x T scores under an additive band mask."""
+    idx = np.arange(q.shape[-2])
+    mask = np.where(np.abs(idx[:, None] - idx[None, :]) <= window, 0.0, -1e30)
+    return nn.attention(q, k, v, mask)
+
+
+@pytest.mark.parametrize("window", [1, 3, 64])
+def test_banded_attention_matches_dense_masked_attention(window):
+    rng = np.random.default_rng(19)
+    for T in sorted({1, 2, window - 1, window, window + 1, 2 * window + 1, 300, 512} - {0}):
+        q, k, v = (nn.Tensor(rng.normal(size=(2, T, 8)), requires_grad=True) for _ in range(3))
+        r = rng.normal(size=(2, T, 8))
+        grads = []
+        for fn in (nn.banded_attention, dense_band_attention):
+            out = fn(q, k, v, window)
+            (out * r).sum().backward()
+            grads.append((out.data, q.grad, k.grad, v.grad))
+            for t in (q, k, v):
+                t.zero_grad()
+        for got, want in zip(*grads):
+            assert np.abs(got - want).max() < 1e-12, (T, window)
+
+
+@pytest.mark.parametrize("T, window", [(7, 3), (6, 2), (5, 8), (2, 1), (1, 4)])
+def test_banded_attention_gradients_match_finite_differences(T, window):
+    rng = np.random.default_rng(20)
+    q, k, v = (nn.Tensor(rng.normal(size=(2, T, 3)), requires_grad=True) for _ in range(3))
+    r = rng.normal(size=(2, T, 3))
+    fn = lambda: (nn.banded_attention(q, k, v, window) * r).sum()
+    worst = nn.finite_difference_check(fn, [q, k, v], rtol=1e-6)
+    assert worst < 1e-6
+
+
+def test_local_encoder_forward_memory_is_linear_in_length():
+    # dense T x T scores and mask at T = 4096 alone would take 134 MB each
+    enc = nn.LocalEncoder(nn.LocalEncoderConfig())
+    x = nn.Tensor(np.random.default_rng(21).normal(size=(1, 4096, 64)))
+    tracemalloc.start()
+    try:
+        with nn.no_grad():
+            enc(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128e6
 
 
 def test_focal_loss_perfect_prediction_is_zero():

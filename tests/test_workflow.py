@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from notetune import cli
+from notetune import datakit as dk
 from notetune import features as ft
 from notetune import nncore as nn
 from notetune import workflow as wf
@@ -189,3 +190,16 @@ def test_benchmark_layers_are_own_attributes():
     spec.loader.exec_module(spans)
     for owner, attr, _name in spans.LAYERS:
         assert attr in vars(owner), (owner, attr)
+
+
+def test_correct_rejects_a_bad_annotation_before_loading_anything(tmp_path, monkeypatch):
+    def no_load(*_args, **_kwargs):
+        raise AssertionError("models were loaded before the annotations were validated")
+
+    monkeypatch.setattr(wf.Pipeline, "load", no_load)
+    bad = tmp_path / "bad.json"
+    notes = [{"onset_sec": float("nan"), "offset_sec": 0.4, "pitch": 60}]
+    bad.write_text(json.dumps({"version": 1, "notes": notes}))
+    with pytest.raises(dk.AnnotationError, match="note 0: non-finite onset_sec"):
+        wf.stage_correct(load_config(None, TINY), tmp_path / "missing.wav", tmp_path / "out.wav",
+                         tmp_path / "ckpt", annotations=bad)
