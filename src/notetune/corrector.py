@@ -11,7 +11,8 @@ do: float64 spacing doubles at each power of two.
 
 Audio is shifted with time-domain PSOLA over voiced regions (epoch spacing
 from the tracked f0), unvoiced audio passes through, and joins get a 10 ms
-equal-power crossfade.
+equal-power crossfade.  Grains are overlap-added with `np.add.at` in grain
+order, so every sample sums its terms as a one-grain-at-a-time loop would.
 """
 
 from __future__ import annotations
@@ -104,35 +105,47 @@ def _sample_regions(mask: np.ndarray) -> list[tuple[int, int]]:
 def _psola_region(wav, out, norm, a, b, f0_hz, ratio, sr):
     """Overlap-add Hann grains from analysis epochs onto retimed epochs."""
     n = len(wav)
-    # analysis marks spaced one local period apart
+    f0, r = f0_hz.tolist(), ratio.tolist()
+    # analysis marks one local period apart, then synthesis positions one
+    # local period / ratio apart: two sequential recurrences
     marks = []
     t = float(a)
     while t < b:
         marks.append(t)
-        period = sr / f0_hz[min(int(t), b - 1) - a]
-        t += max(period, 2.0)
+        t += max(sr / f0[min(int(t), b - 1) - a], 2.0)
     if len(marks) < 2:
         out[a:b] += wav[a:b]
         norm[a:b] += 1.0
         return
-    marks = np.asarray(marks)
+    pos, local = [], []
     s = marks[0]
     while s < b:
-        j = int(np.clip(np.searchsorted(marks, s), 0, len(marks) - 1))
-        if j > 0 and abs(marks[j - 1] - s) < abs(marks[j] - s):
-            j -= 1
-        mj = int(round(marks[j]))
-        local = min(int(s), b - 1) - a
-        period = sr / f0_hz[local]
-        L = max(int(round(period)), 2)
-        rs = int(round(s))
-        lo = max(-L, -mj, -rs)
-        hi = min(L + 1, n - mj, n - rs)
-        if hi > lo:
-            window = np.hanning(2 * L + 1)[lo + L : hi + L]
-            out[rs + lo : rs + hi] += wav[mj + lo : mj + hi] * window
-            norm[rs + lo : rs + hi] += window
-        s += period / ratio[local]
+        i = min(int(s), b - 1) - a
+        pos.append(s)
+        local.append(i)
+        s += sr / f0[i] / r[i]
+    marks, s, local = np.asarray(marks), np.asarray(pos), np.asarray(local)
+
+    # each grain reads at the analysis mark nearest its synthesis position
+    j = np.minimum(np.searchsorted(marks, s), len(marks) - 1)
+    j -= (j > 0) & (np.abs(marks[j - 1] - s) < np.abs(marks[j] - s))
+    mj = np.round(marks[j]).astype(np.int64)
+    rs = np.round(s).astype(np.int64)
+    L = np.maximum(np.round(sr / f0_hz[local]).astype(np.int64), 2)
+    lo = np.maximum(np.maximum(-L, -mj), -rs)
+    hi = np.maximum(np.minimum(np.minimum(L + 1, n - mj), n - rs), lo)
+
+    # grain g covers offsets lo[g]..hi[g]-1 around rs[g] (out) and mj[g] (wav)
+    sizes = hi - lo
+    k = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes - lo, sizes)
+    hann = {x: np.hanning(2 * x + 1) for x in set(L.tolist())}
+    bounds = zip(L.tolist(), lo.tolist(), hi.tolist())
+    window = np.concatenate([hann[x][l + x : h + x] for x, l, h in bounds])
+    dst = np.repeat(rs, sizes) + k
+    # np.add.at is unbuffered: every sample takes its grains' terms in grain
+    # order, the same float additions as adding one grain at a time
+    np.add.at(out, dst, wav[np.repeat(mj, sizes) + k] * window)
+    np.add.at(norm, dst, window)
 
 
 def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.ndarray:

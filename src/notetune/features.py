@@ -29,8 +29,8 @@ YIN_FMAX = 1000.0
 YIN_THRESHOLD = 0.15
 YIN_INTEGRATION = 1024
 RMS_FLOOR_DB = -50.0
-# track_pitch runs YIN over this many frames at a time, so its FFT and
-# cumsum temporaries stay bounded for any length of audio
+# track_pitch and mel_spectrogram work on this many frames at a time, so
+# their FFT temporaries stay bounded for any length of audio
 YIN_CHUNK = 512
 MEL_FMIN = 40.0
 
@@ -145,17 +145,24 @@ def _frame_signal(wav: np.ndarray, frame_len: int, hop: int, n_frames: int) -> n
     return as_strided(padded, shape=(n_frames, frame_len), strides=(hop * s, s))
 
 
+def _lag_products(frames: np.ndarray, pad0: int, tau_max: int) -> np.ndarray:
+    """Column k: sum of frames[:, pad0 + i] * frames[:, pad0 + i + k] over i < W, by FFT."""
+    W = YIN_INTEGRATION
+    # These read frame samples up to pad0 + W - 1 + tau_max, so a circular
+    # correlation of length nfft >= pad0 + W + tau_max never wraps onto them.
+    nfft = 1 << int(np.ceil(np.log2(pad0 + W + tau_max)))
+    spec_all = np.fft.rfft(frames, nfft)
+    spec_head = np.fft.rfft(frames[:, pad0 : pad0 + W], nfft)
+    return np.fft.irfft(np.conj(spec_head) * spec_all, nfft)[:, pad0 : pad0 + tau_max + 1]
+
+
 def _yin_rows(frames: np.ndarray, sr: int, pad0: int, tau_min: int, tau_max: int):
     """YIN decision for each row of `frames` [n, frame_len] on its own:
     returns (f0 in Hz, voiced as uint8).  Every step is per row, so any
     split of the frames into chunks gives the same bytes."""
     W = YIN_INTEGRATION
     frame_len = frames.shape[1]
-    nfft = 1 << int(np.ceil(np.log2(frame_len + tau_max + 1)))
-    head = frames[:, pad0 : pad0 + W]
-    spec_all = np.fft.rfft(frames, nfft)
-    spec_head = np.fft.rfft(head, nfft)
-    corr = np.fft.irfft(np.conj(spec_head) * spec_all, nfft)[:, pad0 : pad0 + tau_max + 1]
+    corr = _lag_products(frames, pad0, tau_max)
 
     sq = np.cumsum(frames * frames, axis=1)
     taus = np.arange(tau_max + 1)
@@ -262,10 +269,16 @@ def mel_spectrogram(
     if len(wav) < win:
         raise ValueError(f"waveform shorter than the analysis window ({len(wav)} < {win})")
     T = frame_count(len(wav), hop)
-    frames = _frame_signal(wav, win, hop, T) * np.hanning(win)
-    mag = np.abs(np.fft.rfft(frames, win))
-    fb = mel_filterbank(sr, win, n_mels)
-    return np.log(mag @ fb.T + LOG_FLOOR_EPS)
+    frames = _frame_signal(wav, win, hop, T)
+    fb_t = mel_filterbank(sr, win, n_mels).T
+    mel = np.empty((T, n_mels))
+    # Each product has min(T, YIN_CHUNK) rows, the last chunk overlapping the
+    # one before: BLAS sums products of only a few rows in another order.
+    for i in range(0, T, YIN_CHUNK):
+        i = min(i, max(T - YIN_CHUNK, 0))
+        mag = np.abs(np.fft.rfft(frames[i : i + YIN_CHUNK] * np.hanning(win), win))
+        mel[i : i + YIN_CHUNK] = np.log(mag @ fb_t + LOG_FLOOR_EPS)
+    return mel
 
 
 LOG_FLOOR = float(np.log(LOG_FLOOR_EPS))

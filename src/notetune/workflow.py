@@ -811,7 +811,9 @@ def stage_correct(
     cache_path = None
     if cache_dir:
         key = hashlib.sha256(wav.tobytes())
-        settings = [sr, hop, audio_cfg["win"], audio_cfg["n_mels"], ft.TRACK_FORMAT_VERSION]
+        settings = [sr, hop, audio_cfg["win"], audio_cfg["n_mels"], ft.TRACK_FORMAT_VERSION,
+                    ft.YIN_FMIN, ft.YIN_FMAX, ft.YIN_THRESHOLD, ft.YIN_INTEGRATION,
+                    ft.RMS_FLOOR_DB, ft.MEL_FMIN, ft.LOG_FLOOR_EPS, ft.PITCH_GRID]
         key.update(json.dumps(settings).encode())
         cache_path = Path(cache_dir) / f"track_{key.hexdigest()[:24]}.npz"
         if cache_path.exists():

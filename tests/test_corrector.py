@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_track
+from psola_reference import reference_shift_audio
 from notetune import corrector as C
 from notetune import features as F
 from notetune.segmenter import NoteInterval
@@ -169,3 +170,46 @@ def test_plan_sidecar_format(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "note\tstart_sec\tend_sec\tp_hat\tp_tilde\tdelta"
     assert len(lines) == 2
+
+
+def _edge_take(pitch, delta):
+    """A noisy tone under one note over the whole track, shifted by `delta`."""
+    T = len(pitch)
+    n = (T - 1) * 256 + 100
+    rng = np.random.default_rng(0)
+    wav = 0.3 * np.sin(2 * np.pi * 196.0 * np.arange(n) / SR) + rng.normal(0, 0.01, n)
+    track = make_track(pitch)
+    plan = C.build_plan([_est(60.0 + delta, T)], [60.0], [NoteInterval(0, T)], track)
+    voiced = track.voiced.astype(bool)[np.minimum(np.arange(n) // 256, T - 1)]
+    return wav, plan, track, C._sample_regions(voiced)
+
+
+def _assert_reference_bytes(wav, plan, track):
+    assert C.shift_audio(wav, plan, track).tobytes() == reference_shift_audio(wav, plan, track).tobytes()
+
+
+def test_psola_region_at_the_first_and_last_sample_matches_reference():
+    # at ~46 Hz, shifted up, the grains of the two regions overlap across
+    # the one unvoiced frame between them, several deep
+    pitch = 30.0 + 0.3 * np.sin(np.linspace(0, 9, 40))
+    pitch[15] = np.nan
+    wav, plan, track, regions = _edge_take(pitch, -2.5)
+    assert regions[0][0] == 0 and regions[-1][1] == len(wav)
+    assert regions[1][0] - regions[0][1] < SR / F.semitones_to_hz(np.nanmax(pitch))
+    _assert_reference_bytes(wav, plan, track)
+
+
+def test_psola_region_with_one_mark_matches_reference():
+    # one voiced frame of 256 samples at ~62 Hz holds a single period
+    pitch = np.full(12, np.nan)
+    pitch[5] = 35.0
+    wav, plan, track, regions = _edge_take(pitch, -0.4)
+    (a, b), = regions
+    assert b - a < SR / F.semitones_to_hz(35.0)
+    _assert_reference_bytes(wav, plan, track)
+
+
+def test_psola_clamped_shifts_match_reference():
+    pitch = 58.0 + 0.2 * np.sin(np.linspace(0, 5, 30))
+    for delta in (-12.0, 12.0):
+        _assert_reference_bytes(*_edge_take(pitch, delta)[:3])

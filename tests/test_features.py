@@ -209,13 +209,48 @@ def gliding_take(seconds, seed):
     return wav
 
 
-def test_track_pitch_bytes_pinned_on_a_long_take():
-    # 2584 frames span several YIN chunks; the digest is that of the
-    # whole-track computation, so chunking must not move a single bit
+def test_track_pitch_gridded_bytes_pinned_on_a_long_take():
+    # 2584 frames span several YIN chunks.  The raw f0 depends on the FFT
+    # length at the 1e-14 level, so the pin is on what a FrameTrack keeps:
+    # the pitch on its 2^-32 grid, and the voicing
     pitch, voiced = F.track_pitch(gliding_take(30.0, 7))
     assert len(pitch) == 2584 and voiced.sum() == 2078
-    digest = hashlib.sha256(pitch.tobytes() + voiced.tobytes()).hexdigest()
-    assert digest == "33c4b7f13c9c519fe0e0877362ccf6ed61c427e9bccfb03ab0f6ba08cfd9e4f5"
+    gridded = np.round(pitch / F.PITCH_GRID) * F.PITCH_GRID
+    digest = hashlib.sha256(gridded.tobytes() + voiced.tobytes()).hexdigest()
+    assert digest == "9cf4bb46f9261578dcf5bf36062fc46a609ac2386d349d1f4ef7abb28e50a6a4"
+
+
+def _yin_setup(wav):
+    """All analysis frames of `wav` with the lag range track_pitch uses."""
+    tau_min = max(2, int(SR / F.YIN_FMAX))
+    tau_max = int(np.ceil(SR / F.YIN_FMIN))
+    pad0 = max(0, tau_max - 101)
+    frame_len = pad0 + F.YIN_INTEGRATION + tau_max + 1
+    frames = F._frame_signal(wav, frame_len, 256, F.frame_count(len(wav)))
+    return frames, pad0, tau_min, tau_max
+
+
+def test_track_pitch_chunks_match_one_call_over_all_frames():
+    wav = gliding_take(30.0, 7)
+    pitch, voiced = F.track_pitch(wav)
+    frames, pad0, tau_min, tau_max = _yin_setup(wav)
+    assert len(frames) > 4 * F.YIN_CHUNK
+    f0, whole_voiced = F._yin_rows(frames, SR, pad0, tau_min, tau_max)
+    v = whole_voiced.astype(bool)
+    whole = np.full(len(f0), np.nan)
+    whole[v] = F.hz_to_semitones(f0[v])
+    assert voiced.tobytes() == whole_voiced.tobytes()
+    assert pitch.tobytes() == whole.tobytes()
+
+
+def test_fft_lag_products_match_direct_dot_products():
+    frames, pad0, _, tau_max = _yin_setup(gliding_take(30.0, 7))
+    W = F.YIN_INTEGRATION
+    rows = np.arange(0, len(frames), 97)
+    corr = F._lag_products(frames[rows], pad0, tau_max)
+    for lag in (0, 1, tau_max):
+        direct = [np.dot(f[pad0 : pad0 + W], f[pad0 + lag : pad0 + lag + W]) for f in frames[rows]]
+        assert np.max(np.abs(corr[:, lag] - direct)) < 1e-9
 
 
 def test_track_pitch_memory_is_bounded_on_a_minute_of_audio():
@@ -227,3 +262,31 @@ def test_track_pitch_memory_is_bounded_on_a_minute_of_audio():
     finally:
         tracemalloc.stop()
     assert peak < 160e6
+
+
+def test_mel_bytes_pinned_on_a_long_take():
+    # the digest of the whole-take computation: chunking moves no bit
+    mel = F.mel_spectrogram(gliding_take(30.0, 7))
+    assert mel.shape == (2584, 80)
+    digest = hashlib.sha256(mel.tobytes()).hexdigest()
+    assert digest == "cb24ff43ab347456632434648676ccebd629238d40c578bdc1d42c539ce11d8f"
+
+
+@pytest.mark.parametrize("T", [513, 514, 1040])
+def test_mel_chunks_match_one_pass_when_the_last_chunk_is_short(T, monkeypatch):
+    wav = gliding_take((T - 1) * 256 / SR, 5)
+    assert F.frame_count(len(wav)) == T
+    chunked = F.mel_spectrogram(wav)
+    monkeypatch.setattr(F, "YIN_CHUNK", T)
+    assert chunked.tobytes() == F.mel_spectrogram(wav).tobytes()
+
+
+def test_mel_memory_is_bounded_on_a_minute_of_audio():
+    wav = gliding_take(60.0, 7)
+    tracemalloc.start()
+    try:
+        F.mel_spectrogram(wav)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6

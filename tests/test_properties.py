@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import make_track
 from notetune import corrector as C
+from psola_reference import reference_shift_audio
 from notetune.segmenter import NoteInterval
 from notetune.spp import StationaryEstimate
 
@@ -99,3 +100,10 @@ def test_shift_audio_zero_plan_returns_input_bytes(case):
     wav, plan, track = case
     assert not plan.deltas.any()
     assert C.shift_audio(wav, plan, track).tobytes() == wav.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(shift_inputs(zero_deltas=False))
+def test_shift_audio_bytes_match_the_per_grain_reference(case):
+    wav, plan, track = case
+    assert C.shift_audio(wav, plan, track).tobytes() == reference_shift_audio(wav, plan, track).tobytes()

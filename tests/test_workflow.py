@@ -124,6 +124,18 @@ def test_correct_cache_is_keyed_on_audio_settings(cli_run, tmp_path):
     assert sorted(t.hop for t in tracks) == [128, 256]
 
 
+def test_correct_cache_is_keyed_on_extractor_constants(cli_run, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    cfg = load_config(None, TINY)
+    for threshold in (ft.YIN_THRESHOLD, 0.3):
+        monkeypatch.setattr(ft, "YIN_THRESHOLD", threshold)
+        wf.stage_correct(cfg, cli_run["take"], tmp_path / "o.wav", cli_run["ckpt"], dry_run=True, cache_dir=cache)
+    tracks = [ft.load_track(p) for p in sorted(cache.glob("track_*.npz"))]
+    # a miss: the second run extracted with its own threshold
+    assert len(tracks) == 2
+    assert len({int(t.voiced.sum()) for t in tracks}) == 2
+
+
 def test_checkpoint_config_blocks(cli_run):
     written = sorted(p.stem for p in cli_run["ckpt"].glob("*.npz"))
     assert written == sorted(CHECKPOINT_CONFIGS)
