@@ -6,6 +6,8 @@ with frame i centered at sample i * hop (reflect padding at the edges).
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,9 +31,11 @@ YIN_FMAX = 1000.0
 YIN_THRESHOLD = 0.15
 YIN_INTEGRATION = 1024
 RMS_FLOOR_DB = -50.0
-# track_pitch and mel_spectrogram work on this many frames at a time, so
-# their FFT temporaries stay bounded for any length of audio
-YIN_CHUNK = 512
+# track_pitch and mel_spectrogram work on this many frames at a time: the
+# FFT arrays of one chunk (about 1 MB) stay in cache, temporaries stay
+# bounded for any length of audio, and track_pitch has enough chunks to
+# share among its threads.  Neither result's bytes depend on it.
+YIN_CHUNK = 64
 MEL_FMIN = 40.0
 
 
@@ -216,6 +220,9 @@ def track_pitch(wav: np.ndarray, sr: int = DEFAULT_SR, hop: int = DEFAULT_HOP):
     The lag search covers YIN_FMIN..YIN_FMAX Hz over a YIN_INTEGRATION-sample
     window.  A frame counts as voiced when its best normalized-difference
     trough is below YIN_THRESHOLD and the local RMS exceeds RMS_FLOOR_DB dBFS.
+    Chunks of YIN_CHUNK frames run on one thread per CPU the process may use
+    (numpy's FFTs and ufuncs release the GIL); each frame is decided on its
+    own, so the bytes depend neither on the split nor on the worker count.
     """
     if len(wav) == 0:
         raise ValueError("empty waveform")
@@ -229,8 +236,9 @@ def track_pitch(wav: np.ndarray, sr: int = DEFAULT_SR, hop: int = DEFAULT_HOP):
     T = frame_count(len(wav), hop)
     frames = _frame_signal(wav, frame_len, hop, T)
 
-    f0, voiced = zip(*(_yin_rows(frames[i : i + YIN_CHUNK], sr, pad0, tau_min, tau_max)
-                       for i in range(0, T, YIN_CHUNK)))
+    chunks = (frames[i : i + YIN_CHUNK] for i in range(0, T, YIN_CHUNK))
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        f0, voiced = zip(*pool.map(lambda c: _yin_rows(c, sr, pad0, tau_min, tau_max), chunks))
     f0, voiced = np.concatenate(f0), np.concatenate(voiced)
 
     pitch = np.full(T, np.nan)

@@ -527,13 +527,17 @@ def gru_cell(gi: np.ndarray, h: np.ndarray, w_hh: np.ndarray, b_hh: np.ndarray):
     gi : [..., 3H] input-side preactivations (x @ W_ih + b_ih), gate order
          (reset, update, candidate); h : [..., H] previous hidden state.
     Returns the new hidden state and the gates (r, z, n, h @ W_hn + b_hn)
-    that the backward pass of `gru_sequence` needs.
+    that the backward pass of `gru_sequence` needs.  r and z come from one
+    logistic over the first 2H columns, elementwise as if apart, so the
+    bytes match separate gates; a saturated gate is exactly 0 or 1 and
+    raises no overflow warning.  Slicing in place of `np.split` keeps the
+    per-step cost low, as `gru_sequence` calls this once per frame.
     """
-    xr, xz, xn = np.split(gi, 3, axis=-1)
-    hr, hz, hn = np.split(h @ w_hh + b_hh, 3, axis=-1)
-    r = _logistic(xr + hr)
-    z = _logistic(xz + hz)
-    n = np.tanh(xn + r * hn)
+    H = h.shape[-1]
+    gh = h @ w_hh + b_hh
+    rz = _logistic(gi[..., : 2 * H] + gh[..., : 2 * H])
+    r, z, hn = rz[..., :H], rz[..., H:], gh[..., 2 * H :]
+    n = np.tanh(gi[..., 2 * H :] + r * hn)
     return (1.0 - z) * n + z * h, r, z, n, hn
 
 

@@ -1,5 +1,8 @@
 import hashlib
+import os
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -243,6 +246,53 @@ def test_track_pitch_chunks_match_one_call_over_all_frames():
     assert pitch.tobytes() == whole.tobytes()
 
 
+def _one_yin_call(wav):
+    """track_pitch's result computed by a single _yin_rows call on this thread."""
+    frames, pad0, tau_min, tau_max = _yin_setup(wav)
+    f0, voiced = F._yin_rows(frames, SR, pad0, tau_min, tau_max)
+    v = voiced.astype(bool)
+    pitch = np.full(len(f0), np.nan)
+    pitch[v] = F.hz_to_semitones(f0[v])
+    return pitch, voiced
+
+
+@pytest.mark.parametrize("T", [1, F.YIN_CHUNK - 1, F.YIN_CHUNK, F.YIN_CHUNK + 1, 2 * F.YIN_CHUNK + 1])
+def test_threaded_track_pitch_matches_one_call_at_chunk_edges(T):
+    wav = gliding_take(T * 256 / SR, 3)[: (T - 1) * 256 + 100]
+    pitch, voiced = F.track_pitch(wav)
+    assert len(pitch) == T
+    whole_pitch, whole_voiced = _one_yin_call(wav)
+    assert voiced.tobytes() == whole_voiced.tobytes()
+    assert pitch.tobytes() == whole_pitch.tobytes()
+
+
+def test_track_pitch_same_bytes_inside_a_thread_pool():
+    # stage_extract(jobs=2) calls track_pitch from two workers at once
+    wavs = [gliding_take(6.0, seed) for seed in (1, 2, 3, 4)]
+    with ThreadPoolExecutor(2) as pool:
+        pooled = list(pool.map(F.track_pitch, wavs))
+    for wav, (pitch, voiced) in zip(wavs, pooled):
+        whole_pitch, whole_voiced = _one_yin_call(wav)
+        assert voiced.tobytes() == whole_voiced.tobytes()
+        assert pitch.tobytes() == whole_pitch.tobytes()
+
+
+def test_track_pitch_starts_at_most_one_thread_per_cpu(monkeypatch):
+    counts = []
+    yin_rows = F._yin_rows
+
+    def counting_yin_rows(*args):
+        counts.append(threading.active_count())
+        return yin_rows(*args)
+
+    monkeypatch.setattr(F, "_yin_rows", counting_yin_rows)
+    start = threading.active_count()
+    pitch, _ = F.track_pitch(gliding_take(30.0, 7))
+    assert len(counts) == -(-len(pitch) // F.YIN_CHUNK)
+    assert max(counts) <= start + len(os.sched_getaffinity(0))
+    assert threading.active_count() == start
+
+
 def test_fft_lag_products_match_direct_dot_products():
     frames, pad0, _, tau_max = _yin_setup(gliding_take(30.0, 7))
     W = F.YIN_INTEGRATION
@@ -262,6 +312,18 @@ def test_track_pitch_memory_is_bounded_on_a_minute_of_audio():
     finally:
         tracemalloc.stop()
     assert peak < 160e6
+
+
+def test_track_pitch_chunks_keep_the_peak_small_on_a_minute_of_audio():
+    # 64-frame chunks: 19 MB traced on 60 s; 512-frame chunks took 44 MB
+    wav = gliding_take(60.0, 7)
+    tracemalloc.start()
+    try:
+        F.track_pitch(wav)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
 
 
 def test_mel_bytes_pinned_on_a_long_take():

@@ -1,9 +1,11 @@
+import hashlib
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import gru_reference
 from notetune import nncore as nn
 from notetune.nncore import tensor as tz
 
@@ -68,6 +70,36 @@ def test_gru_cell_extreme_gates_give_finite_state_without_warning():
     assert np.all(np.isfinite(h_new))
     assert np.array_equal(r, [1.0, 0.0]) and np.array_equal(z, [1.0, 0.0])
     assert np.array_equal(h_new, [0.5, np.tanh(-0.2)])
+
+
+@pytest.mark.parametrize("batch", [(), (5,)])
+def test_gru_cell_matches_split_reference_bytes(batch):
+    rng = np.random.default_rng(len(batch))
+    H = 7
+    # half the input preactivations reach +-1000, where the gates saturate
+    gi = rng.normal(size=batch + (3 * H,)) + rng.uniform(-1000, 1000, batch + (3 * H,)) * (
+        rng.random(batch + (3 * H,)) < 0.5)
+    h = rng.normal(size=batch + (H,))
+    w_hh, b_hh = rng.normal(scale=3.0, size=(H, 3 * H)), rng.normal(size=3 * H)
+    new = nn.gru_cell(gi, h, w_hh, b_hh)
+    ref = gru_reference.gru_cell(gi, h, w_hh, b_hh)
+    assert len(new) == len(ref) == 5
+    for a, b in zip(new, ref):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_gru_sequence_forward_and_gradient_bytes_pinned():
+    # the digest of the np.split step's outputs and gradients
+    rng = np.random.default_rng(37)
+    B, T, H = 3, 37, 8
+    x_pre = nn.Tensor(rng.normal(scale=4.0, size=(B, T, 3 * H)), requires_grad=True)
+    w_hh = nn.Tensor(rng.normal(size=(H, 3 * H)), requires_grad=True)
+    b_hh = nn.Tensor(rng.normal(size=3 * H), requires_grad=True)
+    hs = nn.gru_sequence(x_pre, w_hh, b_hh, nn.Tensor(rng.normal(size=(B, H))))
+    (hs * nn.Tensor(rng.normal(size=(B, T, H)))).sum().backward()
+    blob = b"".join(a.tobytes() for a in (hs.data, x_pre.grad, w_hh.grad, b_hh.grad))
+    digest = hashlib.sha256(blob).hexdigest()
+    assert digest == "4de95adbbf075719809d9174fe69aafa0eebf3b171f3e907e6d7309d1a472a7a"
 
 
 def test_gru_input_gradient():
