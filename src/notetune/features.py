@@ -36,6 +36,11 @@ RMS_FLOOR_DB = -50.0
 # bounded for any length of audio, and track_pitch has enough chunks to
 # share among its threads.  Neither result's bytes depend on it.
 YIN_CHUNK = 64
+# track_pitch runs at most this many chunks at once (fewer on fewer CPUs),
+# so its peak memory, the padded take plus one chunk's temporaries (about
+# 4 MB) per thread, does not grow with the host.  On 2 CPUs, 2 threads take
+# correct_long from 0.88 to 0.79 s per take; more were never measured.
+YIN_THREADS = 2
 MEL_FMIN = 40.0
 
 
@@ -220,7 +225,7 @@ def track_pitch(wav: np.ndarray, sr: int = DEFAULT_SR, hop: int = DEFAULT_HOP):
     The lag search covers YIN_FMIN..YIN_FMAX Hz over a YIN_INTEGRATION-sample
     window.  A frame counts as voiced when its best normalized-difference
     trough is below YIN_THRESHOLD and the local RMS exceeds RMS_FLOOR_DB dBFS.
-    Chunks of YIN_CHUNK frames run on one thread per CPU the process may use
+    Chunks of YIN_CHUNK frames run on one thread per CPU, up to YIN_THREADS
     (numpy's FFTs and ufuncs release the GIL); each frame is decided on its
     own, so the bytes depend neither on the split nor on the worker count.
     """
@@ -237,7 +242,7 @@ def track_pitch(wav: np.ndarray, sr: int = DEFAULT_SR, hop: int = DEFAULT_HOP):
     frames = _frame_signal(wav, frame_len, hop, T)
 
     chunks = (frames[i : i + YIN_CHUNK] for i in range(0, T, YIN_CHUNK))
-    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+    with ThreadPoolExecutor(min(YIN_THREADS, os.cpu_count() or 1)) as pool:
         f0, voiced = zip(*pool.map(lambda c: _yin_rows(c, sr, pad0, tau_min, tau_max), chunks))
     f0, voiced = np.concatenate(f0), np.concatenate(voiced)
 

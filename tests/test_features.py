@@ -233,19 +233,6 @@ def _yin_setup(wav):
     return frames, pad0, tau_min, tau_max
 
 
-def test_track_pitch_chunks_match_one_call_over_all_frames():
-    wav = gliding_take(30.0, 7)
-    pitch, voiced = F.track_pitch(wav)
-    frames, pad0, tau_min, tau_max = _yin_setup(wav)
-    assert len(frames) > 4 * F.YIN_CHUNK
-    f0, whole_voiced = F._yin_rows(frames, SR, pad0, tau_min, tau_max)
-    v = whole_voiced.astype(bool)
-    whole = np.full(len(f0), np.nan)
-    whole[v] = F.hz_to_semitones(f0[v])
-    assert voiced.tobytes() == whole_voiced.tobytes()
-    assert pitch.tobytes() == whole.tobytes()
-
-
 def _one_yin_call(wav):
     """track_pitch's result computed by a single _yin_rows call on this thread."""
     frames, pad0, tau_min, tau_max = _yin_setup(wav)
@@ -256,14 +243,18 @@ def _one_yin_call(wav):
     return pitch, voiced
 
 
-@pytest.mark.parametrize("T", [1, F.YIN_CHUNK - 1, F.YIN_CHUNK, F.YIN_CHUNK + 1, 2 * F.YIN_CHUNK + 1])
-def test_threaded_track_pitch_matches_one_call_at_chunk_edges(T):
-    wav = gliding_take(T * 256 / SR, 3)[: (T - 1) * 256 + 100]
-    pitch, voiced = F.track_pitch(wav)
-    assert len(pitch) == T
-    whole_pitch, whole_voiced = _one_yin_call(wav)
-    assert voiced.tobytes() == whole_voiced.tobytes()
-    assert pitch.tobytes() == whole_pitch.tobytes()
+def test_track_pitch_chunks_match_one_call_over_all_frames():
+    # a 30 s take spans many chunks; the short takes end at the chunk edges
+    C = F.YIN_CHUNK
+    takes = [(2584, gliding_take(30.0, 7))] + [
+        (T, gliding_take(T * 256 / SR, 3)[: (T - 1) * 256 + 100]) for T in (1, C - 1, C, C + 1, 2 * C + 1)]
+    assert takes[0][0] > 4 * C
+    for T, wav in takes:
+        pitch, voiced = F.track_pitch(wav)
+        assert len(pitch) == T
+        whole_pitch, whole_voiced = _one_yin_call(wav)
+        assert voiced.tobytes() == whole_voiced.tobytes()
+        assert pitch.tobytes() == whole_pitch.tobytes()
 
 
 def test_track_pitch_same_bytes_inside_a_thread_pool():
@@ -277,7 +268,8 @@ def test_track_pitch_same_bytes_inside_a_thread_pool():
         assert pitch.tobytes() == whole_pitch.tobytes()
 
 
-def test_track_pitch_starts_at_most_one_thread_per_cpu(monkeypatch):
+@pytest.mark.parametrize("cpus", [None, 1, 2, 64])
+def test_track_pitch_starts_one_thread_per_cpu_up_to_the_cap(monkeypatch, cpus):
     counts = []
     yin_rows = F._yin_rows
 
@@ -286,10 +278,11 @@ def test_track_pitch_starts_at_most_one_thread_per_cpu(monkeypatch):
         return yin_rows(*args)
 
     monkeypatch.setattr(F, "_yin_rows", counting_yin_rows)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     start = threading.active_count()
     pitch, _ = F.track_pitch(gliding_take(30.0, 7))
     assert len(counts) == -(-len(pitch) // F.YIN_CHUNK)
-    assert max(counts) <= start + len(os.sched_getaffinity(0))
+    assert max(counts) <= start + min(cpus or 1, F.YIN_THREADS)
     assert threading.active_count() == start
 
 
@@ -314,8 +307,10 @@ def test_track_pitch_memory_is_bounded_on_a_minute_of_audio():
     assert peak < 160e6
 
 
-def test_track_pitch_chunks_keep_the_peak_small_on_a_minute_of_audio():
-    # 64-frame chunks: 19 MB traced on 60 s; 512-frame chunks took 44 MB
+def test_track_pitch_chunks_keep_the_peak_small_on_a_minute_of_audio(monkeypatch):
+    # 64-frame chunks on YIN_THREADS threads: 19 MB traced on 60 s, however
+    # many CPUs the host has; 512-frame chunks took 44 MB
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     wav = gliding_take(60.0, 7)
     tracemalloc.start()
     try:
