@@ -7,9 +7,9 @@ overrides (flags win).  A key the defaults do not have, from the file or
 from --set, is rejected with exit status 2; only corpus.eval_sets may name
 new sets, each with exactly n_songs and detune.  NOTETUNE_CACHE_DIR, when
 set, caches feature tracks extracted by `correct` (the only environment
-variable consulted); a cached track is keyed on the SHA-256 of the decoded
-waveform plus audio.sample_rate, hop, win, n_mels and the feature-track
-format version.
+variable consulted); `features.track_cache_key` gives a cached track's key,
+which covers the decoded waveform, the audio settings and every extractor
+constant.
 """
 
 from __future__ import annotations

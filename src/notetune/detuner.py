@@ -97,9 +97,9 @@ class DetunerTrainResult:
 def train_detuner(
     sequences: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     cfg: DetunerConfig,
-    steps: int = 1500,
-    batch_size: int = 16,
-    lr: float = 3e-3,
+    steps: int,
+    batch_size: int,
+    lr: float,
 ) -> DetunerTrainResult:
     """Teacher-forced MSE regression on (pitches, dur_beats, errors) sequences."""
     n_notes = sum(len(s[2]) for s in sequences)
@@ -108,7 +108,7 @@ def train_detuner(
             f"refusing to train the detuner on {n_notes} notes (< {cfg.min_notes})"
         )
     model = Detuner(cfg)
-    opt = nn.cosine_adamw(model.params(), lr, steps, warmup=min(50, steps // 10))
+    opt = nn.AdamW(model.params(), lr, steps, min(50, steps // 10))
     rng = np.random.default_rng(cfg.seed + 23)
     max_len = max(len(s[2]) for s in sequences)
     losses = []

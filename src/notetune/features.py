@@ -6,6 +6,8 @@ with frame i centered at sample i * hop (reflect padding at the edges).
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -309,6 +311,17 @@ def extract_track(
     pitch, voiced = track_pitch(wav, sr=sr, hop=hop)
     mel = mel_spectrogram(wav, sr=sr, hop=hop, win=win, n_mels=n_mels)
     return FrameTrack(sample_rate=sr, hop=hop, pitch_semitones=pitch, voiced=voiced, mel=mel)
+
+
+def track_cache_key(wav: np.ndarray, sr: int, hop: int, win: int, n_mels: int) -> str:
+    """24 hex digits of the SHA-256 of the waveform and of every setting
+    that `extract_track` reads: its arguments, the track format version and
+    the extractor constants (read at call time)."""
+    key = hashlib.sha256(wav.tobytes())
+    settings = [sr, hop, win, n_mels, TRACK_FORMAT_VERSION, YIN_FMIN, YIN_FMAX, YIN_THRESHOLD,
+                YIN_INTEGRATION, RMS_FLOOR_DB, MEL_FMIN, LOG_FLOOR_EPS, PITCH_GRID]
+    key.update(json.dumps(settings).encode())
+    return key.hexdigest()[:24]
 
 
 def save_track(path, track: FrameTrack):

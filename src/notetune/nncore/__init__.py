@@ -41,6 +41,6 @@ from .layers import (
     uniform_init,
 )
 from .losses import focal_loss, PROB_EPS
-from .optim import AdamW, OptimizerConfig, cosine_adamw, schedule_lr, train_step, DivergenceError
+from .optim import AdamW, train_step, DivergenceError
 from .checkpoint import save_checkpoint, load_checkpoint, CheckpointError
 from .gradcheck import finite_difference_check

@@ -97,12 +97,11 @@ def sinusoid_positions(T: int, dim: int) -> np.ndarray:
     return table
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None):
-    """Scaled dot-product attention; q, k, v are [..., T, d]."""
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray):
+    """Scaled dot-product attention; q, k, v are [..., T, d]; `mask` is
+    added to the scores (0 to keep, -1e30 to drop)."""
     d = q.shape[-1]
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(d))
-    if mask is not None:
-        scores = scores + mask
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(d)) + mask
     return tz.softmax(scores, axis=-1) @ v
 
 
@@ -221,7 +220,7 @@ class MultiHeadAttention(Module):
         d = self.dim // self.heads
         return x.reshape((B, T, self.heads, d)).swapaxes(1, 2)
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None) -> Tensor:
+    def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
         B, T, _ = x.shape
         q, k, v = self._split(self.wq(x)), self._split(self.wk(x)), self._split(self.wv(x))
         a = attention(q, k, v, mask)
@@ -235,7 +234,7 @@ class TransformerConfig:
     model_dim: int = 64
     heads: int = 4
     dropout: float = 0.1
-    max_len: int = 512
+    max_events: int = 512
     seed: int = 0
 
 
@@ -265,19 +264,17 @@ class TransformerEncoder(Module):
     def __init__(self, cfg: TransformerConfig):
         rng = np.random.default_rng(cfg.seed)
         self.cfg = cfg
-        self.pos = Embedding(rng, cfg.max_len, cfg.model_dim)
+        self.pos = Embedding(rng, cfg.max_events, cfg.model_dim)
         self.blocks = [TransformerBlock(rng, cfg) for _ in range(cfg.layers)]
         self.final_norm = LayerNorm(cfg.model_dim)
 
-    def __call__(self, x: Tensor, pad_mask: np.ndarray | None = None, rng=None) -> Tensor:
+    def __call__(self, x: Tensor, pad_mask: np.ndarray, rng=None) -> Tensor:
         """pad_mask: [B, T] with 1 for real positions, 0 for padding."""
         B, T, _ = x.shape
-        if T > self.cfg.max_len:
-            raise ValueError(f"sequence length {T} exceeds max_len {self.cfg.max_len}")
+        if T > self.cfg.max_events:
+            raise ValueError(f"sequence length {T} exceeds max_events {self.cfg.max_events}")
         h = x + self.pos(np.arange(T))
-        mask = None
-        if pad_mask is not None:
-            mask = np.where(pad_mask[:, None, None, :] > 0, 0.0, -1e30)
+        mask = np.where(pad_mask[:, None, None, :] > 0, 0.0, -1e30)
         for blk in self.blocks:
             h = blk(h, mask, rng=rng)
         return self.final_norm(h)

@@ -14,15 +14,17 @@ def focal_loss(
     pred: Tensor,
     soft_target: np.ndarray,
     hard_target: np.ndarray,
-    gamma: float = 4.0,
-    alpha_pos: float = 29.0,
-    alpha_neg: float = 1.0,
+    gamma: float,
+    alpha_pos: float,
+    alpha_neg: float,
 ) -> Tensor:
     """Soft-label focal loss over per-frame boundary probabilities.
 
     pred holds probabilities in (0, 1); soft_target is the Gaussian-blurred
     label in [0, 1]; hard_target selects the per-frame alpha weight
-    (alpha_pos on boundary frames, alpha_neg elsewhere).
+    (alpha_pos on boundary frames, alpha_neg elsewhere).  The probabilities
+    are clipped away from 0 and 1, so at gamma = 0 the focal factors are 1
+    with zero gradient.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
@@ -30,13 +32,6 @@ def focal_loss(
     hard = np.asarray(hard_target)
     alpha = np.where(hard > 0, alpha_pos, alpha_neg)
     p = tz.clip(pred, PROB_EPS, 1.0 - PROB_EPS)
-    pos = pow_term(1.0 - p, gamma) * soft * tz.tlog(p)
-    neg = pow_term(p, gamma) * (1.0 - soft) * tz.tlog(1.0 - p)
+    pos = (1.0 - p) ** gamma * soft * tz.tlog(p)
+    neg = p**gamma * (1.0 - soft) * tz.tlog(1.0 - p)
     return -((pos + neg) * alpha).sum()
-
-
-def pow_term(x, gamma: float):
-    if gamma == 0:
-        return 1.0 if not isinstance(x, Tensor) else x * 0.0 + 1.0
-    return x**gamma
-

@@ -17,6 +17,7 @@ _GRAD_ENABLED = True
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+LAYER_NORM_EPS = 1e-6
 
 
 class no_grad:
@@ -155,11 +156,11 @@ class Tensor:
     def swapaxes(self, a, b):
         return swapaxes(self, a, b)
 
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
+    def sum(self):
+        return tsum(self)
 
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
+    def mean(self):
+        return tmean(self)
 
 
 def _as_const(x) -> np.ndarray:
@@ -352,26 +353,18 @@ def concat(tensors, axis: int = -1):
     return _make(out_data, tuple(tensors), bw)
 
 
-def tsum(a: Tensor, axis=None, keepdims=False):
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor):
+    """Sum of all elements."""
 
     def bw(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-            return
-        if not keepdims:
-            g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.data.shape).copy())
 
-    return _make(out_data, (a,), bw)
+    return _make(a.data.sum(), (a,), bw)
 
 
-def tmean(a: Tensor, axis=None, keepdims=False):
-    if axis is None:
-        n = a.data.size
-    else:
-        n = a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+def tmean(a: Tensor):
+    """Mean of all elements."""
+    return mul(tsum(a), 1.0 / a.data.size)
 
 
 # ---- fused ops --------------------------------------------------------------
@@ -388,12 +381,12 @@ def softmax(a: Tensor, axis: int = -1):
     return _make(out_data, (a,), bw)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6):
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor):
     """Normalize over the last axis, then scale and shift."""
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     out_data = xhat * gamma.data + beta.data
 

@@ -16,10 +16,6 @@ from . import nncore as nn
 from .features import FrameTrack
 from .frontend import FrameEncoder, FrameEncoderConfig, track_inputs
 
-DEFAULT_NMS_WINDOW = 5
-DEFAULT_THETA = 0.5
-DEFAULT_SOFT_SIGMA = 2.0
-DEFAULT_MIN_NOTE_FRAMES = 5
 BRIDGE_SEC = 0.2
 MIN_SPAN_FRAMES = 10
 BOUNDARY_TOL = 3  # frames, for boundary matching
@@ -65,7 +61,7 @@ class Segmenter(nn.Module):
 
 # ---- labels ---------------------------------------------------------------
 
-def soften_labels(hard: np.ndarray, sigma: float = DEFAULT_SOFT_SIGMA) -> np.ndarray:
+def soften_labels(hard: np.ndarray, sigma: float) -> np.ndarray:
     """Blur labels with a Gaussian kernel, combining overlaps by max.
 
     Accepts binary boundary indicators or an already-soft array; each
@@ -88,12 +84,7 @@ def soften_labels(hard: np.ndarray, sigma: float = DEFAULT_SOFT_SIGMA) -> np.nda
 
 # ---- decoding ---------------------------------------------------------------
 
-def greedy_nms(
-    probs: np.ndarray,
-    w: int = DEFAULT_NMS_WINDOW,
-    theta: float = DEFAULT_THETA,
-    span: tuple[int, int] | None = None,
-) -> list[int]:
+def greedy_nms(probs: np.ndarray, w: int, theta: float, span: tuple[int, int]) -> list[int]:
     """Greedy non-maximum suppression over boundary probabilities.
 
     Iteratively selects the highest remaining probability >= theta
@@ -104,8 +95,6 @@ def greedy_nms(
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie strictly between 0 and 1")
     probs = np.asarray(probs, dtype=np.float64)
-    if span is None:
-        span = (0, len(probs))
     lo, hi = span
     work = probs[lo:hi].copy()
     picked: set[int] = set()
@@ -138,9 +127,7 @@ def singing_spans(voiced: np.ndarray, hop: int, sr: int) -> list[tuple[int, int]
 
 
 def boundaries_to_intervals(
-    boundaries: list[int],
-    track: FrameTrack,
-    min_note_frames: int = DEFAULT_MIN_NOTE_FRAMES,
+    boundaries: list[int], track: FrameTrack, min_note_frames: int
 ) -> list[NoteInterval]:
     """Turn sorted boundary frames into half-open intervals.
 
@@ -180,11 +167,7 @@ def boundaries_to_intervals(
 
 
 def detect_notes(
-    track: FrameTrack,
-    probs: np.ndarray,
-    w: int = DEFAULT_NMS_WINDOW,
-    theta: float = DEFAULT_THETA,
-    min_note_frames: int = DEFAULT_MIN_NOTE_FRAMES,
+    track: FrameTrack, probs: np.ndarray, w: int, theta: float, min_note_frames: int
 ) -> list[NoteInterval]:
     """Full decode: singing spans -> NMS per span -> merged intervals."""
     notes: list[NoteInterval] = []

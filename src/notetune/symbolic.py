@@ -156,24 +156,10 @@ def round_pitch(p_hat) -> np.ndarray:
 # ---- model -------------------------------------------------------------------
 
 @dataclass
-class CnppConfig:
-    layers: int = 2
-    model_dim: int = 64
-    heads: int = 4
-    embed_dim: int = 64
-    max_events: int = 512
-    dropout: float = 0.1
-    seed: int = 0
+class CnppConfig(nn.TransformerConfig):
+    """The encoder's shape plus the width of each field embedding."""
 
-    def encoder_config(self) -> nn.TransformerConfig:
-        return nn.TransformerConfig(
-            layers=self.layers,
-            model_dim=self.model_dim,
-            heads=self.heads,
-            dropout=self.dropout,
-            max_len=self.max_events,
-            seed=self.seed,
-        )
+    embed_dim: int = 64
 
 
 def interp_pitch_embedding(table: nn.Tensor, p_hat: np.ndarray) -> nn.Tensor:
@@ -205,7 +191,7 @@ class Cnpp(nn.Module):
         for name in FIELD_NAMES:
             setattr(self, f"embed_{name}", nn.Embedding(rng, FIELD_VOCABS[name], E))
         self.down = nn.Linear(rng, 8 * E, cfg.model_dim)
-        self.encoder = nn.TransformerEncoder(cfg.encoder_config())
+        self.encoder = nn.TransformerEncoder(cfg)
         self.up = nn.Linear(rng, cfg.model_dim, 8 * E)
         for name in FIELD_NAMES:
             vocab = PITCH_TOKENS if name == "pitch" else FIELD_VOCABS[name]
@@ -289,7 +275,7 @@ def pack_sequences(seqs: list[list[OctupleEvent]]):
     return fields, pitch_values, pad_mask
 
 
-def detune_schedule(step: int, total_steps: int, p_max: float = 0.4, ramp_frac: float = 0.3) -> float:
+def detune_schedule(step: int, total_steps: int, p_max: float, ramp_frac: float) -> float:
     """Linear ramp from 0 to p_max over the first ramp_frac of training."""
     if not 0.0 <= p_max <= 1.0:
         raise ValueError("p_max must lie in [0, 1]")

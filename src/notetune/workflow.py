@@ -228,14 +228,13 @@ class SongData:
     sid: str
     ann: dk.AnnotatedSample
     track: ft.FrameTrack
-    inputs: np.ndarray
 
 
 def load_song(data_dir, sid: str, entry: dict) -> SongData:
     paths = data_paths(data_dir)
     track = ft.load_track(paths["root"] / entry["features"])
     ann = dk.import_annotations(paths["root"] / entry["annotation"])
-    return SongData(sid=sid, ann=ann, track=track, inputs=track_inputs(track))
+    return SongData(sid=sid, ann=ann, track=track)
 
 
 def songs_by(data_dir, doc: dict, subset=None, role=None) -> list[SongData]:
@@ -291,37 +290,26 @@ def train_segmenter_on(songs, val_songs, cfg: dict) -> tuple[seg.Segmenter, dict
     scfg = cfg["segmenter"]
     tr = scfg["train"]
     model = seg.Segmenter(_frame_model_cfg(cfg, "segmenter"))
-    opt = nn.cosine_adamw(
-        model.params(), tr["lr"], tr["steps"], warmup=tr["warmup"], weight_decay=tr["weight_decay"]
-    )
+    opt = nn.AdamW(model.params(), tr["lr"], tr["steps"], tr["warmup"], tr["weight_decay"])
     rng = np.random.default_rng(_derived_seed(cfg["seed"], "train_segmenter", 0))
-    labels = []
+    data = []
     for song in songs:
         hard = np.zeros(song.track.n_frames)
         hard[[n.start_frame for n in annotated_notes(song)[0]]] = 1.0
-        labels.append((hard, seg.soften_labels(hard, scfg["soft_sigma"])))
+        data.append((track_inputs(song.track), hard, seg.soften_labels(hard, scfg["soft_sigma"])))
 
     crop = tr["crop"]
     history = {"loss": [], "val": []}
-    focal = scfg["focal"]
     for step in range(tr["steps"]):
         xs, softs, hards = [], [], []
         for _ in range(tr["batch"]):
-            j = int(rng.integers(0, len(songs)))
-            T = songs[j].track.n_frames
-            start = int(rng.integers(0, max(T - crop, 1)))
-            xs.append(songs[j].inputs[start : start + crop])
-            hards.append(labels[j][0][start : start + crop])
-            softs.append(labels[j][1][start : start + crop])
+            inputs, hard, soft = data[int(rng.integers(0, len(data)))]
+            start = int(rng.integers(0, max(len(hard) - crop, 1)))
+            xs.append(inputs[start : start + crop])
+            hards.append(hard[start : start + crop])
+            softs.append(soft[start : start + crop])
         probs = model.forward_batch(np.stack(xs))
-        loss = nn.focal_loss(
-            probs,
-            np.stack(softs),
-            np.stack(hards),
-            gamma=focal["gamma"],
-            alpha_pos=focal["alpha_pos"],
-            alpha_neg=focal["alpha_neg"],
-        ) / tr["batch"]
+        loss = nn.focal_loss(probs, np.stack(softs), np.stack(hards), **scfg["focal"]) / tr["batch"]
         history["loss"].append(nn.train_step(loss, opt, context="segmenter"))
         if val_songs and (step + 1) % tr["eval_every"] == 0:
             metrics = _validate_segmenter(model, val_songs, cfg)
@@ -352,20 +340,19 @@ def train_spp_on(songs, val_songs, cfg: dict) -> tuple[sp.StationaryPitchPredict
     tr = pcfg["train"]
     lw = sp.SppLossWeights(**pcfg["loss"])
     model = sp.StationaryPitchPredictor(_frame_model_cfg(cfg, "spp"))
-    opt = nn.cosine_adamw(
-        model.params(), tr["lr"], tr["steps"], warmup=tr["warmup"], weight_decay=tr["weight_decay"]
-    )
+    opt = nn.AdamW(model.params(), tr["lr"], tr["steps"], tr["warmup"], tr["weight_decay"])
     rng = np.random.default_rng(_derived_seed(cfg["seed"], "train_spp", 0))
     data = []
     for song in songs:
         notes, pitches, _sung = annotated_notes(song)
-        data.append((song, notes, pitches, sp.local_pitch_std(song.track.pitch_filled)))
+        sigma = sp.local_pitch_std(song.track.pitch_filled)
+        data.append((song, track_inputs(song.track), notes, pitches, sigma))
     crop = tr["crop"]
     history = {"loss": [], "val": []}
     for step in range(tr["steps"]):
         batch = []
         for _ in range(tr["batch"]):
-            song, notes, pitches, sigma = data[int(rng.integers(0, len(data)))]
+            song, inputs, notes, pitches, sigma = data[int(rng.integers(0, len(data)))]
             T = song.track.n_frames
             j = int(rng.integers(0, len(notes)))
             start = int(np.clip(notes[j].start_frame, 0, max(T - crop, 0)))
@@ -376,7 +363,7 @@ def train_spp_on(songs, val_songs, cfg: dict) -> tuple[sp.StationaryPitchPredict
             ]
             if not inside:
                 continue
-            batch.append((song.inputs[start : start + crop], inside, song, sigma, start))
+            batch.append((inputs[start : start + crop], inside, song, sigma, start))
         if not batch:
             continue
         x = np.stack([b[0] for b in batch])
@@ -518,7 +505,7 @@ def _cnpp_loss(logits: dict, fields: dict, pad: np.ndarray, gt: np.ndarray, pitc
 def pretrain_cnpp(cfg: dict, sequences) -> sym.Cnpp:
     pt = cfg["cnpp"]["pretrain"]
     model = sym.Cnpp(_cnpp_cfg(cfg))
-    opt = nn.cosine_adamw(model.params(), pt["lr"], pt["steps"], warmup=100)
+    opt = nn.AdamW(model.params(), pt["lr"], pt["steps"], 100)
     rng = np.random.default_rng(_derived_seed(cfg["seed"], "pretrain_cnpp", 0))
     drop_rng = np.random.default_rng(_derived_seed(cfg["seed"], "pretrain_dropout", 0))
     w_other = cfg["cnpp"]["finetune"]["field_loss_weight"]
@@ -553,7 +540,7 @@ def finetune_cnpp(
     pitch_mode = "round" if variant == "rounded_embed" else "interp"
     if p_max > 0 and detuner_model is None:
         raise StageOrderError("detune augmentation requires a trained detuner checkpoint")
-    opt = nn.cosine_adamw(model.params(), ftc["lr"], ftc["steps"], warmup=100)
+    opt = nn.AdamW(model.params(), ftc["lr"], ftc["steps"], 100)
     rng = np.random.default_rng(_derived_seed(cfg["seed"], f"finetune_{variant}", 0))
     drop_rng = np.random.default_rng(_derived_seed(cfg["seed"], f"finetune_drop_{variant}", 0))
     losses = []
@@ -810,12 +797,8 @@ def stage_correct(
     track = None
     cache_path = None
     if cache_dir:
-        key = hashlib.sha256(wav.tobytes())
-        settings = [sr, hop, audio_cfg["win"], audio_cfg["n_mels"], ft.TRACK_FORMAT_VERSION,
-                    ft.YIN_FMIN, ft.YIN_FMAX, ft.YIN_THRESHOLD, ft.YIN_INTEGRATION,
-                    ft.RMS_FLOOR_DB, ft.MEL_FMIN, ft.LOG_FLOOR_EPS, ft.PITCH_GRID]
-        key.update(json.dumps(settings).encode())
-        cache_path = Path(cache_dir) / f"track_{key.hexdigest()[:24]}.npz"
+        key = ft.track_cache_key(wav, sr, hop, audio_cfg["win"], audio_cfg["n_mels"])
+        cache_path = Path(cache_dir) / f"track_{key}.npz"
         if cache_path.exists():
             track = ft.load_track(cache_path)
     if track is None:

@@ -42,6 +42,32 @@ def test_load_stereo_averages_channels(tmp_path):
     assert np.allclose(wav, mono / 2.0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "pcm, expected",
+    [
+        (np.array([-(2**31), -(2**30), 0, 2**30, 2**31 - 1], dtype=np.int32), [-1.0, -0.5, 0.0, 0.5, 1 - 2.0**-31]),
+        (np.array([0, 64, 128, 192, 255], dtype=np.uint8), [-1.0, -0.5, 0.0, 0.5, 127 / 128]),
+        (np.array([-1.0, -0.5, 0.0, 0.25, 0.7], dtype=np.float32), np.float32([-1.0, -0.5, 0.0, 0.25, 0.7])),
+    ],
+    ids=["int32", "uint8", "float32"],
+)
+def test_load_audio_scales_each_sample_format(tmp_path, pcm, expected):
+    from scipy.io import wavfile
+
+    wavfile.write(tmp_path / "x.wav", SR, pcm)
+    wav = F.load_audio(tmp_path / "x.wav")
+    assert wav.dtype == np.float64
+    assert np.array_equal(wav, np.asarray(expected, dtype=np.float64))
+
+
+def test_load_audio_rejects_an_unsupported_sample_format(tmp_path):
+    from scipy.io import wavfile
+
+    wavfile.write(tmp_path / "x.wav", SR, np.zeros(8, dtype=np.int64))
+    with pytest.raises(F.AudioIOError, match="unsupported WAV sample format int64"):
+        F.load_audio(tmp_path / "x.wav")
+
+
 def test_resample_preserves_dominant_frequency(tmp_path):
     t = np.arange(44100) / 44100.0
     F.write_wav(tmp_path / "hi.wav", 0.3 * np.sin(2 * np.pi * 440 * t), 44100)

@@ -236,14 +236,14 @@ def test_local_encoder_forward_memory_is_linear_in_length():
 
 def test_focal_loss_perfect_prediction_is_zero():
     pred = nn.Tensor(np.array([1.0]))
-    loss = nn.focal_loss(pred, np.array([1.0]), np.array([1.0]))
+    loss = nn.focal_loss(pred, np.array([1.0]), np.array([1.0]), gamma=4.0, alpha_pos=29.0, alpha_neg=1.0)
     assert abs(float(loss.data)) < 1e-12
 
 
 def test_focal_loss_hand_value():
     # pred=0.5, soft=1, hard=1, gamma=4, alpha=29 -> 29 * 0.5^4 * ln 2
     pred = nn.Tensor(np.array([0.5]))
-    loss = nn.focal_loss(pred, np.array([1.0]), np.array([1.0]))
+    loss = nn.focal_loss(pred, np.array([1.0]), np.array([1.0]), gamma=4.0, alpha_pos=29.0, alpha_neg=1.0)
     assert abs(float(loss.data) - 29 * 0.5**4 * np.log(2)) < 1e-9
 
 
@@ -252,32 +252,32 @@ def test_focal_loss_linear_in_alpha():
     pred = nn.Tensor(rng.uniform(0.2, 0.8, size=16))
     soft = rng.uniform(0, 1, size=16)
     hard = np.ones(16)
-    l1 = float(nn.focal_loss(pred, soft, hard, alpha_pos=29.0).data)
-    l2 = float(nn.focal_loss(pred, soft, hard, alpha_pos=58.0).data)
+    l1 = float(nn.focal_loss(pred, soft, hard, gamma=4.0, alpha_pos=29.0, alpha_neg=1.0).data)
+    l2 = float(nn.focal_loss(pred, soft, hard, gamma=4.0, alpha_pos=58.0, alpha_neg=1.0).data)
     assert abs(l2 - 2 * l1) < 1e-9
 
 
 def test_focal_loss_rejects_negative_gamma():
     with pytest.raises(ValueError):
-        nn.focal_loss(nn.Tensor(np.array([0.5])), np.array([1.0]), np.array([1.0]), gamma=-1)
+        nn.focal_loss(
+            nn.Tensor(np.array([0.5])), np.array([1.0]), np.array([1.0]),
+            gamma=-1, alpha_pos=29.0, alpha_neg=1.0,
+        )
 
 
 def test_schedule_endpoints():
-    cfg = nn.OptimizerConfig(lr=0.01, t_max=1000, eta_min=1e-6)
-    assert nn.schedule_lr(cfg, 0) == pytest.approx(0.01)
-    assert nn.schedule_lr(cfg, 1000) == pytest.approx(1e-6)
-    warm = nn.OptimizerConfig(lr=0.01, t_max=1000, eta_min=1e-6, warmup=100)
-    assert nn.schedule_lr(warm, 0) < 0.01
-    assert nn.schedule_lr(warm, 100) == pytest.approx(0.01)
+    opt = nn.AdamW({}, lr=0.01, steps=1000, warmup=0)
+    assert opt.lr_at(0) == pytest.approx(0.01)
+    assert opt.lr_at(1000) == pytest.approx(0.01 / 100)
+    warm = nn.AdamW({}, lr=0.01, steps=1000, warmup=100)
+    assert warm.lr_at(0) < 0.01
+    assert warm.lr_at(100) == pytest.approx(0.01)
 
 
 def test_optimizer_config_validation():
-    with pytest.raises(ValueError):
-        nn.OptimizerConfig(lr=-1.0)
-    with pytest.raises(ValueError):
-        nn.OptimizerConfig(lr=1e-3, beta1=1.0)
-    with pytest.raises(ValueError):
-        nn.OptimizerConfig(lr=1e-3, eta_min=1.0)
+    for lr in (-1.0, 0.0):
+        with pytest.raises(ValueError):
+            nn.AdamW({}, lr=lr, steps=10, warmup=0)
 
 
 def test_adamw_toy_least_squares_converges_100x():
@@ -285,7 +285,7 @@ def test_adamw_toy_least_squares_converges_100x():
     b = nn.Tensor(np.array([0.0]), requires_grad=True)
     xs = np.linspace(-1, 1, 16)
     ys = 2 * xs + 1
-    opt = nn.AdamW({"a": a, "b": b}, nn.OptimizerConfig(lr=0.1, weight_decay=0.0, t_max=200))
+    opt = nn.AdamW({"a": a, "b": b}, lr=0.1, steps=200, warmup=0, weight_decay=0.0)
     first = last = None
     for _ in range(200):
         loss = (((a * xs + b) - ys) ** 2).mean()
@@ -297,7 +297,7 @@ def test_adamw_toy_least_squares_converges_100x():
 
 def test_train_step_aborts_on_nonfinite_loss():
     a = nn.Tensor(np.array([1.0]), requires_grad=True)
-    opt = nn.AdamW({"a": a}, nn.OptimizerConfig(lr=0.1))
+    opt = nn.AdamW({"a": a}, lr=0.1, steps=10_000, warmup=0)
     loss = a * np.nan
     with pytest.raises(nn.DivergenceError):
         nn.train_step(loss, opt)

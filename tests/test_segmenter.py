@@ -57,7 +57,7 @@ def test_nms_single_spike():
 
 def test_nms_rejects_bad_theta():
     with pytest.raises(ValueError):
-        seg.greedy_nms(np.zeros(4), theta=0.0)
+        seg.greedy_nms(np.zeros(4), w=5, theta=0.0, span=(0, 4))
 
 
 def test_nms_properties_random():
@@ -79,7 +79,7 @@ def test_nms_properties_random():
 
 
 def test_boundaries_to_intervals_basic():
-    notes = seg.boundaries_to_intervals([0, 10, 20], make_track(np.full(20, 60.0)))
+    notes = seg.boundaries_to_intervals([0, 10, 20], make_track(np.full(20, 60.0)), min_note_frames=5)
     assert [(n.start_frame, n.end_frame) for n in notes] == [(0, 10), (10, 20)]
 
 
@@ -97,8 +97,8 @@ def test_boundaries_to_intervals_merge_prefers_closer_pitch():
 
 def test_boundaries_to_intervals_empty_when_too_few():
     track = make_track(np.full(10, 60.0))
-    assert seg.boundaries_to_intervals([5], track) == []
-    assert seg.boundaries_to_intervals([], track) == []
+    assert seg.boundaries_to_intervals([5], track, min_note_frames=5) == []
+    assert seg.boundaries_to_intervals([], track, min_note_frames=5) == []
 
 
 def test_intervals_tile_span_property():

@@ -90,11 +90,11 @@ def test_round_pitch_half_up():
 
 
 def test_detune_schedule_endpoints():
-    assert sym.detune_schedule(0, 1000) == 0.0
-    assert sym.detune_schedule(300, 1000) == pytest.approx(0.4)
-    assert sym.detune_schedule(999, 1000) == pytest.approx(0.4)
+    assert sym.detune_schedule(0, 1000, p_max=0.4, ramp_frac=0.3) == 0.0
+    assert sym.detune_schedule(300, 1000, p_max=0.4, ramp_frac=0.3) == pytest.approx(0.4)
+    assert sym.detune_schedule(999, 1000, p_max=0.4, ramp_frac=0.3) == pytest.approx(0.4)
     with pytest.raises(ValueError):
-        sym.detune_schedule(0, 100, p_max=1.5)
+        sym.detune_schedule(0, 100, p_max=1.5, ramp_frac=0.3)
 
 
 def _tiny_model(max_events=64):

@@ -136,6 +136,49 @@ def test_correct_cache_is_keyed_on_extractor_constants(cli_run, tmp_path, monkey
     assert len({int(t.voiced.sum()) for t in tracks}) == 2
 
 
+def test_correct_reads_its_cached_track_and_writes_the_same_bytes(cli_run, tmp_path, monkeypatch):
+    cfg = load_config(None, TINY)
+    ann = cli_run["data"] / "annotations" / "moderate_eval_000.json"
+    wav = ft.load_audio(cli_run["take"], cfg["audio"]["sample_rate"])
+    # the key stage_correct hashed inline before track_cache_key held it, so
+    # tracks cached then are still found
+    assert ft.track_cache_key(wav, 22050, 256, 1024, 80) == "8c692941c309651bc8aa8e64"
+    calls = []
+    extract = ft.extract_track
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return extract(*args, **kwargs)
+
+    monkeypatch.setattr(ft, "extract_track", counted)
+    counts = []
+    for name, cache in (("plain", None), ("miss", tmp_path / "cache"), ("hit", tmp_path / "cache")):
+        before = len(calls)
+        wf.stage_correct(cfg, cli_run["take"], tmp_path / f"{name}.wav", cli_run["ckpt"], annotations=ann,
+                         cache_dir=cache)
+        counts.append(len(calls) - before)
+    # the input track and the corrected output's track; a hit skips the first
+    assert counts == [2, 2, 1]
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["track_8c692941c309651bc8aa8e64.npz"]
+    for suffix in (".wav", ".plan.tsv", ".residuals.tsv"):
+        plain = (tmp_path / f"plain{suffix}").read_bytes()
+        assert (tmp_path / f"miss{suffix}").read_bytes() == plain
+        assert (tmp_path / f"hit{suffix}").read_bytes() == plain
+
+
+def test_spp_validation_runs_every_eval_step(cli_run):
+    # the tiny corpus has no in-tune val songs, so the held-out in-tune set serves
+    doc = wf.load_dataset(cli_run["data"])
+    train = wf.songs_by(cli_run["data"], doc, subset="in_tune", role="train")
+    val = wf.songs_by(cli_run["data"], doc, subset="intune_eval")
+    cfg = load_config(None, TINY)
+    assert (cfg["spp"]["train"]["steps"], cfg["spp"]["train"]["eval_every"]) == (4, 2)
+    _model, history = wf.train_spp_on(train, val, cfg)
+    assert [v["step"] for v in history["val"]] == [2, 4]
+    final = history["final_val"]
+    assert {"ptr_percent", "mae_cents"} <= set(final) and final["n_notes"] > 0
+
+
 def test_checkpoint_config_blocks(cli_run):
     written = sorted(p.stem for p in cli_run["ckpt"].glob("*.npz"))
     assert written == sorted(CHECKPOINT_CONFIGS)
