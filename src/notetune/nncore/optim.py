@@ -44,16 +44,27 @@ class AdamW:
         for name, p in self.params.items():
             if p.grad is None:
                 continue
+            # p -= lr * (m_hat / (sqrt(v_hat) + EPS) + weight_decay * p), in
+            # that order, through two temporaries
             g = p.grad
             m = self._m[name]
             v = self._v[name]
+            tmp = g * (1.0 - BETA1)
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            m += tmp
+            np.multiply(g, 1.0 - BETA2, out=tmp)
+            tmp *= g
             v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            m_hat = m / (1.0 - BETA1**t)
-            v_hat = v / (1.0 - BETA2**t)
-            p.data -= lr * (m_hat / (np.sqrt(v_hat) + EPS) + self.weight_decay * p.data)
+            v += tmp
+            np.divide(v, 1.0 - BETA2**t, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += EPS
+            update = m / (1.0 - BETA1**t)
+            update /= tmp
+            np.multiply(p.data, self.weight_decay, out=tmp)
+            update += tmp
+            update *= lr
+            p.data -= update
 
     def zero_grad(self):
         for p in self.params.values():

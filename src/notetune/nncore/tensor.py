@@ -2,8 +2,15 @@
 
 Everything trainable in this package runs on this substrate.  Tensors are
 dense row-major float64; gradients are accumulated by a topological sweep
-over the recorded op graph.  Single-threaded, deterministic given fixed
-inputs.
+over the recorded op graph.  The graph sweep runs on one thread; the
+matmuls go to BLAS, which may use several.  Deterministic given fixed inputs
+and a fixed BLAS thread count: the BLAS thread count can change how a
+matmul rounds, and so the trained bytes.
+
+A gradient buffer is first written as 0.0 + g and then only added to, so it
+never holds -0.0: the kernels may hand `_accumulate` a gradient that
+differs from another only in the sign of a zero, and add into a buffer in
+place, without changing its bytes.
 """
 
 from __future__ import annotations
@@ -79,13 +86,21 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray):
+        """Add `g` to the gradient.  The first write is 0.0 + g into an
+        uninitialised buffer laid out like `data` (its layout picks the BLAS
+        path of later matmuls), which is what zero-fill then += gave."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     # ---- graph ----------------------------------------------------------
     def backward(self, grad=None):
-        """Backpropagate from this tensor (scalar unless `grad` given)."""
+        """Backpropagate from this tensor (scalar unless `grad` given).
+
+        Only leaves keep their gradient: an intermediate's is dropped once
+        its own backward has run, so a step holds the gradients in flight,
+        not one per node of the graph."""
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without grad requires a scalar tensor")
@@ -109,6 +124,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # ---- operators -------------------------------------------------------
     def __add__(self, other):
@@ -232,9 +248,12 @@ def matmul(a: Tensor, b: Tensor):
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul requires tensors with ndim >= 2")
 
+    # an operand that is a plain input (no gradient, no graph) gets none
     def bw(g):
-        a._accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+        if a.requires_grad or a._parents:
+            a._accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
+        if b.requires_grad or b._parents:
+            b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
     return _make(a.data @ b.data, (a, b), bw)
 
@@ -277,14 +296,26 @@ def sigmoid(a: Tensor):
 
 
 def gelu(a: Tensor):
-    """Exact (erf-based) Gaussian error linear unit."""
+    """Exact (erf-based) Gaussian error linear unit: x * cdf with
+    cdf = 0.5 * (1 + erf(x / sqrt 2)).  The cdf and the gradient
+    g * (cdf + x * pdf), pdf = (1 / sqrt(2 pi)) * exp(-0.5 * x * x), are each
+    evaluated in that order in one buffer."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+    cdf = x / _SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out_data = x * cdf
 
     def bw(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        a._accumulate(g * (cdf + x * pdf))
+        d = x * -0.5
+        d *= x
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= x
+        d += cdf
+        d *= g
+        a._accumulate(d)
 
     return _make(out_data, (a,), bw)
 
@@ -328,12 +359,14 @@ def getitem(a: Tensor, key):
     fancy = _is_fancy(key)
 
     def bw(g):
-        full = np.zeros_like(a.data)
         if fancy:
+            full = np.zeros_like(a.data)
             np.add.at(full, key, g)
-        else:
-            full[key] += g
-        a._accumulate(full)
+            a._accumulate(full)
+            return
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[key] += g
 
     return _make(out_data, (a,), bw)
 
@@ -382,22 +415,34 @@ def softmax(a: Tensor, axis: int = -1):
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor):
-    """Normalize over the last axis, then scale and shift."""
+    """Normalize over the last axis, then scale and shift.  Temporaries are
+    reused in place, with the operation order of the formulas in the
+    comments, so the bytes are those of the plain expressions."""
+    # xhat = (x - mean(x)) * (1 / sqrt(mean((x - mean(x))^2) + eps)); out = xhat * gamma + beta
     mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    out_data = xhat * xhat  # the squares, then the output
+    var = out_data.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = xc * inv
-    out_data = xhat * gamma.data + beta.data
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=out_data)
+    out_data += beta.data
 
     def bw(g):
+        # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
         lead = tuple(range(g.ndim - 1))
-        gamma._accumulate((g * xhat).sum(axis=lead))
+        t = g * xhat
+        gamma._accumulate(t.sum(axis=lead))
         beta._accumulate(g.sum(axis=lead))
         dxhat = g * gamma.data
         m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        x._accumulate(inv * (dxhat - m1 - xhat * m2))
+        np.multiply(dxhat, xhat, out=t)
+        m2 = t.mean(axis=-1, keepdims=True)
+        dxhat -= m1
+        np.multiply(xhat, m2, out=t)
+        dxhat -= t
+        dxhat *= inv
+        x._accumulate(dxhat)
 
     return _make(out_data, (x, gamma, beta), bw)
 
@@ -429,34 +474,46 @@ def banded_attention(q: Tensor, k: Tensor, v: Tensor, window: int):
     Block-banded (Longformer-style sliding window): with
     w = max(1, min(window, T - 1)), queries go in blocks of w frames and
     block b scores only key blocks b-1, b, b+1, so time and memory are
-    O(T * 3w * d) rather than O(T^2).  A static additive -1e30 mask hides
-    |i - j| > w and the zero padding.  Any window >= T - 1 gives the same w,
-    and so exactly the same arithmetic.
+    O(T * 3w * d) rather than O(T^2).  Additive -1e30 masks hide
+    |i - j| > w (one [w, 3w] band, the same in every block) and the zero
+    padding (key columns before frame 0 in the first block and past frame
+    T - 1 in the last two); a score both out of band and padded gets
+    -2e30, as from one summed mask.  The scores are scaled, masked,
+    exponentiated and normalised in place in one buffer, and the backward
+    pass builds its score gradient in place too; no mask is cached between
+    calls.  Any window >= T - 1 gives the same w, and so exactly the same
+    arithmetic.
     """
     T, d = q.shape[-2], q.shape[-1]
     w = max(1, min(window, T - 1))
     nb = -(-T // w)
     lead = q.shape[:-2]
     c = np.arange(3 * w)
-    band = np.abs(np.arange(w)[:, None] + w - c) <= w  # |i - j|, the same in every block
-    key = (np.arange(nb)[:, None, None] - 1) * w + c  # key index of each column
-    mask = np.where(band, 0.0, -1e30) + np.where((key >= 0) & (key < T), 0.0, -1e30)
+    band = np.where(np.abs(np.arange(w)[:, None] + w - c) <= w, 0.0, -1e30)
 
     scale = 1.0 / np.sqrt(d)
     tail = [(0, 0)] * len(lead) + [(0, nb * w - T), (0, 0)]
     qb = np.pad(q.data, tail).reshape(lead + (nb, w, d))
     kt = _band_blocks(k.data, w, nb)
     vt = _band_blocks(v.data, w, nb)
-    scores = (qb @ kt) * scale + mask
-    scores -= scores.max(axis=-1, keepdims=True)
-    p = np.exp(scores)
+    p = qb @ kt  # the scores, made probabilities in place
+    p *= scale
+    p += band
+    p[..., 0, :, :w] += -1e30  # key index (b - 1) * w + c < 0
+    for b in range(max(nb - 2, 0), nb):
+        p[..., b, :, T - (b - 1) * w :] += -1e30  # key index >= T
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     out_data = (p @ vt.swapaxes(-1, -2)).reshape(lead + (nb * w, d))[..., :T, :]
 
     def bw(g):
+        # ds = p * (dp - rowsum(dp * p)) * scale, built in place in dp
         gb = np.pad(g, tail).reshape(lead + (nb, w, d))
-        dp = gb @ vt
-        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+        ds = gb @ vt
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
         dq = (ds @ kt.swapaxes(-1, -2)).reshape(lead + (nb * w, d))[..., :T, :]
         q._accumulate(dq)
         k._accumulate(_fold_bands(ds.swapaxes(-1, -2) @ qb, w, nb, T))
@@ -561,6 +618,7 @@ def gru_sequence(x_pre: Tensor, w_hh: Tensor, b_hh: Tensor, h0: Tensor):
         dwh = np.zeros_like(wh)
         dbh = np.zeros_like(bh)
         dh = np.zeros((B, H))
+        dgates_h = np.empty((B, 3 * H))  # (dpre_r, dpre_z, dhn), rewritten each step
         for t in range(T - 1, -1, -1):
             dh = dh + g[:, t, :]
             h_prev = hs[:, t - 1] if t > 0 else h0.data
@@ -570,13 +628,11 @@ def gru_sequence(x_pre: Tensor, w_hh: Tensor, b_hh: Tensor, h0: Tensor):
             dh_prev = dh * z
             dpre_n = dn * (1.0 - n * n)
             dr = dpre_n * hn
-            dhn = dpre_n * r
-            dpre_r = dr * r * (1.0 - r)
-            dpre_z = dz * z * (1.0 - z)
-            dx[:, t, :H] = dpre_r
-            dx[:, t, H : 2 * H] = dpre_z
+            np.multiply(dpre_n, r, out=dgates_h[:, 2 * H :])
+            np.multiply(dr * r, 1.0 - r, out=dgates_h[:, :H])
+            np.multiply(dz * z, 1.0 - z, out=dgates_h[:, H : 2 * H])
+            dx[:, t, : 2 * H] = dgates_h[:, : 2 * H]
             dx[:, t, 2 * H :] = dpre_n
-            dgates_h = np.concatenate([dpre_r, dpre_z, dhn], axis=-1)
             dwh += h_prev.T @ dgates_h
             dbh += dgates_h.sum(axis=0)
             dh = dh_prev + dgates_h @ wh.T

@@ -183,24 +183,34 @@ def _extract_track(wav: np.ndarray, audio_cfg: dict) -> ft.FrameTrack:
 
 
 def stage_extract(cfg: dict, data_dir, jobs: int = 1) -> dict:
-    """Extract feature tracks, score corpus pitch errors, assign splits."""
+    """Extract feature tracks, score corpus pitch errors, assign splits.
+
+    The pitch of every song is tracked first, `jobs` songs at a time; then
+    one song at a time gets its mel, its saved track and its pitch error.
+    So no mel matmul (BLAS threads) competes with the YIN threads, and only
+    the pitch arrays are held across songs.
+    """
     paths = data_paths(data_dir)
     paths["features"].mkdir(parents=True, exist_ok=True)
     doc = load_dataset(data_dir)
     audio_cfg = cfg["audio"]
+    sr, hop = audio_cfg["sample_rate"], audio_cfg["hop"]
+    items = sorted(doc["samples"].items())
 
-    def work(item):
-        sid, entry = item
-        wav = ft.load_audio(paths["root"] / entry["audio"], audio_cfg["sample_rate"])
-        track = _extract_track(wav, audio_cfg)
+    def load(entry):
+        return ft.load_audio(paths["root"] / entry["audio"], sr)
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        pitches = list(pool.map(lambda item: ft.track_pitch(load(item[1]), sr=sr, hop=hop), items))
+
+    results = {}
+    for (sid, entry), (pitch, voiced) in zip(items, pitches):
+        mel = ft.mel_spectrogram(load(entry), sr=sr, hop=hop, win=audio_cfg["win"],
+                                 n_mels=audio_cfg["n_mels"])
+        track = ft.FrameTrack(sample_rate=sr, hop=hop, pitch_semitones=pitch, voiced=voiced, mel=mel)
         ft.save_track(paths["features"] / f"{sid}.npz", track)
         ann = dk.import_annotations(paths["root"] / entry["annotation"])
-        _, mean_err = dk.sample_pitch_error(track, ann)
-        return sid, mean_err
-
-    items = sorted(doc["samples"].items())
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = dict(pool.map(work, items))
+        _, results[sid] = dk.sample_pitch_error(track, ann)
 
     corpus_errors = {
         sid: results[sid] for sid, e in doc["samples"].items() if e["group"] == "corpus"

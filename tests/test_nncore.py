@@ -1,10 +1,12 @@
 import hashlib
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import autograd_reference
 import gru_reference
 from notetune import nncore as nn
 from notetune.nncore import tensor as tz
@@ -218,6 +220,99 @@ def test_banded_attention_gradients_match_finite_differences(T, window):
     fn = lambda: (nn.banded_attention(q, k, v, window) * r).sum()
     worst = nn.finite_difference_check(fn, [q, k, v], rtol=1e-6)
     assert worst < 1e-6
+
+
+def _check_against_reference(make_leaves, forward):
+    """Run `forward(kernels, *leaves)` and its backward once with the
+    in-place kernels and once with the reference ones (their `_accumulate`
+    included); outputs and the gradients of every leaf that requires one
+    must agree in shape, memory layout and bytes.  Returns the leaves of
+    the in-place run."""
+    runs = []
+    for kernels, accumulate in ((tz, tz.Tensor._accumulate), (autograd_reference, autograd_reference._accumulate)):
+        leaves = make_leaves()
+        with mock.patch.object(tz.Tensor, "_accumulate", accumulate):
+            out = forward(kernels, *leaves)
+            (out * np.random.default_rng(0).normal(size=out.shape)).sum().backward()
+        runs.append((leaves, [out.data] + [t.grad for t in leaves if t.requires_grad]))
+    (leaves, new), (_, old) = runs
+    assert len(new) == len(old)
+    for got, want in zip(new, old):
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+    return leaves
+
+
+def _leaves(seed, shapes, layout):
+    """Leaves that require gradients: contiguous, `swapaxes` views of the
+    transposed array, or every other column of a wider array (1-d leaves
+    stay contiguous)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for shape in shapes:
+        if len(shape) == 1:
+            data = rng.normal(size=shape)
+        elif layout == "swapaxes":
+            data = rng.normal(size=shape[:-2] + (shape[-1], shape[-2])).swapaxes(-1, -2)
+        elif layout == "slice":
+            data = rng.normal(size=shape[:-1] + (2 * shape[-1],))[..., ::2]
+        else:
+            data = rng.normal(size=shape)
+        out.append(nn.Tensor(data, requires_grad=True))
+    return out
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "swapaxes", "slice"])
+@pytest.mark.parametrize("window", [3, 64])
+def test_banded_attention_matches_reference_bytes(window, layout):
+    for T in sorted({1, 2, window - 1, window, window + 1, 2 * window + 1, 300} - {0}):
+        for lead in ((2,), (2, 3)):
+            shape = lead + (T, 8)
+            _check_against_reference(
+                lambda: _leaves(T, [shape] * 3, layout),
+                lambda kz, q, k, v: kz.banded_attention(q, k, v, window),
+            )
+            # one tensor as query and key: its gradient is accumulated twice
+            _check_against_reference(
+                lambda: _leaves(T, [shape] * 2, layout),
+                lambda kz, x, v: kz.banded_attention(x, x, v, window),
+            )
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "swapaxes", "slice"])
+def test_layer_norm_and_gelu_match_reference_bytes(layout):
+    for T in (1, 7, 300):
+        shape = (2, T, 16)
+        # x feeds both kernels, so its gradient is accumulated twice
+        _check_against_reference(
+            lambda: _leaves(T, [shape, (16,), (16,)], layout),
+            lambda kz, x, gamma, beta: kz.gelu(kz.layer_norm(x, gamma, beta)) + kz.gelu(x),
+        )
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "swapaxes", "slice"])
+def test_getitem_matches_reference_bytes(layout):
+    def forward(kz, x):
+        # overlapping basic slices, an integer index and a fancy index of one tensor
+        parts = [kz.getitem(x, np.s_[:, :3]), kz.getitem(x, np.s_[:, 2:5]),
+                 kz.getitem(x, np.s_[:, 1, None]), kz.getitem(x, np.s_[:, [0, 4, 4]])]
+        return tz.concat(parts, axis=1)
+
+    _check_against_reference(lambda: _leaves(9, [(4, 6, 5)], layout), forward)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "swapaxes", "slice"])
+def test_matmul_matches_reference_bytes_and_skips_plain_inputs(layout):
+    def make():
+        w, x = _leaves(10, [(16, 6), (3, 20, 16)], layout)
+        return [nn.Tensor(x.data), w, x]  # a plain input, a weight, a graph input
+
+    def forward(kz, plain, w, x):
+        h = kz.matmul(plain, w)
+        return kz.matmul(kz.matmul(kz.matmul(x, w), tz.swapaxes(h, 1, 2)), h)
+
+    plain, _w, _x = _check_against_reference(make, forward)
+    assert plain.grad is None
 
 
 def test_local_encoder_forward_memory_is_linear_in_length():

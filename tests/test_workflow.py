@@ -209,6 +209,33 @@ def test_extract_with_zero_jobs_exits_2(cli_run):
     assert run_cli("extract", "--data-dir", cli_run["data"], "--jobs", 0) == 2
 
 
+def test_extract_tracks_every_pitch_before_any_mel(cli_run, tmp_path, monkeypatch):
+    # no mel matmul may compete with the YIN threads; the tracks stay those
+    # of extract_track
+    data = tmp_path / "data"
+    shutil.copytree(cli_run["data"], data)
+    calls = []
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls.append(name)
+            return out
+        return call
+
+    monkeypatch.setattr(ft, "track_pitch", recorded("pitch", ft.track_pitch))
+    monkeypatch.setattr(ft, "mel_spectrogram", recorded("mel", ft.mel_spectrogram))
+    cfg = load_config(None, TINY)
+    doc = wf.stage_extract(cfg, data, jobs=2)
+    n = len(doc["samples"])
+    assert calls == ["pitch"] * n + ["mel"] * n
+    monkeypatch.undo()
+    entry = doc["samples"][min(doc["samples"])]
+    wav = ft.load_audio(data / entry["audio"], cfg["audio"]["sample_rate"])
+    ft.save_track(tmp_path / "one.npz", wf._extract_track(wav, cfg["audio"]))
+    assert (tmp_path / "one.npz").read_bytes() == (data / entry["features"]).read_bytes()
+
+
 def test_changed_pretrain_settings_retrain_the_pretrained_cnpp(cli_run, tmp_path):
     reused, fresh = tmp_path / "reused", tmp_path / "fresh"
     shutil.copytree(cli_run["ckpt"], reused)
