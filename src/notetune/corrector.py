@@ -212,10 +212,10 @@ def verify_plan(
 ) -> list[dict]:
     """Per-note residuals |corrected stationary pitch - target| in cents."""
     rows = []
-    for note, est, target in zip(plan.notes, corrected_estimates, plan.targets):
+    for i, (note, est, target) in enumerate(zip(plan.notes, corrected_estimates, plan.targets)):
         rows.append(
             {
-                "note": est.note_index,
+                "note": i,
                 "start_sec": float(track.frame_time(note.start_frame)),
                 "end_sec": float(track.frame_time(note.end_frame)),
                 "target": float(target),

@@ -126,23 +126,40 @@ def import_annotations(path) -> AnnotatedSample:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise AnnotationError(f"{path}: unknown annotation format ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise AnnotationError(f"{path}: top level is a JSON {type(doc).__name__}, not an object")
     if doc.get("version") != ANNOTATION_VERSION:
         raise AnnotationError(f"{path}: unsupported annotation version {doc.get('version')}")
-    notes = [
-        Note(
-            onset_sec=float(n["onset_sec"]),
-            offset_sec=float(n["offset_sec"]),
-            pitch=int(n["pitch"]),
-            sung_pitch=(float(n["sung_pitch"]) if n.get("sung_pitch") is not None else None),
-            lyric=n.get("lyric"),
-        )
-        for n in doc["notes"]
-    ]
+    if not isinstance(doc.get("notes"), list):
+        raise AnnotationError(f"{path}: 'notes' is missing or not a list")
+    notes = []
+    for i, n in enumerate(doc["notes"]):
+        if not isinstance(n, dict):
+            raise AnnotationError(f"{path}: note {i} is a JSON {type(n).__name__}, not an object")
+        try:
+            notes.append(
+                Note(
+                    onset_sec=float(n["onset_sec"]),
+                    offset_sec=float(n["offset_sec"]),
+                    pitch=int(n["pitch"]),
+                    sung_pitch=(float(n["sung_pitch"]) if n.get("sung_pitch") is not None else None),
+                    lyric=n.get("lyric"),
+                )
+            )
+        except KeyError as exc:
+            raise AnnotationError(f"{path}: note {i} has no {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise AnnotationError(f"{path}: note {i}: {exc}") from exc
+    try:
+        tempo_bpm = float(doc.get("tempo_bpm", 120.0))
+        num, den = doc.get("time_signature", (4, 4))
+    except (TypeError, ValueError) as exc:
+        raise AnnotationError(f"{path}: bad tempo_bpm or time_signature: {exc}") from exc
     return AnnotatedSample(
         sample_id=path.stem,
         notes=notes,
-        tempo_bpm=float(doc.get("tempo_bpm", 120.0)),
-        time_signature=tuple(doc.get("time_signature", (4, 4))),
+        tempo_bpm=tempo_bpm,
+        time_signature=(num, den),
         key=doc.get("key", ""),
         audio=doc.get("audio", ""),
     )

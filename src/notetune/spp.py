@@ -35,9 +35,7 @@ class SppLossWeights:
 
 @dataclass
 class StationaryEstimate:
-    note_index: int
     pitch: float
-    weights: np.ndarray  # over the note's frames; zero at unvoiced frames
     flagged: bool = False
 
 
@@ -75,18 +73,15 @@ def estimates_from_logits(
 ) -> list[StationaryEstimate]:
     voiced = track.voiced.astype(bool)
     out = []
-    for i, note in enumerate(notes):
+    for note in notes:
         a, b = note.start_frame, note.end_frame
         idx = np.nonzero(voiced[a:b])[0]
-        weights = np.zeros(b - a)
         if len(idx) == 0:
             # no voiced frame: fall back to the interpolated curve's mean
-            out.append(StationaryEstimate(i, float(track.pitch_filled[a:b].mean()), weights, flagged=True))
+            out.append(StationaryEstimate(float(track.pitch_filled[a:b].mean()), flagged=True))
             continue
         w = _softmax(logits[a:b][idx])
-        weights[idx] = w
-        pitch = float(np.dot(w, track.pitch_semitones[a:b][idx]))
-        out.append(StationaryEstimate(i, pitch, weights))
+        out.append(StationaryEstimate(float(np.dot(w, track.pitch_semitones[a:b][idx]))))
     return out
 
 
@@ -95,12 +90,10 @@ def estimates_from_logits(
 def aggregate_average(track: FrameTrack, note: NoteInterval) -> StationaryEstimate:
     a, b = note.start_frame, note.end_frame
     voiced = track.voiced[a:b].astype(bool)
-    weights = np.zeros(b - a)
     vals = track.pitch_semitones[a:b][voiced]
     if len(vals) == 0:
-        return StationaryEstimate(0, float(track.pitch_filled[a:b].mean()), weights, flagged=True)
-    weights[voiced] = 1.0 / len(vals)
-    return StationaryEstimate(0, float(vals.mean()), weights)
+        return StationaryEstimate(float(track.pitch_filled[a:b].mean()), flagged=True)
+    return StationaryEstimate(float(vals.mean()))
 
 
 def aggregate_weighted_median(track: FrameTrack, note: NoteInterval) -> StationaryEstimate:
@@ -113,17 +106,14 @@ def aggregate_weighted_median(track: FrameTrack, note: NoteInterval) -> Stationa
     n = b - a
     voiced = track.voiced[a:b].astype(bool)
     vals = track.pitch_semitones[a:b][voiced]
-    weights = np.zeros(n)
     if len(vals) == 0:
-        return StationaryEstimate(0, float(track.pitch_filled[a:b].mean()), weights, flagged=True)
+        return StationaryEstimate(float(track.pitch_filled[a:b].mean()), flagged=True)
     hann = np.hanning(n + 2)[1:-1]
     wv = hann[voiced]
     order = np.argsort(vals, kind="stable")
     cum = np.cumsum(wv[order])
     k = int(np.searchsorted(cum, 0.5 * cum[-1]))
-    pitch = float(vals[order][min(k, len(vals) - 1)])
-    weights[voiced] = wv / wv.sum()
-    return StationaryEstimate(0, pitch, weights)
+    return StationaryEstimate(float(vals[order][min(k, len(vals) - 1)]))
 
 
 # ---- training objective -----------------------------------------------------

@@ -1,10 +1,12 @@
 """Compound note tokens and the context-aware note pitch predictor.
 
 Each note becomes an 8-field event (bar, position-in-bar, pitch, duration,
-velocity, tempo, time signature, instrument) on a sixteenth-note grid.  The
-pitch field enters the model through interpolated embeddings so fractional
-stationary pitches keep their sub-semitone information; the model's pitch
-head classifies over the 128 discrete pitches.
+velocity, tempo, time signature, instrument) on a sixteenth-note grid.  A
+note sequence is one dict of arrays keyed by FIELD_NAMES, one entry per
+note: `pitch` float64, the other seven fields int64.  The pitch field enters
+the model through interpolated embeddings so fractional stationary pitches
+keep their sub-semitone information; the model's pitch head classifies over
+the 128 discrete pitches.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ FIELD_VOCABS = {
 DEFAULT_VELOCITY = 64
 DEFAULT_INSTRUMENT = 0
 
+Octuples = dict[str, np.ndarray]  # one note sequence, keyed by FIELD_NAMES
+
 @dataclass
 class GridMeta:
     """Beat-grid metadata: constant tempo and time signature; bar 0, beat 0
@@ -79,48 +83,50 @@ def sig_token(sig: tuple[int, int]) -> int:
     return 0
 
 
-@dataclass
-class OctupleEvent:
-    bar: int
-    pos: int
-    pitch: float  # continuous at input; token-valued after prediction
-    dur: int
-    vel: int = DEFAULT_VELOCITY
-    tempo: int = 0
-    sig: int = 0
-    instr: int = DEFAULT_INSTRUMENT
-
-
 def events_from_times(
     onsets_sec: np.ndarray,
     durations_sec: np.ndarray,
     pitches: np.ndarray,
     meta: GridMeta,
-) -> list[OctupleEvent]:
-    """Quantize note times onto the grid; onsets are forced strictly increasing."""
+) -> Octuples:
+    """Quantize notes onto the grid as one array per field.
+
+    Onsets are forced strictly increasing: each note sits at least one grid
+    cell after the one before, and the first at cell 0 or later.  Notes past
+    bar MAX_BARS are clamped into its last cell and pitches into 0..127,
+    with one warning per sequence for each clamp.
+    """
     ppb = positions_per_bar(meta.time_signature)
     beats_per_sec = meta.tempo_bpm / 60.0
-    t_tok = tempo_token(meta.tempo_bpm)
-    s_tok = sig_token(meta.time_signature)
-    events = []
-    prev_grid = -1
-    for onset, dur, pitch in zip(onsets_sec, durations_sec, pitches):
-        beats = onset * beats_per_sec
-        grid = int(round(beats * GRID_PER_BEAT))
-        if grid <= prev_grid:
-            grid = prev_grid + 1
-        prev_grid = grid
-        if grid < 0 or grid >= MAX_BARS * ppb:
-            log.warning("note at %.2fs outside the bar grid; clamping", onset)
-            grid = int(np.clip(grid, 0, MAX_BARS * ppb - 1))
-        bar, pos = divmod(grid, ppb)
-        dur_units = int(np.clip(round(dur * beats_per_sec * GRID_PER_BEAT), 1, MAX_DURATION_UNITS))
-        p = float(pitch)
-        if not 0.0 <= p <= 127.0:
-            log.warning("pitch %.2f outside 0..127; clamping", p)
-            p = float(np.clip(p, 0.0, 127.0))
-        events.append(OctupleEvent(bar=bar, pos=pos, pitch=p, dur=dur_units, tempo=t_tok, sig=s_tok))
-    return events
+    onsets = np.asarray(onsets_sec, dtype=np.float64)
+    n = len(onsets)
+    i = np.arange(n)
+    cells = np.round(onsets * beats_per_sec * GRID_PER_BEAT).astype(np.int64)
+    # grid[i] = max(cells[i], grid[i - 1] + 1) with grid[-1] = -1, in closed form
+    grid = np.maximum.accumulate(np.maximum(cells - i, 0)) + i
+    last = MAX_BARS * ppb - 1
+    n_late = int(np.count_nonzero(grid > last))
+    if n_late:
+        log.warning("%d of %d notes past bar %d; clamping them into its last cell", n_late, n, MAX_BARS)
+        grid = np.minimum(grid, last)
+    bar, pos = np.divmod(grid, ppb)
+    units = np.round(np.asarray(durations_sec, dtype=np.float64) * beats_per_sec * GRID_PER_BEAT)
+    dur = np.clip(units, 1, MAX_DURATION_UNITS).astype(np.int64)
+    pitch = np.array(pitches, dtype=np.float64)
+    outside = ~((pitch >= 0.0) & (pitch <= 127.0))
+    if outside.any():
+        log.warning("%d of %d pitches outside 0..127; clamping", int(outside.sum()), n)
+        pitch[outside] = np.clip(pitch[outside], 0.0, 127.0)
+    return {
+        "bar": bar,
+        "pos": pos,
+        "pitch": pitch,
+        "dur": dur,
+        "vel": np.full(n, DEFAULT_VELOCITY, dtype=np.int64),
+        "tempo": np.full(n, tempo_token(meta.tempo_bpm), dtype=np.int64),
+        "sig": np.full(n, sig_token(meta.time_signature), dtype=np.int64),
+        "instr": np.full(n, DEFAULT_INSTRUMENT, dtype=np.int64),
+    }
 
 
 def notes_to_octuples(
@@ -129,7 +135,7 @@ def notes_to_octuples(
     meta: GridMeta,
     sr: int,
     hop: int,
-) -> list[OctupleEvent]:
+) -> Octuples:
     """Octuples from detected note intervals and stationary pitch estimates."""
     if len(notes) != len(estimates):
         raise ValueError("notes and estimates must align")
@@ -139,7 +145,7 @@ def notes_to_octuples(
     return events_from_times(onsets, durs, pitches, meta)
 
 
-def octuples_from_annotation(sample: AnnotatedSample) -> list[OctupleEvent]:
+def octuples_from_annotation(sample: AnnotatedSample) -> Octuples:
     """Octuples from a note annotation, with the intended integer pitches."""
     meta = GridMeta.from_annotation(sample)
     onsets = np.array([n.onset_sec for n in sample.notes])
@@ -241,12 +247,12 @@ class Cnpp(nn.Module):
             out[name] = getattr(self, f"head_{name}")(u[:, :, k * E : (k + 1) * E])
         return out
 
-    def predict(self, events: list[OctupleEvent], pitch_mode: str = "interp"):
-        """Target pitch tokens and per-note distributions for one sequence."""
-        if not events:
+    def predict(self, events: Octuples, pitch_mode: str = "interp"):
+        """Target pitch tokens [N] and pitch distributions [N, 128] for one
+        sequence of N events; an empty sequence gives empty outputs."""
+        if not len(events["pitch"]):
             return np.zeros(0, dtype=np.int64), np.zeros((0, PITCH_TOKENS))
-        fields, pitch_values, _ = pack_sequences([events])
-        pad = np.ones((1, len(events)))
+        fields, pitch_values, pad = pack_sequences([events])
         with nn.no_grad():
             logits = self.forward(fields, pitch_values, pad, pitch_mode=pitch_mode)["pitch"]
             probs = nn.softmax(logits, axis=-1).data[0]
@@ -254,24 +260,25 @@ class Cnpp(nn.Module):
         return tokens, probs
 
 
-def pack_sequences(seqs: list[list[OctupleEvent]]):
-    """Pad event lists into field arrays; returns (fields, pitch_values, pad_mask)."""
-    n = max(len(s) for s in seqs)
+def pack_sequences(seqs: list[Octuples]):
+    """Pad sequences to the longest into (fields, pitch_values, pad_mask).
+
+    fields holds the seven int64 fields other than pitch, each [B, N];
+    pitch_values is float64 [B, N]; pad_mask is 1.0 at real events.  Padding
+    is 0 in every array.
+    """
+    n = max(len(s["pitch"]) for s in seqs)
     B = len(seqs)
-    fields = {name: np.zeros((B, n), dtype=np.int64) for name in FIELD_NAMES if name != "pitch"}
-    pitch_values = np.zeros((B, n))
+    fields = {
+        name: np.zeros((B, n), dtype=np.float64 if name == "pitch" else np.int64) for name in FIELD_NAMES
+    }
     pad_mask = np.zeros((B, n))
     for b, seq in enumerate(seqs):
-        for i, e in enumerate(seq):
-            fields["bar"][b, i] = e.bar
-            fields["pos"][b, i] = e.pos
-            fields["dur"][b, i] = e.dur
-            fields["vel"][b, i] = e.vel
-            fields["tempo"][b, i] = e.tempo
-            fields["sig"][b, i] = e.sig
-            fields["instr"][b, i] = e.instr
-            pitch_values[b, i] = e.pitch
-            pad_mask[b, i] = 1.0
+        L = len(seq["pitch"])
+        for name in FIELD_NAMES:
+            fields[name][b, :L] = seq[name]
+        pad_mask[b, :L] = 1.0
+    pitch_values = fields.pop("pitch")
     return fields, pitch_values, pad_mask
 
 

@@ -235,28 +235,25 @@ def stage_extract(cfg: dict, data_dir, jobs: int = 1) -> dict:
 
 @dataclass
 class SongData:
-    sid: str
     ann: dk.AnnotatedSample
     track: ft.FrameTrack
 
 
-def load_song(data_dir, sid: str, entry: dict) -> SongData:
+def load_song(data_dir, entry: dict) -> SongData:
     paths = data_paths(data_dir)
     track = ft.load_track(paths["root"] / entry["features"])
     ann = dk.import_annotations(paths["root"] / entry["annotation"])
-    return SongData(sid=sid, ann=ann, track=track)
+    return SongData(ann=ann, track=track)
 
 
-def songs_by(data_dir, doc: dict, subset=None, role=None) -> list[SongData]:
+def songs_by(data_dir, doc: dict, subset: str | None = None, role=None) -> list[SongData]:
     out = []
-    for sid, entry in sorted(doc["samples"].items()):
-        if subset is not None and entry.get("subset") not in (
-            subset if isinstance(subset, (list, tuple)) else [subset]
-        ):
+    for _sid, entry in sorted(doc["samples"].items()):
+        if subset is not None and entry.get("subset") != subset:
             continue
         if role is not None and entry.get("role") != role:
             continue
-        out.append(load_song(data_dir, sid, entry))
+        out.append(load_song(data_dir, entry))
     return out
 
 
@@ -445,12 +442,13 @@ def stage_train_detuner(cfg: dict, data_dir, out_dir) -> dict:
     spp_model = load_spp(out_dir, cfg)
     songs = songs_by(data_dir, doc, subset="high", role="train")
     sequences = []
-    for song, rec in zip(songs, annotation_sequences(songs)):
+    for song in songs:
         notes, pitches, _sung = annotated_notes(song)
         ests = spp_model.estimate(song.track, notes)
         pitches = np.array(pitches, dtype=np.float64)
         errors = np.array([e.pitch for e in ests]) - pitches
-        sequences.append((pitches, rec["dur_beats"][: len(notes)], errors))
+        dur_beats = sym.octuples_from_annotation(song.ann)["dur"][: len(notes)] / sym.GRID_PER_BEAT
+        sequences.append((pitches, dur_beats, errors))
     dcfg = _detuner_cfg(cfg)
     result = dt.train_detuner(
         sequences,
@@ -473,7 +471,7 @@ def _cnpp_cfg(cfg: dict) -> sym.CnppConfig:
     return sym.CnppConfig(seed=cfg["seed"], **cfg["cnpp"]["model"])
 
 
-def _symbolic_pretrain_sequences(cfg: dict) -> list[list[sym.OctupleEvent]]:
+def _symbolic_pretrain_sequences(cfg: dict) -> list[sym.Octuples]:
     n_songs = cfg["cnpp"]["pretrain"]["n_songs"]
     out = []
     for i in range(n_songs):
@@ -528,7 +526,7 @@ def pretrain_cnpp(cfg: dict, sequences) -> sym.Cnpp:
         # guarantee at least one masked position per sequence
         for b in range(len(seqs)):
             if not mask_pos[b].any():
-                mask_pos[b, int(rng.integers(0, len(seqs[b])))] = True
+                mask_pos[b, int(rng.integers(0, len(seqs[b]["pitch"])))] = True
         logits = model.forward(
             fields, pitch_values, pad, pitch_mode="interp", mask_positions=mask_pos, rng=drop_rng
         )
@@ -540,7 +538,7 @@ def pretrain_cnpp(cfg: dict, sequences) -> sym.Cnpp:
 def finetune_cnpp(
     cfg: dict,
     model: sym.Cnpp,
-    sequences: list[dict],
+    sequences: list[sym.Octuples],
     detuner_model: dt.Detuner | None,
     sigma_e: float,
     variant: str,
@@ -556,17 +554,17 @@ def finetune_cnpp(
     losses = []
     for step in range(ftc["steps"]):
         p_det = sym.detune_schedule(step, ftc["steps"], p_max=p_max, ramp_frac=ftc["ramp_frac"])
-        recs = [sequences[j] for j in rng.integers(0, len(sequences), size=ftc["batch"])]
-        fields, pv, pad = sym.pack_sequences([rec["events"] for rec in recs])
+        seqs = [sequences[j] for j in rng.integers(0, len(sequences), size=ftc["batch"])]
+        fields, pv, pad = sym.pack_sequences(seqs)
         gt = pv.astype(np.int64)
-        for b, rec in enumerate(recs):
+        for b, seq in enumerate(seqs):
             if p_det > 0 and rng.random() < p_det:
-                L = len(rec["events"])
+                L = len(seq["pitch"])
                 errors = dt.generate_errors(
                     detuner_model,
                     sigma_e,
                     pv[b, :L],
-                    rec["dur_beats"],
+                    seq["dur"] / sym.GRID_PER_BEAT,
                     seed=int(rng.integers(0, 2**31 - 1)),
                 )
                 pv[b, :L] = np.clip(pv[b, :L] + errors, 0.0, 127.0)
@@ -574,20 +572,6 @@ def finetune_cnpp(
         loss = _cnpp_loss(logits, fields, pad, gt, pad, ftc["field_loss_weight"])
         losses.append(nn.train_step(loss, opt, context=f"cnpp-{variant}"))
     return losses
-
-
-def annotation_sequences(songs: list[SongData]) -> list[dict]:
-    out = []
-    for song in songs:
-        events = sym.octuples_from_annotation(song.ann)
-        out.append(
-            {
-                "sid": song.sid,
-                "events": events,
-                "dur_beats": np.array([e.dur / sym.GRID_PER_BEAT for e in events]),
-            }
-        )
-    return out
 
 
 CNPP_VARIANTS = ("full", "no_augment", "rounded_embed")
@@ -617,7 +601,7 @@ def stage_train_cnpp(cfg: dict, data_dir, out_dir, variant: str = "full") -> dic
         detuner_model, sigma_e = load_detuner(out_dir, cfg)
 
     songs = songs_by(data_dir, doc, subset="moderate", role="train")
-    sequences = annotation_sequences(songs)
+    sequences = [sym.octuples_from_annotation(song.ann) for song in songs]
     losses = finetune_cnpp(cfg, model, sequences, detuner_model, sigma_e, variant)
     ckpt = _save_model(
         out_dir, f"cnpp_{variant}", model, cfg, {"model": cfg["cnpp"]["model"]},

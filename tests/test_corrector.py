@@ -12,7 +12,7 @@ SR = 22050
 
 
 def _est(pitch, n, flagged=False):
-    return StationaryEstimate(0, pitch, np.ones(n) / n, flagged=flagged)
+    return StationaryEstimate(pitch, flagged=flagged)
 
 
 def test_plan_arithmetic():
@@ -153,8 +153,8 @@ def test_verify_plan_rows_match_notes():
     track = make_track(np.full(30, 60.0))
     notes = [NoteInterval(0, 10), NoteInterval(10, 30)]
     ests = [
-        StationaryEstimate(0, 60.2, np.ones(10) / 10),
-        StationaryEstimate(1, 59.8, np.ones(20) / 20),
+        StationaryEstimate(60.2),
+        StationaryEstimate(59.8),
     ]
     plan = C.build_plan(ests, [60.0, 60.0], notes, track)
     rows = C.verify_plan(ests, plan, track)

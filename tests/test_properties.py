@@ -38,7 +38,7 @@ def plan_inputs(draw):
     track = draw(voiced_track(T))
     notes = draw(notes_on_track(T))
     estimates = [
-        StationaryEstimate(i, draw(st.floats(30.0, 100.0)), np.zeros(n.n_frames), flagged=draw(st.booleans()))
+        StationaryEstimate(draw(st.floats(30.0, 100.0)), flagged=draw(st.booleans()))
         for i, n in enumerate(notes)
     ]
     targets = np.array([float(draw(st.integers(0, 127))) for _ in notes])
@@ -76,7 +76,7 @@ def shift_inputs(draw, zero_deltas: bool):
     targets = np.array([float(draw(st.integers(45, 80))) for _ in notes])
     shifts = np.zeros(len(notes)) if zero_deltas else [draw(st.floats(-4.0, 4.0)) for _ in notes]
     estimates = [
-        StationaryEstimate(i, t + s, np.zeros(note.n_frames))
+        StationaryEstimate(t + s)
         for i, (note, t, s) in enumerate(zip(notes, targets, shifts))
     ]
     return wav, C.build_plan(estimates, targets, notes, track), track

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import symbolic_reference
 from notetune import nncore as nn
 from notetune import symbolic as sym
 from notetune.datakit import AnnotatedSample, Note
@@ -11,20 +12,20 @@ from notetune.spp import StationaryEstimate
 def test_event_at_time_zero():
     meta = sym.GridMeta(tempo_bpm=120.0)
     evs = sym.events_from_times(np.array([0.0]), np.array([0.5]), np.array([60.0]), meta)
-    assert evs[0].bar == 0 and evs[0].pos == 0
+    assert evs["bar"][0] == 0 and evs["pos"][0] == 0
 
 
 def test_event_at_half_second_120bpm_is_beat_one():
     meta = sym.GridMeta(tempo_bpm=120.0)
     evs = sym.events_from_times(np.array([0.5]), np.array([0.25]), np.array([64.0]), meta)
-    assert evs[0].bar == 0 and evs[0].pos == 4  # one beat = 4 sixteenths
+    assert evs["bar"][0] == 0 and evs["pos"][0] == 4  # one beat = 4 sixteenths
 
 
 def test_consecutive_notes_strictly_ordered():
     meta = sym.GridMeta(tempo_bpm=120.0)
     onsets = np.array([0.0, 0.01])  # quantize to the same cell without the bump
     evs = sym.events_from_times(onsets, np.array([0.01, 0.5]), np.array([60.0, 62.0]), meta)
-    assert (evs[1].bar, evs[1].pos) > (evs[0].bar, evs[0].pos)
+    assert (evs["bar"][1], evs["pos"][1]) > (evs["bar"][0], evs["pos"][0])
 
 
 def test_tokenization_roundtrip_within_one_grid_unit():
@@ -36,10 +37,10 @@ def test_tokenization_roundtrip_within_one_grid_unit():
     spb = 60.0 / meta.tempo_bpm
     unit = spb / sym.GRID_PER_BEAT
     ppb = sym.positions_per_bar(meta.time_signature)
-    for ev, onset, dur in zip(evs, onsets, durs):
-        t = (ev.bar * ppb + ev.pos) * unit
+    for bar, pos, ev_dur, onset, dur in zip(evs["bar"], evs["pos"], evs["dur"], onsets, durs):
+        t = (bar * ppb + pos) * unit
         assert abs(t - onset) <= unit
-        assert abs(ev.dur * unit - dur) <= unit
+        assert abs(ev_dur * unit - dur) <= unit
 
 
 def test_positions_per_bar():
@@ -121,7 +122,7 @@ def test_cnpp_outputs_valid_tokens_and_distributions():
 
 
 def test_cnpp_empty_sequence():
-    tokens, probs = _tiny_model().predict([])
+    tokens, probs = _tiny_model().predict(_events(0))
     assert len(tokens) == 0 and probs.shape == (0, sym.PITCH_TOKENS)
 
 
@@ -147,8 +148,8 @@ def test_octuples_from_annotation_and_midi_import(tmp_path):
     midifile.write_midi(midi_path, notes, tempo_bpm=120.0)
     ann = import_annotations(midi_path)
     evs = sym.octuples_from_annotation(ann)
-    assert [e.pos for e in evs] == [0, 4, 8]  # 0.5 s = 1 beat = 4 sixteenths
-    assert [round(e.pitch) for e in evs] == [60, 62, 64]
+    assert evs["pos"].tolist() == [0, 4, 8]  # 0.5 s = 1 beat = 4 sixteenths
+    assert [round(pitch) for pitch in evs["pitch"]] == [60, 62, 64]
 
 
 def test_notes_to_octuples_alignment_check():
@@ -156,7 +157,72 @@ def test_notes_to_octuples_alignment_check():
     notes = [NoteInterval(0, 10)]
     with pytest.raises(ValueError):
         sym.notes_to_octuples(notes, [], meta, 22050, 256)
-    est = [StationaryEstimate(0, 61.2, np.ones(10))]
+    est = [StationaryEstimate(61.2)]
     evs = sym.notes_to_octuples(notes, est, meta, 22050, 256)
-    assert evs[0].pitch == pytest.approx(61.2)
-    assert evs[0].dur >= 1
+    assert evs["pitch"][0] == pytest.approx(61.2)
+    assert evs["dur"][0] >= 1
+
+
+def _reference_fields(events) -> dict:
+    return {
+        name: np.array([getattr(e, name) for e in events], dtype=np.float64 if name == "pitch" else np.int64)
+        for name in sym.FIELD_NAMES
+    }
+
+
+def _assert_same_sequence(got: dict, want: dict):
+    assert list(got) == list(sym.FIELD_NAMES)
+    for name in sym.FIELD_NAMES:
+        assert got[name].dtype == want[name].dtype, name
+        assert np.array_equal(got[name], want[name]), name
+
+
+def _random_song(rng):
+    n = int(rng.integers(0, 60))
+    gaps = rng.exponential(rng.choice([0.05, 0.5, 4.0]), size=n)
+    gaps[rng.random(n) < 0.2] = 0.0  # ties on the grid
+    onsets = rng.uniform(-1.5, 0.5) + np.cumsum(gaps)
+    durs = rng.uniform(0.0, 5.0, size=n)
+    pitches = rng.uniform(-20.0, 150.0, size=n)
+    sig = sym.TIME_SIGNATURES[int(rng.integers(len(sym.TIME_SIGNATURES)))]
+    return onsets, durs, pitches, sym.GridMeta(tempo_bpm=float(rng.uniform(50.0, 220.0)), time_signature=sig)
+
+
+def test_events_and_batches_match_the_per_note_reference():
+    rng = np.random.default_rng(11)
+    songs = [_random_song(rng) for _ in range(300)]
+    edge = sym.GridMeta(tempo_bpm=120.0, time_signature=(6, 8))
+    songs += [
+        (np.zeros(0), np.zeros(0), np.zeros(0), sym.GridMeta()),
+        # half-cell onsets and durations round half to even; 0 and 127 are inside the range
+        (np.array([0.0625, 0.1875, 0.3125, 0.3125]), np.array([0.0625, 0.1875, 0.0, 9.0]),
+         np.array([0.0, 127.0, -0.5, 127.5]), edge),
+        # every note past bar 64 of 6/8 at 120 BPM (1.5 s a bar)
+        (np.arange(5) * 0.1 + 100.0, np.full(5, 0.3), np.full(5, 60.0), edge),
+    ]
+    seqs, refs = [], []
+    for onsets, durs, pitches, meta in songs:
+        got = sym.events_from_times(onsets, durs, pitches, meta)
+        ref = symbolic_reference.events_from_times(onsets, durs, pitches, meta)
+        _assert_same_sequence(got, _reference_fields(ref))
+        seqs.append(got)
+        refs.append(ref)
+    for lo in range(0, len(seqs), 8):
+        fields, pitch_values, pad = sym.pack_sequences(seqs[lo : lo + 8])
+        want_fields, want_pitch, want_pad = symbolic_reference.pack_sequences(refs[lo : lo + 8])
+        assert list(fields) == list(want_fields)
+        for name in want_fields:
+            assert fields[name].dtype == np.int64 and np.array_equal(fields[name], want_fields[name]), name
+        assert pitch_values.dtype == np.float64 and np.array_equal(pitch_values, want_pitch)
+        assert np.array_equal(pad, want_pad)
+
+
+def test_a_70_bar_sequence_logs_one_bar_clamp_warning(caplog):
+    meta = sym.GridMeta(tempo_bpm=120.0)  # 2 s a bar
+    onsets = np.arange(140) * 1.0  # two notes a bar, bars 0..69
+    with caplog.at_level("WARNING", logger=sym.log.name):
+        evs = sym.events_from_times(onsets, np.full(140, 0.5), np.full(140, 60.0), meta)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"12 of 140 notes past bar {sym.MAX_BARS}; clamping them into its last cell"
+    ]
+    assert evs["bar"].max() == sym.MAX_BARS - 1

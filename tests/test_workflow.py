@@ -274,14 +274,33 @@ def test_benchmark_layers_are_own_attributes():
         assert attr in vars(owner), (owner, attr)
 
 
-def test_correct_rejects_a_bad_annotation_before_loading_anything(tmp_path, monkeypatch):
+@pytest.mark.parametrize("doc, message", [
+    pytest.param({"version": 1, "notes": [{"onset_sec": float("nan"), "offset_sec": 0.4, "pitch": 60}]},
+                 "note 0: non-finite onset_sec", id="nan_onset"),
+    pytest.param({"version": 1}, "'notes' is missing", id="no_notes"),
+    pytest.param([], "top level is a JSON list, not an object", id="top_level_list"),
+    pytest.param({"version": 1, "notes": [{"onset_sec": 0.0, "offset_sec": 0.4}]}, "note 0 has no 'pitch'",
+                 id="note_without_pitch"),
+    pytest.param({"version": 1, "notes": [], "tempo_bpm": None}, "bad tempo_bpm or time_signature",
+                 id="null_tempo"),
+    pytest.param({"version": 1, "notes": [], "time_signature": [4]}, "bad tempo_bpm or time_signature",
+                 id="one_number_time_signature"),
+])
+def test_correct_rejects_a_bad_annotation_before_loading_anything(tmp_path, monkeypatch, doc, message):
     def no_load(*_args, **_kwargs):
         raise AssertionError("models were loaded before the annotations were validated")
 
     monkeypatch.setattr(wf.Pipeline, "load", no_load)
     bad = tmp_path / "bad.json"
-    notes = [{"onset_sec": float("nan"), "offset_sec": 0.4, "pitch": 60}]
-    bad.write_text(json.dumps({"version": 1, "notes": notes}))
-    with pytest.raises(dk.AnnotationError, match="note 0: non-finite onset_sec"):
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(dk.AnnotationError, match=message):
         wf.stage_correct(load_config(None, TINY), tmp_path / "missing.wav", tmp_path / "out.wav",
                          tmp_path / "ckpt", annotations=bad)
+
+
+def test_correct_with_a_malformed_annotation_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]")
+    argv = ["correct", tmp_path / "missing.wav", tmp_path / "o.wav", "--checkpoint-dir", tmp_path / "ckpt"]
+    assert run_cli(*argv, "--annotations", bad) == 2
+    assert "top level is a JSON list" in capsys.readouterr().err

@@ -1,0 +1,49 @@
+"""SHA-256 of every file a fixed-seed tiny run writes, as one JSON object.
+
+    python3 tools/run_digest.py WORKDIR
+
+Runs the full recipe on the tiny configuration of `tests/test_workflow.py`
+(`TINY`, two extract jobs) into WORKDIR, then `correct` on the
+`moderate_eval_000` take with its annotation into WORKDIR/correct.  It prints
+{relative path: sha256} for every file under WORKDIR, sorted by path.  Two
+checkouts that give the same bytes (same host, same BLAS thread count) print
+the same object, so comparing the output of a change with that of its parent
+checks that a refactor kept every checkpoint, report, plan and WAV.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from notetune import workflow as wf  # noqa: E402
+from notetune.config import load_config  # noqa: E402
+from test_workflow import TINY  # noqa: E402
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    workdir = Path(argv[0])
+    cfg = load_config(None, TINY)
+    wf.run_full_recipe(cfg, workdir, jobs=2)
+    data, ckpt = workdir / "data", workdir / "checkpoints"
+    wf.stage_correct(cfg, data / "audio" / "moderate_eval_000.wav", workdir / "correct" / "moderate_eval_000.wav",
+                     ckpt, annotations=data / "annotations" / "moderate_eval_000.json")
+    digests = {
+        str(path.relative_to(workdir)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(workdir.rglob("*"))
+        if path.is_file()
+    }
+    print(json.dumps(digests, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
