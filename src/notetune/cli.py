@@ -24,6 +24,7 @@ from . import workflow as wf
 from .config import load_config
 from .evalkit import format_ablation_table
 from .features import AudioIOError
+from .nncore import CheckpointError
 
 log = logging.getLogger("notetune")
 
@@ -155,8 +156,9 @@ def main(argv=None) -> int:
         elif args.command == "ablate":
             table = wf.stage_ablate(cfg, args.data_dir, args.checkpoint_dir, splits=tuple(args.splits))
             print(format_ablation_table(table, list(args.splits)))
-    # MissingCheckpointError is a FileNotFoundError, AnnotationError a ValueError
-    except (wf.StageOrderError, AudioIOError, FileNotFoundError, ValueError) as exc:
+    # MissingCheckpointError is a FileNotFoundError, AnnotationError a ValueError;
+    # CheckpointError covers a checkpoint whose shapes the config does not match
+    except (wf.StageOrderError, AudioIOError, CheckpointError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

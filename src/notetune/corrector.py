@@ -11,8 +11,11 @@ do: float64 spacing doubles at each power of two.
 
 Audio is shifted with time-domain PSOLA over voiced regions (epoch spacing
 from the tracked f0), unvoiced audio passes through, and joins get a 10 ms
-equal-power crossfade.  Grains are overlap-added with `np.add.at` in grain
-order, so every sample sums its terms as a one-grain-at-a-time loop would.
+equal-power crossfade.  The f0 and the shift ratio are constant over each
+hop, so the epochs step on per-frame tables: sample t reads frame t // hop,
+exactly the value a per-sample array repeated hop times would hold.  Grains
+are overlap-added with `np.add.at` in grain order, so every sample sums its
+terms as a one-grain-at-a-time loop would.
 """
 
 from __future__ import annotations
@@ -77,9 +80,8 @@ def build_plan(
         deltas[i] = 0.0 if e.flagged else quantize_delta(e.pitch - tgt)
         a, b = note.start_frame, max(note.start_frame, min(note.end_frame, T))
         note_map[a:b] = i
-        sel = np.zeros(T, dtype=bool)
-        sel[a:b] = voiced[a:b]
-        target_pitch[sel] = track.pitch_semitones[sel] - deltas[i]
+        sel = voiced[a:b]
+        target_pitch[a:b][sel] = track.pitch_semitones[a:b][sel] - deltas[i]
     return CorrectionPlan(
         deltas=deltas,
         est_pitch=est,
@@ -92,46 +94,47 @@ def build_plan(
 
 # ---- PSOLA ------------------------------------------------------------------
 
-def _sample_regions(mask: np.ndarray) -> list[tuple[int, int]]:
-    idx = np.nonzero(mask)[0]
-    if len(idx) == 0:
-        return []
-    jumps = np.nonzero(np.diff(idx) > 1)[0]
-    starts = np.concatenate([[idx[0]], idx[jumps + 1]])
-    ends = np.concatenate([idx[jumps] + 1, [idx[-1] + 1]])
-    return list(zip(starts, ends))
+def _frame_regions(voiced: np.ndarray, hop: int, n: int) -> list[tuple[int, int]]:
+    """Sample spans [start * hop, min(end * hop, n)) of the runs of voiced frames."""
+    edges = np.diff(voiced.astype(np.int8), prepend=0, append=0)
+    starts = np.flatnonzero(edges > 0) * hop
+    ends = np.minimum(np.flatnonzero(edges < 0) * hop, n)
+    return list(zip(starts.tolist(), ends.tolist()))
 
 
-def _psola_region(wav, out, norm, a, b, f0_hz, ratio, sr):
-    """Overlap-add Hann grains from analysis epochs onto retimed epochs."""
+def _psola_region(wav, out, norm, a, b, hop, f0_hz, period, spacing, sr):
+    """Overlap-add Hann grains from analysis epochs onto retimed epochs.
+
+    `f0_hz` (array), `period` and `spacing` (lists) hold one entry per frame;
+    an epoch at sample t reads frame int(t) // hop.
+    """
     n = len(wav)
-    f0, r = f0_hz.tolist(), ratio.tolist()
     # analysis marks one local period apart, then synthesis positions one
     # local period / ratio apart: two sequential recurrences
     marks = []
     t = float(a)
     while t < b:
         marks.append(t)
-        t += max(sr / f0[min(int(t), b - 1) - a], 2.0)
+        t += period[int(t) // hop]
     if len(marks) < 2:
         out[a:b] += wav[a:b]
         norm[a:b] += 1.0
         return
-    pos, local = [], []
+    pos, frames = [], []
     s = marks[0]
     while s < b:
-        i = min(int(s), b - 1) - a
+        k = int(s) // hop
         pos.append(s)
-        local.append(i)
-        s += sr / f0[i] / r[i]
-    marks, s, local = np.asarray(marks), np.asarray(pos), np.asarray(local)
+        frames.append(k)
+        s += spacing[k]
+    marks, s = np.asarray(marks), np.asarray(pos)
 
     # each grain reads at the analysis mark nearest its synthesis position
     j = np.minimum(np.searchsorted(marks, s), len(marks) - 1)
     j -= (j > 0) & (np.abs(marks[j - 1] - s) < np.abs(marks[j] - s))
     mj = np.round(marks[j]).astype(np.int64)
     rs = np.round(s).astype(np.int64)
-    L = np.maximum(np.round(sr / f0_hz[local]).astype(np.int64), 2)
+    L = np.maximum(np.round(sr / f0_hz[frames]).astype(np.int64), 2)
     lo = np.maximum(np.maximum(-L, -mj), -rs)
     hi = np.maximum(np.minimum(np.minimum(L + 1, n - mj), n - rs), lo)
 
@@ -149,10 +152,19 @@ def _psola_region(wav, out, norm, a, b, f0_hz, ratio, sr):
 
 
 def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.ndarray:
-    """Per-note pitch shift by 2^(-delta/12), duration preserved."""
+    """Per-note pitch shift by 2^(-delta/12), duration preserved.
+
+    The epochs step on per-frame tables of period and synthesis spacing,
+    which is exact because f0 and ratio are constant over each hop: numpy's
+    elementwise `/` and `maximum` round as Python's float operations do, and
+    samples past the last frame read the last frame.
+    """
     sr = track.sample_rate
     hop = track.hop
     n = len(wav)
+    T = track.n_frames
+    if len(plan.note_map) != T:
+        raise ValueError(f"plan covers {len(plan.note_map)} frames but the track has {T}")
 
     deltas = plan.deltas.copy()
     too_big = np.abs(deltas) > MAX_SHIFT_SEMITONES
@@ -165,27 +177,23 @@ def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.
         deltas = np.clip(deltas, -MAX_SHIFT_SEMITONES, MAX_SHIFT_SEMITONES)
     if not deltas.any():
         return wav.copy()
-    if len(plan.note_map) != track.n_frames:
-        raise ValueError(
-            f"plan covers {len(plan.note_map)} frames but the track has {track.n_frames}"
-        )
 
-    # frame-level ratio, expanded to samples
-    frame_ratio = np.ones(track.n_frames)
+    frame_ratio = np.ones(T)
     covered = plan.note_map >= 0
     frame_ratio[covered] = np.exp2(-deltas[plan.note_map[covered]] / 12.0)
-
     frame_voiced = track.voiced.astype(bool) & covered
-    sample_idx = np.minimum(np.arange(n) // hop, track.n_frames - 1)
-    sample_voiced = frame_voiced[sample_idx]
-    sample_ratio = frame_ratio[sample_idx]
-    sample_f0 = semitones_to_hz(track.pitch_filled[sample_idx])
+
+    # one entry per frame that a sample reaches; past the track, the last frame
+    frames = np.minimum(np.arange(max(T, -(-n // hop))), T - 1)
+    f0 = semitones_to_hz(track.pitch_filled[frames])
+    period = np.maximum(sr / f0, 2.0).tolist()
+    spacing = (sr / f0 / frame_ratio[frames]).tolist()
 
     synth = np.zeros(n)
     norm = np.zeros(n)
-    regions = [(a, b) for a, b in _sample_regions(sample_voiced) if b - a > 32]
+    regions = [(a, b) for a, b in _frame_regions(frame_voiced[frames], hop, n) if b - a > 32]
     for a, b in regions:
-        _psola_region(wav, synth, norm, a, b, sample_f0[a:b], sample_ratio[a:b], sr)
+        _psola_region(wav, synth, norm, a, b, hop, f0, period, spacing, sr)
 
     out = wav.copy()
     fade = max(int(CROSSFADE_SEC * sr), 8)

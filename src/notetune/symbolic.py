@@ -56,10 +56,18 @@ Octuples = dict[str, np.ndarray]  # one note sequence, keyed by FIELD_NAMES
 @dataclass
 class GridMeta:
     """Beat-grid metadata: constant tempo and time signature; bar 0, beat 0
-    falls at 0 s."""
+    falls at 0 s.  A signature outside TIME_SIGNATURES is treated as 4/4,
+    for its grid and its token alike."""
 
     tempo_bpm: float = 120.0
     time_signature: tuple[int, int] = (4, 4)
+
+    def __post_init__(self):
+        sig = tuple(self.time_signature)
+        if sig not in TIME_SIGNATURES:
+            log.warning("unknown time signature %s, treating as 4/4", sig)
+            sig = (4, 4)
+        self.time_signature = sig
 
     @classmethod
     def from_annotation(cls, sample: AnnotatedSample) -> "GridMeta":
@@ -76,11 +84,7 @@ def tempo_token(bpm: float) -> int:
 
 
 def sig_token(sig: tuple[int, int]) -> int:
-    sig = tuple(sig)
-    if sig in TIME_SIGNATURES:
-        return TIME_SIGNATURES.index(sig)
-    log.warning("unknown time signature %s, treating as 4/4", sig)
-    return 0
+    return TIME_SIGNATURES.index(tuple(sig))
 
 
 def events_from_times(

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import psola_reference
 from conftest import make_track
 from psola_reference import reference_shift_audio
 from notetune import corrector as C
+from notetune import datakit as dk
 from notetune import features as F
 from notetune.segmenter import NoteInterval
 from notetune.spp import StationaryEstimate
@@ -23,19 +25,21 @@ def test_plan_arithmetic():
 
 
 def test_plan_identity_when_target_equals_estimate():
-    track = make_track(np.full(10, 60.0))
+    track = make_track(np.full(87, 60.0))
     plan = C.build_plan([_est(60.0, 10)], [60.0], [NoteInterval(0, 10)], track)
     assert plan.deltas[0] == 0.0
     wav = np.random.default_rng(0).normal(0, 0.1, SR)
-    out = C.shift_audio(wav, plan, make_track(np.full(87, 60.0)))
+    out = C.shift_audio(wav, plan, track)
     assert np.array_equal(out, wav)
 
 
 def test_shift_audio_rejects_plan_for_other_frame_count():
-    plan = C.build_plan([_est(60.5, 10)], [60.0], [NoteInterval(0, 10)], make_track(np.full(10, 60.5)))
     wav = np.random.default_rng(0).normal(0, 0.1, SR)
-    with pytest.raises(ValueError, match="10 frames.* 87"):
-        C.shift_audio(wav, plan, make_track(np.full(87, 60.5)))
+    # also when every delta is 0 and nothing would be shifted
+    for estimate in (60.5, 60.0):
+        plan = C.build_plan([_est(estimate, 10)], [60.0], [NoteInterval(0, 10)], make_track(np.full(10, 60.5)))
+        with pytest.raises(ValueError, match="10 frames.* 87"):
+            C.shift_audio(wav, plan, make_track(np.full(87, 60.5)))
 
 
 def test_plan_misaligned_inputs_error():
@@ -181,7 +185,7 @@ def _edge_take(pitch, delta):
     track = make_track(pitch)
     plan = C.build_plan([_est(60.0 + delta, T)], [60.0], [NoteInterval(0, T)], track)
     voiced = track.voiced.astype(bool)[np.minimum(np.arange(n) // 256, T - 1)]
-    return wav, plan, track, C._sample_regions(voiced)
+    return wav, plan, track, psola_reference._sample_regions(voiced)
 
 
 def _assert_reference_bytes(wav, plan, track):
@@ -213,3 +217,20 @@ def test_psola_clamped_shifts_match_reference():
     pitch = 58.0 + 0.2 * np.sin(np.linspace(0, 5, 30))
     for delta in (-12.0, 12.0):
         _assert_reference_bytes(*_edge_take(pitch, delta)[:3])
+
+
+def test_psola_on_a_20_s_song_matches_both_references():
+    # a rendered song, cut to a length that is not a multiple of the hop,
+    # with shifts of both signs, several of them clamped
+    wav, ann = dk.synth_song(dk.SynthSpec(seed=7, n_notes=50, tempo_bpm=130.0))
+    wav = wav[: len(wav) - len(wav) % 256 - 77]
+    assert len(wav) > 20 * SR and len(wav) % 256
+    track = F.extract_track(wav)
+    notes = [NoteInterval(round(n.onset_sec * SR / 256), round(n.offset_sec * SR / 256)) for n in ann.notes]
+    shifts = np.resize([0.7, -1.3, 4.5, -0.2, -5.0, 2.9, 0.0, -3.5], len(notes))
+    targets = np.array([float(n.pitch) for n in ann.notes])
+    plan = C.build_plan([_est(t + d, 0) for t, d in zip(targets, shifts)], targets, notes, track)
+    assert (plan.deltas > C.MAX_SHIFT_SEMITONES).any() and (plan.deltas < -C.MAX_SHIFT_SEMITONES).any()
+    out = C.shift_audio(wav, plan, track).tobytes()
+    assert out == reference_shift_audio(wav, plan, track).tobytes()
+    assert out == psola_reference.shift_audio(wav, plan, track).tobytes()

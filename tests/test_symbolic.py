@@ -133,6 +133,20 @@ def test_cnpp_deterministic():
     assert np.array_equal(t1, t2) and np.array_equal(p1, p2)
 
 
+@pytest.mark.parametrize("sig", [(5, 4), (12, 8), (3, 2)])
+def test_cnpp_predicts_a_song_in_an_unknown_signature_as_4_4(sig, caplog):
+    # 20 or 24 positions per bar would index past the 16-row pos table
+    onsets = np.arange(12) * 0.5
+    args = onsets, np.full(12, 0.4), 60 + np.arange(12) % 5 + 0.3
+    with caplog.at_level("WARNING", logger="notetune.symbolic"):
+        evs = sym.events_from_times(*args, sym.GridMeta(tempo_bpm=120.0, time_signature=sig))
+    assert any("treating as 4/4" in r.message for r in caplog.records)
+    four_four = sym.events_from_times(*args, sym.GridMeta(tempo_bpm=120.0))
+    assert all(np.array_equal(evs[k], four_four[k]) for k in sym.FIELD_NAMES)
+    tokens, probs = _tiny_model().predict(evs)
+    assert tokens.shape == (12,) and probs.shape == (12, sym.PITCH_TOKENS)
+
+
 def test_cnpp_rejects_overlong_sequences():
     model = _tiny_model(max_events=4)
     with pytest.raises(ValueError):

@@ -103,6 +103,13 @@ def test_correct_without_checkpoints_exits_2(cli_run, tmp_path):
     assert run_cli("correct", cli_run["take"], tmp_path / "o.wav", "--checkpoint-dir", empty) == 2
 
 
+def test_correct_with_a_model_config_the_checkpoints_do_not_fit_exits_2(cli_run, tmp_path, capsys):
+    argv = ["correct", cli_run["take"], tmp_path / "o.wav", "--checkpoint-dir", cli_run["ckpt"]]
+    assert run_cli(*argv, "--set", "segmenter.model.model_dim=32") == 2
+    assert "shape mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "o.wav").exists()
+
+
 def test_full_recipe_matches_cli_run(cli_run, tmp_path):
     wf.run_full_recipe(load_config(None, TINY), tmp_path, jobs=2)
     recipe = manifest_stages(tmp_path / "checkpoints")
