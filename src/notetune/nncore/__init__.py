@@ -42,5 +42,5 @@ from .layers import (
 )
 from .losses import focal_loss, PROB_EPS
 from .optim import AdamW, train_step, DivergenceError
-from .checkpoint import save_checkpoint, load_checkpoint, CheckpointError
+from .checkpoint import save_checkpoint, load_checkpoint, CheckpointError, save_npz, load_npz
 from .gradcheck import finite_difference_check

@@ -794,7 +794,13 @@ def stage_correct(
         key = ft.track_cache_key(wav, sr, hop, audio_cfg["win"], audio_cfg["n_mels"])
         cache_path = Path(cache_dir) / f"track_{key}.npz"
         if cache_path.exists():
-            track = ft.load_track(cache_path)
+            # an unreadable entry (cut short by a writer killed before
+            # writes were atomic, or garbage) is a miss; the extraction
+            # below overwrites it
+            try:
+                track = ft.load_track(cache_path)
+            except (OSError, ValueError, KeyError) as exc:
+                log.warning("cannot read cached track %s (%s); extracting it again", cache_path, exc)
     if track is None:
         track = _extract_track(wav, audio_cfg)
         if cache_path is not None:

@@ -1,8 +1,11 @@
 import hashlib
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from conftest import make_track
 from notetune import features as F
 
 SR = 22050
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def sine(freq, dur=1.5, sr=SR, amp=0.3):
@@ -68,13 +72,51 @@ def test_load_audio_rejects_an_unsupported_sample_format(tmp_path):
         F.load_audio(tmp_path / "x.wav")
 
 
-def test_resample_preserves_dominant_frequency(tmp_path):
-    t = np.arange(44100) / 44100.0
-    F.write_wav(tmp_path / "hi.wav", 0.3 * np.sin(2 * np.pi * 440 * t), 44100)
+@pytest.mark.parametrize("file_sr, up, down", [(44100, 1, 2), (48000, 147, 320)], ids=["44100", "48000"])
+def test_resample_preserves_dominant_frequency(tmp_path, file_sr, up, down):
+    from scipy.io import wavfile
+    from scipy.signal import resample_poly
+
+    t = np.arange(file_sr) / file_sr
+    F.write_wav(tmp_path / "hi.wav", 0.3 * np.sin(2 * np.pi * 440 * t), file_sr)
     wav = F.load_audio(tmp_path / "hi.wav", target_sr=SR)
     spec = np.abs(np.fft.rfft(wav * np.hanning(len(wav))))
     freqs = np.fft.rfftfreq(len(wav), 1.0 / SR)
     assert abs(freqs[np.argmax(spec)] - 440.0) < 1.0
+    # the same call and arguments as a direct resample_poly, bit for bit
+    pcm = wavfile.read(tmp_path / "hi.wav")[1].astype(np.float64) / 32768.0
+    assert wav.tobytes() == resample_poly(pcm, up, down).tobytes()
+
+
+def test_only_a_resampled_file_imports_scipy_signal(tmp_path):
+    F.write_wav(tmp_path / "model_rate.wav", sine(440, dur=0.2), SR)
+    F.write_wav(tmp_path / "cd_rate.wav", sine(440, dur=0.2, sr=44100), 44100)
+    probe = (
+        "import sys\n"
+        "import notetune.cli\n"
+        "from notetune.features import load_audio\n"
+        "load_audio(sys.argv[1])\n"
+        "print('scipy.signal' in sys.modules)\n"
+        "load_audio(sys.argv[2])\n"
+        "print('scipy.signal' in sys.modules)\n"
+    )
+    # a fresh interpreter: the test process has imported scipy.signal itself
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path / "model_rate.wav"), str(tmp_path / "cd_rate.wav")],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_load_audio_rejects_non_finite_samples(tmp_path, bad):
+    from scipy.io import wavfile
+
+    pcm = np.float32(sine(440, dur=0.1))
+    pcm[100] = bad
+    wavfile.write(tmp_path / "x.wav", SR, pcm)
+    with pytest.raises(F.AudioIOError, match=r"non-finite samples .* in audio file .*x\.wav"):
+        F.load_audio(tmp_path / "x.wav")
 
 
 def test_load_unreadable_file_raises(tmp_path):

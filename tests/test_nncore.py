@@ -425,6 +425,32 @@ def test_checkpoint_roundtrip_and_shape_validation(tmp_path):
         nn.load_checkpoint(tmp_path / "missing.npz")
 
 
+@pytest.mark.parametrize("damage", ["truncated", "empty", "garbage"])
+def test_an_unreadable_checkpoint_raises_checkpoint_error(tmp_path, damage):
+    path = tmp_path / "model.npz"
+    nn.save_checkpoint(path, nn.Linear(np.random.default_rng(15), 3, 2).params(), {"kind": "test"})
+    raw = path.read_bytes()
+    path.write_bytes({"truncated": raw[: len(raw) // 2], "empty": b"", "garbage": b"garbage" * 64}[damage])
+    with pytest.raises(nn.CheckpointError, match="unreadable checkpoint"):
+        nn.load_checkpoint(path)
+
+
+def test_save_npz_replaces_the_file_only_once_it_is_whole(tmp_path, monkeypatch):
+    path = tmp_path / "a.npz"
+    nn.save_npz(path, x=np.arange(3.0))
+    before = path.read_bytes()
+
+    def killed(fh, **_arrays):
+        fh.write(b"PK\x03\x04 half an archive")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(np, "savez", killed)
+    with pytest.raises(KeyboardInterrupt):
+        nn.save_npz(path, x=np.arange(4.0))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.npz"]
+
+
 def test_embedding_and_interp_gradients():
     rng = np.random.default_rng(16)
     table = nn.Tensor(rng.normal(size=(6, 4)), requires_grad=True)

@@ -3,9 +3,11 @@ fixed-seed configuration (20 songs, 4 steps per trainer)."""
 
 import importlib.util
 import json
+import logging
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from notetune import cli
@@ -171,6 +173,38 @@ def test_correct_reads_its_cached_track_and_writes_the_same_bytes(cli_run, tmp_p
         plain = (tmp_path / f"plain{suffix}").read_bytes()
         assert (tmp_path / f"miss{suffix}").read_bytes() == plain
         assert (tmp_path / f"hit{suffix}").read_bytes() == plain
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage"])
+def test_correct_treats_an_unreadable_cached_track_as_a_miss(cli_run, tmp_path, caplog, damage):
+    cfg = load_config(None, TINY)
+    ann = cli_run["data"] / "annotations" / "moderate_eval_000.json"
+    cache = tmp_path / "cache"
+    wf.stage_correct(cfg, cli_run["take"], tmp_path / "first.wav", cli_run["ckpt"], annotations=ann,
+                     dry_run=True, cache_dir=cache)
+    (entry,) = cache.iterdir()
+    whole = entry.read_bytes()
+    entry.write_bytes(whole[: len(whole) // 2] if damage == "truncated" else b"garbage" * 64)
+    with caplog.at_level(logging.WARNING, logger=wf.log.name):
+        wf.stage_correct(cfg, cli_run["take"], tmp_path / "again.wav", cli_run["ckpt"], annotations=ann,
+                         cache_dir=cache)
+    assert any("cannot read cached track" in r.getMessage() for r in caplog.records)
+    # the same bytes as the CLI's uncached run, and the entry is whole again
+    for suffix in (".wav", ".plan.tsv", ".residuals.tsv"):
+        assert (tmp_path / f"again{suffix}").read_bytes() == (cli_run["out"] / f"plain{suffix}").read_bytes()
+    assert entry.read_bytes() == whole
+    ft.load_track(entry)
+
+
+def test_correct_on_a_take_with_a_nan_sample_exits_2(cli_run, tmp_path, capsys):
+    from scipy.io import wavfile
+
+    pcm = np.float32(ft.load_audio(cli_run["take"]))
+    pcm[1000] = np.nan
+    wavfile.write(tmp_path / "nan.wav", 22050, pcm)
+    assert run_cli("correct", tmp_path / "nan.wav", tmp_path / "o.wav", "--checkpoint-dir", cli_run["ckpt"]) == 2
+    assert "non-finite samples (NaN or inf) in audio file" in capsys.readouterr().err
+    assert not (tmp_path / "o.wav").exists()
 
 
 def test_spp_validation_runs_every_eval_step(cli_run):
