@@ -119,11 +119,13 @@ def apply_override(cfg: dict, dotted: str):
 
 
 EVAL_SET_KEYS = {"n_songs", "detune"}
+COUNT_KEYS = {"batch", "crop", "eval_every"}
 
 
 def _check_keys(node: dict, ref: dict, path: str):
-    """Reject keys that `ref` (DEFAULTS) does not have, and objects where
-    it has a plain value or the reverse.  New corpus.eval_sets entries must
+    """Reject keys that `ref` (DEFAULTS) does not have, objects where it has
+    a plain value or the reverse, and a batch, crop or eval_every that is
+    not a whole number of at least 1.  New corpus.eval_sets entries must
     give exactly n_songs and detune."""
     for key, value in node.items():
         name = path + key
@@ -138,6 +140,8 @@ def _check_keys(node: dict, ref: dict, path: str):
             _check_keys(value, ref[key], name + ".")
         elif isinstance(value, dict):
             raise ValueError(f"unknown config key {name}.{next(iter(value), '')}")
+        elif key in COUNT_KEYS and (not isinstance(value, int) or value < 1):
+            raise ValueError(f"config key {name} must be a whole number of at least 1, got {value!r}")
 
 
 def load_config(path=None, overrides: list[str] | None = None) -> dict:

@@ -74,13 +74,12 @@ def build_plan(
     est = np.zeros(len(notes))
     note_map = np.full(T, -1, dtype=np.int64)
     target_pitch = np.full(T, np.nan)
-    voiced = track.voiced.astype(bool)
     for i, (e, tgt, note) in enumerate(zip(estimates, targets, notes)):
         est[i] = e.pitch
         deltas[i] = 0.0 if e.flagged else quantize_delta(e.pitch - tgt)
         a, b = note.start_frame, max(note.start_frame, min(note.end_frame, T))
         note_map[a:b] = i
-        sel = voiced[a:b]
+        sel = track.voiced[a:b]
         target_pitch[a:b][sel] = track.pitch_semitones[a:b][sel] - deltas[i]
     return CorrectionPlan(
         deltas=deltas,
@@ -181,7 +180,7 @@ def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.
     frame_ratio = np.ones(T)
     covered = plan.note_map >= 0
     frame_ratio[covered] = np.exp2(-deltas[plan.note_map[covered]] / 12.0)
-    frame_voiced = track.voiced.astype(bool) & covered
+    frame_voiced = track.voiced & covered
 
     # one entry per frame that a sample reaches; past the track, the last frame
     frames = np.minimum(np.arange(max(T, -(-n // hop))), T - 1)

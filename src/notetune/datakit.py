@@ -207,12 +207,11 @@ def note_pitch_error(values: np.ndarray, gt_pitch: float) -> float:
 def sample_pitch_error(track: FrameTrack, sample: AnnotatedSample):
     """Per-note trimmed-mean errors and their sample-level mean, semitones."""
     spans = sample.note_frames(track.sample_rate, track.hop)
-    v = track.voiced.astype(bool)
     errors = []
     for (a, b), note in zip(spans, sample.notes):
         a = max(a, 0)
         b = min(b, track.n_frames)
-        vals = track.pitch_semitones[a:b][v[a:b]]
+        vals = track.pitch_semitones[a:b][track.voiced[a:b]]
         if len(vals) == 0:
             continue
         errors.append(note_pitch_error(vals, note.pitch))

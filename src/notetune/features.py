@@ -53,8 +53,8 @@ class AudioIOError(IOError):
 
 @dataclass
 class FrameTrack:
-    """Per-frame pitch (semitones, NaN where unvoiced), voicing and mel
-    [T, n_mels].
+    """Per-frame pitch (semitones, NaN where unvoiced), voicing (a bool
+    mask; `save_track` writes it as uint8) and mel [T, n_mels].
 
     The track keeps its own float64 copy of the pitch, rounded to the
     nearest multiple of PITCH_GRID = 2^-32 semitones (at most 2^-33 away,
@@ -81,12 +81,12 @@ class FrameTrack:
     def __post_init__(self):
         pitch = np.asarray(self.pitch_semitones, dtype=np.float64)
         self.pitch_semitones = np.round(pitch / PITCH_GRID) * PITCH_GRID
+        self.voiced = v = np.asarray(self.voiced, dtype=bool)
         T = len(self.pitch_semitones)
-        if len(self.voiced) != T or self.mel.shape[0] != T:
+        if len(v) != T or self.mel.shape[0] != T:
             raise ValueError("pitch, voicing and mel tracks must share one frame count")
         if self.hop <= 0:
             raise ValueError("hop must be positive")
-        v = np.asarray(self.voiced, dtype=bool)
         idx = np.arange(T)
         self.pitch_filled = (
             np.interp(idx, idx[v], self.pitch_semitones[v]) if v.any() else np.full(T, 60.0)
@@ -183,7 +183,7 @@ def _lag_products(frames: np.ndarray, pad0: int, tau_max: int) -> np.ndarray:
 
 def _yin_rows(frames: np.ndarray, sr: int, pad0: int, tau_min: int, tau_max: int):
     """YIN decision for each row of `frames` [n, frame_len] on its own:
-    returns (f0 in Hz, voiced as uint8).  Every step is per row, so any
+    returns (f0 in Hz, voiced as a bool mask).  Every step is per row, so any
     split of the frames into chunks gives the same bytes."""
     W = YIN_INTEGRATION
     frame_len = frames.shape[1]
@@ -230,14 +230,14 @@ def _yin_rows(frames: np.ndarray, sr: int, pad0: int, tau_min: int, tau_max: int
     rms = np.sqrt(np.mean(frames[:, center - W // 2 : center + W // 2] ** 2, axis=1))
     with np.errstate(divide="ignore"):
         rms_db = 20.0 * np.log10(np.where(rms > 0, rms, 1e-12))
-    voiced = (any_below & (rms_db > RMS_FLOOR_DB)).astype(np.uint8)
+    voiced = any_below & (rms_db > RMS_FLOOR_DB)
     return f0, voiced
 
 
 def track_pitch(wav: np.ndarray, sr: int = DEFAULT_SR, hop: int = DEFAULT_HOP):
     """Per-frame f0 via the cumulative-mean-normalized difference function.
 
-    Returns (pitch_semitones[T], voiced[T]); unvoiced frames hold NaN pitch.
+    Returns (pitch_semitones[T], bool voiced[T]); unvoiced frames hold NaN.
     The lag search covers YIN_FMIN..YIN_FMAX Hz over a YIN_INTEGRATION-sample
     window.  A frame counts as voiced when its best normalized-difference
     trough is below YIN_THRESHOLD and the local RMS exceeds RMS_FLOOR_DB dBFS.
@@ -263,8 +263,7 @@ def track_pitch(wav: np.ndarray, sr: int = DEFAULT_SR, hop: int = DEFAULT_HOP):
     f0, voiced = np.concatenate(f0), np.concatenate(voiced)
 
     pitch = np.full(T, np.nan)
-    v = voiced.astype(bool)
-    pitch[v] = hz_to_semitones(f0[v])
+    pitch[voiced] = hz_to_semitones(f0[voiced])
     return pitch, voiced
 
 
@@ -345,7 +344,7 @@ def save_track(path, track: FrameTrack):
         sample_rate=np.int64(track.sample_rate),
         hop=np.int64(track.hop),
         pitch=track.pitch_semitones,
-        voiced=track.voiced,
+        voiced=track.voiced.astype(np.uint8),
         mel=track.mel,
     )
 

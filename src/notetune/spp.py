@@ -68,52 +68,52 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def estimates_from_logits(
-    logits: np.ndarray, track: FrameTrack, notes: list[NoteInterval]
-) -> list[StationaryEstimate]:
-    voiced = track.voiced.astype(bool)
+def _note_estimates(track: FrameTrack, notes: list[NoteInterval], pitch_of) -> list[StationaryEstimate]:
+    """One estimate per note from the pitches `vals` of its voiced frames,
+    `pitch_of(note, idx, vals)` with `idx` their offsets in the note.  A
+    note with no voiced frame is flagged and gets the mean of the
+    gap-filled curve over its span."""
     out = []
     for note in notes:
         a, b = note.start_frame, note.end_frame
-        idx = np.nonzero(voiced[a:b])[0]
+        idx = np.flatnonzero(track.voiced[a:b])
         if len(idx) == 0:
-            # no voiced frame: fall back to the interpolated curve's mean
             out.append(StationaryEstimate(float(track.pitch_filled[a:b].mean()), flagged=True))
-            continue
-        w = _softmax(logits[a:b][idx])
-        out.append(StationaryEstimate(float(np.dot(w, track.pitch_semitones[a:b][idx]))))
+        else:
+            out.append(StationaryEstimate(float(pitch_of(note, idx, track.pitch_semitones[a:b][idx]))))
     return out
+
+
+def estimates_from_logits(
+    logits: np.ndarray, track: FrameTrack, notes: list[NoteInterval]
+) -> list[StationaryEstimate]:
+    """Softmax of the voiced frames' logits within each note, as weights."""
+    return _note_estimates(
+        track, notes, lambda note, idx, vals: np.dot(_softmax(logits[note.start_frame + idx]), vals)
+    )
 
 
 # ---- baseline aggregators ---------------------------------------------------
 
-def aggregate_average(track: FrameTrack, note: NoteInterval) -> StationaryEstimate:
-    a, b = note.start_frame, note.end_frame
-    voiced = track.voiced[a:b].astype(bool)
-    vals = track.pitch_semitones[a:b][voiced]
-    if len(vals) == 0:
-        return StationaryEstimate(float(track.pitch_filled[a:b].mean()), flagged=True)
-    return StationaryEstimate(float(vals.mean()))
+def aggregate_average(track: FrameTrack, notes: list[NoteInterval]) -> list[StationaryEstimate]:
+    return _note_estimates(track, notes, lambda _note, _idx, vals: vals.mean())
 
 
-def aggregate_weighted_median(track: FrameTrack, note: NoteInterval) -> StationaryEstimate:
-    """Weighted median with Hann-window weights over the note span.
+def _hann_median(note: NoteInterval, idx: np.ndarray, vals: np.ndarray) -> float:
+    hann = np.hanning(note.n_frames + 2)[1:-1]
+    order = np.argsort(vals, kind="stable")
+    cum = np.cumsum(hann[idx][order])
+    k = int(np.searchsorted(cum, 0.5 * cum[-1]))
+    return vals[order][min(k, len(vals) - 1)]
+
+
+def aggregate_weighted_median(track: FrameTrack, notes: list[NoteInterval]) -> list[StationaryEstimate]:
+    """Weighted median with Hann-window weights over each note's span.
 
     The window is evaluated on the padded span (hanning(n + 2)[1:-1]) so
     edge frames keep small positive weight.
     """
-    a, b = note.start_frame, note.end_frame
-    n = b - a
-    voiced = track.voiced[a:b].astype(bool)
-    vals = track.pitch_semitones[a:b][voiced]
-    if len(vals) == 0:
-        return StationaryEstimate(float(track.pitch_filled[a:b].mean()), flagged=True)
-    hann = np.hanning(n + 2)[1:-1]
-    wv = hann[voiced]
-    order = np.argsort(vals, kind="stable")
-    cum = np.cumsum(wv[order])
-    k = int(np.searchsorted(cum, 0.5 * cum[-1]))
-    return StationaryEstimate(float(vals[order][min(k, len(vals) - 1)]))
+    return _note_estimates(track, notes, _hann_median)
 
 
 # ---- training objective -----------------------------------------------------

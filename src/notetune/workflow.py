@@ -14,7 +14,7 @@ import json
 import logging
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -235,8 +235,23 @@ def stage_extract(cfg: dict, data_dir, jobs: int = 1) -> dict:
 
 @dataclass
 class SongData:
+    """A song's annotation and track, with its annotated notes as intervals
+    clipped to the track, their intended pitches and their sung pitches
+    (the intended pitch where none is given)."""
+
     ann: dk.AnnotatedSample
     track: ft.FrameTrack
+    notes: list[seg.NoteInterval] = field(init=False)
+    pitches: list[int] = field(init=False)
+    sung: list[float] = field(init=False)
+
+    def __post_init__(self):
+        T = self.track.n_frames
+        spans = self.ann.note_frames(self.track.sample_rate, self.track.hop)
+        self.notes = [seg.NoteInterval(a, min(b, T)) for a, b in spans if a < T]
+        kept = self.ann.notes[: len(self.notes)]
+        self.pitches = [n.pitch for n in kept]
+        self.sung = [n.sung_pitch if n.sung_pitch is not None else float(n.pitch) for n in kept]
 
 
 def load_song(data_dir, entry: dict) -> SongData:
@@ -257,18 +272,6 @@ def songs_by(data_dir, doc: dict, subset: str | None = None, role=None) -> list[
     return out
 
 
-def annotated_notes(song: SongData):
-    """The song's annotated notes as intervals clipped to its track, with
-    their intended pitches and sung pitches (intended where none is given)."""
-    T = song.track.n_frames
-    spans = song.ann.note_frames(song.track.sample_rate, song.track.hop)
-    notes = [seg.NoteInterval(a, min(b, T)) for a, b in spans if a < T]
-    kept = song.ann.notes[: len(notes)]
-    pitches = [n.pitch for n in kept]
-    sung = [n.sung_pitch if n.sung_pitch is not None else float(n.pitch) for n in kept]
-    return notes, pitches, sung
-
-
 # ---- stage: train-segmenter --------------------------------------------------------
 
 def _frame_model_cfg(cfg: dict, section: str) -> FrameEncoderConfig:
@@ -287,7 +290,7 @@ def _validate_segmenter(model, songs, cfg):
                 probs, w=scfg["nms_window"], theta=scfg["theta"], span=span
             )
             pred.extend(b for b in bounds if b != span[1] - 1)  # span ends are offsets
-        gt = [n.start_frame for n in annotated_notes(song)[0]]
+        gt = [n.start_frame for n in song.notes]
         scores.append(seg.boundary_prf(sorted(set(pred)), gt))
     p, r, f = (float(np.mean([s[i] for s in scores])) for i in range(3))
     return {"precision": p, "recall": r, "f1": f}
@@ -302,10 +305,10 @@ def train_segmenter_on(songs, val_songs, cfg: dict) -> tuple[seg.Segmenter, dict
     data = []
     for song in songs:
         hard = np.zeros(song.track.n_frames)
-        hard[[n.start_frame for n in annotated_notes(song)[0]]] = 1.0
+        hard[[n.start_frame for n in song.notes]] = 1.0
         data.append((track_inputs(song.track), hard, seg.soften_labels(hard, scfg["soft_sigma"])))
 
-    crop = tr["crop"]
+    crop = min([tr["crop"], *(song.track.n_frames for song in songs)])
     history = {"loss": [], "val": []}
     for step in range(tr["steps"]):
         xs, softs, hards = [], [], []
@@ -349,23 +352,18 @@ def train_spp_on(songs, val_songs, cfg: dict) -> tuple[sp.StationaryPitchPredict
     model = sp.StationaryPitchPredictor(_frame_model_cfg(cfg, "spp"))
     opt = nn.AdamW(model.params(), tr["lr"], tr["steps"], tr["warmup"], tr["weight_decay"])
     rng = np.random.default_rng(_derived_seed(cfg["seed"], "train_spp", 0))
-    data = []
-    for song in songs:
-        notes, pitches, _sung = annotated_notes(song)
-        sigma = sp.local_pitch_std(song.track.pitch_filled)
-        data.append((song, track_inputs(song.track), notes, pitches, sigma))
-    crop = tr["crop"]
+    data = [(song, track_inputs(song.track), sp.local_pitch_std(song.track.pitch_filled)) for song in songs]
+    crop = min([tr["crop"], *(song.track.n_frames for song in songs)])
     history = {"loss": [], "val": []}
     for step in range(tr["steps"]):
         batch = []
         for _ in range(tr["batch"]):
-            song, inputs, notes, pitches, sigma = data[int(rng.integers(0, len(data)))]
-            T = song.track.n_frames
-            j = int(rng.integers(0, len(notes)))
-            start = int(np.clip(notes[j].start_frame, 0, max(T - crop, 0)))
+            song, inputs, sigma = data[int(rng.integers(0, len(data)))]
+            j = int(rng.integers(0, len(song.notes)))
+            start = int(np.clip(song.notes[j].start_frame, 0, song.track.n_frames - crop))
             inside = [
                 (n.start_frame - start, n.end_frame - start, p)
-                for n, p in zip(notes, pitches)
+                for n, p in zip(song.notes, song.pitches)
                 if n.start_frame >= start and n.end_frame <= start + crop
             ]
             if not inside:
@@ -377,9 +375,8 @@ def train_spp_on(songs, val_songs, cfg: dict) -> tuple[sp.StationaryPitchPredict
         logits = model.forward_batch(x)
         losses = []
         for bi, (_x, inside, song, sigma, start) in enumerate(batch):
-            voiced = song.track.voiced.astype(bool)
             for a, b, gt in inside:
-                vidx = np.nonzero(voiced[start + a : start + b])[0]
+                vidx = np.flatnonzero(song.track.voiced[start + a : start + b])
                 if len(vidx) == 0:
                     continue
                 e = logits[bi, a:b][vidx]
@@ -396,22 +393,27 @@ def train_spp_on(songs, val_songs, cfg: dict) -> tuple[sp.StationaryPitchPredict
         loss = loss / len(losses)
         history["loss"].append(nn.train_step(loss, opt, context="spp"))
         if val_songs and (step + 1) % tr["eval_every"] == 0:
-            history["val"].append({"step": step + 1, **_validate_spp(model, val_songs)})
+            scores = score_estimators({"spp": model.estimate}, val_songs)["spp"]
+            history["val"].append({"step": step + 1, **scores})
     if val_songs:
-        history["final_val"] = _validate_spp(model, val_songs)
+        history["final_val"] = score_estimators({"spp": model.estimate}, val_songs)["spp"]
     return model, history
 
 
-def _validate_spp(model, songs) -> dict:
-    est_all, gt_all = [], []
-    for song in songs:
-        notes, _pitches, sung = annotated_notes(song)
-        ests = model.estimate(song.track, notes)
-        for e, s in zip(ests, sung):
-            if not e.flagged:
-                est_all.append(e.pitch)
-                gt_all.append(s)
-    return sp.evaluate_spp(np.array(est_all), np.array(gt_all))
+def score_estimators(estimators: dict, songs) -> dict:
+    """PTR/MAE (`sp.evaluate_spp`) of each `estimate(track, notes)` callable
+    against the sung pitches of the songs' annotated notes, over the notes
+    that it leaves unflagged."""
+    scores = {}
+    for name, estimate in estimators.items():
+        est, gt = [], []
+        for song in songs:
+            for e, s in zip(estimate(song.track, song.notes), song.sung):
+                if not e.flagged:
+                    est.append(e.pitch)
+                    gt.append(s)
+        scores[name] = sp.evaluate_spp(np.array(est), np.array(gt))
+    return scores
 
 
 def stage_train_spp(cfg: dict, data_dir, out_dir) -> dict:
@@ -443,11 +445,10 @@ def stage_train_detuner(cfg: dict, data_dir, out_dir) -> dict:
     songs = songs_by(data_dir, doc, subset="high", role="train")
     sequences = []
     for song in songs:
-        notes, pitches, _sung = annotated_notes(song)
-        ests = spp_model.estimate(song.track, notes)
-        pitches = np.array(pitches, dtype=np.float64)
+        ests = spp_model.estimate(song.track, song.notes)
+        pitches = np.array(song.pitches, dtype=np.float64)
         errors = np.array([e.pitch for e in ests]) - pitches
-        dur_beats = sym.octuples_from_annotation(song.ann)["dur"][: len(notes)] / sym.GRID_PER_BEAT
+        dur_beats = sym.octuples_from_annotation(song.ann)["dur"][: len(song.notes)] / sym.GRID_PER_BEAT
         sequences.append((pitches, dur_beats, errors))
     dcfg = _detuner_cfg(cfg)
     result = dt.train_detuner(
@@ -459,7 +460,7 @@ def stage_train_detuner(cfg: dict, data_dir, out_dir) -> dict:
     )
     ckpt = _save_model(
         out_dir, "detuner", result.model, cfg, {"hidden": dcfg.hidden},
-        {"sigma_e": result.sigma_e, "final_loss": result.losses[-1]},
+        {"sigma_e": result.sigma_e, "final_loss": result.losses[-1] if result.losses else None},
     )
     manifest_add(out_dir, "train_detuner", cfg, {"detuner": ckpt}, {"sigma_e": result.sigma_e})
     return {"sigma_e": result.sigma_e, "losses": result.losses}
@@ -704,8 +705,7 @@ def evaluate_split(pipeline: Pipeline, data_dir, split: str, variants=("full",))
     for song in songs:
         notes, ests = pipeline.transcribe_base(song.track)
         T = song.track.n_frames
-        gt_notes, gt_pitches, _sung = annotated_notes(song)
-        gt_curve = ek.note_pitch_curve(gt_notes, gt_pitches, T)
+        gt_curve = ek.note_pitch_curve(song.notes, song.pitches, T)
         meta = sym.GridMeta.from_annotation(song.ann)
         for v in variants:
             targets = pipeline.note_targets(notes, ests, meta, v, sr, hop)
@@ -722,22 +722,9 @@ def evaluate_spp_benchmark(pipeline: Pipeline, data_dir, split: str = "spp_bench
     songs = songs_by(data_dir, doc, subset=split)
     if not songs:
         raise ValueError(f"no songs in split {split!r}")
-    methods = {"spp": [], "average": [], "weighted_median": []}
-    gt = []
-    for song in songs:
-        notes, _pitches, sung = annotated_notes(song)
-        ests = pipeline.spp.estimate(song.track, notes)
-        for note, est, s in zip(notes, ests, sung):
-            if est.flagged:
-                continue
-            methods["spp"].append(est.pitch)
-            methods["average"].append(sp.aggregate_average(song.track, note).pitch)
-            methods["weighted_median"].append(sp.aggregate_weighted_median(song.track, note).pitch)
-            gt.append(s)
-    gt = np.array(gt)
-    return {
-        name: sp.evaluate_spp(np.array(vals), gt) for name, vals in methods.items()
-    }
+    estimators = {"spp": pipeline.spp.estimate, "average": sp.aggregate_average,
+                  "weighted_median": sp.aggregate_weighted_median}
+    return score_estimators(estimators, songs)
 
 
 def stage_evaluate(cfg: dict, data_dir, out_dir, split: str, variants=("full",)) -> dict:

@@ -50,3 +50,17 @@ def test_cli_unknown_key_exits_2_before_running(tmp_path):
         argv += ["--set", item]
     assert cli.main(argv) == 2
     assert not (tmp_path / "dataset.json").exists()
+
+
+@pytest.mark.parametrize("item", [
+    "segmenter.train.eval_every=0",
+    "spp.train.eval_every=0",
+    "segmenter.train.crop=0",
+    "cnpp.pretrain.batch=0",
+    "detuner.batch=-1",
+    "spp.train.batch=2.5",
+])
+def test_cli_count_below_one_exits_2_naming_the_key(tmp_path, capsys, item):
+    argv = ["train-segmenter", "--data-dir", str(tmp_path), "--checkpoint-dir", str(tmp_path), "--set", item, "-q"]
+    assert cli.main(argv) == 2
+    assert f"config key {item.split('=')[0]} must be a whole number of at least 1" in capsys.readouterr().err

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import make_track
 from notetune import features as F
+from notetune.nncore.checkpoint import load_npz
 
 SR = 22050
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -214,6 +215,21 @@ def test_extract_track_consistent_and_cache_roundtrip(tmp_path):
     assert np.array_equal(loaded.pitch_semitones, track.pitch_semitones, equal_nan=True)
     assert np.array_equal(loaded.mel, track.mel)
     assert loaded.sample_rate == track.sample_rate
+
+
+def test_frame_track_keeps_uint8_voicing_as_a_bool_mask():
+    track = make_track([60.0, np.nan, 61.0], voiced=np.array([1, 0, 1], dtype=np.uint8))
+    assert track.voiced.dtype == bool
+    assert track.voiced.tolist() == [True, False, True]
+
+
+def test_save_track_writes_voicing_as_uint8_and_loads_the_same_mask(tmp_path):
+    track = make_track(_sung_pitch())
+    F.save_track(tmp_path / "track.npz", track)
+    assert load_npz(tmp_path / "track.npz")["voiced"].dtype == np.uint8
+    loaded = F.load_track(tmp_path / "track.npz")
+    assert loaded.voiced.dtype == bool
+    assert np.array_equal(loaded.voiced, track.voiced)
 
 
 def _sung_pitch():

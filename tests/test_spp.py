@@ -89,16 +89,16 @@ def test_local_pitch_std_flat_is_zero():
 
 def test_aggregate_average_cases():
     track = make_track([60.0, 60.0, 61.0, 61.0])
-    assert spp.aggregate_average(track, NoteInterval(0, 4)).pitch == pytest.approx(60.5)
+    assert spp.aggregate_average(track, [NoteInterval(0, 4)])[0].pitch == pytest.approx(60.5)
     track1 = make_track([63.5])
-    assert spp.aggregate_average(track1, NoteInterval(0, 1)).pitch == pytest.approx(63.5)
+    assert spp.aggregate_average(track1, [NoteInterval(0, 1)])[0].pitch == pytest.approx(63.5)
 
 
 def test_weighted_median_cases():
     track = make_track([59.0, 60.0, 61.0])
-    assert spp.aggregate_weighted_median(track, NoteInterval(0, 3)).pitch == pytest.approx(60.0)
+    assert spp.aggregate_weighted_median(track, [NoteInterval(0, 3)])[0].pitch == pytest.approx(60.0)
     const = make_track(np.full(11, 65.0))
-    assert spp.aggregate_weighted_median(const, NoteInterval(0, 11)).pitch == pytest.approx(65.0)
+    assert spp.aggregate_weighted_median(const, [NoteInterval(0, 11)])[0].pitch == pytest.approx(65.0)
 
 
 def test_weighted_median_center_bias_fails_off_center_stationary():
@@ -106,8 +106,23 @@ def test_weighted_median_center_bias_fails_off_center_stationary():
     n = 50
     pitch = np.concatenate([np.linspace(62.0, 64.0, 30), np.full(20, 64.0)])
     track = make_track(pitch)
-    wm = spp.aggregate_weighted_median(track, NoteInterval(0, n))
+    wm = spp.aggregate_weighted_median(track, [NoteInterval(0, n)])[0]
     assert abs(wm.pitch - 64.0) > 0.2  # > 20 cents off
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda track, notes: spp.estimates_from_logits(np.arange(8.0), track, notes),
+    spp.aggregate_average,
+    spp.aggregate_weighted_median,
+], ids=["spp", "average", "weighted_median"])
+def test_estimators_flag_exactly_the_unvoiced_note(estimate):
+    # frame 6 is unvoiced inside the second note; its far-off pitch must not count
+    pitch = np.array([60.0, 60.5, 61.0, 61.0, 61.0, 63.0, 90.0, 64.0])
+    track = make_track(pitch, voiced=[1, 1, 0, 0, 0, 1, 0, 1])
+    unvoiced, partly = estimate(track, [NoteInterval(2, 5), NoteInterval(5, 8)])
+    assert unvoiced.flagged and not partly.flagged
+    assert unvoiced.pitch == track.pitch_filled[2:5].mean() == pytest.approx(61.75)
+    assert 63.0 <= partly.pitch <= 64.0
 
 
 def test_evaluate_spp_hand_case():

@@ -30,8 +30,8 @@ TINY = [
 ]
 
 
-def run_cli(*argv) -> int:
-    flags = [arg for item in TINY for arg in ("--set", item)]
+def run_cli(*argv, overrides=()) -> int:
+    flags = [arg for item in [*TINY, *overrides] for arg in ("--set", item)]
     return cli.main([str(a) for a in argv] + flags + ["-q"])
 
 
@@ -218,6 +218,28 @@ def test_spp_validation_runs_every_eval_step(cli_run):
     assert [v["step"] for v in history["val"]] == [2, 4]
     final = history["final_val"]
     assert {"ptr_percent", "mae_cents"} <= set(final) and final["n_notes"] > 0
+
+
+def test_frame_model_trainers_take_songs_shorter_than_the_crop():
+    cfg = load_config(None, TINY)
+    songs = []
+    for seed, n_notes in ((5, 3), (6, 4)):
+        wav, ann = dk.synth_song(dk.SynthSpec(seed=seed, n_notes=n_notes, detune=dk.DetuneSpec(kind="none")))
+        songs.append(wf.SongData(ann, ft.extract_track(wav)))
+    lengths = {song.track.n_frames for song in songs}
+    assert len(lengths) == 2 and min(lengths) < cfg["segmenter"]["train"]["crop"] == cfg["spp"]["train"]["crop"]
+    _seg, seg_history = wf.train_segmenter_on(songs, [], cfg)
+    _spp, spp_history = wf.train_spp_on(songs, [], cfg)
+    assert len(seg_history["loss"]) == 4 and spp_history["loss"]
+    assert np.all(np.isfinite(seg_history["loss"] + spp_history["loss"]))
+
+
+def test_train_detuner_with_zero_steps_records_no_final_loss(cli_run, tmp_path):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(cli_run["ckpt"], ckpt)
+    argv = ["train-detuner", "--data-dir", cli_run["data"], "--checkpoint-dir", ckpt]
+    assert run_cli(*argv, overrides=["detuner.steps=0"]) == 0
+    assert nn.load_checkpoint(ckpt / "detuner.npz")["extra"]["final_loss"] is None
 
 
 def test_checkpoint_config_blocks(cli_run):
