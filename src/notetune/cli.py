@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-dir", required=True)
     p.add_argument("--annotations", help="JSON or MIDI annotations for the beat grid")
     p.add_argument("--dry-run", action="store_true", help="emit the plan without audio")
-    p.add_argument("--variant", default="full", choices=list(wf.CNPP_VARIANTS) + ["no_cnpp"])
+    p.add_argument("--variant", default="full", choices=wf.VARIANTS)
     _add_common(p)
 
     p = sub.add_parser("evaluate", help="frame-level pitch accuracy on a split")
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--variant",
         action="append",
         dest="variants",
-        choices=list(wf.CNPP_VARIANTS) + ["no_cnpp"],
+        choices=wf.VARIANTS,
         help="variant(s) to evaluate (repeatable; default: full)",
     )
     _add_common(p)

@@ -204,17 +204,17 @@ def note_pitch_error(values: np.ndarray, gt_pitch: float) -> float:
     return abs(float(est) - float(gt_pitch))
 
 
-def sample_pitch_error(track: FrameTrack, sample: AnnotatedSample):
-    """Per-note trimmed-mean errors and their sample-level mean, semitones."""
-    spans = sample.note_frames(track.sample_rate, track.hop)
+def sample_pitch_error(track: FrameTrack, notes, pitches):
+    """Per-note trimmed-mean errors and their sample-level mean, semitones,
+    over the annotated note intervals clipped to the track (`notes`, as
+    `workflow.SongData` gives them) and their intended `pitches`."""
     errors = []
-    for (a, b), note in zip(spans, sample.notes):
-        a = max(a, 0)
-        b = min(b, track.n_frames)
-        vals = track.pitch_semitones[a:b][track.voiced[a:b]]
+    for note, pitch in zip(notes, pitches):
+        frames = slice(note.start_frame, note.end_frame)
+        vals = track.pitch_semitones[frames][track.voiced[frames]]
         if len(vals) == 0:
             continue
-        errors.append(note_pitch_error(vals, note.pitch))
+        errors.append(note_pitch_error(vals, pitch))
     errors = np.asarray(errors)
     mean = float(errors.mean()) if len(errors) else 0.0
     return errors, mean

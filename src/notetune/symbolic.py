@@ -212,27 +212,25 @@ class Cnpp(nn.Module):
         fields: dict[str, np.ndarray],
         pitch_values: np.ndarray,
         pad_mask: np.ndarray,
-        pitch_mode: str = "interp",
+        rounded: bool,
         mask_positions: np.ndarray | None = None,
         rng: np.random.Generator | None = None,
     ) -> dict[str, nn.Tensor]:
         """Per-field logits for a padded batch.
 
         fields: int arrays [B, N] for the 7 discrete fields; pitch_values
-        [B, N] float; pad_mask [B, N] 1=real.  pitch_mode 'interp' uses
-        interpolated embeddings, 'round' snaps to the nearest row first.
+        [B, N] float; pad_mask [B, N] 1=real.  Pitches enter through
+        interpolated embeddings, or, when `rounded`, through the nearest row.
         mask_positions (bool [B, N]) replaces pitch inputs with the MASK row.
         """
         E = self.cfg.embed_dim
         parts = []
         for name in FIELD_NAMES:
             if name == "pitch":
-                if pitch_mode == "interp":
-                    emb = interp_pitch_embedding(self.embed_pitch.table, pitch_values)
-                elif pitch_mode == "round":
+                if rounded:
                     emb = self.embed_pitch(round_pitch(pitch_values))
                 else:
-                    raise ValueError(f"unknown pitch_mode {pitch_mode!r}")
+                    emb = interp_pitch_embedding(self.embed_pitch.table, pitch_values)
                 if mask_positions is not None and mask_positions.any():
                     mask_row = nn.embedding(
                         self.embed_pitch.table,
@@ -251,14 +249,14 @@ class Cnpp(nn.Module):
             out[name] = getattr(self, f"head_{name}")(u[:, :, k * E : (k + 1) * E])
         return out
 
-    def predict(self, events: Octuples, pitch_mode: str = "interp"):
+    def predict(self, events: Octuples, rounded: bool = False):
         """Target pitch tokens [N] and pitch distributions [N, 128] for one
         sequence of N events; an empty sequence gives empty outputs."""
         if not len(events["pitch"]):
             return np.zeros(0, dtype=np.int64), np.zeros((0, PITCH_TOKENS))
         fields, pitch_values, pad = pack_sequences([events])
         with nn.no_grad():
-            logits = self.forward(fields, pitch_values, pad, pitch_mode=pitch_mode)["pitch"]
+            logits = self.forward(fields, pitch_values, pad, rounded)["pitch"]
             probs = nn.softmax(logits, axis=-1).data[0]
         tokens = probs.argmax(axis=-1).astype(np.int64)
         return tokens, probs

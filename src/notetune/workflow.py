@@ -2,9 +2,11 @@
 evaluation.  The CLI is a thin wrapper over these functions; tests drive them
 directly.
 
-Every stage appends an entry to <out_dir>/run_manifest.json holding the
-config hash, seed, and SHA-256 of each produced file, which is enough to
-reproduce a byte-identical metrics file.
+The four trainers, evaluate, ablate and the full recipe append an entry to
+<out_dir>/run_manifest.json holding the config hash, seed, and SHA-256 of
+each produced file, which is enough to reproduce a byte-identical metrics
+file.  synth-data and extract record their work in dataset.json instead, and
+correct in the sidecar files next to its output WAV.
 """
 
 from __future__ import annotations
@@ -209,8 +211,8 @@ def stage_extract(cfg: dict, data_dir, jobs: int = 1) -> dict:
                                  n_mels=audio_cfg["n_mels"])
         track = ft.FrameTrack(sample_rate=sr, hop=hop, pitch_semitones=pitch, voiced=voiced, mel=mel)
         ft.save_track(paths["features"] / f"{sid}.npz", track)
-        ann = dk.import_annotations(paths["root"] / entry["annotation"])
-        _, results[sid] = dk.sample_pitch_error(track, ann)
+        song = SongData(ann=dk.import_annotations(paths["root"] / entry["annotation"]), track=track)
+        _, results[sid] = dk.sample_pitch_error(track, song.notes, song.pitches)
 
     corpus_errors = {
         sid: results[sid] for sid, e in doc["samples"].items() if e["group"] == "corpus"
@@ -262,6 +264,8 @@ def load_song(data_dir, entry: dict) -> SongData:
 
 
 def songs_by(data_dir, doc: dict, subset: str | None = None, role=None) -> list[SongData]:
+    if any("features" not in entry for entry in doc["samples"].values()):
+        raise StageOrderError(f"the dataset in {data_dir} has no features yet; run extract first")
     out = []
     for _sid, entry in sorted(doc["samples"].items()):
         if subset is not None and entry.get("subset") != subset:
@@ -420,8 +424,6 @@ def stage_train_spp(cfg: dict, data_dir, out_dir) -> dict:
     doc = load_dataset(data_dir)
     train_songs = songs_by(data_dir, doc, subset="in_tune", role="train")
     val_songs = songs_by(data_dir, doc, subset="in_tune", role="val")
-    if not train_songs:
-        raise StageOrderError("no in-tune training songs found; run extract first")
     model, history = train_spp_on(train_songs, val_songs, cfg)
     ckpt = _save_model(
         out_dir, "spp", model, cfg, {"model": cfg["spp"]["model"]},
@@ -467,6 +469,25 @@ def stage_train_detuner(cfg: dict, data_dir, out_dir) -> dict:
 
 
 # ---- stage: train-cnpp ------------------------------------------------------------------
+
+# The rows of the ablation.  Each CNPP variant says whether fine-tuning
+# detunes its pitch inputs with the trained detuner, and whether its pitch
+# embedding rounds the stationary estimates instead of interpolating them.
+# VARIANTS is every decode `correct`, `evaluate` and `ablate` accept: the
+# CNPP variants, then `no_cnpp`, which has no CNPP and rounds the estimates.
+CNPP_VARIANTS = {
+    "full": {"detune": True, "rounded": False},
+    "no_augment": {"detune": False, "rounded": False},
+    "rounded_embed": {"detune": True, "rounded": True},
+}
+VARIANTS = (*CNPP_VARIANTS, "no_cnpp")
+
+
+def check_variants(names, known):
+    for name in names:
+        if name not in known:
+            raise ValueError(f"unknown variant {name!r}; choose from {', '.join(known)}")
+
 
 def _cnpp_cfg(cfg: dict) -> sym.CnppConfig:
     return sym.CnppConfig(seed=cfg["seed"], **cfg["cnpp"]["model"])
@@ -529,24 +550,18 @@ def pretrain_cnpp(cfg: dict, sequences) -> sym.Cnpp:
             if not mask_pos[b].any():
                 mask_pos[b, int(rng.integers(0, len(seqs[b]["pitch"])))] = True
         logits = model.forward(
-            fields, pitch_values, pad, pitch_mode="interp", mask_positions=mask_pos, rng=drop_rng
+            fields, pitch_values, pad, rounded=False, mask_positions=mask_pos, rng=drop_rng
         )
         loss = _cnpp_loss(logits, fields, pad, gt, mask_pos.astype(np.float64), w_other)
         nn.train_step(loss, opt, context="cnpp-pretrain")
     return model
 
 
-def finetune_cnpp(
-    cfg: dict,
-    model: sym.Cnpp,
-    sequences: list[sym.Octuples],
-    detuner_model: dt.Detuner | None,
-    sigma_e: float,
-    variant: str,
-) -> list[float]:
+def finetune_cnpp(cfg: dict, model: sym.Cnpp, sequences: list[sym.Octuples], detuner_model: dt.Detuner | None,
+                  sigma_e: float, variant: str) -> list[float]:
     ftc = cfg["cnpp"]["finetune"]
-    p_max = 0.0 if variant == "no_augment" else ftc["p_det"]
-    pitch_mode = "round" if variant == "rounded_embed" else "interp"
+    spec = CNPP_VARIANTS[variant]
+    p_max = ftc["p_det"] if spec["detune"] else 0.0
     if p_max > 0 and detuner_model is None:
         raise StageOrderError("detune augmentation requires a trained detuner checkpoint")
     opt = nn.AdamW(model.params(), ftc["lr"], ftc["steps"], 100)
@@ -569,20 +584,20 @@ def finetune_cnpp(
                     seed=int(rng.integers(0, 2**31 - 1)),
                 )
                 pv[b, :L] = np.clip(pv[b, :L] + errors, 0.0, 127.0)
-        logits = model.forward(fields, pv, pad, pitch_mode=pitch_mode, rng=drop_rng)
+        logits = model.forward(fields, pv, pad, spec["rounded"], rng=drop_rng)
         loss = _cnpp_loss(logits, fields, pad, gt, pad, ftc["field_loss_weight"])
         losses.append(nn.train_step(loss, opt, context=f"cnpp-{variant}"))
     return losses
 
 
-CNPP_VARIANTS = ("full", "no_augment", "rounded_embed")
-
-
-def stage_train_cnpp(cfg: dict, data_dir, out_dir, variant: str = "full") -> dict:
-    if variant not in CNPP_VARIANTS:
-        raise ValueError(f"unknown CNPP variant {variant!r}; choose from {CNPP_VARIANTS}")
+def stage_train_cnpp(cfg: dict, data_dir, out_dir, variant: str) -> dict:
+    check_variants([variant], CNPP_VARIANTS)
     out_dir = Path(out_dir)
-    doc = load_dataset(data_dir)
+    songs = songs_by(data_dir, load_dataset(data_dir), subset="moderate", role="train")
+    detuner_model, sigma_e = None, 0.0
+    if CNPP_VARIANTS[variant]["detune"]:
+        manifest_require(out_dir, "train_detuner", "train-cnpp with augmentation")
+        detuner_model, sigma_e = load_detuner(out_dir, cfg)
 
     # the pretrained model is shared by all variants; it is reused only when
     # it was pretrained under the settings pretraining reads
@@ -596,12 +611,6 @@ def stage_train_cnpp(cfg: dict, data_dir, out_dir, variant: str = "full") -> dic
         model = pretrain_cnpp(cfg, _symbolic_pretrain_sequences(cfg))
         _save_model(out_dir, "cnpp_pretrained", model, cfg, {"model": c["model"]}, {"pretrain_hash": settings})
 
-    detuner_model, sigma_e = None, 0.0
-    if variant != "no_augment":
-        manifest_require(out_dir, "train_detuner", "train-cnpp with augmentation")
-        detuner_model, sigma_e = load_detuner(out_dir, cfg)
-
-    songs = songs_by(data_dir, doc, subset="moderate", role="train")
     sequences = [sym.octuples_from_annotation(song.ann) for song in songs]
     losses = finetune_cnpp(cfg, model, sequences, detuner_model, sigma_e, variant)
     ckpt = _save_model(
@@ -656,17 +665,10 @@ class Pipeline:
     cnpps: dict[str, sym.Cnpp]
 
     @classmethod
-    def load(cls, out_dir, cfg: dict, variants=("full",)) -> "Pipeline":
-        cnpps = {}
-        for v in variants:
-            if v != "no_cnpp":
-                cnpps[v] = load_cnpp(out_dir, cfg, v)
-        return cls(
-            cfg=cfg,
-            segmenter=load_segmenter(out_dir, cfg),
-            spp=load_spp(out_dir, cfg),
-            cnpps=cnpps,
-        )
+    def load(cls, out_dir, cfg: dict, variants) -> "Pipeline":
+        check_variants(variants, VARIANTS)
+        return cls(cfg, load_segmenter(out_dir, cfg), load_spp(out_dir, cfg),
+                   {v: load_cnpp(out_dir, cfg, v) for v in variants if v in CNPP_VARIANTS})
 
     def transcribe_base(self, track: ft.FrameTrack):
         scfg = self.cfg["segmenter"]
@@ -681,20 +683,17 @@ class Pipeline:
         ests = self.spp.estimate(track, notes)
         return notes, ests
 
-    def note_targets(
-        self, notes, ests, meta: sym.GridMeta, variant: str, sr: int, hop: int
-    ) -> np.ndarray:
+    def note_targets(self, notes, ests, meta: sym.GridMeta, variant: str, sr: int, hop: int) -> np.ndarray:
         if not notes:
             return np.zeros(0)
-        if variant == "no_cnpp":
+        if variant not in CNPP_VARIANTS:
             return sym.round_pitch([e.pitch for e in ests]).astype(np.float64)
-        pitch_mode = "round" if variant == "rounded_embed" else "interp"
         events = sym.notes_to_octuples(notes, ests, meta, sr, hop)
-        tokens, _ = self.cnpps[variant].predict(events, pitch_mode=pitch_mode)
+        tokens, _ = self.cnpps[variant].predict(events, CNPP_VARIANTS[variant]["rounded"])
         return tokens.astype(np.float64)
 
 
-def evaluate_split(pipeline: Pipeline, data_dir, split: str, variants=("full",)) -> dict:
+def evaluate_split(pipeline: Pipeline, data_dir, split: str, variants) -> dict:
     doc = load_dataset(data_dir)
     songs = songs_by(data_dir, doc, subset=split)
     if not songs:
@@ -711,9 +710,7 @@ def evaluate_split(pipeline: Pipeline, data_dir, split: str, variants=("full",))
             targets = pipeline.note_targets(notes, ests, meta, v, sr, hop)
             pred_curve = ek.note_pitch_curve(notes, targets, T)
             per_variant[v].append(ek.rpa_from_curves(pred_curve, gt_curve, song.track.voiced))
-    return {
-        v: {"pooled": ek.pooled_rpa(rows), "per_song": rows} for v, rows in per_variant.items()
-    }
+    return {v: {"pooled": ek.pooled_rpa(rows), "per_song": rows} for v, rows in per_variant.items()}
 
 
 def evaluate_spp_benchmark(pipeline: Pipeline, data_dir, split: str = "spp_bench") -> dict:
@@ -727,23 +724,19 @@ def evaluate_spp_benchmark(pipeline: Pipeline, data_dir, split: str = "spp_bench
     return score_estimators(estimators, songs)
 
 
-def stage_evaluate(cfg: dict, data_dir, out_dir, split: str, variants=("full",)) -> dict:
+def stage_evaluate(cfg: dict, data_dir, out_dir, split: str, variants) -> dict:
     pipeline = Pipeline.load(out_dir, cfg, variants=variants)
     results = evaluate_split(pipeline, data_dir, split, variants=variants)
-    metrics = {
-        "split": split,
-        "rpa": {v: results[v]["pooled"] for v in results},
-    }
+    metrics = {"split": split, "rpa": {v: results[v]["pooled"] for v in results}}
     report = ek.emit_report(metrics, Path(out_dir) / "reports" / split)
     manifest_add(out_dir, f"evaluate_{split}", cfg, {"metrics": report})
     return results
 
 
 def stage_ablate(cfg: dict, data_dir, out_dir, splits=("moderate_eval", "high_eval")) -> dict:
-    variants = list(CNPP_VARIANTS) + ["no_cnpp"]
-    pipeline = Pipeline.load(out_dir, cfg, variants=CNPP_VARIANTS)
-    cache = {s: evaluate_split(pipeline, data_dir, s, variants=variants) for s in splits}
-    table = {v: {s: cache[s][v]["pooled"]["rpa_percent"] for s in splits} for v in variants}
+    pipeline = Pipeline.load(out_dir, cfg, variants=VARIANTS)
+    cache = {s: evaluate_split(pipeline, data_dir, s, variants=VARIANTS) for s in splits}
+    table = {v: {s: cache[s][v]["pooled"]["rpa_percent"] for s in splits} for v in VARIANTS}
     text = ek.format_ablation_table(table, list(splits))
     report_dir = Path(out_dir) / "reports" / "ablation"
     report = ek.emit_report({"ablation_rpa": table}, report_dir)
@@ -858,8 +851,7 @@ def run_full_recipe(cfg: dict, workdir, jobs: int = 1) -> dict:
     for variant in CNPP_VARIANTS:
         stage_train_cnpp(cfg, data_dir, out_dir, variant=variant)
     table = stage_ablate(cfg, data_dir, out_dir)
-    pipeline = Pipeline.load(out_dir, cfg, variants=CNPP_VARIANTS)
-    spp_bench = evaluate_spp_benchmark(pipeline, data_dir)
+    spp_bench = evaluate_spp_benchmark(Pipeline.load(out_dir, cfg, variants=()), data_dir)
     metrics = {
         "ablation_rpa": table,
         "spp_benchmark": spp_bench,

@@ -6,6 +6,7 @@ import pytest
 from notetune import datakit as dk
 from notetune import features as F
 from notetune import midifile
+from notetune.workflow import SongData
 
 
 def test_note_pitch_error_trimmed_mean_hand_case():
@@ -97,7 +98,8 @@ def test_synth_intune_closed_loop_error_below_5_cents_of_semitone():
     for seed in (101, 202, 303, 404):
         wav, ann = dk.synth_song(dk.SynthSpec(seed=seed, detune=dk.DetuneSpec(kind="none")))
         track = F.extract_track(wav)
-        _, mean = dk.sample_pitch_error(track, ann)
+        song = SongData(ann=ann, track=track)
+        _, mean = dk.sample_pitch_error(track, song.notes, song.pitches)
         means.append(mean)
     assert float(np.mean(means)) < 0.05
 
@@ -110,7 +112,8 @@ def test_synth_uniform_detune_mean_matches_expectation():
             dk.SynthSpec(seed=seed, detune=dk.DetuneSpec(kind="uniform", lo=-1.0, hi=1.0))
         )
         track = F.extract_track(wav)
-        _, mean = dk.sample_pitch_error(track, ann)
+        song = SongData(ann=ann, track=track)
+        _, mean = dk.sample_pitch_error(track, song.notes, song.pitches)
         means.append(mean)
     assert abs(float(np.mean(means)) - 0.5) < 0.05
 

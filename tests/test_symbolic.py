@@ -147,6 +147,17 @@ def test_cnpp_predicts_a_song_in_an_unknown_signature_as_4_4(sig, caplog):
     assert tokens.shape == (12,) and probs.shape == (12, sym.PITCH_TOKENS)
 
 
+def test_cnpp_rounded_embedding_is_the_interpolated_one_of_rounded_pitches():
+    model = _tiny_model()
+    events = _events()
+    events["pitch"] = events["pitch"] + np.array([0.0, 0.5, -0.5, 0.2, 0.49, -0.3])
+    rounded = {**events, "pitch": sym.round_pitch(events["pitch"]).astype(np.float64)}
+    t1, p1 = model.predict(events, rounded=True)
+    t2, p2 = model.predict(rounded, rounded=False)
+    assert np.array_equal(t1, t2) and p1.tobytes() == p2.tobytes()
+    assert p1.tobytes() != model.predict(events, rounded=False)[1].tobytes()
+
+
 def test_cnpp_rejects_overlong_sequences():
     model = _tiny_model(max_events=4)
     with pytest.raises(ValueError):

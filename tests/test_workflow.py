@@ -43,7 +43,7 @@ CHECKPOINT_CONFIGS = {
     "detuner": {"kind": "detuner", "hidden": 64, "seed": 1234},
     **{
         f"cnpp_{v}": {"kind": f"cnpp_{v}", "model": CNPP_MODEL, "seed": 1234}
-        for v in ("pretrained",) + wf.CNPP_VARIANTS
+        for v in ("pretrained", *wf.CNPP_VARIANTS)
     },
 }
 
@@ -90,6 +90,30 @@ def test_every_subcommand_exits_zero_and_writes_its_files(cli_run):
         for suffix in (".wav", ".plan.tsv", ".residuals.tsv"):
             assert (out / f"{stem}{suffix}").exists()
     assert (out / "dry.plan.tsv").exists() and not (out / "dry.wav").exists()
+
+
+def test_trainers_before_extract_exit_2_and_pretrain_nothing(tmp_path, capsys):
+    data, ckpt = tmp_path / "data", tmp_path / "ckpt"
+    assert run_cli("synth-data", "--data-dir", data) == 0
+    capsys.readouterr()
+    for cmd in ("train-segmenter", "train-cnpp"):
+        assert run_cli(cmd, "--data-dir", data, "--checkpoint-dir", ckpt) == 2
+        assert "run extract first" in capsys.readouterr().err
+    assert not (ckpt / "cnpp_pretrained.npz").exists()
+
+
+@pytest.mark.parametrize("stage", ["correct", "evaluate"])
+def test_an_unknown_variant_is_rejected_before_any_checkpoint_is_read(cli_run, tmp_path, monkeypatch, stage):
+    def no_read(*_args, **_kwargs):
+        raise AssertionError("a checkpoint was read before the variant was checked")
+
+    monkeypatch.setattr(nn, "load_checkpoint", no_read)
+    cfg, ckpt = load_config(None, TINY), cli_run["ckpt"]
+    with pytest.raises(ValueError, match="unknown variant 'x'; choose from full, .*no_cnpp"):
+        if stage == "correct":
+            wf.stage_correct(cfg, cli_run["take"], tmp_path / "o.wav", ckpt, dry_run=True, variant="x")
+        else:
+            wf.stage_evaluate(cfg, cli_run["data"], ckpt, "moderate_eval", variants=("full", "x"))
 
 
 def test_manifest_paths_are_relative_to_the_checkpoint_dir(cli_run):

@@ -7,11 +7,13 @@ Runs the full recipe on the tiny configuration of `tests/test_workflow.py`
 `moderate_eval_000` take with its annotation into WORKDIR/correct, and once
 more on a 44,100 Hz copy of that take (linear interpolation, written with
 `write_wav` to WORKDIR/take_44100.wav), so the resampling branch of
-`load_audio` is covered too.  It prints
-{relative path: sha256} for every file under WORKDIR, sorted by path.  Two
-checkouts that give the same bytes (same host, same BLAS thread count) print
-the same object, so comparing the output of a change with that of its parent
-checks that a refactor kept every checkpoint, report, plan and WAV.
+`load_audio` is covered too, and on the first take with the variants
+`no_cnpp` and `rounded_embed`, so each variant's decode path is covered.
+It prints {relative path: sha256} for every file under WORKDIR, sorted by
+path.  Two checkouts that give the same bytes (same host, same BLAS thread
+count) print the same object, so comparing the output of a change with that
+of its parent checks that a refactor kept every checkpoint, report, plan and
+WAV.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ def main(argv: list[str]) -> int:
     hi_rate = workdir / "take_44100.wav"
     ft.write_wav(hi_rate, np.interp(np.arange(2 * len(wav)) / 2, np.arange(len(wav)), wav), 44100)
     wf.stage_correct(cfg, hi_rate, workdir / "correct" / "moderate_eval_000_44100.wav", ckpt, annotations=ann)
+    for variant in ("no_cnpp", "rounded_embed"):
+        wf.stage_correct(cfg, take, workdir / "correct" / f"moderate_eval_000_{variant}.wav", ckpt,
+                         annotations=ann, variant=variant)
     digests = {
         str(path.relative_to(workdir)): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(workdir.rglob("*"))
