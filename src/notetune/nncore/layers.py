@@ -44,12 +44,14 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
 
 
 class Linear(Module):
+    """Affine map x @ w + b, one graph node (`tensor.linear`)."""
+
     def __init__(self, rng, d_in: int, d_out: int):
         self.w = uniform_init(rng, (d_in, d_out), d_in)
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.w + self.b
+        return tz.linear(x, self.w, self.b)
 
 
 class Embedding(Module):
@@ -70,7 +72,8 @@ class LayerNorm(Module):
 
 
 class GRU(Module):
-    """Single GRU layer, batch-first [B, T, D]."""
+    """Single GRU layer, batch-first [B, T, D].  The input projection
+    x @ w_ih + b_ih is one graph node (`tensor.linear`)."""
 
     def __init__(self, rng, d_in: int, d_hidden: int):
         self.w_ih = uniform_init(rng, (d_in, 3 * d_hidden), d_in)
@@ -82,7 +85,7 @@ class GRU(Module):
     def __call__(self, x: Tensor) -> Tensor:
         """Runs from a zero initial state."""
         h0 = Tensor(np.zeros((x.shape[0], self.d_hidden)))
-        x_pre = x @ self.w_ih + self.b_ih
+        x_pre = tz.linear(x, self.w_ih, self.b_ih)
         return tz.gru_sequence(x_pre, self.w_hh, self.b_hh, h0)
 
 

@@ -11,6 +11,12 @@ A gradient buffer is first written as 0.0 + g and then only added to, so it
 never holds -0.0: the kernels may hand `_accumulate` a gradient that
 differs from another only in the sign of a zero, and add into a buffer in
 place, without changing its bytes.
+
+`backward` releases the graph as it sweeps: each node drops its backward
+closure and its parents once its own backward has run, so the forward
+activations are freed during the sweep and no graph outlives its
+`backward()`.  Call it once per forward; a second call on the same loss
+reaches no parameter.
 """
 
 from __future__ import annotations
@@ -100,7 +106,11 @@ class Tensor:
 
         Only leaves keep their gradient: an intermediate's is dropped once
         its own backward has run, so a step holds the gradients in flight,
-        not one per node of the graph."""
+        not one per node of the graph.  The graph is released in the same
+        sweep: every node, this one included, loses its backward closure and
+        its parents once its backward has run or been skipped, which frees
+        the activations the closures hold.  So call this once per forward; a
+        second call on the same tensor reaches no parameter."""
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without grad requires a scalar tensor")
@@ -125,6 +135,8 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
                 node.grad = None
+            node._backward = None
+            node._parents = ()
 
     # ---- operators -------------------------------------------------------
     def __add__(self, other):
@@ -256,6 +268,22 @@ def matmul(a: Tensor, b: Tensor):
             b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
     return _make(a.data @ b.data, (a, b), bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor):
+    """x @ w + b as one node: the float operations of the two-node form,
+    with one [..., out] array kept for the backward pass instead of two."""
+    out_data = x.data @ w.data
+    out_data += b.data
+
+    # a plain input x (no gradient, no graph) gets none, as in `matmul`
+    def bw(g):
+        if x.requires_grad or x._parents:
+            x._accumulate(_unbroadcast(g @ w.data.swapaxes(-1, -2), x.data.shape))
+        w._accumulate(_unbroadcast(x.data.swapaxes(-1, -2) @ g, w.data.shape))
+        b._accumulate(_unbroadcast(g, b.data.shape))
+
+    return _make(out_data, (x, w, b), bw)
 
 
 # ---- elementwise nonlinearities -------------------------------------------

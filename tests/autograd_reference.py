@@ -35,6 +35,11 @@ def matmul(a: Tensor, b: Tensor):
     return _make(a.data @ b.data, (a, b), bw)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor):
+    """Two graph nodes, a matmul and an add."""
+    return x @ w + b
+
+
 def gelu(a: Tensor):
     """Exact (erf-based) Gaussian error linear unit."""
     x = a.data

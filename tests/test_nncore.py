@@ -1,6 +1,7 @@
 import hashlib
 import tracemalloc
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -313,6 +314,39 @@ def test_matmul_matches_reference_bytes_and_skips_plain_inputs(layout):
 
     plain, _w, _x = _check_against_reference(make, forward)
     assert plain.grad is None
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "swapaxes", "slice"])
+@pytest.mark.parametrize("x_shape", [(20, 16), (3, 20, 16)])
+def test_linear_matches_two_node_reference_bytes_and_skips_plain_inputs(x_shape, layout):
+    def make():
+        x, w, b = _leaves(11, [x_shape, (16, 6), (6,)], layout)
+        return [nn.Tensor(x.data), x, w, b]  # a plain input, a graph input, a weight, a bias
+
+    def forward(kz, plain, x, w, b):
+        # w and b feed both nodes, so their gradients are accumulated twice
+        return kz.linear(x, w, b) + kz.linear(plain, w, b)
+
+    plain, *_ = _check_against_reference(make, forward)
+    assert plain.grad is None
+
+
+def test_backward_releases_the_graph_and_keeps_leaf_gradients():
+    rng = np.random.default_rng(22)
+    lin = nn.Linear(rng, 4, 3)
+    x = nn.Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+    h = lin(x)
+    activation = weakref.ref(h.data)  # held by the gelu node's backward closure
+    loss = (nn.gelu(h) * 2.0).sum()
+    del h
+    loss.backward()
+    assert activation() is None
+    leaves = (x, lin.w, lin.b)
+    assert all(t.grad is not None for t in leaves)
+    for t in leaves:
+        t.zero_grad()
+    loss.backward()  # the released graph reaches no parameter
+    assert all(t.grad is None for t in leaves)
 
 
 def test_local_encoder_forward_memory_is_linear_in_length():
