@@ -35,14 +35,16 @@ YIN_THRESHOLD = 0.15
 YIN_INTEGRATION = 1024
 RMS_FLOOR_DB = -50.0
 # track_pitch and mel_spectrogram work on this many frames at a time: the
-# FFT arrays of one chunk (about 1 MB) stay in cache, temporaries stay
-# bounded for any length of audio, and track_pitch has enough chunks to
-# share among its threads.  Neither result's bytes depend on it.
+# FFT arrays of one chunk (for YIN at hop 256, 67 blocks of 1024 points,
+# about 0.5 MB per array) stay in cache, temporaries stay bounded for any
+# length of audio, and track_pitch has enough chunks to share among its
+# threads.  Neither result's bytes depend on it.
 YIN_CHUNK = 64
 # track_pitch runs at most this many chunks at once (fewer on fewer CPUs),
 # so its peak memory, the padded take plus one chunk's temporaries (about
-# 4 MB) per thread, does not grow with the host.  On 2 CPUs, 2 threads take
-# correct_long from 0.88 to 0.79 s per take; more were never measured.
+# 2.5 MB) per thread, does not grow with the host: 15.6 MB traced on 60 s.
+# On 2 CPUs, 2 threads take track_pitch on 60 s from 0.19 to 0.125 s; more
+# were never measured.
 YIN_THREADS = 2
 MEL_FMIN = 40.0
 
@@ -162,38 +164,77 @@ def write_wav(path, wav: np.ndarray, sr: int = DEFAULT_SR):
 
 # ---- pitch tracking ----------------------------------------------------------
 
-def _frame_signal(wav: np.ndarray, frame_len: int, hop: int, n_frames: int) -> np.ndarray:
+def _pad_signal(wav: np.ndarray, frame_len: int) -> np.ndarray:
     half = frame_len // 2
     mode = "reflect" if len(wav) > max(half, frame_len) else "constant"
-    padded = np.pad(wav, (half, frame_len), mode=mode)
-    s = padded.strides[0]
-    return as_strided(padded, shape=(n_frames, frame_len), strides=(hop * s, s))
+    return np.pad(wav, (half, frame_len), mode=mode)
 
 
-def _lag_products(frames: np.ndarray, pad0: int, tau_max: int) -> np.ndarray:
-    """Column k: sum of frames[:, pad0 + i] * frames[:, pad0 + i + k] over i < W, by FFT."""
+def _rows(x: np.ndarray, offset: int, length: int, n: int, hop: int) -> np.ndarray:
+    """View of n rows of `length` samples of x, row j starting at offset + j * hop."""
+    s = x.strides[0]
+    return as_strided(x[offset:], shape=(n, length), strides=(hop * s, s), writeable=False)
+
+
+def _yin_lags(sr: int) -> tuple[int, int, int, int]:
+    """(tau_min, tau_max, pad0, frame_len) of track_pitch at rate sr."""
+    tau_min = max(2, int(sr / YIN_FMAX))
+    tau_max = int(np.ceil(sr / YIN_FMIN))
+    # Offset of the comparison region inside each analysis frame, chosen so
+    # that typical singing lags (~100 samples) sit centered on the frame.
+    pad0 = max(0, tau_max - 101)
+    return tau_min, tau_max, pad0, pad0 + YIN_INTEGRATION + tau_max + 1
+
+
+def _block_products(segs: np.ndarray, head: int, tau_max: int):
+    """For each row of `segs` [n, head + tau_max], column k of the two results:
+    the sum over i < head of segs[:, i] * segs[:, i + k] (by FFT) and of
+    segs[:, i + k] ** 2 (by a running sum), k = 0..tau_max."""
+    # The products read samples up to head - 1 + tau_max, so a circular
+    # correlation of length nfft >= head + tau_max never wraps onto them.
+    nfft = 1 << int(np.ceil(np.log2(head + tau_max)))
+    spec_all = np.fft.rfft(segs, nfft)
+    spec_head = np.fft.rfft(segs[:, :head], nfft)
+    corr = np.fft.irfft(np.conj(spec_head) * spec_all, nfft)[:, : tau_max + 1]
+    sq = np.zeros((len(segs), segs.shape[1] + 1))
+    np.cumsum(segs * segs, axis=1, out=sq[:, 1:])
+    return corr, sq[:, head : head + tau_max + 1] - sq[:, : tau_max + 1]
+
+
+def _lag_products(x: np.ndarray, sr: int, hop: int):
+    """`_block_products` of the W = YIN_INTEGRATION samples at pad0 of each
+    frame of x, the padded samples of n frames hop apart
+    ([n - 1] * hop + frame_len of them).
+
+    The window is W // hop blocks of hop samples, each shared with the next
+    frames, plus a remainder block of W % hop samples.  Each block's
+    products are computed once and a frame adds its blocks up in order, so
+    a frame's row does not depend on which other frames are in x."""
+    _, tau_max, pad0, frame_len = _yin_lags(sr)
+    n = 1 + (len(x) - frame_len) // hop
+    q, r = divmod(YIN_INTEGRATION, hop)
+    corr = energy = 0.0
+    if q:
+        c, e = _block_products(_rows(x, pad0, hop + tau_max, n + q - 1, hop), hop, tau_max)
+        for m in range(q):
+            corr, energy = corr + c[m : m + n], energy + e[m : m + n]
+    if r:
+        c, e = _block_products(_rows(x, pad0 + q * hop, r + tau_max, n, hop), r, tau_max)
+        corr, energy = corr + c, energy + e
+    return corr, energy
+
+
+def _yin_rows(x: np.ndarray, sr: int, hop: int):
+    """YIN decision for each analysis frame of `x`, the padded samples of n
+    frames hop apart: returns (f0 in Hz, voiced as a bool mask).  Every
+    frame is decided on its own, so any split of the frames into chunks
+    gives the same bytes."""
     W = YIN_INTEGRATION
-    # These read frame samples up to pad0 + W - 1 + tau_max, so a circular
-    # correlation of length nfft >= pad0 + W + tau_max never wraps onto them.
-    nfft = 1 << int(np.ceil(np.log2(pad0 + W + tau_max)))
-    spec_all = np.fft.rfft(frames, nfft)
-    spec_head = np.fft.rfft(frames[:, pad0 : pad0 + W], nfft)
-    return np.fft.irfft(np.conj(spec_head) * spec_all, nfft)[:, pad0 : pad0 + tau_max + 1]
+    tau_min, tau_max, _, frame_len = _yin_lags(sr)
+    corr, energy = _lag_products(x, sr, hop)
+    n = len(corr)
 
-
-def _yin_rows(frames: np.ndarray, sr: int, pad0: int, tau_min: int, tau_max: int):
-    """YIN decision for each row of `frames` [n, frame_len] on its own:
-    returns (f0 in Hz, voiced as a bool mask).  Every step is per row, so any
-    split of the frames into chunks gives the same bytes."""
-    W = YIN_INTEGRATION
-    frame_len = frames.shape[1]
-    corr = _lag_products(frames, pad0, tau_max)
-
-    sq = np.cumsum(frames * frames, axis=1)
     taus = np.arange(tau_max + 1)
-    hi = sq[:, pad0 + W - 1 + taus]
-    lo = np.where(pad0 + taus > 0, sq[:, np.maximum(pad0 + taus - 1, 0)], 0.0)
-    energy = hi - lo
     e_head = energy[:, 0:1]
     diff = e_head + energy - 2.0 * corr
     diff = np.maximum(diff, 0.0)
@@ -215,7 +256,7 @@ def _yin_rows(frames: np.ndarray, sr: int, pad0: int, tau_min: int, tau_max: int
     pick = np.where(any_below, first_below, global_min)
     tau_star = pick + tau_min + 1
 
-    rows = np.arange(len(frames))
+    rows = np.arange(n)
     d0 = cmndf[rows, tau_star - 1]
     d1 = cmndf[rows, tau_star]
     d2 = cmndf[rows, np.minimum(tau_star + 1, tau_max)]
@@ -226,8 +267,7 @@ def _yin_rows(frames: np.ndarray, sr: int, pad0: int, tau_min: int, tau_max: int
     tau_refined = tau_star + shift
 
     f0 = sr / tau_refined
-    center = frame_len // 2
-    rms = np.sqrt(np.mean(frames[:, center - W // 2 : center + W // 2] ** 2, axis=1))
+    rms = np.sqrt(np.mean(_rows(x, frame_len // 2 - W // 2, W, n, hop) ** 2, axis=1))
     with np.errstate(divide="ignore"):
         rms_db = 20.0 * np.log10(np.where(rms > 0, rms, 1e-12))
     voiced = any_below & (rms_db > RMS_FLOOR_DB)
@@ -241,25 +281,22 @@ def track_pitch(wav: np.ndarray, sr: int = DEFAULT_SR, hop: int = DEFAULT_HOP):
     The lag search covers YIN_FMIN..YIN_FMAX Hz over a YIN_INTEGRATION-sample
     window.  A frame counts as voiced when its best normalized-difference
     trough is below YIN_THRESHOLD and the local RMS exceeds RMS_FLOOR_DB dBFS.
+    Frame i starts i * hop samples into the padded take, so its window is
+    made of hop-sample blocks that the next frames share: each block's lag
+    products and energies come from one FFT triple over the block and its
+    tau_max samples of lag, and a frame adds up its blocks (see _lag_products).
     Chunks of YIN_CHUNK frames run on one thread per CPU, up to YIN_THREADS
     (numpy's FFTs and ufuncs release the GIL); each frame is decided on its
     own, so the bytes depend neither on the split nor on the worker count.
     """
     if len(wav) == 0:
         raise ValueError("empty waveform")
-    tau_min = max(2, int(sr / YIN_FMAX))
-    tau_max = int(np.ceil(sr / YIN_FMIN))
-    W = YIN_INTEGRATION
-    # Offset of the comparison region inside each analysis frame, chosen so
-    # that typical singing lags (~100 samples) sit centered on the frame.
-    pad0 = max(0, tau_max - 101)
-    frame_len = pad0 + W + tau_max + 1
+    frame_len = _yin_lags(sr)[3]
     T = frame_count(len(wav), hop)
-    frames = _frame_signal(wav, frame_len, hop, T)
-
-    chunks = (frames[i : i + YIN_CHUNK] for i in range(0, T, YIN_CHUNK))
+    padded = _pad_signal(wav, frame_len)
+    spans = (padded[i * hop : (min(i + YIN_CHUNK, T) - 1) * hop + frame_len] for i in range(0, T, YIN_CHUNK))
     with ThreadPoolExecutor(min(YIN_THREADS, os.cpu_count() or 1)) as pool:
-        f0, voiced = zip(*pool.map(lambda c: _yin_rows(c, sr, pad0, tau_min, tau_max), chunks))
+        f0, voiced = zip(*pool.map(lambda x: _yin_rows(x, sr, hop), spans))
     f0, voiced = np.concatenate(f0), np.concatenate(voiced)
 
     pitch = np.full(T, np.nan)
@@ -297,14 +334,15 @@ def mel_spectrogram(
     if len(wav) < win:
         raise ValueError(f"waveform shorter than the analysis window ({len(wav)} < {win})")
     T = frame_count(len(wav), hop)
-    frames = _frame_signal(wav, win, hop, T)
+    frames = _rows(_pad_signal(wav, win), 0, win, T, hop)
     fb_t = mel_filterbank(sr, win, n_mels).T
+    window = np.hanning(win)
     mel = np.empty((T, n_mels))
     # Each product has min(T, YIN_CHUNK) rows, the last chunk overlapping the
     # one before: BLAS sums products of only a few rows in another order.
     for i in range(0, T, YIN_CHUNK):
         i = min(i, max(T - YIN_CHUNK, 0))
-        mag = np.abs(np.fft.rfft(frames[i : i + YIN_CHUNK] * np.hanning(win), win))
+        mag = np.abs(np.fft.rfft(frames[i : i + YIN_CHUNK] * window, win))
         mel[i : i + YIN_CHUNK] = np.log(mag @ fb_t + LOG_FLOOR_EPS)
     return mel
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import yin_reference
 from conftest import make_track
 from notetune import features as F
 from notetune.nncore.checkpoint import load_npz
@@ -307,20 +308,15 @@ def test_track_pitch_gridded_bytes_pinned_on_a_long_take():
     assert digest == "9cf4bb46f9261578dcf5bf36062fc46a609ac2386d349d1f4ef7abb28e50a6a4"
 
 
-def _yin_setup(wav):
-    """All analysis frames of `wav` with the lag range track_pitch uses."""
-    tau_min = max(2, int(SR / F.YIN_FMAX))
-    tau_max = int(np.ceil(SR / F.YIN_FMIN))
-    pad0 = max(0, tau_max - 101)
-    frame_len = pad0 + F.YIN_INTEGRATION + tau_max + 1
-    frames = F._frame_signal(wav, frame_len, 256, F.frame_count(len(wav)))
-    return frames, pad0, tau_min, tau_max
+def _whole_span(wav):
+    """The padded samples of every analysis frame of `wav`, as one span."""
+    frame_len = F._yin_lags(SR)[3]
+    return F._pad_signal(wav, frame_len)[: (F.frame_count(len(wav)) - 1) * 256 + frame_len]
 
 
 def _one_yin_call(wav):
     """track_pitch's result computed by a single _yin_rows call on this thread."""
-    frames, pad0, tau_min, tau_max = _yin_setup(wav)
-    f0, voiced = F._yin_rows(frames, SR, pad0, tau_min, tau_max)
+    f0, voiced = F._yin_rows(_whole_span(wav), SR, 256)
     v = voiced.astype(bool)
     pitch = np.full(len(f0), np.nan)
     pitch[v] = F.hz_to_semitones(f0[v])
@@ -371,13 +367,43 @@ def test_track_pitch_starts_one_thread_per_cpu_up_to_the_cap(monkeypatch, cpus):
 
 
 def test_fft_lag_products_match_direct_dot_products():
-    frames, pad0, _, tau_max = _yin_setup(gliding_take(30.0, 7))
-    W = F.YIN_INTEGRATION
+    # rows of one call over all frames, and the last frame of the first
+    # chunk, whose window ends in blocks that the next chunk starts with
+    wav = gliding_take(30.0, 7)
+    _, tau_max, pad0, frame_len = F._yin_lags(SR)
+    W, C = F.YIN_INTEGRATION, F.YIN_CHUNK
+    frames = yin_reference._frame_signal(wav, frame_len, 256, F.frame_count(len(wav)))
     rows = np.arange(0, len(frames), 97)
-    corr = F._lag_products(frames[rows], pad0, tau_max)
+    corr, energy = (a[rows] for a in F._lag_products(_whole_span(wav), SR, 256))
+    edge = F._lag_products(_whole_span(wav)[: (C - 1) * 256 + frame_len], SR, 256)
+    assert len(edge[0]) == C
+    corr, energy = np.vstack([corr, edge[0][-1:]]), np.vstack([energy, edge[1][-1:]])
+    rows = np.append(rows, C - 1)
     for lag in (0, 1, tau_max):
         direct = [np.dot(f[pad0 : pad0 + W], f[pad0 + lag : pad0 + lag + W]) for f in frames[rows]]
         assert np.max(np.abs(corr[:, lag] - direct)) < 1e-9
+        direct = [np.dot(f[pad0 + lag : pad0 + lag + W], f[pad0 + lag : pad0 + lag + W]) for f in frames[rows]]
+        assert np.max(np.abs(energy[:, lag] - direct)) < 1e-9
+
+
+@pytest.mark.parametrize("hop", [128, 160, 255, 256])
+def test_track_pitch_matches_the_per_frame_reference(hop):
+    # takes of 1, C - 1, C, C + 1 and 2C + 1 frames, one shorter than an
+    # analysis frame (zero-padded, not reflected) and silence
+    C = F.YIN_CHUNK
+    frame_len = F._yin_lags(SR)[3]
+    takes = [gliding_take(T * hop / SR, 3)[: (T - 1) * hop + 100] for T in (1, C - 1, C, C + 1, 2 * C + 1)]
+    takes += [gliding_take(1.0, 4)[: frame_len - 200], np.zeros(SR)]
+    grid = lambda p: np.round(p / F.PITCH_GRID) * F.PITCH_GRID
+    n_voiced = []
+    for wav in takes:
+        pitch, voiced = F.track_pitch(wav, SR, hop)
+        ref_pitch, ref_voiced = yin_reference.reference_track_pitch(wav, SR, hop)
+        assert voiced.tobytes() == ref_voiced.tobytes()
+        assert grid(pitch).tobytes() == grid(ref_pitch).tobytes()
+        assert np.all(np.abs(pitch[voiced] - ref_pitch[voiced]) < 1e-12)
+        n_voiced.append(voiced.sum())
+    assert min(n_voiced[1:5]) > C // 2 and n_voiced[-1] == 0
 
 
 def test_track_pitch_memory_is_bounded_on_a_minute_of_audio():
@@ -392,8 +418,8 @@ def test_track_pitch_memory_is_bounded_on_a_minute_of_audio():
 
 
 def test_track_pitch_chunks_keep_the_peak_small_on_a_minute_of_audio(monkeypatch):
-    # 64-frame chunks on YIN_THREADS threads: 19 MB traced on 60 s, however
-    # many CPUs the host has; 512-frame chunks took 44 MB
+    # 64-frame chunks on YIN_THREADS threads: 15.6 MB traced on 60 s, however
+    # many CPUs the host has; 512-frame chunks take 47 MB
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     wav = gliding_take(60.0, 7)
     tracemalloc.start()

@@ -1,6 +1,6 @@
 """SHA-256 of every file a fixed-seed tiny run writes, as one JSON object.
 
-    python3 tools/run_digest.py WORKDIR
+    python3 tools/run_digest.py WORKDIR [--against PARENT.json]
 
 Runs the full recipe on the tiny configuration of `tests/test_workflow.py`
 (`TINY`, two extract jobs) into WORKDIR, then `correct` on the
@@ -13,11 +13,14 @@ It prints {relative path: sha256} for every file under WORKDIR, sorted by
 path.  Two checkouts that give the same bytes (same host, same BLAS thread
 count) print the same object, so comparing the output of a change with that
 of its parent checks that a refactor kept every checkpoint, report, plan and
-WAV.
+WAV.  With `--against PARENT.json`, a saved output of the parent, it
+prints instead each relative path whose hash differs or that only one side
+has, then a count, and exits 1 if any path differs.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -35,10 +38,12 @@ from test_workflow import TINY  # noqa: E402
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
-    workdir = Path(argv[0])
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("workdir", type=Path)
+    parser.add_argument("--against", type=Path, help="a saved output of this script to compare with")
+    args = parser.parse_args(argv)
+    parent = json.loads(args.against.read_text()) if args.against else None
+    workdir = args.workdir
     cfg = load_config(None, TINY)
     wf.run_full_recipe(cfg, workdir, jobs=2)
     data, ckpt = workdir / "data", workdir / "checkpoints"
@@ -56,8 +61,14 @@ def main(argv: list[str]) -> int:
         for path in sorted(workdir.rglob("*"))
         if path.is_file()
     }
-    print(json.dumps(digests, indent=1))
-    return 0
+    if parent is None:
+        print(json.dumps(digests, indent=1))
+        return 0
+    differ = sorted(path for path in digests.keys() | parent.keys() if digests.get(path) != parent.get(path))
+    for path in differ:
+        print(path)
+    print(f"{len(differ)} of {len(digests.keys() | parent.keys())} paths differ", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
