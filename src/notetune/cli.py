@@ -10,6 +10,12 @@ set, caches feature tracks extracted by `correct` (the only environment
 variable consulted); `features.track_cache_key` gives a cached track's key,
 which covers the decoded waveform, the audio settings and every extractor
 constant.
+
+Logging is at INFO, or WARNING with -q; there is no --debug, since
+`correct` writes its per-note decisions to the .plan.tsv and .residuals.tsv
+files next to its output.  A stage run before the one that writes its input
+(the dataset, its features or a checkpoint) fails with a StageOrderError
+naming the command to run first, and exits with status 2.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ def _add_common(p: argparse.ArgumentParser):
     )
     p.add_argument("--seed", type=int, help="shorthand for --set seed=N")
     p.add_argument("-q", "--quiet", action="store_true", help="warnings only")
-    p.add_argument("--debug", action="store_true", help="debug logging incl. per-note traces")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _setup(args) -> dict:
-    level = logging.WARNING if args.quiet else (logging.DEBUG if args.debug else logging.INFO)
+    level = logging.WARNING if args.quiet else logging.INFO
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     overrides = list(args.overrides)
     if args.seed is not None:
@@ -156,8 +161,8 @@ def main(argv=None) -> int:
         elif args.command == "ablate":
             table = wf.stage_ablate(cfg, args.data_dir, args.checkpoint_dir, splits=tuple(args.splits))
             print(format_ablation_table(table, list(args.splits)))
-    # MissingCheckpointError is a FileNotFoundError, AnnotationError a ValueError;
-    # CheckpointError covers a checkpoint whose shapes the config does not match
+    # AnnotationError and MidiError are ValueErrors; CheckpointError covers a
+    # checkpoint whose shapes the config does not match
     except (wf.StageOrderError, AudioIOError, CheckpointError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -245,3 +245,11 @@ def write_plan_sidecar(path, plan: CorrectionPlan, track: FrameTrack):
         )
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_residuals(path, rows: list[dict]):
+    """Structured-text dump of `verify_plan` rows: target, corrected pitch, residual."""
+    lines = ["note\ttarget\tcorrected_pitch\tresidual_cents"]
+    for r in rows:
+        lines.append(f"{r['note']}\t{r['target']:.4f}\t{r['corrected_pitch']:.4f}\t{r['residual_cents']:.2f}")
+    Path(path).write_text("\n".join(lines) + "\n")

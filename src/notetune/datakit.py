@@ -5,8 +5,8 @@ Annotation schema (JSON, one file per recording):
 
     version         int     schema version (currently 1)
     audio           str     relative path of the WAV file (optional)
-    tempo_bpm       float   constant song tempo, beats per minute
-    time_signature  [num, den]
+    tempo_bpm       float   constant song tempo, beats per minute, > 0
+    time_signature  [num, den], two positive integers
     key             str     informational, e.g. "E major"
     notes           list of objects, sorted by onset, non-overlapping:
         onset_sec   float   note start in seconds, >= 0
@@ -60,6 +60,7 @@ class AnnotatedSample:
 
     def __post_init__(self):
         self.time_signature = tuple(self.time_signature)
+        validate_grid(self.tempo_bpm, self.time_signature)
         validate_notes(self.notes)
 
     def note_frames(self, sr: int, hop: int) -> list[tuple[int, int]]:
@@ -70,6 +71,15 @@ class AnnotatedSample:
             b = int(round(n.offset_sec * sr / hop))
             spans.append((a, max(b, a + 1)))
         return spans
+
+
+def validate_grid(tempo_bpm: float, time_signature: tuple):
+    """A tempo is a finite number above 0; a time signature is two positive
+    integers (one outside `symbolic.TIME_SIGNATURES` is gridded as 4/4)."""
+    if not (isinstance(tempo_bpm, (int, float)) and math.isfinite(tempo_bpm) and tempo_bpm > 0):
+        raise AnnotationError(f"bad tempo_bpm {tempo_bpm!r}: not a finite number above 0")
+    if len(time_signature) != 2 or not all(type(v) is int and v > 0 for v in time_signature):
+        raise AnnotationError(f"bad time_signature {list(time_signature)!r}: not two positive integers")
 
 
 def validate_notes(notes: list[Note]):
@@ -96,10 +106,17 @@ def validate_notes(notes: list[Note]):
 
 # ---- annotation I/O -----------------------------------------------------------
 
-def export_annotations(sample: AnnotatedSample, path):
+def write_json(path, doc) -> Path:
+    """Write `doc` to `path` (parents created) as deterministic JSON: sorted
+    keys, one-space indent, repr floats, a final newline.  Returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {
+    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    return path
+
+
+def export_annotations(sample: AnnotatedSample, path):
+    write_json(path, {
         "version": ANNOTATION_VERSION,
         "audio": sample.audio,
         "tempo_bpm": sample.tempo_bpm,
@@ -108,8 +125,7 @@ def export_annotations(sample: AnnotatedSample, path):
         "notes": [
             {k: v for k, v in asdict(n).items() if v is not None} for n in sample.notes
         ],
-    }
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    })
 
 
 def import_annotations(path) -> AnnotatedSample:
@@ -155,14 +171,16 @@ def import_annotations(path) -> AnnotatedSample:
         num, den = doc.get("time_signature", (4, 4))
     except (TypeError, ValueError) as exc:
         raise AnnotationError(f"{path}: bad tempo_bpm or time_signature: {exc}") from exc
-    return AnnotatedSample(
-        sample_id=path.stem,
-        notes=notes,
-        tempo_bpm=tempo_bpm,
-        time_signature=(num, den),
-        key=doc.get("key", ""),
-        audio=doc.get("audio", ""),
-    )
+    return _checked_sample(path, notes=notes, tempo_bpm=tempo_bpm, time_signature=(num, den),
+                           key=doc.get("key", ""), audio=doc.get("audio", ""))
+
+
+def _checked_sample(path, **fields) -> AnnotatedSample:
+    """The sample of the file at `path`; a rejection names the file."""
+    try:
+        return AnnotatedSample(sample_id=Path(path).stem, **fields)
+    except AnnotationError as exc:
+        raise AnnotationError(f"{path}: {exc}") from exc
 
 
 def _import_midi(path) -> AnnotatedSample:
@@ -176,13 +194,8 @@ def _import_midi(path) -> AnnotatedSample:
         for n in song.notes
     ]
     tempos = song.tempo_map or [(0, 500000.0)]
-    tempo_bpm = 60e6 / tempos[0][1]
-    return AnnotatedSample(
-        sample_id=Path(path).stem,
-        notes=notes,
-        tempo_bpm=tempo_bpm,
-        time_signature=song.time_signature,
-    )
+    return _checked_sample(path, notes=notes, tempo_bpm=60e6 / tempos[0][1],
+                           time_signature=song.time_signature)
 
 
 # ---- pitch-error scoring ------------------------------------------------------

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore as nn
+from .frontend import PITCH_CENTER, PITCH_SCALE
 
 ERROR_CLAMP = 3.0  # semitones
-PITCH_CENTER = 60.0
-PITCH_SCALE = 12.0
 
 
 @dataclass

@@ -1,9 +1,6 @@
-"""Frame-level accuracy metrics, ablation tables, and report emission."""
+"""Frame-level accuracy metrics and ablation tables."""
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import numpy as np
 
@@ -45,28 +42,9 @@ def pooled_rpa(per_song: list[dict]) -> dict:
     return {"rpa_percent": 100.0 * correct / n, "n_frames": n}
 
 
-class MissingCheckpointError(FileNotFoundError):
-    pass
-
-
 def format_ablation_table(table: dict[str, dict[str, float]], splits: list[str]) -> str:
     width = max(len(k) for k in table) + 2
     lines = ["variant".ljust(width) + "".join(s.rjust(18) for s in splits)]
     for name, row in table.items():
         lines.append(name.ljust(width) + "".join(f"{row[s]:18.2f}" for s in splits))
     return "\n".join(lines)
-
-
-# ---- reports -------------------------------------------------------------------
-
-def emit_report(metrics: dict, outdir) -> Path:
-    """Write the metrics JSON into `outdir` and return its path.
-
-    The JSON is fully deterministic (sorted keys, repr floats) so a
-    fixed-seed run reproduces it byte-identically.
-    """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    metrics_path = outdir / "metrics.json"
-    metrics_path.write_text(json.dumps(metrics, sort_keys=True, indent=1) + "\n")
-    return metrics_path

@@ -65,6 +65,8 @@ def read_midi(path) -> MidiSong:
         raise MidiError(f"{path}: unsupported MIDI format {fmt}")
     if division & 0x8000:
         raise MidiError(f"{path}: SMPTE time division is not supported")
+    if division == 0:
+        raise MidiError(f"{path}: time division of 0 ticks per quarter note")
     pos = 8 + header_len
     notes: list[MidiNote] = []
     tempo_map: list[tuple[int, float]] = []
@@ -93,7 +95,10 @@ def read_midi(path) -> MidiSong:
                 body = data[p2 : p2 + length]
                 p = p2 + length
                 if meta == 0x51:
-                    tempo_map.append((tick, float(int.from_bytes(body, "big"))))
+                    us = int.from_bytes(body, "big")
+                    if us == 0:
+                        raise MidiError(f"{path}: tempo of 0 microseconds per quarter note at tick {tick}")
+                    tempo_map.append((tick, float(us)))
                 elif meta == 0x58 and len(body) >= 2 and not sig_seen:
                     time_sig = (body[0], 1 << body[1])
                     sig_seen = True

@@ -7,6 +7,11 @@ The four trainers, evaluate, ablate and the full recipe append an entry to
 each produced file, which is enough to reproduce a byte-identical metrics
 file.  synth-data and extract record their work in dataset.json instead, and
 correct in the sidecar files next to its output WAV.
+
+The manifest is a record: no stage reads it.  A stage run before the one
+that writes its input fails where it reads that input, with a
+StageOrderError naming the command to run first: `load_dataset` (synth-data),
+`songs_by` (extract) and `_load_model` (the trainer of the checkpoint).
 """
 
 from __future__ import annotations
@@ -60,10 +65,6 @@ def load_dataset(data_dir) -> dict:
     return json.loads(path.read_text())
 
 
-def _save_dataset(data_dir, doc: dict):
-    data_paths(data_dir)["dataset"].write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-
-
 def _sha256(path) -> str:
     h = hashlib.sha256()
     h.update(Path(path).read_bytes())
@@ -72,7 +73,6 @@ def _sha256(path) -> str:
 
 def manifest_add(out_dir, stage: str, cfg: dict, files: dict, extra: dict | None = None):
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "run_manifest.json"
     doc = json.loads(path.read_text()) if path.exists() else {"version": 1, "stages": []}
     doc["stages"] = [s for s in doc["stages"] if s["stage"] != stage]
@@ -89,18 +89,7 @@ def manifest_add(out_dir, stage: str, cfg: dict, files: dict, extra: dict | None
         }
     )
     doc["stages"].sort(key=lambda s: s["stage"])
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-
-
-def manifest_require(out_dir, stage: str, needed_for: str):
-    path = Path(out_dir) / "run_manifest.json"
-    stages = []
-    if path.exists():
-        stages = [s["stage"] for s in json.loads(path.read_text())["stages"]]
-    if stage not in stages:
-        raise StageOrderError(
-            f"{needed_for} requires the {stage!r} stage; run `notetune {stage.replace('_', '-')}` first"
-        )
+    dk.write_json(path, doc)
 
 
 def _derived_seed(base: int, group: str, index: int) -> int:
@@ -167,7 +156,7 @@ def stage_synth_data(cfg: dict, data_dir) -> dict:
             render(f"{name}_{i:03d}", name, i, spec["detune"])
 
     doc = {"version": 1, "seed": seed, "samples": samples}
-    _save_dataset(data_dir, doc)
+    dk.write_json(data_paths(data_dir)["dataset"], doc)
     log.info("synthesized %d songs into %s", len(samples), data_dir)
     return doc
 
@@ -228,7 +217,7 @@ def stage_extract(cfg: dict, data_dir, jobs: int = 1) -> dict:
         else:
             entry["subset"] = entry["group"]
             entry["role"] = "test"
-    _save_dataset(data_dir, doc)
+    dk.write_json(data_paths(data_dir)["dataset"], doc)
     log.info("extracted features for %d samples", len(items))
     return doc
 
@@ -334,17 +323,23 @@ def train_segmenter_on(songs, val_songs, cfg: dict) -> tuple[seg.Segmenter, dict
     return model, history
 
 
-def stage_train_segmenter(cfg: dict, data_dir, out_dir) -> dict:
+def _stage_train_frame_model(cfg: dict, data_dir, out_dir, name: str, train_on, subset) -> dict:
+    """Train the frame model `name` with `train_on` on the train and val
+    songs of `subset` (None: every subset), then save and record it."""
     doc = load_dataset(data_dir)
-    train_songs = songs_by(data_dir, doc, role="train")
-    val_songs = songs_by(data_dir, doc, role="val")
-    model, history = train_segmenter_on(train_songs, val_songs, cfg)
+    train_songs = songs_by(data_dir, doc, subset=subset, role="train")
+    val_songs = songs_by(data_dir, doc, subset=subset, role="val")
+    model, history = train_on(train_songs, val_songs, cfg)
     ckpt = _save_model(
-        out_dir, "segmenter", model, cfg, {"model": cfg["segmenter"]["model"]},
+        out_dir, name, model, cfg, {"model": cfg[name]["model"]},
         {"final_val": history.get("final_val", {})},
     )
-    manifest_add(out_dir, "train_segmenter", cfg, {"segmenter": ckpt}, history.get("final_val"))
+    manifest_add(out_dir, f"train_{name}", cfg, {name: ckpt}, history.get("final_val"))
     return history
+
+
+def stage_train_segmenter(cfg: dict, data_dir, out_dir) -> dict:
+    return _stage_train_frame_model(cfg, data_dir, out_dir, "segmenter", train_segmenter_on, None)
 
 
 # ---- stage: train-spp ---------------------------------------------------------------
@@ -391,10 +386,7 @@ def train_spp_on(songs, val_songs, cfg: dict) -> tuple[sp.StationaryPitchPredict
                 losses.append(total)
         if not losses:
             continue
-        loss = losses[0]
-        for extra in losses[1:]:
-            loss = loss + extra
-        loss = loss / len(losses)
+        loss = sum(losses[1:], losses[0]) / len(losses)
         history["loss"].append(nn.train_step(loss, opt, context="spp"))
         if val_songs and (step + 1) % tr["eval_every"] == 0:
             scores = score_estimators({"spp": model.estimate}, val_songs)["spp"]
@@ -421,16 +413,7 @@ def score_estimators(estimators: dict, songs) -> dict:
 
 
 def stage_train_spp(cfg: dict, data_dir, out_dir) -> dict:
-    doc = load_dataset(data_dir)
-    train_songs = songs_by(data_dir, doc, subset="in_tune", role="train")
-    val_songs = songs_by(data_dir, doc, subset="in_tune", role="val")
-    model, history = train_spp_on(train_songs, val_songs, cfg)
-    ckpt = _save_model(
-        out_dir, "spp", model, cfg, {"model": cfg["spp"]["model"]},
-        {"final_val": history.get("final_val", {})},
-    )
-    manifest_add(out_dir, "train_spp", cfg, {"spp": ckpt}, history.get("final_val"))
-    return history
+    return _stage_train_frame_model(cfg, data_dir, out_dir, "spp", train_spp_on, "in_tune")
 
 
 # ---- stage: train-detuner --------------------------------------------------------------
@@ -441,7 +424,6 @@ def _detuner_cfg(cfg: dict) -> dt.DetunerConfig:
 
 
 def stage_train_detuner(cfg: dict, data_dir, out_dir) -> dict:
-    manifest_require(out_dir, "train_spp", "train-detuner (stationary estimates feed the error model)")
     doc = load_dataset(data_dir)
     spp_model = load_spp(out_dir, cfg)
     songs = songs_by(data_dir, doc, subset="high", role="train")
@@ -526,10 +508,7 @@ def _cnpp_loss(logits: dict, fields: dict, pad: np.ndarray, gt: np.ndarray, pitc
         losses.append(
             nn.cross_entropy_logits(logits[name].reshape((B * N, V)), fields[name].reshape(-1), flat_mask)
         )
-    other = losses[0]
-    for term in losses[1:]:
-        other = other + term
-    return pitch_loss + w_other * (other / len(losses))
+    return pitch_loss + w_other * (sum(losses[1:], losses[0]) / len(losses))
 
 
 def pretrain_cnpp(cfg: dict, sequences) -> sym.Cnpp:
@@ -562,8 +541,6 @@ def finetune_cnpp(cfg: dict, model: sym.Cnpp, sequences: list[sym.Octuples], det
     ftc = cfg["cnpp"]["finetune"]
     spec = CNPP_VARIANTS[variant]
     p_max = ftc["p_det"] if spec["detune"] else 0.0
-    if p_max > 0 and detuner_model is None:
-        raise StageOrderError("detune augmentation requires a trained detuner checkpoint")
     opt = nn.AdamW(model.params(), ftc["lr"], ftc["steps"], 100)
     rng = np.random.default_rng(_derived_seed(cfg["seed"], f"finetune_{variant}", 0))
     drop_rng = np.random.default_rng(_derived_seed(cfg["seed"], f"finetune_drop_{variant}", 0))
@@ -596,7 +573,6 @@ def stage_train_cnpp(cfg: dict, data_dir, out_dir, variant: str) -> dict:
     songs = songs_by(data_dir, load_dataset(data_dir), subset="moderate", role="train")
     detuner_model, sigma_e = None, 0.0
     if CNPP_VARIANTS[variant]["detune"]:
-        manifest_require(out_dir, "train_detuner", "train-cnpp with augmentation")
         detuner_model, sigma_e = load_detuner(out_dir, cfg)
 
     # the pretrained model is shared by all variants; it is reused only when
@@ -631,10 +607,16 @@ def _save_model(out_dir, name: str, model, cfg: dict, shape: dict, extra: dict |
 
 
 def _load_model(out_dir, name: str, model):
-    """Fill `model` from <out_dir>/<name>.npz; returns it with the checkpoint's extra block."""
+    """Fill `model` from <out_dir>/<name>.npz; returns it with the checkpoint's extra block.
+
+    A missing checkpoint raises StageOrderError naming the command that
+    writes it: `train-<name>`, or `train-cnpp --variant <v>` for cnpp_<v>.
+    """
     path = Path(out_dir) / f"{name}.npz"
     if not path.exists():
-        raise ek.MissingCheckpointError(f"checkpoint {path.name} not found in {out_dir}; train it first")
+        variant = name.removeprefix("cnpp_")
+        command = f"train-{name}" if variant == name else f"train-cnpp --variant {variant}"
+        raise StageOrderError(f"checkpoint {path.name} not found in {out_dir}; run `notetune {command}` first")
     return model, nn.load_checkpoint(path, model.params())["extra"]
 
 
@@ -684,8 +666,6 @@ class Pipeline:
         return notes, ests
 
     def note_targets(self, notes, ests, meta: sym.GridMeta, variant: str, sr: int, hop: int) -> np.ndarray:
-        if not notes:
-            return np.zeros(0)
         if variant not in CNPP_VARIANTS:
             return sym.round_pitch([e.pitch for e in ests]).astype(np.float64)
         events = sym.notes_to_octuples(notes, ests, meta, sr, hop)
@@ -713,13 +693,13 @@ def evaluate_split(pipeline: Pipeline, data_dir, split: str, variants) -> dict:
     return {v: {"pooled": ek.pooled_rpa(rows), "per_song": rows} for v, rows in per_variant.items()}
 
 
-def evaluate_spp_benchmark(pipeline: Pipeline, data_dir, split: str = "spp_bench") -> dict:
-    """PTR/MAE of the model vs the two baseline aggregators on GT intervals."""
-    doc = load_dataset(data_dir)
-    songs = songs_by(data_dir, doc, subset=split)
+def evaluate_spp_benchmark(spp: sp.StationaryPitchPredictor, data_dir) -> dict:
+    """PTR/MAE of the SPP vs the two baseline aggregators on the annotated
+    notes of the spp_bench split."""
+    songs = songs_by(data_dir, load_dataset(data_dir), subset="spp_bench")
     if not songs:
-        raise ValueError(f"no songs in split {split!r}")
-    estimators = {"spp": pipeline.spp.estimate, "average": sp.aggregate_average,
+        raise ValueError("no songs in split 'spp_bench'")
+    estimators = {"spp": spp.estimate, "average": sp.aggregate_average,
                   "weighted_median": sp.aggregate_weighted_median}
     return score_estimators(estimators, songs)
 
@@ -728,7 +708,7 @@ def stage_evaluate(cfg: dict, data_dir, out_dir, split: str, variants) -> dict:
     pipeline = Pipeline.load(out_dir, cfg, variants=variants)
     results = evaluate_split(pipeline, data_dir, split, variants=variants)
     metrics = {"split": split, "rpa": {v: results[v]["pooled"] for v in results}}
-    report = ek.emit_report(metrics, Path(out_dir) / "reports" / split)
+    report = dk.write_json(Path(out_dir) / "reports" / split / "metrics.json", metrics)
     manifest_add(out_dir, f"evaluate_{split}", cfg, {"metrics": report})
     return results
 
@@ -739,7 +719,7 @@ def stage_ablate(cfg: dict, data_dir, out_dir, splits=("moderate_eval", "high_ev
     table = {v: {s: cache[s][v]["pooled"]["rpa_percent"] for s in splits} for v in VARIANTS}
     text = ek.format_ablation_table(table, list(splits))
     report_dir = Path(out_dir) / "reports" / "ablation"
-    report = ek.emit_report({"ablation_rpa": table}, report_dir)
+    report = dk.write_json(report_dir / "metrics.json", {"ablation_rpa": table})
     (report_dir / "ablation.txt").write_text(text + "\n")
     manifest_add(out_dir, "ablate", cfg, {"table": report})
     log.info("ablation table:\n%s", text)
@@ -788,16 +768,6 @@ def stage_correct(
     notes, ests = pipeline.transcribe_base(track)
     targets = pipeline.note_targets(notes, ests, meta, variant, sr, hop)
     plan = corr.build_plan(ests, targets, notes, track)
-    for i, note in enumerate(notes):
-        log.debug(
-            "note %d [%.3f, %.3f)s: p_hat=%.3f p_tilde=%.1f delta=%.3f",
-            i,
-            track.frame_time(note.start_frame),
-            track.frame_time(note.end_frame),
-            plan.est_pitch[i],
-            plan.targets[i],
-            plan.deltas[i],
-        )
     out_path = Path(out_wav)
     sidecar = out_path.with_suffix(".plan.tsv")
     corr.write_plan_sidecar(sidecar, plan, track)
@@ -815,12 +785,7 @@ def stage_correct(
     rows = corr.verify_plan(ests2, plan, track)
     residuals = [r["residual_cents"] for r in rows if not r["flagged"]]
     report_path = out_path.with_suffix(".residuals.tsv")
-    lines = ["note\ttarget\tcorrected_pitch\tresidual_cents"]
-    for r in rows:
-        lines.append(
-            f"{r['note']}\t{r['target']:.4f}\t{r['corrected_pitch']:.4f}\t{r['residual_cents']:.2f}"
-        )
-    report_path.write_text("\n".join(lines) + "\n")
+    corr.write_residuals(report_path, rows)
     result.update(
         {
             "audio": out_path,
@@ -851,11 +816,10 @@ def run_full_recipe(cfg: dict, workdir, jobs: int = 1) -> dict:
     for variant in CNPP_VARIANTS:
         stage_train_cnpp(cfg, data_dir, out_dir, variant=variant)
     table = stage_ablate(cfg, data_dir, out_dir)
-    spp_bench = evaluate_spp_benchmark(Pipeline.load(out_dir, cfg, variants=()), data_dir)
     metrics = {
         "ablation_rpa": table,
-        "spp_benchmark": spp_bench,
+        "spp_benchmark": evaluate_spp_benchmark(load_spp(out_dir, cfg), data_dir),
     }
-    report = ek.emit_report(metrics, out_dir / "reports" / "summary")
+    report = dk.write_json(out_dir / "reports" / "summary" / "metrics.json", metrics)
     manifest_add(out_dir, "full_recipe", cfg, {"summary": report})
     return {"metrics": metrics, "report": report, "out_dir": out_dir}

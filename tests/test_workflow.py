@@ -13,6 +13,7 @@ import pytest
 from notetune import cli
 from notetune import datakit as dk
 from notetune import features as ft
+from notetune import midifile
 from notetune import nncore as nn
 from notetune import workflow as wf
 from notetune.config import load_config
@@ -372,6 +373,10 @@ def test_benchmark_layers_are_own_attributes():
                  id="null_tempo"),
     pytest.param({"version": 1, "notes": [], "time_signature": [4]}, "bad tempo_bpm or time_signature",
                  id="one_number_time_signature"),
+    *(pytest.param({"version": 1, "notes": [], "tempo_bpm": bpm}, "bad tempo_bpm .*not a finite number above 0",
+                   id=f"tempo_{bpm}") for bpm in (float("nan"), float("inf"), 0, -120)),
+    *(pytest.param({"version": 1, "notes": [], "time_signature": sig}, "bad time_signature .*not two positive",
+                   id=f"time_signature_{sig[0]}_{sig[1]}") for sig in (["a", 4], [4, 0])),
 ])
 def test_correct_rejects_a_bad_annotation_before_loading_anything(tmp_path, monkeypatch, doc, message):
     def no_load(*_args, **_kwargs):
@@ -391,3 +396,50 @@ def test_correct_with_a_malformed_annotation_exits_2(tmp_path, capsys):
     argv = ["correct", tmp_path / "missing.wav", tmp_path / "o.wav", "--checkpoint-dir", tmp_path / "ckpt"]
     assert run_cli(*argv, "--annotations", bad) == 2
     assert "top level is a JSON list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, message", [("division", "time division of 0"), ("tempo", "tempo of 0")])
+def test_correct_with_a_zero_midi_division_or_tempo_exits_2(tmp_path, monkeypatch, capsys, field, message):
+    def no_load(*_args, **_kwargs):
+        raise AssertionError("models were loaded before the annotations were validated")
+
+    monkeypatch.setattr(wf.Pipeline, "load", no_load)
+    path = tmp_path / f"zero_{field}.mid"
+    midifile.write_midi(path, [(0.0, 0.5, 60), (0.5, 1.0, 62)], tempo_bpm=120.0)
+    raw = bytearray(path.read_bytes())
+    if field == "division":
+        raw[12:14] = bytes(2)
+    else:
+        at = raw.index(b"\xff\x51\x03") + 3
+        raw[at : at + 3] = bytes(3)
+    path.write_bytes(bytes(raw))
+    argv = ["correct", tmp_path / "missing.wav", tmp_path / "o.wav", "--checkpoint-dir", tmp_path / "ckpt"]
+    assert run_cli(*argv, "--annotations", path) == 2
+    err = capsys.readouterr().err
+    assert message in err and path.name in err
+
+
+@pytest.mark.parametrize("command, missing, prerequisite", [
+    (["train-detuner"], "spp.npz", "train-spp"),
+    (["train-cnpp", "--variant", "full"], "detuner.npz", "train-detuner"),
+])
+def test_a_trainer_without_its_input_checkpoint_exits_2_and_names_its_trainer(
+        cli_run, tmp_path, capsys, command, missing, prerequisite):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(cli_run["ckpt"], ckpt)
+    (ckpt / missing).unlink()
+    capsys.readouterr()
+    assert run_cli(*command, "--data-dir", cli_run["data"], "--checkpoint-dir", ckpt) == 2
+    assert f"run `notetune {prerequisite}` first" in capsys.readouterr().err
+
+
+def test_trainers_do_not_read_the_run_manifest(cli_run, tmp_path):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(cli_run["ckpt"], ckpt)
+    (ckpt / "run_manifest.json").unlink()
+    common = ["--data-dir", cli_run["data"], "--checkpoint-dir", ckpt]
+    assert run_cli("train-detuner", *common) == 0
+    assert run_cli("train-cnpp", *common, "--variant", "full") == 0
+    for name in ("detuner", "cnpp_full"):
+        assert (ckpt / f"{name}.npz").read_bytes() == (cli_run["ckpt"] / f"{name}.npz").read_bytes()
+    assert sorted(manifest_stages(ckpt)) == ["train_cnpp_full", "train_detuner"]

@@ -9,6 +9,9 @@ more on a 44,100 Hz copy of that take (linear interpolation, written with
 `write_wav` to WORKDIR/take_44100.wav), so the resampling branch of
 `load_audio` is covered too, and on the first take with the variants
 `no_cnpp` and `rounded_embed`, so each variant's decode path is covered.
+Then it runs `evaluate` on `moderate_eval` with every variant, which writes
+the split's `metrics.json` (no stage of the recipe does), and one dry-run
+`correct`, which writes a plan and no audio.
 It prints {relative path: sha256} for every file under WORKDIR, sorted by
 path.  Two checkouts that give the same bytes (same host, same BLAS thread
 count) print the same object, so comparing the output of a change with that
@@ -56,6 +59,9 @@ def main(argv: list[str]) -> int:
     for variant in ("no_cnpp", "rounded_embed"):
         wf.stage_correct(cfg, take, workdir / "correct" / f"moderate_eval_000_{variant}.wav", ckpt,
                          annotations=ann, variant=variant)
+    wf.stage_evaluate(cfg, data, ckpt, "moderate_eval", variants=wf.VARIANTS)
+    wf.stage_correct(cfg, take, workdir / "correct" / "moderate_eval_000_dry.wav", ckpt, annotations=ann,
+                     dry_run=True)
     digests = {
         str(path.relative_to(workdir)): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(workdir.rglob("*"))
