@@ -70,7 +70,6 @@ DEFAULTS = {
             "layers": 2,
             "model_dim": 64,
             "heads": 4,
-            "embed_dim": 64,
             "max_events": 512,
             "dropout": 0.1,
         },

@@ -153,11 +153,14 @@ def import_annotations(path) -> AnnotatedSample:
         if not isinstance(n, dict):
             raise AnnotationError(f"{path}: note {i} is a JSON {type(n).__name__}, not an object")
         try:
+            pitch = n["pitch"]  # 60 or 60.0, never a bool, a string or 60.7
+            if type(pitch) is not int and not (type(pitch) is float and pitch.is_integer()):
+                raise ValueError(f"pitch {pitch!r} is not a whole number")
             notes.append(
                 Note(
                     onset_sec=float(n["onset_sec"]),
                     offset_sec=float(n["offset_sec"]),
-                    pitch=int(n["pitch"]),
+                    pitch=int(pitch),
                     sung_pitch=(float(n["sung_pitch"]) if n.get("sung_pitch") is not None else None),
                     lyric=n.get("lyric"),
                 )

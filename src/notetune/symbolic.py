@@ -5,8 +5,9 @@ velocity, tempo, time signature, instrument) on a sixteenth-note grid.  A
 note sequence is one dict of arrays keyed by FIELD_NAMES, one entry per
 note: `pitch` float64, the other seven fields int64.  The pitch field enters
 the model through interpolated embeddings so fractional stationary pitches
-keep their sub-semitone information; the model's pitch head classifies over
-the 128 discrete pitches.
+keep their sub-semitone information.  The model sums the 8 field embeddings,
+each `model_dim` wide, and reads one linear head per field off the encoder
+output; the pitch head classifies over the 128 discrete pitches.
 """
 
 from __future__ import annotations
@@ -165,13 +166,6 @@ def round_pitch(p_hat) -> np.ndarray:
 
 # ---- model -------------------------------------------------------------------
 
-@dataclass
-class CnppConfig(nn.TransformerConfig):
-    """The encoder's shape plus the width of each field embedding."""
-
-    embed_dim: int = 64
-
-
 def interp_pitch_embedding(table: nn.Tensor, p_hat: np.ndarray) -> nn.Tensor:
     """Convex combination of the two nearest discrete-pitch embeddings.
 
@@ -191,21 +185,20 @@ def interp_pitch_embedding(table: nn.Tensor, p_hat: np.ndarray) -> nn.Tensor:
 
 
 class Cnpp(nn.Module):
-    """Masked-context note pitch predictor over octuple events."""
+    """Masked-context note pitch predictor over octuple events: summed field
+    embeddings at the encoder's width in, one linear head per field out."""
 
-    def __init__(self, cfg: CnppConfig):
+    def __init__(self, cfg: nn.TransformerConfig):
         self.cfg = cfg
         rng = np.random.default_rng(cfg.seed + 11)
-        E = cfg.embed_dim
+        D = cfg.model_dim
         # attributes, not dicts: params() collects Module attributes only
         for name in FIELD_NAMES:
-            setattr(self, f"embed_{name}", nn.Embedding(rng, FIELD_VOCABS[name], E))
-        self.down = nn.Linear(rng, 8 * E, cfg.model_dim)
+            setattr(self, f"embed_{name}", nn.Embedding(rng, FIELD_VOCABS[name], D))
         self.encoder = nn.TransformerEncoder(cfg)
-        self.up = nn.Linear(rng, cfg.model_dim, 8 * E)
         for name in FIELD_NAMES:
             vocab = PITCH_TOKENS if name == "pitch" else FIELD_VOCABS[name]
-            setattr(self, f"head_{name}", nn.Linear(rng, E, vocab))
+            setattr(self, f"head_{name}", nn.Linear(rng, D, vocab))
 
     def forward(
         self,
@@ -216,14 +209,14 @@ class Cnpp(nn.Module):
         mask_positions: np.ndarray | None = None,
         rng: np.random.Generator | None = None,
     ) -> dict[str, nn.Tensor]:
-        """Per-field logits for a padded batch.
+        """Per-field logits for a padded batch, from the sum of its 8 field
+        embeddings.
 
         fields: int arrays [B, N] for the 7 discrete fields; pitch_values
         [B, N] float; pad_mask [B, N] 1=real.  Pitches enter through
         interpolated embeddings, or, when `rounded`, through the nearest row.
         mask_positions (bool [B, N]) replaces pitch inputs with the MASK row.
         """
-        E = self.cfg.embed_dim
         parts = []
         for name in FIELD_NAMES:
             if name == "pitch":
@@ -232,22 +225,14 @@ class Cnpp(nn.Module):
                 else:
                     emb = interp_pitch_embedding(self.embed_pitch.table, pitch_values)
                 if mask_positions is not None and mask_positions.any():
-                    mask_row = nn.embedding(
-                        self.embed_pitch.table,
-                        np.full(pitch_values.shape, PITCH_MASK, dtype=np.int64),
-                    )
+                    mask_row = self.embed_pitch(np.full(pitch_values.shape, PITCH_MASK))
                     sel = mask_positions.astype(np.float64)[..., None]
                     emb = emb * (1.0 - sel) + mask_row * sel
             else:
                 emb = getattr(self, f"embed_{name}")(fields[name])
             parts.append(emb)
-        x = self.down(nn.concat(parts, axis=-1))
-        h = self.encoder(x, pad_mask=pad_mask, rng=rng)
-        u = self.up(h)
-        out = {}
-        for k, name in enumerate(FIELD_NAMES):
-            out[name] = getattr(self, f"head_{name}")(u[:, :, k * E : (k + 1) * E])
-        return out
+        h = self.encoder(sum(parts[1:], parts[0]), pad_mask=pad_mask, rng=rng)
+        return {name: getattr(self, f"head_{name}")(h) for name in FIELD_NAMES}
 
     def predict(self, events: Octuples, rounded: bool = False):
         """Target pitch tokens [N] and pitch distributions [N, 128] for one

@@ -471,8 +471,8 @@ def check_variants(names, known):
             raise ValueError(f"unknown variant {name!r}; choose from {', '.join(known)}")
 
 
-def _cnpp_cfg(cfg: dict) -> sym.CnppConfig:
-    return sym.CnppConfig(seed=cfg["seed"], **cfg["cnpp"]["model"])
+def _cnpp_cfg(cfg: dict) -> nn.TransformerConfig:
+    return nn.TransformerConfig(seed=cfg["seed"], **cfg["cnpp"]["model"])
 
 
 def _symbolic_pretrain_sequences(cfg: dict) -> list[sym.Octuples]:

@@ -144,6 +144,13 @@ def test_annotation_roundtrip(tmp_path):
     assert back.notes[0].onset_sec == 0.0 and back.notes[0].offset_sec == 0.4
 
 
+def test_a_whole_float_pitch_imports_as_an_int(tmp_path):
+    path = tmp_path / "whole.json"
+    path.write_text(json.dumps({"version": 1, "notes": [{"onset_sec": 0.0, "offset_sec": 0.4, "pitch": 60.0}]}))
+    pitch = dk.import_annotations(path).notes[0].pitch
+    assert pitch == 60 and type(pitch) is int
+
+
 def test_overlapping_notes_rejected_with_location():
     notes = [
         dk.Note(onset_sec=0.0, offset_sec=0.6, pitch=60),

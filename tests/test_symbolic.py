@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cnpp_reference
 import symbolic_reference
 from notetune import nncore as nn
 from notetune import symbolic as sym
@@ -99,9 +100,7 @@ def test_detune_schedule_endpoints():
 
 
 def _tiny_model(max_events=64):
-    return sym.Cnpp(
-        sym.CnppConfig(layers=1, model_dim=16, heads=2, embed_dim=8, max_events=max_events, seed=5)
-    )
+    return sym.Cnpp(nn.TransformerConfig(layers=1, model_dim=16, heads=2, max_events=max_events, seed=5))
 
 
 def _events(n=6):
@@ -156,6 +155,40 @@ def test_cnpp_rounded_embedding_is_the_interpolated_one_of_rounded_pitches():
     t2, p2 = model.predict(rounded, rounded=False)
     assert np.array_equal(t1, t2) and p1.tobytes() == p2.tobytes()
     assert p1.tobytes() != model.predict(events, rounded=False)[1].tobytes()
+
+
+def _folded(ref: cnpp_reference.Cnpp) -> sym.Cnpp:
+    """A Cnpp with the reference's encoder whose field tables hold `down`
+    (its bias in the bar table) and whose heads hold `up`."""
+    cfg = ref.cfg
+    model = sym.Cnpp(nn.TransformerConfig(layers=cfg.layers, model_dim=cfg.model_dim, heads=cfg.heads,
+                                          max_events=cfg.max_events, seed=cfg.seed))
+    model.encoder = ref.encoder
+    E = cfg.embed_dim
+    for k, name in enumerate(sym.FIELD_NAMES):
+        rows = slice(k * E, (k + 1) * E)
+        table = getattr(ref, f"embed_{name}").table.data @ ref.down.w.data[rows]
+        getattr(model, f"embed_{name}").table.data = table + ref.down.b.data if k == 0 else table
+        ref_head, head = getattr(ref, f"head_{name}"), getattr(model, f"head_{name}")
+        head.w.data = ref.up.w.data[:, rows] @ ref_head.w.data
+        head.b.data = ref.up.b.data[rows] @ ref_head.w.data + ref_head.b.data
+    return model
+
+
+@pytest.mark.parametrize("rounded, masked", [(False, False), (True, False), (False, True)],
+                         ids=["interpolated", "rounded", "mask_positions"])
+def test_cnpp_computes_what_the_projected_reference_computes(rounded, masked):
+    ref = cnpp_reference.Cnpp(cnpp_reference.CnppConfig(layers=1, model_dim=16, heads=2, embed_dim=8, seed=5))
+    rng = np.random.default_rng(0)
+    for p in ref.params().values():  # nonzero biases, so every fold counts
+        p.data = p.data + rng.normal(0.0, 0.1, p.data.shape)
+    fields, pitch_values, pad = sym.pack_sequences([_events(6), _events(4)])
+    mask = (rng.random(pad.shape) < 0.4) & (pad > 0) if masked else None
+    want = ref.forward(fields, pitch_values, pad, rounded, mask_positions=mask)
+    got = _folded(ref).forward(fields, pitch_values, pad, rounded, mask_positions=mask)
+    assert pad.min() == 0 and (not masked or mask.any())
+    for name in sym.FIELD_NAMES:
+        np.testing.assert_allclose(got[name].data, want[name].data, rtol=0, atol=1e-9, err_msg=name)
 
 
 def test_cnpp_rejects_overlong_sequences():

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cnpp_reference
 from notetune import cli
 from notetune import datakit as dk
 from notetune import features as ft
@@ -37,7 +38,7 @@ def run_cli(*argv, overrides=()) -> int:
 
 
 FRAME_MODEL = {"layers": 2, "model_dim": 64, "heads": 2, "window": 64}
-CNPP_MODEL = {"layers": 2, "model_dim": 64, "heads": 4, "embed_dim": 64, "max_events": 512, "dropout": 0.1}
+CNPP_MODEL = {"layers": 2, "model_dim": 64, "heads": 4, "max_events": 512, "dropout": 0.1}
 CHECKPOINT_CONFIGS = {
     "segmenter": {"kind": "segmenter", "model": FRAME_MODEL, "seed": 1234},
     "spp": {"kind": "spp", "model": FRAME_MODEL, "seed": 1234},
@@ -134,6 +135,18 @@ def test_correct_with_a_model_config_the_checkpoints_do_not_fit_exits_2(cli_run,
     argv = ["correct", cli_run["take"], tmp_path / "o.wav", "--checkpoint-dir", cli_run["ckpt"]]
     assert run_cli(*argv, "--set", "segmenter.model.model_dim=32") == 2
     assert "shape mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "o.wav").exists()
+
+
+def test_correct_with_a_cnpp_checkpoint_of_the_projected_layout_exits_2(cli_run, tmp_path, capsys):
+    # the layout with `down` and `up` between the field embeddings, the
+    # encoder and the heads, as `cnpp_reference.Cnpp` has it
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(cli_run["ckpt"], ckpt)
+    stale = cnpp_reference.Cnpp(cnpp_reference.CnppConfig(seed=1234, embed_dim=64, **CNPP_MODEL))
+    nn.save_checkpoint(ckpt / "cnpp_full.npz", stale.params(), CHECKPOINT_CONFIGS["cnpp_full"])
+    assert run_cli("correct", cli_run["take"], tmp_path / "o.wav", "--checkpoint-dir", ckpt) == 2
+    assert "missing=[] surplus=['down.b', 'down.w', 'up.b', 'up.w']" in capsys.readouterr().err
     assert not (tmp_path / "o.wav").exists()
 
 
@@ -377,6 +390,9 @@ def test_benchmark_layers_are_own_attributes():
                    id=f"tempo_{bpm}") for bpm in (float("nan"), float("inf"), 0, -120)),
     *(pytest.param({"version": 1, "notes": [], "time_signature": sig}, "bad time_signature .*not two positive",
                    id=f"time_signature_{sig[0]}_{sig[1]}") for sig in (["a", 4], [4, 0])),
+    *(pytest.param({"version": 1, "notes": [{"onset_sec": 0.0, "offset_sec": 0.4, "pitch": pitch}]},
+                   f"bad.json: note 0: pitch {pitch!r} is not a whole number", id=f"pitch_{pitch!r}")
+      for pitch in (60.7, True, "61")),
 ])
 def test_correct_rejects_a_bad_annotation_before_loading_anything(tmp_path, monkeypatch, doc, message):
     def no_load(*_args, **_kwargs):

@@ -1,0 +1,75 @@
+"""The quality probe: the full recipe at the benchmark fixture's size, per seed.
+
+    python3 tools/quality_probe.py WORKDIR --seeds S [S ...]
+
+For each seed S, runs `workflow.run_full_recipe` into WORKDIR/seed_S with
+`perfbench/fixture.FIXTURE_OVERRIDES` minus its four `n_songs=0` entries,
+eval sets of 8 (spp_bench), 8 (moderate_eval), 8 (high_eval) and 2
+(intune_eval) songs, `seed=S` and two extract jobs.  It prints one JSON line
+per seed: the ablation RPA of each variant on each split, the spp_bench PTR
+of each stationary-pitch estimator, and the run's wall time.  Then it prints
+one JSON line per row (`rpa <variant>`, `ptr`), giving for each column the
+median and the min-max over the seeds.
+
+A WORKDIR/seed_S left by an earlier run is reused as the stages reuse their
+outputs, so give a fresh WORKDIR to measure a change.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from fixture import FIXTURE_OVERRIDES  # noqa: E402
+from notetune import workflow as wf  # noqa: E402
+from notetune.config import load_config  # noqa: E402
+
+EVAL_SONGS = {"spp_bench": 8, "moderate_eval": 8, "high_eval": 8, "intune_eval": 2}
+
+
+def probe_config(seed: int) -> dict:
+    overrides = [o for o in FIXTURE_OVERRIDES if not o.startswith("corpus.eval_sets.")]
+    overrides += [f"corpus.eval_sets.{name}.n_songs={n}" for name, n in EVAL_SONGS.items()]
+    return load_config(overrides=overrides + [f"seed={seed}"])
+
+
+def run_seed(workdir: Path, seed: int) -> dict:
+    start = time.perf_counter()
+    metrics = wf.run_full_recipe(probe_config(seed), workdir / f"seed_{seed}", jobs=2)["metrics"]
+    return {
+        "seed": seed,
+        "seconds": round(time.perf_counter() - start, 1),
+        "rpa": metrics["ablation_rpa"],
+        "ptr": {name: score["ptr_percent"] for name, score in metrics["spp_benchmark"].items()},
+    }
+
+
+def spread(values: list[float]) -> dict:
+    return {"median": statistics.median(values), "min": min(values), "max": max(values)}
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("workdir", type=Path)
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    args = parser.parse_args(argv)
+    runs = []
+    for seed in args.seeds:
+        runs.append(run_seed(args.workdir, seed))
+        print(json.dumps(runs[-1]), flush=True)
+    rows = {f"rpa {variant}": [run["rpa"][variant] for run in runs] for variant in wf.VARIANTS}
+    rows["ptr"] = [run["ptr"] for run in runs]
+    for row, cells in rows.items():
+        print(json.dumps({"row": row, **{col: spread([c[col] for c in cells]) for col in cells[0]}}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
