@@ -130,16 +130,18 @@ def load_audio(path, target_sr: int = DEFAULT_SR) -> np.ndarray:
         file_sr, data = wavfile.read(path)
     except Exception as exc:
         raise AudioIOError(f"cannot read audio file {path}: {exc}") from exc
-    if data.dtype == np.int16:
-        wav = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        wav = data.astype(np.float64) / 2147483648.0
-    elif data.dtype == np.uint8:
-        wav = (data.astype(np.float64) - 128.0) / 128.0
-    elif data.dtype in (np.float32, np.float64):
-        wav = data.astype(np.float64)
-    else:
+    if data.dtype not in (np.int16, np.int32, np.uint8, np.float32, np.float64):
         raise AudioIOError(f"unsupported WAV sample format {data.dtype} in {path}")
+    # integer PCM is scaled in place: one float64 copy of the take, not two,
+    # without relying on numpy eliding the temporary of `astype(...) / c`
+    wav = data.astype(np.float64)
+    if data.dtype == np.int16:
+        wav /= 32768.0
+    elif data.dtype == np.int32:
+        wav /= 2147483648.0
+    elif data.dtype == np.uint8:
+        wav -= 128.0
+        wav /= 128.0
     if wav.ndim == 2:
         wav = wav.mean(axis=1)
     if not np.isfinite(wav).all():

@@ -9,6 +9,7 @@ from .tensor import (
     tlog,
     sigmoid,
     gelu,
+    geglu,
     clip,
     reshape,
     swapaxes,

@@ -172,6 +172,12 @@ class StreamAttention(Module):
 
 
 class Geglu(Module):
+    """Pre-norm GEGLU feedforward with a residual (Shazeer 2020):
+    x + out(val * gelu(gate)), where [val, gate] = proj(norm(x)) splits the
+    2 * inner projection in halves.  The gating is one node,
+    `tensor.geglu`, which under `no_grad` allocates one [..., inner] array
+    beside the projection."""
+
     def __init__(self, rng, dim: int, inner: int):
         self.norm = LayerNorm(dim)
         self.proj = Linear(rng, dim, 2 * inner)
@@ -179,10 +185,7 @@ class Geglu(Module):
         self.inner = inner
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = self.proj(self.norm(x))
-        val = h[..., : self.inner]
-        gate = h[..., self.inner :]
-        return x + self.out(val * tz.gelu(gate))
+        return x + self.out(tz.geglu(self.proj(self.norm(x)), self.inner))
 
 
 class LocalEncoder(Module):

@@ -12,6 +12,12 @@ never holds -0.0: the kernels may hand `_accumulate` a gradient that
 differs from another only in the sign of a zero, and add into a buffer in
 place, without changing its bytes.
 
+One rule, `_records`, decides whether a node is recorded: gradients are
+enabled (no `no_grad` block) and some parent requires a gradient or is
+itself a recorded node.  A node that is not recorded keeps nothing for a
+backward pass, so it may overwrite its own temporaries (`geglu` returns
+its cdf buffer), but never its inputs, which the caller still owns.
+
 `backward` releases the graph as it sweeps: each node drops its backward
 closure and its parents once its own backward has run, so the forward
 activations are freed during the sweep and no graph outlives its
@@ -195,9 +201,15 @@ def _as_const(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def _records(parents) -> bool:
+    """Whether a node on `parents` is recorded: gradients are enabled and
+    some parent requires a gradient or is itself a recorded node."""
+    return _GRAD_ENABLED and any(p.requires_grad or p._parents for p in parents)
+
+
 def _make(data, parents, backward):
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad or p._parents for p in parents):
+    if _records(parents):
         out.requires_grad = any(p.requires_grad for p in parents)
         out._parents = tuple(parents)
         out._backward = backward
@@ -346,6 +358,49 @@ def gelu(a: Tensor):
         a._accumulate(d)
 
     return _make(out_data, (a,), bw)
+
+
+def geglu(h: Tensor, inner: int):
+    """h[..., :inner] * gelu(h[..., inner:]) as one node: the float
+    operations of the two-slice, `gelu`, `mul` chain, so the same bytes.
+
+    With val = h[..., :inner] and gate = h[..., inner:], the cdf of the gate
+    is built in one [..., inner] buffer as in `gelu`.  Not recorded, that
+    buffer is multiplied by gate and then by val and returned: the chain's
+    val * (gate * cdf), as IEEE multiplication is commutative, with one
+    [..., inner] array allocated instead of three.  Recorded, only the cdf
+    is kept (the chain kept it and gate * cdf); the backward pass rebuilds
+    gate * cdf inside the gradient of h and reuses the cdf buffer for
+    g * val once the gate's gradient no longer reads it."""
+    val, gate = h.data[..., :inner], h.data[..., inner:]
+    cdf = gate / _SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    if not _records((h,)):
+        cdf *= gate
+        cdf *= val
+        return Tensor(cdf)
+    out_data = gate * cdf
+    out_data *= val
+
+    def bw(g):
+        # d val = g * (gate * cdf); d gate = (g * val) * (cdf + gate * pdf)
+        full = np.empty_like(h.data)
+        dval, dgate = full[..., :inner], full[..., inner:]
+        np.multiply(gate, cdf, out=dval)
+        dval *= g
+        np.multiply(gate, -0.5, out=dgate)
+        dgate *= gate
+        np.exp(dgate, out=dgate)
+        dgate *= _INV_SQRT_2PI
+        dgate *= gate
+        dgate += cdf
+        np.multiply(g, val, out=cdf)
+        dgate *= cdf
+        h._accumulate(full)
+
+    return _make(out_data, (h,), bw)
 
 
 def clip(a: Tensor, lo: float, hi: float):

@@ -738,6 +738,14 @@ def stage_correct(
     variant: str = "full",
     cache_dir=None,
 ) -> dict:
+    """Correct one take: track it (or read its cached track), transcribe and
+    target its notes, write the plan sidecar and, unless `dry_run`, the
+    shifted audio and its residuals.
+
+    The verify pass re-tracks the written audio and re-estimates each
+    note's stationary pitch; by then neither the input samples nor the
+    corrected ones are held (each is dropped once its last reader has
+    returned), only the two tracks, the plan and the models."""
     if annotations is not None:
         ann = dk.import_annotations(annotations)
         meta = sym.GridMeta.from_annotation(ann)
@@ -779,8 +787,10 @@ def stage_correct(
     if dry_run:
         return result
     corrected = corr.shift_audio(wav, plan, track)
+    del wav
     ft.write_wav(out_path, corrected, sr)
     track2 = _extract_track(corrected, audio_cfg)
+    del corrected
     ests2 = pipeline.spp.estimate(track2, notes)
     rows = corr.verify_plan(ests2, plan, track)
     residuals = [r["residual_cents"] for r in rows if not r["flagged"]]

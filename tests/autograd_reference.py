@@ -53,6 +53,14 @@ def gelu(a: Tensor):
     return _make(out_data, (a,), bw)
 
 
+def geglu(h: Tensor, inner: int):
+    """The `layers.Geglu` gating before it became one node: two slices,
+    `gelu` and `mul`."""
+    val = h[..., :inner]
+    gate = h[..., inner:]
+    return val * gelu(gate)
+
+
 def getitem(a: Tensor, key):
     out_data = a.data[key]
     fancy = _is_fancy(key)

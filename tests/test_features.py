@@ -51,11 +51,12 @@ def test_load_stereo_averages_channels(tmp_path):
 @pytest.mark.parametrize(
     "pcm, expected",
     [
+        (np.array([-(2**15), -(2**14), 0, 2**14, 2**15 - 1], dtype=np.int16), [-1.0, -0.5, 0.0, 0.5, 1 - 2.0**-15]),
         (np.array([-(2**31), -(2**30), 0, 2**30, 2**31 - 1], dtype=np.int32), [-1.0, -0.5, 0.0, 0.5, 1 - 2.0**-31]),
         (np.array([0, 64, 128, 192, 255], dtype=np.uint8), [-1.0, -0.5, 0.0, 0.5, 127 / 128]),
         (np.array([-1.0, -0.5, 0.0, 0.25, 0.7], dtype=np.float32), np.float32([-1.0, -0.5, 0.0, 0.25, 0.7])),
     ],
-    ids=["int32", "uint8", "float32"],
+    ids=["int16", "int32", "uint8", "float32"],
 )
 def test_load_audio_scales_each_sample_format(tmp_path, pcm, expected):
     from scipy.io import wavfile

@@ -331,6 +331,29 @@ def test_linear_matches_two_node_reference_bytes_and_skips_plain_inputs(x_shape,
     assert plain.grad is None
 
 
+@pytest.mark.parametrize("layout", ["contiguous", "swapaxes", "slice"])
+@pytest.mark.parametrize("h_shape", [(20, 10), (3, 20, 10)])
+def test_geglu_matches_the_two_slice_gelu_mul_chain_bytes(h_shape, layout):
+    inner = h_shape[-1] // 2
+
+    def make():
+        (h,) = _leaves(12, [h_shape], layout)
+        h.data[..., [0, inner]] = 0.0  # exact zeros in val and gate
+        h.data[..., [1, inner + 1]] = [-2.0, 7.5]  # erf saturates: cdf is exactly 1
+        h.data[..., [2, inner + 2]] = [3.0, -9.0]  # cdf is exactly 0: gate * cdf is -0.0
+        return [h]
+
+    _check_against_reference(make, lambda kz, h: kz.geglu(h, inner))
+    (h,) = make()
+    before = h.data.tobytes()
+    with nn.no_grad():
+        got = tz.geglu(h, inner).data
+        want = autograd_reference.geglu(h, inner).data
+    assert got.shape == want.shape and got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+    assert h.data.tobytes() == before  # the in-place path writes only its own buffer
+
+
 def test_backward_releases_the_graph_and_keeps_leaf_gradients():
     rng = np.random.default_rng(22)
     lin = nn.Linear(rng, 4, 3)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import make_track
 from notetune import segmenter as seg
+from notetune.nncore import layers
 from notetune.frontend import FrameEncoderConfig
 
 
@@ -139,6 +142,39 @@ def test_forward_outputs_are_probabilities_and_deterministic():
     p2 = model.predict(track)
     assert np.all((p1 > 0) & (p1 < 1))
     assert np.array_equal(p1, p2)
+
+
+def test_predict_on_4096_frames_holds_one_geglu_temporary_beside_the_projection(monkeypatch):
+    # Default shape (inner = 170).  Traced peaks above what was held: the
+    # two-slice, gelu, mul chain took 33.4 MB for predict and 22.35 MB in
+    # each GEGLU step (h plus two [T, inner] arrays); the one-node geglu
+    # takes 28.0 MB and 16.78 MB (h plus one)
+    model = seg.Segmenter(FrameEncoderConfig())
+    T, inner = 4096, model.cfg.ffn_inner
+    track = make_track(60 + np.random.default_rng(13).normal(0, 1, size=T))
+    raw = layers.Geglu.__call__
+    steps = []
+
+    def traced(self, x):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = raw(self, x)
+        steps.append(tracemalloc.get_traced_memory()[1] - held)
+        return out
+
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        model.predict(track)
+        whole = tracemalloc.get_traced_memory()[1] - held
+        monkeypatch.setattr(layers.Geglu, "__call__", traced)
+        model.predict(track)
+    finally:
+        tracemalloc.stop()
+    assert whole < 31e6, whole / 1e6
+    h_bytes = T * 2 * inner * 8
+    assert len(steps) == model.cfg.layers
+    assert max(steps) < h_bytes + 1.5 * T * inner * 8, [s / 1e6 for s in steps]
 
 
 def test_boundary_matching_counts():

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import logging
 import shutil
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,12 @@ import pytest
 
 import cnpp_reference
 from notetune import cli
+from notetune import corrector as corr
 from notetune import datakit as dk
 from notetune import features as ft
 from notetune import midifile
 from notetune import nncore as nn
+from notetune import spp as sp
 from notetune import workflow as wf
 from notetune.config import load_config
 
@@ -211,6 +214,33 @@ def test_correct_reads_its_cached_track_and_writes_the_same_bytes(cli_run, tmp_p
         plain = (tmp_path / f"plain{suffix}").read_bytes()
         assert (tmp_path / f"miss{suffix}").read_bytes() == plain
         assert (tmp_path / f"hit{suffix}").read_bytes() == plain
+
+
+def test_correct_holds_no_audio_while_verify_estimates(cli_run, tmp_path, monkeypatch):
+    refs = {}
+    alive_at_estimate = []
+
+    def remembered(name, fn):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            refs[name] = weakref.ref(out)
+            return out
+
+        return call
+
+    def estimate(self, *args, **kwargs):
+        alive_at_estimate.append(sorted(name for name, ref in refs.items() if ref() is not None))
+        return raw_estimate(self, *args, **kwargs)
+
+    raw_estimate = sp.StationaryPitchPredictor.estimate
+    monkeypatch.setattr(ft, "load_audio", remembered("load_audio", ft.load_audio))
+    monkeypatch.setattr(corr, "shift_audio", remembered("shift_audio", corr.shift_audio))
+    monkeypatch.setattr(sp.StationaryPitchPredictor, "estimate", estimate)
+    wf.stage_correct(load_config(None, TINY), cli_run["take"], tmp_path / "o.wav", cli_run["ckpt"],
+                     annotations=cli_run["data"] / "annotations" / "moderate_eval_000.json")
+    # the input-side estimate, then the verify pass's
+    assert alive_at_estimate == [["load_audio"], []]
+    assert (tmp_path / "o.wav").read_bytes() == (cli_run["out"] / "plain.wav").read_bytes()
 
 
 @pytest.mark.parametrize("damage", ["truncated", "garbage"])
