@@ -1,5 +1,5 @@
-"""Data ingestion, pitch-error scoring, dataset splitting, and the synthetic
-singing-voice generator that supplies exact ground truth for every stage.
+"""Data ingestion, dataset splitting, and the synthetic singing-voice
+generator that supplies exact ground truth for every stage.
 
 Annotation schema (JSON, one file per recording):
 
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import midifile
-from .features import FrameTrack, semitones_to_hz
+from .features import semitones_to_hz
 
 ANNOTATION_VERSION = 1
 
@@ -201,40 +201,7 @@ def _import_midi(path) -> AnnotatedSample:
                            time_signature=song.time_signature)
 
 
-# ---- pitch-error scoring ------------------------------------------------------
-
-def note_pitch_error(values: np.ndarray, gt_pitch: float) -> float:
-    """Absolute deviation of the 30-70th percentile trimmed mean from GT.
-
-    Percentiles use numpy's linear interpolation between order statistics;
-    the trim keeps values v with P30 <= v <= P70 (inclusive).  Notes with
-    fewer than 3 voiced frames fall back to the plain mean.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if len(values) < 3:
-        est = values.mean()
-    else:
-        lo, hi = np.percentile(values, [30.0, 70.0])
-        kept = values[(values >= lo) & (values <= hi)]
-        est = kept.mean() if len(kept) else values.mean()
-    return abs(float(est) - float(gt_pitch))
-
-
-def sample_pitch_error(track: FrameTrack, notes, pitches):
-    """Per-note trimmed-mean errors and their sample-level mean, semitones,
-    over the annotated note intervals clipped to the track (`notes`, as
-    `workflow.SongData` gives them) and their intended `pitches`."""
-    errors = []
-    for note, pitch in zip(notes, pitches):
-        frames = slice(note.start_frame, note.end_frame)
-        vals = track.pitch_semitones[frames][track.voiced[frames]]
-        if len(vals) == 0:
-            continue
-        errors.append(note_pitch_error(vals, pitch))
-    errors = np.asarray(errors)
-    mean = float(errors.mean()) if len(errors) else 0.0
-    return errors, mean
-
+# ---- dataset splitting --------------------------------------------------------
 
 def split_dataset(sample_errors: dict[str, float], seed: int = 0) -> dict[str, tuple[str, str]]:
     """Rank samples by mean pitch error and assign (subset, role) tags.

@@ -1,9 +1,10 @@
-"""Stationary pitch estimation: learned frame weights plus two baselines.
+"""Stationary pitch estimation: learned frame weights plus three baselines.
 
 The model scores every frame; within each note the scores of voiced frames
 softmax into a weight distribution and the note's stationary pitch is the
-weighted average of its frame pitches.  Baselines: plain average and the
-center-weighted (Hann) median.
+weighted average of its frame pitches.  Baselines: plain average, the
+center-weighted (Hann) median, and the 30-70th percentile trimmed mean that
+scores each corpus song's pitch error for the split.
 """
 
 from __future__ import annotations
@@ -114,6 +115,21 @@ def aggregate_weighted_median(track: FrameTrack, notes: list[NoteInterval]) -> l
     edge frames keep small positive weight.
     """
     return _note_estimates(track, notes, _hann_median)
+
+
+def _trimmed_mean(_note: NoteInterval, _idx: np.ndarray, vals: np.ndarray) -> float:
+    if len(vals) < 3:
+        return vals.mean()
+    lo, hi = np.percentile(vals, [30.0, 70.0])
+    kept = vals[(vals >= lo) & (vals <= hi)]
+    return kept.mean() if len(kept) else vals.mean()
+
+
+def aggregate_trimmed_mean(track: FrameTrack, notes: list[NoteInterval]) -> list[StationaryEstimate]:
+    """Mean of the voiced pitches v with P30 <= v <= P70 (inclusive; numpy's
+    linear percentiles); a note with fewer than 3 voiced frames gets the
+    plain mean."""
+    return _note_estimates(track, notes, _trimmed_mean)
 
 
 # ---- training objective -----------------------------------------------------

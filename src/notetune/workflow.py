@@ -176,8 +176,11 @@ def _extract_track(wav: np.ndarray, audio_cfg: dict) -> ft.FrameTrack:
 def stage_extract(cfg: dict, data_dir, jobs: int = 1) -> dict:
     """Extract feature tracks, score corpus pitch errors, assign splits.
 
-    The pitch of every song is tracked first, `jobs` songs at a time; then
-    one song at a time gets its mel, its saved track and its pitch error.
+    A song's pitch error (`delta_bar`) is the mean |estimate - intended
+    pitch| over its unflagged annotated notes, each estimate a trimmed mean
+    (`spp.aggregate_trimmed_mean`).  The pitch of every song is tracked
+    first, `jobs` songs at a time; then one song at a time gets its mel, its
+    saved track and its pitch error.
     So no mel matmul (BLAS threads) competes with the YIN threads, and only
     the pitch arrays are held across songs.
     """
@@ -201,7 +204,9 @@ def stage_extract(cfg: dict, data_dir, jobs: int = 1) -> dict:
         track = ft.FrameTrack(sample_rate=sr, hop=hop, pitch_semitones=pitch, voiced=voiced, mel=mel)
         ft.save_track(paths["features"] / f"{sid}.npz", track)
         song = SongData(ann=dk.import_annotations(paths["root"] / entry["annotation"]), track=track)
-        _, results[sid] = dk.sample_pitch_error(track, song.notes, song.pitches)
+        ests = sp.aggregate_trimmed_mean(track, song.notes)
+        errors = [abs(e.pitch - p) for e, p in zip(ests, song.pitches) if not e.flagged]
+        results[sid] = float(np.mean(errors)) if errors else 0.0
 
     corpus_errors = {
         sid: results[sid] for sid, e in doc["samples"].items() if e["group"] == "corpus"
@@ -271,20 +276,19 @@ def _frame_model_cfg(cfg: dict, section: str) -> FrameEncoderConfig:
     return FrameEncoderConfig(n_mels=cfg["audio"]["n_mels"], seed=cfg["seed"], **cfg[section]["model"])
 
 
-def _validate_segmenter(model, songs, cfg):
+def _detect_notes(model: seg.Segmenter, track: ft.FrameTrack, cfg: dict) -> list[seg.NoteInterval]:
+    """The note decode of `correct`, and the one reader of the segmenter's
+    decode settings: `nms_window`, `theta` and `min_note_frames`."""
     scfg = cfg["segmenter"]
-    scores = []
-    for song in songs:
-        probs = model.predict(song.track)
-        sr, hop = song.track.sample_rate, song.track.hop
-        pred = []
-        for span in seg.singing_spans(song.track.voiced, hop, sr):
-            bounds = seg.greedy_nms(
-                probs, w=scfg["nms_window"], theta=scfg["theta"], span=span
-            )
-            pred.extend(b for b in bounds if b != span[1] - 1)  # span ends are offsets
-        gt = [n.start_frame for n in song.notes]
-        scores.append(seg.boundary_prf(sorted(set(pred)), gt))
+    return seg.detect_notes(track, model.predict(track), w=scfg["nms_window"], theta=scfg["theta"],
+                            min_note_frames=scfg["min_note_frames"])
+
+
+def _validate_segmenter(model, songs, cfg):
+    """Mean onset precision, recall and F1 over `songs` of the notes that
+    `correct` would detect."""
+    scores = [seg.boundary_prf([n.start_frame for n in _detect_notes(model, song.track, cfg)],
+                               [n.start_frame for n in song.notes]) for song in songs]
     p, r, f = (float(np.mean([s[i] for s in scores])) for i in range(3))
     return {"precision": p, "recall": r, "f1": f}
 
@@ -653,17 +657,8 @@ class Pipeline:
                    {v: load_cnpp(out_dir, cfg, v) for v in variants if v in CNPP_VARIANTS})
 
     def transcribe_base(self, track: ft.FrameTrack):
-        scfg = self.cfg["segmenter"]
-        probs = self.segmenter.predict(track)
-        notes = seg.detect_notes(
-            track,
-            probs,
-            w=scfg["nms_window"],
-            theta=scfg["theta"],
-            min_note_frames=scfg["min_note_frames"],
-        )
-        ests = self.spp.estimate(track, notes)
-        return notes, ests
+        notes = _detect_notes(self.segmenter, track, self.cfg)
+        return notes, self.spp.estimate(track, notes)
 
     def note_targets(self, notes, ests, meta: sym.GridMeta, variant: str, sr: int, hop: int) -> np.ndarray:
         if variant not in CNPP_VARIANTS:

@@ -3,32 +3,56 @@ import json
 import numpy as np
 import pytest
 
+from conftest import make_track
 from notetune import datakit as dk
 from notetune import features as F
 from notetune import midifile
+from notetune import spp as sp
+from notetune.segmenter import NoteInterval
 from notetune.workflow import SongData
+
+
+def note_pitch_error(vals, gt_pitch):
+    """|trimmed-mean estimate - gt_pitch| of one note whose frames are all voiced."""
+    (est,) = sp.aggregate_trimmed_mean(make_track(vals), [NoteInterval(0, len(vals))])
+    assert not est.flagged
+    return abs(est.pitch - gt_pitch)
 
 
 def test_note_pitch_error_trimmed_mean_hand_case():
     vals = np.array([59.0, 60.0, 60.0, 60.0, 65.0])
-    assert dk.note_pitch_error(vals, 60.0) == pytest.approx(0.0)
+    assert note_pitch_error(vals, 60.0) == pytest.approx(0.0)
 
 
 def test_note_pitch_error_constant_offset():
     vals = np.full(20, 60.5)
-    assert dk.note_pitch_error(vals, 60.0) == pytest.approx(0.5)
+    assert note_pitch_error(vals, 60.0) == pytest.approx(0.5)
 
 
 def test_note_pitch_error_outlier_robustness():
     flat = np.full(30, 61.0)
-    base = dk.note_pitch_error(flat, 61.0)
+    base = note_pitch_error(flat, 61.0)
     spiked = flat.copy()
     spiked[13] = 73.0
-    assert abs(dk.note_pitch_error(spiked, 61.0) - base) < 0.01
+    assert abs(note_pitch_error(spiked, 61.0) - base) < 0.01
 
 
 def test_note_pitch_error_short_note_plain_mean():
-    assert dk.note_pitch_error(np.array([60.0, 62.0]), 60.0) == pytest.approx(1.0)
+    assert note_pitch_error(np.array([60.0, 62.0]), 60.0) == pytest.approx(1.0)
+
+
+def test_trimmed_mean_flags_a_note_without_voiced_frames():
+    track = make_track(np.array([60.0, 60.0, np.nan, np.nan, 62.0]))
+    ests = sp.aggregate_trimmed_mean(track, [NoteInterval(0, 2), NoteInterval(2, 4)])
+    assert [e.flagged for e in ests] == [False, True]
+    assert ests[0].pitch == 60.0
+
+
+def note_error(track, song):
+    """Mean |trimmed-mean estimate - intended pitch| over the song's
+    unflagged notes, as `stage_extract` scores it."""
+    ests = sp.aggregate_trimmed_mean(track, song.notes)
+    return np.mean([abs(e.pitch - p) for e, p in zip(ests, song.pitches) if not e.flagged])
 
 
 def test_split_dataset_partition_sizes():
@@ -98,9 +122,7 @@ def test_synth_intune_closed_loop_error_below_5_cents_of_semitone():
     for seed in (101, 202, 303, 404):
         wav, ann = dk.synth_song(dk.SynthSpec(seed=seed, detune=dk.DetuneSpec(kind="none")))
         track = F.extract_track(wav)
-        song = SongData(ann=ann, track=track)
-        _, mean = dk.sample_pitch_error(track, song.notes, song.pitches)
-        means.append(mean)
+        means.append(note_error(track, SongData(ann=ann, track=track)))
     assert float(np.mean(means)) < 0.05
 
 
@@ -112,9 +134,7 @@ def test_synth_uniform_detune_mean_matches_expectation():
             dk.SynthSpec(seed=seed, detune=dk.DetuneSpec(kind="uniform", lo=-1.0, hi=1.0))
         )
         track = F.extract_track(wav)
-        song = SongData(ann=ann, track=track)
-        _, mean = dk.sample_pitch_error(track, song.notes, song.pitches)
-        means.append(mean)
+        means.append(note_error(track, SongData(ann=ann, track=track)))
     assert abs(float(np.mean(means)) - 0.5) < 0.05
 
 

@@ -18,6 +18,7 @@ from notetune import datakit as dk
 from notetune import features as ft
 from notetune import midifile
 from notetune import nncore as nn
+from notetune import segmenter as seg
 from notetune import spp as sp
 from notetune import workflow as wf
 from notetune.config import load_config
@@ -286,6 +287,17 @@ def test_spp_validation_runs_every_eval_step(cli_run):
     assert [v["step"] for v in history["val"]] == [2, 4]
     final = history["final_val"]
     assert {"ptr_percent", "mae_cents"} <= set(final) and final["n_notes"] > 0
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.5])
+def test_segmenter_validation_scores_the_onsets_correct_detects(cli_run, theta):
+    cfg = load_config(None, [*TINY, f"segmenter.theta={theta}"])
+    songs = wf.songs_by(cli_run["data"], wf.load_dataset(cli_run["data"]), subset="moderate_eval")
+    pipeline = wf.Pipeline.load(cli_run["ckpt"], cfg, variants=("no_cnpp",))
+    scores = [seg.boundary_prf([n.start_frame for n in pipeline.transcribe_base(song.track)[0]],
+                               [n.start_frame for n in song.notes]) for song in songs]
+    expected = dict(zip(("precision", "recall", "f1"), (float(np.mean(col)) for col in zip(*scores))))
+    assert wf._validate_segmenter(pipeline.segmenter, songs, cfg) == expected
 
 
 def test_frame_model_trainers_take_songs_shorter_than_the_crop():
