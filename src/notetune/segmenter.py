@@ -2,8 +2,10 @@
 
 The model encodes pitch + mel frames and emits a per-frame boundary
 probability through a GRU + linear + sigmoid head.  Training uses a
-soft-label focal objective; decoding selects temporally distinct peaks and
-adds the singing-region endpoints.
+soft-label focal objective; decoding selects temporally distinct peaks
+within each singing span and adds the span's first frame (the onset of its
+first note) and its end (the offset of its last note), so the notes of a
+span tile it, its last voiced frame included.
 """
 
 from __future__ import annotations
@@ -88,9 +90,10 @@ def greedy_nms(probs: np.ndarray, w: int, theta: float, span: tuple[int, int]) -
     """Greedy non-maximum suppression over boundary probabilities.
 
     Iteratively selects the highest remaining probability >= theta
-    (earliest frame on ties) and zeroes the inclusive window [t-w, t+w]
-    around it, then adds the first and last frames of the singing region
-    `span` (half-open).  Returns ascending frame indices.
+    (earliest frame on ties) within the half-open singing span `span` =
+    (lo, hi) and zeroes the inclusive window [t-w, t+w] around it, then adds
+    lo, the span's first frame, and hi, its end: the offset of its last
+    note.  Returns ascending frame indices.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie strictly between 0 and 1")
@@ -103,7 +106,7 @@ def greedy_nms(probs: np.ndarray, w: int, theta: float, span: tuple[int, int]) -
         picked.add(lo + t)
         work[max(0, t - w) : t + w + 1] = 0.0
     picked.add(lo)
-    picked.add(hi - 1)
+    picked.add(hi)
     return sorted(picked)
 
 

@@ -44,18 +44,18 @@ def test_soften_rejects_bad_sigma():
 
 def test_nms_hand_case():
     probs = np.array([0.1, 0.9, 0.2, 0.8, 0.1])
-    assert seg.greedy_nms(probs, w=1, theta=0.5, span=(0, 5)) == [0, 1, 3, 4]
+    assert seg.greedy_nms(probs, w=1, theta=0.5, span=(0, 5)) == [0, 1, 3, 5]
 
 
 def test_nms_all_below_threshold_returns_span_endpoints():
     probs = np.full(40, 0.2)
-    assert seg.greedy_nms(probs, w=5, theta=0.5, span=(3, 30)) == [3, 29]
+    assert seg.greedy_nms(probs, w=5, theta=0.5, span=(3, 30)) == [3, 30]
 
 
 def test_nms_single_spike():
     probs = np.zeros(20)
     probs[7] = 0.9
-    assert seg.greedy_nms(probs, w=5, theta=0.5, span=(0, 20)) == [0, 7, 19]
+    assert seg.greedy_nms(probs, w=5, theta=0.5, span=(0, 20)) == [0, 7, 20]
 
 
 def test_nms_rejects_bad_theta():
@@ -72,13 +72,32 @@ def test_nms_properties_random():
         probs = rng.random(T)
         out = seg.greedy_nms(probs, w=w, theta=theta, span=(0, T))
         assert out == sorted(out)
-        assert out[0] == 0 and out[-1] == T - 1
-        interior = [b for b in out if b not in (0, T - 1)]
+        assert out[0] == 0 and out[-1] == T
+        interior = [b for b in out if b not in (0, T)]
         diffs = np.diff(interior)
         assert np.all(diffs > w)
         # raising theta never adds boundaries
         higher = seg.greedy_nms(probs, w=w, theta=min(theta + 0.2, 0.95), span=(0, T))
         assert set(higher) <= set(out)
+
+
+def test_detected_notes_tile_each_singing_span_property():
+    rng = np.random.default_rng(29)
+    for _ in range(100):
+        # alternating unvoiced and voiced runs, some gaps short enough to bridge
+        runs = rng.integers(1, 40, size=2 * int(rng.integers(1, 6)))
+        voiced = np.concatenate([np.full(n, k % 2 == 1) for k, n in enumerate(runs)])
+        T = len(voiced)
+        track = make_track(np.where(voiced, 60 + rng.normal(0, 2, T), np.nan))
+        notes = seg.detect_notes(track, rng.random(T), w=int(rng.integers(1, 8)),
+                                 theta=float(rng.uniform(0.1, 0.9)), min_note_frames=int(rng.integers(1, 8)))
+        spans = seg.singing_spans(track.voiced, track.hop, track.sample_rate)
+        tiled = [[n for n in notes if lo <= n.start_frame < hi] for lo, hi in spans]
+        assert sum(map(len, tiled)) == len(notes)
+        for (lo, hi), inside in zip(spans, tiled):
+            assert inside[0].start_frame == lo and inside[-1].end_frame == hi
+            assert all(a.end_frame == b.start_frame for a, b in zip(inside[:-1], inside[1:]))
+            assert voiced[hi - 1]
 
 
 def test_boundaries_to_intervals_basic():
