@@ -118,14 +118,14 @@ def apply_override(cfg: dict, dotted: str):
 
 
 EVAL_SET_KEYS = {"n_songs", "detune"}
-COUNT_KEYS = {"batch", "crop", "eval_every"}
+WHOLE_MINIMUM = {"seed": 0, "steps": 0, "n_songs": 0, "batch": 1, "crop": 1, "eval_every": 1}
 
 
 def _check_keys(node: dict, ref: dict, path: str):
     """Reject keys that `ref` (DEFAULTS) does not have, objects where it has
-    a plain value or the reverse, and a batch, crop or eval_every that is
-    not a whole number of at least 1.  New corpus.eval_sets entries must
-    give exactly n_songs and detune."""
+    a plain value or the reverse, and a seed, steps, n_songs, batch, crop or
+    eval_every that is not an int (bools are not) of at least WHOLE_MINIMUM.
+    New corpus.eval_sets entries must give exactly n_songs and detune."""
     for key, value in node.items():
         name = path + key
         if key not in ref:
@@ -133,14 +133,16 @@ def _check_keys(node: dict, ref: dict, path: str):
                 raise ValueError(f"unknown config key {name}")
             if not (isinstance(value, dict) and set(value) == EVAL_SET_KEYS):
                 raise ValueError(f"new eval set {name} must give exactly n_songs and detune")
+            _check_keys(value, dict.fromkeys(EVAL_SET_KEYS), name + ".")
         elif isinstance(ref[key], dict):
             if not isinstance(value, dict):
                 raise ValueError(f"config key {name} must be an object")
             _check_keys(value, ref[key], name + ".")
         elif isinstance(value, dict):
             raise ValueError(f"unknown config key {name}.{next(iter(value), '')}")
-        elif key in COUNT_KEYS and (not isinstance(value, int) or value < 1):
-            raise ValueError(f"config key {name} must be a whole number of at least 1, got {value!r}")
+        elif key in WHOLE_MINIMUM and not (type(value) is int and value >= WHOLE_MINIMUM[key]):
+            raise ValueError(f"config key {name} must be a whole number of at least "
+                             f"{WHOLE_MINIMUM[key]}, got {value!r}")
 
 
 def load_config(path=None, overrides: list[str] | None = None) -> dict:

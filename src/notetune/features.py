@@ -157,11 +157,13 @@ def load_audio(path, target_sr: int = DEFAULT_SR) -> np.ndarray:
 
 
 def write_wav(path, wav: np.ndarray, sr: int = DEFAULT_SR):
-    """Write mono float waveform as 16-bit PCM."""
+    """Write mono float waveform as 16-bit PCM, scaled, rounded and clipped in one buffer."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    pcm = np.clip(np.round(wav * 32767.0), -32768, 32767).astype(np.int16)
-    wavfile.write(path, sr, pcm)
+    pcm = np.multiply(wav, 32767.0)
+    np.round(pcm, out=pcm)
+    np.clip(pcm, -32768, 32767, out=pcm)
+    wavfile.write(path, sr, pcm.astype(np.int16))
 
 
 # ---- pitch tracking ----------------------------------------------------------

@@ -118,11 +118,9 @@ def aggregate_weighted_median(track: FrameTrack, notes: list[NoteInterval]) -> l
 
 
 def _trimmed_mean(_note: NoteInterval, _idx: np.ndarray, vals: np.ndarray) -> float:
-    if len(vals) < 3:
-        return vals.mean()
     lo, hi = np.percentile(vals, [30.0, 70.0])
     kept = vals[(vals >= lo) & (vals <= hi)]
-    return kept.mean() if len(kept) else vals.mean()
+    return kept.mean() if len(vals) >= 3 and len(kept) else vals.mean()
 
 
 def aggregate_trimmed_mean(track: FrameTrack, notes: list[NoteInterval]) -> list[StationaryEstimate]:

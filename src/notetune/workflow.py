@@ -176,11 +176,10 @@ def _extract_track(wav: np.ndarray, audio_cfg: dict) -> ft.FrameTrack:
 def stage_extract(cfg: dict, data_dir, jobs: int = 1) -> dict:
     """Extract feature tracks, score corpus pitch errors, assign splits.
 
-    A song's pitch error (`delta_bar`) is the mean |estimate - intended
-    pitch| over its unflagged annotated notes, each estimate a trimmed mean
-    (`spp.aggregate_trimmed_mean`).  The pitch of every song is tracked
-    first, `jobs` songs at a time; then one song at a time gets its mel, its
-    saved track and its pitch error.
+    A song's pitch error (`delta_bar`) is the mean |trimmed mean - intended
+    pitch| over its unflagged annotated notes.  The pitch of every song is
+    tracked first, `jobs` songs at a time; then one song at a time gets its
+    mel, its saved track and its pitch error.
     So no mel matmul (BLAS threads) competes with the YIN threads, and only
     the pitch arrays are held across songs.
     """
@@ -208,9 +207,7 @@ def stage_extract(cfg: dict, data_dir, jobs: int = 1) -> dict:
         errors = [abs(e.pitch - p) for e, p in zip(ests, song.pitches) if not e.flagged]
         results[sid] = float(np.mean(errors)) if errors else 0.0
 
-    corpus_errors = {
-        sid: results[sid] for sid, e in doc["samples"].items() if e["group"] == "corpus"
-    }
+    corpus_errors = {sid: results[sid] for sid, e in doc["samples"].items() if e["group"] == "corpus"}
     split = dk.split_dataset(corpus_errors, seed=cfg["seed"])
     for sid, entry in doc["samples"].items():
         entry["features"] = f"features/{sid}.npz"

@@ -64,3 +64,39 @@ def test_cli_count_below_one_exits_2_naming_the_key(tmp_path, capsys, item):
     argv = ["train-segmenter", "--data-dir", str(tmp_path), "--checkpoint-dir", str(tmp_path), "--set", item, "-q"]
     assert cli.main(argv) == 2
     assert f"config key {item.split('=')[0]} must be a whole number of at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("item, minimum", [
+    ("seed=1.5", 0),
+    ("seed=true", 0),
+    ("seed=-1", 0),
+    ("segmenter.train.steps=1.5", 0),
+    ("detuner.steps=false", 0),
+    ("corpus.n_songs=-1", 0),
+    ("cnpp.pretrain.n_songs=\"8\"", 0),
+    ("corpus.eval_sets.spp_bench.n_songs=2.0", 0),
+    ("segmenter.train.batch=true", 1),
+    ("spp.train.crop=true", 1),
+    ("segmenter.train.eval_every=true", 1),
+])
+def test_whole_number_keys_are_checked_at_load(item, minimum):
+    key = item.split("=")[0]
+    with pytest.raises(ValueError, match=f"config key {key} must be a whole number of at least {minimum}"):
+        load_config(None, [item])
+
+
+def test_new_eval_set_needs_a_whole_number_of_songs():
+    with pytest.raises(ValueError, match="corpus.eval_sets.extra.n_songs must be a whole number of at least 0"):
+        load_config(None, ["corpus.eval_sets.extra={\"n_songs\": 1.5, \"detune\": \"ar1\"}"])
+
+
+def test_zero_seed_steps_and_songs_are_accepted():
+    cfg = load_config(None, ["seed=0", "detuner.steps=0", "corpus.n_songs=0", "cnpp.pretrain.n_songs=0"])
+    assert (cfg["seed"], cfg["detuner"]["steps"], cfg["corpus"]["n_songs"]) == (0, 0, 0)
+
+
+def test_cli_fractional_seed_exits_2_naming_the_key(tmp_path, capsys):
+    argv = ["synth-data", "--data-dir", str(tmp_path), "--set", "seed=1.5", "-q"]
+    assert cli.main(argv) == 2
+    assert "config key seed must be a whole number of at least 0, got 1.5" in capsys.readouterr().err
+    assert not (tmp_path / "dataset.json").exists()

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 import yin_reference
 from conftest import make_track
@@ -458,3 +459,30 @@ def test_mel_memory_is_bounded_on_a_minute_of_audio():
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+def test_write_wav_bytes_match_the_two_temporary_expression(tmp_path):
+    # exact halves after scaling: the candidates whose product is k + 0.5 exactly
+    halves = (np.arange(-40, 40) + 0.5) / 32767.0
+    halves = halves[halves * 32767.0 == np.arange(-40, 40) + 0.5]
+    wav = np.concatenate([[-1.5, -1.0, -1.0000001, 1.0, 1.0000001, 2.0, 0.0, -0.0], halves,
+                          np.random.default_rng(3).uniform(-1.2, 1.2, 1000)])
+    assert len(halves) > 20
+    F.write_wav(tmp_path / "w.wav", wav, SR)
+    _sr, pcm = wavfile.read(tmp_path / "w.wav")
+    assert pcm.tobytes() == np.clip(np.round(wav * 32767.0), -32768, 32767).astype(np.int16).tobytes()
+
+
+def test_write_wav_holds_one_float_buffer_beside_the_samples(tmp_path):
+    # 60 s: the samples take 10.6 MB; scaling, rounding and clipping in one
+    # float64 buffer plus the int16 cast peak at 13.2 MB traced above them,
+    # where round and clip in two temporaries peaked at 21.2 MB
+    wav = gliding_take(60.0, 7)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        F.write_wav(tmp_path / "long.wav", wav, SR)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * wav.nbytes, (peak / 1e6, wav.nbytes / 1e6)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import cnpp_reference
+from conftest import make_track
 from notetune import cli
 from notetune import corrector as corr
 from notetune import datakit as dk
@@ -22,6 +23,7 @@ from notetune import segmenter as seg
 from notetune import spp as sp
 from notetune import workflow as wf
 from notetune.config import load_config
+from notetune.frontend import FrameEncoderConfig
 
 TINY = [
     "corpus.n_songs=20",
@@ -406,15 +408,36 @@ def test_unchanged_config_reuses_the_pretrained_cnpp(cli_run, tmp_path, monkeypa
     assert (ckpt / "cnpp_no_augment.npz").read_bytes() == (cli_run["ckpt"] / "cnpp_no_augment.npz").read_bytes()
 
 
-def test_benchmark_layers_are_own_attributes():
-    # the benchmark's tracer reads and swaps owner.__dict__[attr], so each
-    # traced name must be defined on its owner itself, not inherited
+def bench_spans():
+    """The benchmark's `perfbench/spans.py`, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    for owner, attr, _name in spans.LAYERS:
+    return spans
+
+
+def test_benchmark_layers_are_own_attributes():
+    # the benchmark's tracer reads and swaps owner.__dict__[attr], so each
+    # traced name must be defined on its owner itself, not inherited
+    for owner, attr, _name in bench_spans().LAYERS:
         assert attr in vars(owner), (owner, attr)
+
+
+def test_benchmark_tracer_times_the_decode_and_restores_every_original():
+    spans = bench_spans()
+    originals = [(owner, attr, vars(owner)[attr]) for owner, attr, _name in spans.LAYERS]
+    small = FrameEncoderConfig(layers=1, model_dim=16, heads=2, window=8, seed=5)
+    pipeline = wf.Pipeline(load_config(None, TINY), seg.Segmenter(small), sp.StationaryPitchPredictor(small), {})
+    tracer = spans.Tracer()
+    with tracer.instrument():
+        assert not any(vars(owner)[attr] is raw for owner, attr, raw in originals)
+        pipeline.transcribe_base(make_track(60 + np.random.default_rng(3).normal(0, 1, 120)))
+    assert {"segmenter.Segmenter.predict", "segmenter.detect_notes"} <= set(tracer.totals())
+    assert all(vars(owner)[attr] is raw for owner, attr, raw in originals)
+    with pytest.raises(RuntimeError), tracer.instrument():
+        raise RuntimeError
+    assert all(vars(owner)[attr] is raw for owner, attr, raw in originals)
 
 
 @pytest.mark.parametrize("doc, message", [
