@@ -123,9 +123,10 @@ WHOLE_MINIMUM = {"seed": 0, "steps": 0, "n_songs": 0, "batch": 1, "crop": 1, "ev
 
 def _check_keys(node: dict, ref: dict, path: str):
     """Reject keys that `ref` (DEFAULTS) does not have, objects where it has
-    a plain value or the reverse, and a seed, steps, n_songs, batch, crop or
-    eval_every that is not an int (bools are not) of at least WHOLE_MINIMUM.
-    New corpus.eval_sets entries must give exactly n_songs and detune."""
+    a plain value or the reverse, a value that is not an int (bools are not)
+    where `ref` holds an int, and a seed, steps, n_songs, batch, crop or
+    eval_every below WHOLE_MINIMUM.  New corpus.eval_sets entries must give
+    exactly n_songs and detune."""
     for key, value in node.items():
         name = path + key
         if key not in ref:
@@ -143,6 +144,8 @@ def _check_keys(node: dict, ref: dict, path: str):
         elif key in WHOLE_MINIMUM and not (type(value) is int and value >= WHOLE_MINIMUM[key]):
             raise ValueError(f"config key {name} must be a whole number of at least "
                              f"{WHOLE_MINIMUM[key]}, got {value!r}")
+        elif type(ref[key]) is int and type(value) is not int:
+            raise ValueError(f"config key {name} must be a whole number, got {value!r}")
 
 
 def load_config(path=None, overrides: list[str] | None = None) -> dict:

@@ -100,3 +100,31 @@ def test_cli_fractional_seed_exits_2_naming_the_key(tmp_path, capsys):
     assert cli.main(argv) == 2
     assert "config key seed must be a whole number of at least 0, got 1.5" in capsys.readouterr().err
     assert not (tmp_path / "dataset.json").exists()
+
+
+@pytest.mark.parametrize("item", [
+    "detuner.min_notes=1.5",
+    "audio.hop=true",
+    "audio.sample_rate=22050.0",
+    "corpus.notes_min=2.5",
+    "cnpp.model.max_events=true",
+    "segmenter.model.window=\"64\"",
+    "segmenter.nms_window=null",
+    "spp.train.warmup=false",
+])
+def test_every_integer_setting_must_be_a_whole_number(item):
+    key, value = item.split("=")
+    with pytest.raises(ValueError, match=f"config key {key} must be a whole number, got "):
+        load_config(None, [item])
+
+
+def test_a_whole_number_is_accepted_where_a_float_is_expected():
+    cfg = load_config(None, ["spp.train.lr=1", "segmenter.theta=0", "audio.hop=128"])
+    assert (cfg["spp"]["train"]["lr"], cfg["segmenter"]["theta"], cfg["audio"]["hop"]) == (1, 0, 128)
+
+
+def test_cli_fractional_integer_setting_exits_2_naming_the_key(tmp_path, capsys):
+    argv = ["synth-data", "--data-dir", str(tmp_path), "--set", "corpus.notes_min=2.5", "-q"]
+    assert cli.main(argv) == 2
+    assert "config key corpus.notes_min must be a whole number, got 2.5" in capsys.readouterr().err
+    assert not (tmp_path / "dataset.json").exists()
