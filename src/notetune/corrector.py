@@ -101,11 +101,23 @@ def _frame_regions(voiced: np.ndarray, hop: int, n: int) -> list[tuple[int, int]
     return list(zip(starts.tolist(), ends.tolist()))
 
 
-def _psola_region(wav, out, norm, a, b, hop, f0_hz, period, spacing, sr):
+def _region_groups(regions: list[tuple[int, int]], margin: int) -> list[list[tuple[int, int]]]:
+    """Split `regions` (in order) where the gap to the next one exceeds `margin` samples."""
+    groups: list[list[tuple[int, int]]] = []
+    for a, b in regions:
+        if groups and a - groups[-1][-1][1] <= margin:
+            groups[-1].append((a, b))
+        else:
+            groups.append([(a, b)])
+    return groups
+
+
+def _psola_region(wav, out, norm, off, a, b, hop, f0_hz, period, spacing, sr):
     """Overlap-add Hann grains from analysis epochs onto retimed epochs.
 
-    `f0_hz` (array), `period` and `spacing` (lists) hold one entry per frame;
-    an epoch at sample t reads frame int(t) // hop.
+    `out` and `norm` hold samples off, off + 1, ... of the take.  `f0_hz`
+    (array), `period` and `spacing` (lists) hold one entry per frame; an
+    epoch at sample t reads frame int(t) // hop.
     """
     n = len(wav)
     # analysis marks one local period apart, then synthesis positions one
@@ -116,8 +128,8 @@ def _psola_region(wav, out, norm, a, b, hop, f0_hz, period, spacing, sr):
         marks.append(t)
         t += period[int(t) // hop]
     if len(marks) < 2:
-        out[a:b] += wav[a:b]
-        norm[a:b] += 1.0
+        out[a - off : b - off] += wav[a:b]
+        norm[a - off : b - off] += 1.0
         return
     pos, frames = [], []
     s = marks[0]
@@ -143,7 +155,7 @@ def _psola_region(wav, out, norm, a, b, hop, f0_hz, period, spacing, sr):
     hann = {x: np.hanning(2 * x + 1) for x in set(L.tolist())}
     bounds = zip(L.tolist(), lo.tolist(), hi.tolist())
     window = np.concatenate([hann[x][l + x : h + x] for x, l, h in bounds])
-    dst = np.repeat(rs, sizes) + k
+    dst = np.repeat(rs - off, sizes) + k
     # np.add.at is unbuffered: every sample takes its grains' terms in grain
     # order, the same float additions as adding one grain at a time
     np.add.at(out, dst, wav[np.repeat(mj, sizes) + k] * window)
@@ -157,6 +169,16 @@ def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.
     which is exact because f0 and ratio are constant over each hop: numpy's
     elementwise `/` and `maximum` round as Python's float operations do, and
     samples past the last frame read the last frame.
+
+    A grain of half-length L around sample r reaches r - L .. r + L, so the
+    grains of a region [a, b) stay within L + 1 samples of it.  Regions go
+    in groups, split where a gap exceeds 2 * (the take's largest L + 2);
+    each group overlap-adds into its own grain and weight sums, which cover
+    its regions and L + 2 samples each side, and is divided into the one
+    output before the next group starts.  No grain reaches a region of
+    another group, so every read sample sums the same terms in the same
+    order as with take-long sums: the same bytes, with two buffers of the
+    longest group's span in place of two of the take's length.
     """
     sr = track.sample_rate
     hop = track.hop
@@ -187,26 +209,28 @@ def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.
     f0 = semitones_to_hz(track.pitch_filled[frames])
     period = np.maximum(sr / f0, 2.0).tolist()
     spacing = (sr / f0 / frame_ratio[frames]).tolist()
+    reach = int(np.maximum(np.round(sr / f0), 2).max()) + 2
 
-    synth = np.zeros(n)
-    norm = np.zeros(n)
     regions = [(a, b) for a, b in _frame_regions(frame_voiced[frames], hop, n) if b - a > 32]
-    for a, b in regions:
-        _psola_region(wav, synth, norm, a, b, hop, f0, period, spacing, sr)
-
     out = wav.copy()
     fade = max(int(CROSSFADE_SEC * sr), 8)
     theta = 0.5 * np.pi * (np.arange(fade) + 1) / (fade + 1)
     win_in, win_out = np.sin(theta), np.cos(theta)
-    for a, b in regions:
-        seg = synth[a:b] / np.maximum(norm[a:b], 1e-3)
-        low = norm[a:b] < 0.25
-        seg[low] = wav[a:b][low]
-        out[a:b] = seg
-        f = min(fade, (b - a) // 2)
-        if f > 0:
-            out[a : a + f] = seg[:f] * win_in[:f] + wav[a : a + f] * win_out[:f]
-            out[b - f : b] = seg[-f:] * win_in[:f][::-1] + wav[b - f : b] * win_out[:f][::-1]
+    for group in _region_groups(regions, 2 * reach):
+        off = max(group[0][0] - reach, 0)
+        synth = np.zeros(min(group[-1][1] + reach, n) - off)
+        norm = np.zeros_like(synth)
+        for a, b in group:
+            _psola_region(wav, synth, norm, off, a, b, hop, f0, period, spacing, sr)
+        for a, b in group:
+            seg = synth[a - off : b - off] / np.maximum(norm[a - off : b - off], 1e-3)
+            low = norm[a - off : b - off] < 0.25
+            seg[low] = wav[a:b][low]
+            out[a:b] = seg
+            f = min(fade, (b - a) // 2)
+            if f > 0:
+                out[a : a + f] = seg[:f] * win_in[:f] + wav[a : a + f] * win_out[:f]
+                out[b - f : b] = seg[-f:] * win_in[:f][::-1] + wav[b - f : b] * win_out[:f][::-1]
     return out
 
 

@@ -174,6 +174,26 @@ def _pad_signal(wav: np.ndarray, frame_len: int) -> np.ndarray:
     return np.pad(wav, (half, frame_len), mode=mode)
 
 
+def _padded_span(wav: np.ndarray, frame_len: int, lo: int, hi: int) -> np.ndarray:
+    """`_pad_signal(wav, frame_len)[lo:hi]` without a padded copy of the take:
+    a view of `wav` inside it, else the padding of a piece of `wav` that
+    holds the span and the samples its reflected ends mirror (samples 1 to
+    half and the last frame_len + 1).  Reflection within each end gives the
+    values of the whole padded take; a take too short to reflect is padded
+    whole."""
+    half, n = frame_len // 2, len(wav)
+    if half <= lo and hi <= half + n:
+        return wav[lo - half : hi - half]
+    if n <= max(half, frame_len):
+        return _pad_signal(wav, frame_len)[lo:hi]
+    head, tail = lo < half, hi > half + n
+    start = 0 if head else min(lo - half, n - frame_len - 1)
+    stop = n if tail else max(hi - half, half + 1)
+    piece = np.pad(wav[start:stop], (half if head else 0, frame_len if tail else 0), mode="reflect")
+    origin = 0 if head else start + half  # padded index of piece[0]
+    return piece[lo - origin : hi - origin]
+
+
 def _rows(x: np.ndarray, offset: int, length: int, n: int, hop: int) -> np.ndarray:
     """View of n rows of `length` samples of x, row j starting at offset + j * hop."""
     s = x.strides[0]
@@ -297,8 +317,8 @@ def track_pitch(wav: np.ndarray, sr: int = DEFAULT_SR, hop: int = DEFAULT_HOP):
         raise ValueError("empty waveform")
     frame_len = _yin_lags(sr)[3]
     T = frame_count(len(wav), hop)
-    padded = _pad_signal(wav, frame_len)
-    spans = (padded[i * hop : (min(i + YIN_CHUNK, T) - 1) * hop + frame_len] for i in range(0, T, YIN_CHUNK))
+    spans = (_padded_span(wav, frame_len, i * hop, (min(i + YIN_CHUNK, T) - 1) * hop + frame_len)
+             for i in range(0, T, YIN_CHUNK))
     with ThreadPoolExecutor(min(YIN_THREADS, os.cpu_count() or 1)) as pool:
         f0, voiced = zip(*pool.map(lambda x: _yin_rows(x, sr, hop), spans))
     f0, voiced = np.concatenate(f0), np.concatenate(voiced)
@@ -338,7 +358,6 @@ def mel_spectrogram(
     if len(wav) < win:
         raise ValueError(f"waveform shorter than the analysis window ({len(wav)} < {win})")
     T = frame_count(len(wav), hop)
-    frames = _rows(_pad_signal(wav, win), 0, win, T, hop)
     fb_t = mel_filterbank(sr, win, n_mels).T
     window = np.hanning(win)
     mel = np.empty((T, n_mels))
@@ -346,7 +365,9 @@ def mel_spectrogram(
     # one before: BLAS sums products of only a few rows in another order.
     for i in range(0, T, YIN_CHUNK):
         i = min(i, max(T - YIN_CHUNK, 0))
-        mag = np.abs(np.fft.rfft(frames[i : i + YIN_CHUNK] * window, win))
+        m = min(YIN_CHUNK, T - i)
+        frames = _rows(_padded_span(wav, win, i * hop, (i + m - 1) * hop + win), 0, win, m, hop)
+        mag = np.abs(np.fft.rfft(frames * window, win))
         mel[i : i + YIN_CHUNK] = np.log(mag @ fb_t + LOG_FLOOR_EPS)
     return mel
 

@@ -46,11 +46,20 @@ class FrameEncoder(nn.Module):
         self.fuse = nn.Linear(rng, 2 * d, d)
         self.encoder = nn.LocalEncoder(cfg)
 
+    def _fused(self, x: nn.Tensor) -> nn.Tensor:
+        return self.fuse(nn.concat([self.pitch_proj(x[:, :, 0:2]), self.mel_proj(x[:, :, 2:])], axis=-1))
+
     def __call__(self, x) -> nn.Tensor:
-        """x: Tensor or ndarray [B, T, 2 + n_mels] -> hidden [B, T, D]."""
+        """x: Tensor or ndarray [B, T, 2 + n_mels] -> hidden [B, T, D].
+
+        Not recorded, the two input projections and the fusion run on row
+        blocks (`nncore.row_blocks`) into one [B, T, D] array: every step
+        is row-wise, so the same bytes."""
         if not isinstance(x, nn.Tensor):
             x = nn.Tensor(x)
-        p = self.pitch_proj(x[:, :, 0:2])
-        m = self.mel_proj(x[:, :, 2:])
-        h = self.fuse(nn.concat([p, m], axis=-1))
-        return self.encoder(h)
+        if self.records(x):
+            return self.encoder(self._fused(x))
+        h = np.empty(x.shape[:-1] + (self.cfg.model_dim,))
+        for rows in nn.row_blocks(x.shape[-2]):
+            h[rows] = self._fused(nn.Tensor(x.data[rows])).data
+        return self.encoder(nn.Tensor(h))

@@ -734,10 +734,13 @@ def stage_correct(
     target its notes, write the plan sidecar and, unless `dry_run`, the
     shifted audio and its residuals.
 
-    The verify pass re-tracks the written audio and re-estimates each
-    note's stationary pitch; by then neither the input samples nor the
-    corrected ones are held (each is dropped once its last reader has
-    returned), only the two tracks, the plan and the models."""
+    The input samples are dropped once the take is tracked and read again
+    for `shift_audio`, so the frame models run without them; a take whose
+    length changed in between is an error.  The verify pass re-tracks the
+    written audio and re-estimates each note's stationary pitch; by then
+    neither the input samples nor the corrected ones are held (each is
+    dropped once its last reader has returned), only the two tracks, the
+    plan and the models."""
     if annotations is not None:
         ann = dk.import_annotations(annotations)
         meta = sym.GridMeta.from_annotation(ann)
@@ -765,6 +768,8 @@ def stage_correct(
         track = _extract_track(wav, audio_cfg)
         if cache_path is not None:
             ft.save_track(cache_path, track)
+    n_samples = len(wav)
+    del wav
     notes, ests = pipeline.transcribe_base(track)
     targets = pipeline.note_targets(notes, ests, meta, variant, sr, hop)
     plan = corr.build_plan(ests, targets, notes, track)
@@ -778,6 +783,9 @@ def stage_correct(
     }
     if dry_run:
         return result
+    wav = ft.load_audio(in_wav, sr)
+    if len(wav) != n_samples:
+        raise ft.AudioIOError(f"{in_wav} changed while it was corrected: {n_samples} samples, now {len(wav)}")
     corrected = corr.shift_audio(wav, plan, track)
     del wav
     ft.write_wav(out_path, corrected, sr)

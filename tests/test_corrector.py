@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -234,3 +236,55 @@ def test_psola_on_a_20_s_song_matches_both_references():
     out = C.shift_audio(wav, plan, track).tobytes()
     assert out == reference_shift_audio(wav, plan, track).tobytes()
     assert out == psola_reference.shift_audio(wav, plan, track).tobytes()
+
+
+def test_psola_groups_across_gaps_below_at_and_above_the_margin_match_both_references():
+    # the lowest pitch sets the grain half-length L = 382 and so the group
+    # margin 2 * (L + 2) = 768 samples, three frames; unvoiced gaps of one
+    # frame (the grains spill into the next region), three (at the margin,
+    # one group), four (past it, a new group) and two frames
+    low = 69.0 + 12.0 * np.log2(SR / 382.0 / 440.0)
+    pitch = low + 0.8 * np.abs(np.sin(np.linspace(0.0, 7.0, 48)))
+    pitch[0] = low
+    for gap in (np.s_[8:9], np.s_[16:19], np.s_[26:30], np.s_[38:40]):
+        pitch[gap] = np.nan
+    for delta in (-2.5, 1.7):
+        wav, plan, track, regions = _edge_take(pitch, delta)
+        L = int(np.round(SR / F.semitones_to_hz(track.pitch_filled)).max())
+        margin = 2 * (L + 2)
+        assert (L, margin) == (382, 768)
+        assert regions[0][0] == 0 and regions[-1][1] == len(wav)
+        gaps = [b0 - a1 for (_, a1), (b0, _) in zip(regions, regions[1:])]
+        assert gaps == [256, 768, 1024, 512] and gaps[0] < L
+        groups = C._region_groups([tuple(map(int, r)) for r in regions], margin)
+        assert [len(g) for g in groups] == [3, 2]
+        out = C.shift_audio(wav, plan, track).tobytes()
+        assert out == reference_shift_audio(wav, plan, track).tobytes()
+        assert out == psola_reference.shift_audio(wav, plan, track).tobytes()
+
+
+def test_shift_audio_on_a_60_s_take_holds_one_take_long_buffer():
+    # 90 notes, each voiced run its own group: 12.5 MB traced above the
+    # input, the output and the per-group sums; with take-long grain and
+    # weight sums beside the output it was 32.6 MB
+    T, hop = 5168, 256
+    pitch = 60.0 + 0.3 * np.sin(np.arange(T) / 9.0)
+    notes = []
+    for a in range(0, T - 57, 57):
+        pitch[a + 50 : a + 57] = np.nan
+        notes.append(NoteInterval(a, a + 50))
+    track = make_track(pitch)
+    n = T * hop
+    wav = 0.3 * np.sin(2 * np.pi * 261.6 * np.arange(n) / SR)
+    targets = np.full(len(notes), 60.0)
+    shifts = np.resize([0.4, -0.7, 1.1], len(notes))
+    plan = C.build_plan([_est(60.0 + d, 0) for d in shifts], targets, notes, track)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        out = C.shift_audio(wav, plan, track)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == n * 8 and not np.array_equal(out, wav)
+    assert peak < 1.5 * n * 8, peak / 1e6

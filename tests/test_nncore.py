@@ -114,6 +114,40 @@ def test_gru_input_gradient():
     assert worst < 1e-5
 
 
+
+def _gru_leaves(B, T, H, seed):
+    rng = np.random.default_rng(seed)
+    x_pre = nn.Tensor(rng.normal(scale=4.0, size=(B, T, 3 * H)), requires_grad=True)
+    w_hh = nn.Tensor(rng.normal(size=(H, 3 * H)), requires_grad=True)
+    b_hh = nn.Tensor(rng.normal(size=3 * H), requires_grad=True)
+    return x_pre, w_hh, b_hh, nn.Tensor(rng.normal(size=(B, H)))
+
+
+@pytest.mark.parametrize("B, T", [(1, 1), (3, 37), (2, 300)])
+def test_gru_sequence_unrecorded_returns_the_recorded_bytes(B, T):
+    leaves = _gru_leaves(B, T, 8, 38)
+    recorded = nn.gru_sequence(*leaves)
+    with nn.no_grad():
+        plain = nn.gru_sequence(*leaves)
+    assert recorded._backward is not None and plain._backward is None
+    assert plain.shape == recorded.shape and plain.data.tobytes() == recorded.data.tobytes()
+
+
+def test_gru_sequence_unrecorded_holds_no_gate_arrays():
+    # recorded, the gates are four more [B, T, H] arrays beside the states
+    B, T, H = 1, 4000, 64
+    leaves = _gru_leaves(B, T, H, 39)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        with nn.no_grad():
+            hs = nn.gru_sequence(*leaves)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert hs.data.nbytes == B * T * H * 8
+    assert peak < 1.5 * hs.data.nbytes, peak / 1e6
+
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(5)
     y = nn.softmax(nn.Tensor(rng.normal(size=(7, 11)) * 5), axis=-1)
@@ -280,6 +314,23 @@ def test_banded_attention_matches_reference_bytes(window, layout):
             )
 
 
+
+@pytest.mark.parametrize("lead", [(2,), (1, 2)])
+@pytest.mark.parametrize("window", [3, 64])
+def test_banded_attention_unrecorded_returns_the_recorded_bytes(window, lead):
+    # more than BAND_GROUP blocks, a last group of a few, and windows >= T - 1
+    rng = np.random.default_rng(40)
+    lengths = {1, window - 1, window, window + 1, 16 * window + 5, 5168} - {0}
+    cases = [(T, window) for T in sorted(lengths)] + [(30, 29), (30, 500)]
+    for T, win in cases:
+        q, k, v = (nn.Tensor(rng.normal(size=lead + (T, 8)), requires_grad=True) for _ in range(3))
+        recorded = nn.banded_attention(q, k, v, win)
+        with nn.no_grad():
+            plain = nn.banded_attention(q, k, v, win)
+        assert recorded._backward is not None and plain._backward is None
+        assert plain.shape == recorded.shape == lead + (T, 8), (T, win)
+        assert plain.data.tobytes() == recorded.data.tobytes(), (T, win)
+
 @pytest.mark.parametrize("layout", ["contiguous", "swapaxes", "slice"])
 def test_layer_norm_and_gelu_match_reference_bytes(layout):
     for T in (1, 7, 300):
@@ -352,6 +403,21 @@ def test_geglu_matches_the_two_slice_gelu_mul_chain_bytes(h_shape, layout):
     assert got.shape == want.shape and got.strides == want.strides
     assert got.tobytes() == want.tobytes()
     assert h.data.tobytes() == before  # the in-place path writes only its own buffer
+
+
+
+@pytest.mark.parametrize("lead", [(1,), (2, 3)])
+@pytest.mark.parametrize("T", [1, 2, 300, nn.layers.ROW_BLOCK + 1, 2 * nn.layers.ROW_BLOCK + 77])
+def test_geglu_layer_unrecorded_returns_the_recorded_bytes(T, lead):
+    # more than one block, and T = FFN_BLOCK_ROWS + 1, which blocks of
+    # FFN_BLOCK_ROWS would leave a one-row product
+    ffn = nn.layers.Geglu(np.random.default_rng(41), 64, 170)
+    x = nn.Tensor(np.random.default_rng(42).normal(size=lead + (T, 64)))
+    recorded = ffn(x)
+    with nn.no_grad():
+        plain = ffn(x)
+    assert recorded._backward is not None and plain._backward is None
+    assert plain.shape == recorded.shape and plain.data.tobytes() == recorded.data.tobytes()
 
 
 def test_backward_releases_the_graph_and_keeps_leaf_gradients():

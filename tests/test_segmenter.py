@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import make_track
+from notetune import nncore as nn
 from notetune import segmenter as seg
+from notetune import spp as sp
 from notetune.nncore import layers
-from notetune.frontend import FrameEncoderConfig
+from notetune.frontend import FrameEncoderConfig, track_inputs
 
 
 def test_soften_single_boundary_values():
@@ -163,6 +165,22 @@ def test_forward_outputs_are_probabilities_and_deterministic():
     assert np.array_equal(p1, p2)
 
 
+
+@pytest.mark.parametrize("T", [1, 2, 300, layers.ROW_BLOCK + 1, 2 * layers.ROW_BLOCK + 77])
+def test_frame_models_unrecorded_return_the_recorded_bytes(T):
+    # default shape, so every blocked product has 32 or 64 columns; more than
+    # one row block, and T = ROW_BLOCK + 1, which fixed blocks would leave
+    # a one-row product
+    pitch = 60 + np.random.default_rng(T).normal(0, 1, size=T)
+    pitch[T // 3 : T // 2] = np.nan
+    x = track_inputs(make_track(pitch))[None, :, :]
+    for model in (seg.Segmenter(FrameEncoderConfig()), sp.StationaryPitchPredictor(FrameEncoderConfig())):
+        recorded = model.forward_batch(x)
+        with nn.no_grad():
+            plain = model.forward_batch(x)
+        assert recorded._backward is not None and plain._backward is None
+        assert plain.shape == recorded.shape and plain.data.tobytes() == recorded.data.tobytes()
+
 def test_predict_on_4096_frames_holds_one_geglu_temporary_beside_the_projection(monkeypatch):
     # Default shape (inner = 170).  Traced peaks above what was held: the
     # two-slice, gelu, mul chain took 33.4 MB for predict and 22.35 MB in
@@ -195,6 +213,25 @@ def test_predict_on_4096_frames_holds_one_geglu_temporary_beside_the_projection(
     assert len(steps) == model.cfg.layers
     assert max(steps) < h_bytes + 1.5 * T * inner * 8, [s / 1e6 for s in steps]
 
+
+
+def test_predict_on_a_60_s_take_holds_the_projection_and_few_take_long_rows_beside_it():
+    # T = 5168 frames, the 60 s benchmark take.  Traced peak above what was
+    # held: 35.4 MB with the whole-take gated array, `out` product and GRU
+    # gates; 26.3 MB with those in blocks or not kept, of which the one
+    # whole [T, 2 * inner] projection is 14.1 MB
+    model = seg.Segmenter(FrameEncoderConfig())
+    T, inner = 5168, model.cfg.ffn_inner
+    track = make_track(60 + np.random.default_rng(13).normal(0, 1, size=T))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        model.predict(track)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    h_bytes = T * 2 * inner * 8
+    assert peak < 2.1 * h_bytes, peak / 1e6
 
 def test_boundary_matching_counts():
     tp, fp, fn = seg.match_boundaries([10, 50, 90], [11, 52, 200])

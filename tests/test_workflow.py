@@ -1,6 +1,7 @@
 """End-to-end runs of every CLI subcommand and of the full recipe on a tiny
 fixed-seed configuration (20 songs, 4 steps per trainer)."""
 
+import hashlib
 import importlib.util
 import json
 import logging
@@ -241,9 +242,26 @@ def test_correct_holds_no_audio_while_verify_estimates(cli_run, tmp_path, monkey
     monkeypatch.setattr(sp.StationaryPitchPredictor, "estimate", estimate)
     wf.stage_correct(load_config(None, TINY), cli_run["take"], tmp_path / "o.wav", cli_run["ckpt"],
                      annotations=cli_run["data"] / "annotations" / "moderate_eval_000.json")
-    # the input-side estimate, then the verify pass's
-    assert alive_at_estimate == [["load_audio"], []]
+    # the input-side estimate, then the verify pass's: the input samples are
+    # read again for shift_audio, so neither holds any
+    assert alive_at_estimate == [[], []]
     assert (tmp_path / "o.wav").read_bytes() == (cli_run["out"] / "plain.wav").read_bytes()
+
+
+def test_correct_rejects_a_take_whose_length_changed_before_the_shift(cli_run, tmp_path, monkeypatch):
+    reads = []
+
+    def load_audio(path, sr):
+        wav = raw_load(path, sr)
+        reads.append(len(wav))
+        return wav[:-1] if len(reads) == 2 else wav
+
+    raw_load = ft.load_audio
+    monkeypatch.setattr(ft, "load_audio", load_audio)
+    with pytest.raises(ft.AudioIOError, match="changed while it was corrected"):
+        wf.stage_correct(load_config(None, TINY), cli_run["take"], tmp_path / "o.wav", cli_run["ckpt"],
+                         annotations=cli_run["data"] / "annotations" / "moderate_eval_000.json")
+    assert len(reads) == 2 and not (tmp_path / "o.wav").exists()
 
 
 @pytest.mark.parametrize("damage", ["truncated", "garbage"])
@@ -524,3 +542,25 @@ def test_trainers_do_not_read_the_run_manifest(cli_run, tmp_path):
     for name in ("detuner", "cnpp_full"):
         assert (ckpt / f"{name}.npz").read_bytes() == (cli_run["ckpt"] / f"{name}.npz").read_bytes()
     assert sorted(manifest_stages(ckpt)) == ["train_cnpp_full", "train_detuner"]
+
+
+def test_stage_peaks_prints_one_line_of_steps_and_the_untraced_output_hashes(cli_run, tmp_path, capsys):
+    path = Path(__file__).resolve().parents[1] / "tools" / "stage_peaks.py"
+    spec = importlib.util.spec_from_file_location("stage_peaks", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    take, ckpt = cli_run["take"], cli_run["ckpt"]
+    ann = cli_run["data"] / "annotations" / "moderate_eval_000.json"
+    capsys.readouterr()
+    assert tool.main([str(take), str(ckpt), "--annotations", str(ann)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    steps = [s["step"] for s in doc["steps"]]
+    assert "corrector.shift_audio" in steps
+    assert steps.count("spp.StationaryPitchPredictor.estimate") == 2  # transcribe, then verify
+    assert all(s["held_mb"] >= 0 and s["peak_above_mb"] >= 0 for s in doc["steps"])
+    wf.stage_correct(load_config(), take, tmp_path / "out.wav", ckpt, annotations=ann)
+    untraced = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
+    assert set(untraced) == {"out.wav", "out.plan.tsv", "out.residuals.tsv"}
+    assert doc["outputs"] == untraced
