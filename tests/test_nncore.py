@@ -114,7 +114,6 @@ def test_gru_input_gradient():
     assert worst < 1e-5
 
 
-
 def _gru_leaves(B, T, H, seed):
     rng = np.random.default_rng(seed)
     x_pre = nn.Tensor(rng.normal(scale=4.0, size=(B, T, 3 * H)), requires_grad=True)
@@ -147,6 +146,7 @@ def test_gru_sequence_unrecorded_holds_no_gate_arrays():
         tracemalloc.stop()
     assert hs.data.nbytes == B * T * H * 8
     assert peak < 1.5 * hs.data.nbytes, peak / 1e6
+
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(5)
@@ -314,7 +314,6 @@ def test_banded_attention_matches_reference_bytes(window, layout):
             )
 
 
-
 @pytest.mark.parametrize("lead", [(2,), (1, 2)])
 @pytest.mark.parametrize("window", [3, 64])
 def test_banded_attention_unrecorded_returns_the_recorded_bytes(window, lead):
@@ -330,6 +329,7 @@ def test_banded_attention_unrecorded_returns_the_recorded_bytes(window, lead):
         assert recorded._backward is not None and plain._backward is None
         assert plain.shape == recorded.shape == lead + (T, 8), (T, win)
         assert plain.data.tobytes() == recorded.data.tobytes(), (T, win)
+
 
 @pytest.mark.parametrize("layout", ["contiguous", "swapaxes", "slice"])
 def test_layer_norm_and_gelu_match_reference_bytes(layout):
@@ -405,12 +405,11 @@ def test_geglu_matches_the_two_slice_gelu_mul_chain_bytes(h_shape, layout):
     assert h.data.tobytes() == before  # the in-place path writes only its own buffer
 
 
-
 @pytest.mark.parametrize("lead", [(1,), (2, 3)])
 @pytest.mark.parametrize("T", [1, 2, 300, nn.layers.ROW_BLOCK + 1, 2 * nn.layers.ROW_BLOCK + 77])
 def test_geglu_layer_unrecorded_returns_the_recorded_bytes(T, lead):
-    # more than one block, and T = FFN_BLOCK_ROWS + 1, which blocks of
-    # FFN_BLOCK_ROWS would leave a one-row product
+    # more than one block, and T = ROW_BLOCK + 1, which fixed blocks of
+    # ROW_BLOCK rows would leave a one-row product
     ffn = nn.layers.Geglu(np.random.default_rng(41), 64, 170)
     x = nn.Tensor(np.random.default_rng(42).normal(size=lead + (T, 64)))
     recorded = ffn(x)

@@ -165,7 +165,6 @@ def test_forward_outputs_are_probabilities_and_deterministic():
     assert np.array_equal(p1, p2)
 
 
-
 @pytest.mark.parametrize("T", [1, 2, 300, layers.ROW_BLOCK + 1, 2 * layers.ROW_BLOCK + 77])
 def test_frame_models_unrecorded_return_the_recorded_bytes(T):
     # default shape, so every blocked product has 32 or 64 columns; more than
@@ -180,6 +179,7 @@ def test_frame_models_unrecorded_return_the_recorded_bytes(T):
             plain = model.forward_batch(x)
         assert recorded._backward is not None and plain._backward is None
         assert plain.shape == recorded.shape and plain.data.tobytes() == recorded.data.tobytes()
+
 
 def test_predict_on_4096_frames_holds_one_geglu_temporary_beside_the_projection(monkeypatch):
     # Default shape (inner = 170).  Traced peaks above what was held: the
@@ -214,7 +214,6 @@ def test_predict_on_4096_frames_holds_one_geglu_temporary_beside_the_projection(
     assert max(steps) < h_bytes + 1.5 * T * inner * 8, [s / 1e6 for s in steps]
 
 
-
 def test_predict_on_a_60_s_take_holds_the_projection_and_few_take_long_rows_beside_it():
     # T = 5168 frames, the 60 s benchmark take.  Traced peak above what was
     # held: 35.4 MB with the whole-take gated array, `out` product and GRU
@@ -232,6 +231,7 @@ def test_predict_on_a_60_s_take_holds_the_projection_and_few_take_long_rows_besi
         tracemalloc.stop()
     h_bytes = T * 2 * inner * 8
     assert peak < 2.1 * h_bytes, peak / 1e6
+
 
 def test_boundary_matching_counts():
     tp, fp, fn = seg.match_boundaries([10, 50, 90], [11, 52, 200])
