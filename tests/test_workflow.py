@@ -559,6 +559,7 @@ def test_stage_peaks_prints_one_line_of_steps_and_the_untraced_output_hashes(cli
     steps = [s["step"] for s in doc["steps"]]
     assert "corrector.shift_audio" in steps
     assert steps.count("spp.StationaryPitchPredictor.estimate") == 2  # transcribe, then verify
+    assert steps.count("features.load_audio") == 2  # track, then shift
     assert all(s["held_mb"] >= 0 and s["peak_above_mb"] >= 0 for s in doc["steps"])
     wf.stage_correct(load_config(), take, tmp_path / "out.wav", ckpt, annotations=ann)
     untraced = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}

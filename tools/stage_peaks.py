@@ -11,6 +11,7 @@ step.  It prints one JSON line: for each step in call order, its name, its
 nesting depth, the traced MB held when it started (`held_mb`) and its traced
 peak above that (`peak_above_mb`); then the traced peak of the whole run,
 the process's `ru_maxrss` in MB, and the SHA-256 of each file written.  The
+second `features.load_audio` reads the take again for `shift_audio`, and the
 second `spp.StationaryPitchPredictor.estimate` is the verify pass.
 
 tracemalloc slows the run and adds its own memory to `ru_maxrss`; measure
