@@ -9,13 +9,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.io import wavfile
 
 from .nncore import load_npz, save_npz
 
@@ -116,22 +116,94 @@ def semitones_to_hz(p):
 
 # ---- audio I/O --------------------------------------------------------------
 
+WAVE_FORMAT_PCM = 0x0001
+WAVE_FORMAT_IEEE_FLOAT = 0x0003
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# the last 12 bytes of a KSDATAFORMAT_SUBTYPE GUID whose first 4 hold the tag
+_SUBFORMAT_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _parse_fmt(body: bytes) -> tuple[int, int, str, int]:
+    """Sample rate, channel count, numpy dtype and sample width in bytes
+    from a `fmt ` chunk body, as `scipy.io.wavfile` reads them."""
+    if len(body) < 16:
+        raise ValueError(f"fmt chunk of {len(body)} bytes, fewer than 16")
+    tag, channels, rate, _, block_align, bits = struct.unpack("<HHIIHH", body[:16])
+    if tag == WAVE_FORMAT_EXTENSIBLE and len(body) >= 40 and body[28:40] == _SUBFORMAT_GUID_TAIL:
+        tag = struct.unpack("<I", body[24:28])[0]
+    if channels == 0 or block_align < channels:
+        raise ValueError(f"{channels} channels in blocks of {block_align} bytes")
+    width = block_align // channels
+    if tag == WAVE_FORMAT_PCM:
+        if bits <= 8:
+            return rate, channels, "u1", width
+        if width in (2, 3, 4):
+            return rate, channels, "<i2" if width == 2 else "<i4", width
+        raise ValueError(f"unsupported WAV sample format int{8 * width}")
+    if tag == WAVE_FORMAT_IEEE_FLOAT and bits in (32, 64):
+        return rate, channels, f"<f{width}", width
+    raise ValueError(f"unsupported WAV sample format: tag {tag:#06x}, {bits} bits")
+
+
+def _read_wav(path: Path) -> tuple[int, np.ndarray]:
+    """Sample rate and samples [n] or [n, channels] of a RIFF WAVE file.
+
+    Walks the chunks, reads `fmt ` and the samples of the first `data`
+    chunk after it, and skips any other chunk and its pad byte.  The
+    samples are read straight into their array.
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        riff = f.read(12)
+        if riff[:4] != b"RIFF" or riff[8:12] != b"WAVE":
+            raise ValueError(f"not a RIFF WAVE file (it starts {riff[:4]!r})")
+        fmt = None
+        while len(head := f.read(8)) == 8:
+            chunk, n = head[:4], struct.unpack("<I", head[4:])[0]
+            if chunk == b"fmt ":
+                fmt = _parse_fmt(f.read(n))
+                f.seek(n & 1, os.SEEK_CUR)
+            elif chunk == b"data":
+                if fmt is None:
+                    raise ValueError("data chunk before the fmt chunk")
+                left = size - f.tell()
+                if n > left:
+                    raise ValueError(f"truncated file: its data chunk holds {n} bytes, but only {left} follow")
+                rate, channels, dtype, width = fmt
+                count = n // width
+                if width == 3:  # 24-bit, left-justified into int32 as scipy loads it
+                    data = np.zeros((count, 4), np.uint8)
+                    data[:, 1:] = np.fromfile(f, np.uint8, 3 * count).reshape(count, 3)
+                    data = data.view("<i4").reshape(count)
+                else:
+                    data = np.fromfile(f, dtype, count)
+                return rate, data.reshape(-1, channels) if channels > 1 else data
+            else:
+                f.seek(n + (n & 1), os.SEEK_CUR)
+    raise ValueError("no data chunk")
+
+
 def load_audio(path, target_sr: int = DEFAULT_SR) -> np.ndarray:
     """Read a WAV file as mono float64 at `target_sr` (channel-averaged).
 
-    A file with a NaN or infinite sample raises AudioIOError.  Only a file
-    at another rate imports `scipy.signal` for `resample_poly`, once per
+    The file must be RIFF WAVE (plain or `WAVE_FORMAT_EXTENSIBLE`) holding
+    8-bit unsigned, 16-, 24- or 32-bit integer PCM or 32- or 64-bit float
+    samples, mono or with any number of channels; integer PCM is scaled to
+    [-1, 1) (24-bit loads left-justified into int32, as `scipy.io.wavfile`
+    gives it).  Chunks other than `fmt ` and `data` are skipped.  Any other
+    file raises AudioIOError naming it: RF64, RIFX and other containers,
+    other sample formats, a `data` chunk longer than the bytes that follow
+    it (a truncated file), and a NaN or infinite sample.  Only a file at
+    another rate imports `scipy.signal` for `resample_poly`, once per
     process: that import takes about 1 s and 45 MB of resident memory on
     2 vCPUs, as it pulls in `scipy.stats`, `scipy.linalg`, `scipy.optimize`
     and more.
     """
     path = Path(path)
     try:
-        file_sr, data = wavfile.read(path)
-    except Exception as exc:
+        file_sr, data = _read_wav(path)
+    except (OSError, ValueError) as exc:
         raise AudioIOError(f"cannot read audio file {path}: {exc}") from exc
-    if data.dtype not in (np.int16, np.int32, np.uint8, np.float32, np.float64):
-        raise AudioIOError(f"unsupported WAV sample format {data.dtype} in {path}")
     # integer PCM is scaled in place: one float64 copy of the take, not two,
     # without relying on numpy eliding the temporary of `astype(...) / c`
     wav = data.astype(np.float64)
@@ -157,13 +229,20 @@ def load_audio(path, target_sr: int = DEFAULT_SR) -> np.ndarray:
 
 
 def write_wav(path, wav: np.ndarray, sr: int = DEFAULT_SR):
-    """Write mono float waveform as 16-bit PCM, scaled, rounded and clipped in one buffer."""
+    """Write mono float waveform as 16-bit PCM, scaled, rounded and clipped
+    in one buffer: a 44-byte RIFF header, then the samples."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     pcm = np.multiply(wav, 32767.0)
     np.round(pcm, out=pcm)
     np.clip(pcm, -32768, 32767, out=pcm)
-    wavfile.write(path, sr, pcm.astype(np.int16))
+    samples = pcm.astype("<i2")
+    n = samples.nbytes
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + n, b"WAVE", b"fmt ", 16,
+                         WAVE_FORMAT_PCM, 1, sr, 2 * sr, 2, 16, b"data", n)
+    with open(path, "wb") as f:
+        f.write(header)
+        samples.tofile(f)
 
 
 # ---- pitch tracking ----------------------------------------------------------

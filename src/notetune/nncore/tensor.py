@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 _GRAD_ENABLED = True
 
@@ -342,6 +341,98 @@ def sigmoid(a: Tensor):
     return _make(out_data, (a,), bw)
 
 
+# elements `erf` works on at a time: its three scratch buffers (128 kB
+# each) stay in cache
+ERF_BLOCK = 16384
+
+# Cephes ndtr.c (Moshier 1989): erf(x) = x T(x^2) / U(x^2) for |x| <= 1 and
+# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 < x < 8; U and Q omit their leading 1
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERF_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+          4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+          9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERF_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+          9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+          1.65666309194161350182e3, 5.57535340817727675546e2)
+
+
+def _polevl(x: np.ndarray, coef: tuple, out: np.ndarray) -> np.ndarray:
+    """coef[0] x^n + ... + coef[n] into `out`, by Horner's rule."""
+    np.multiply(x, coef[0], out=out)
+    out += coef[1]
+    for c in coef[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _p1evl(x: np.ndarray, coef: tuple, out: np.ndarray) -> np.ndarray:
+    """x^n + coef[0] x^(n-1) + ... + coef[n-1] into `out`, by Horner's rule."""
+    np.add(x, coef[0], out=out)
+    for c in coef[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf_tail(x: np.ndarray) -> np.ndarray:
+    """erf where |x| > 1: +-(1 - exp(-x^2) P(|x|) / Q(|x|)).  |x| is capped
+    at 6, where the erfc term is below 2^-54 and the result is exactly +-1,
+    as Cephes gives it for every |x| >= 6 (inf too)."""
+    a = np.minimum(np.abs(x), 6.0)
+    e = np.negative(a * a)
+    e = np.fromiter(map(math.exp, e.tolist()), np.float64, len(e))
+    e *= _polevl(a, _ERF_P, np.empty_like(a))
+    e /= _p1evl(a, _ERF_Q, np.empty_like(a))
+    np.subtract(1.0, e, out=e)
+    return np.copysign(e, x, out=e)
+
+
+def erf(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """The error function of `x`, elementwise, into `out` (a new array if
+    `out` is None), with the bytes of `scipy.special.erf`.
+
+    It is Cephes `ndtr.c` erf (Moshier, Methods and Programs for
+    Mathematical Functions, 1989), which scipy wraps, with every multiply,
+    add and divide in Cephes' order, each rounded once: x T(x^2) / U(x^2)
+    for |x| <= 1 (odd, so negative x needs no branch), +-(1 - erfc(|x|))
+    above, and +-1 from |x| >= 6 on.  exp(-x^2) is libm's, through
+    `math.exp`, as in the compiled Cephes: numpy's SIMD `np.exp` differs
+    from glibc in the last bit for some arguments, and that bit would
+    reach erf.  NaN propagates; +-inf give +-1, without warnings.
+
+    The |x| <= 1 formula runs on blocks of `ERF_BLOCK` elements in three
+    scratch buffers, since most inputs of the GELUs lie there; the |x| > 1
+    elements of every block are gathered before it is written and set at
+    the end.  `out` may be `x` itself; a C-contiguous `x` and `out` are
+    read and written in place, any other layout through a C-ordered copy.
+    """
+    src = np.ascontiguousarray(x).reshape(-1)
+    res = out if out is not None and out.flags.c_contiguous else np.empty(x.shape)
+    dst = res.reshape(-1)
+    z, p, q = (np.empty(min(len(src), ERF_BLOCK)) for _ in range(3))
+    tails, tail_x = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(src), ERF_BLOCK):
+            xb = src[lo : lo + ERF_BLOCK]
+            n = len(xb)
+            np.multiply(xb, xb, out=z[:n])
+            tail = np.flatnonzero(z[:n] > 1.0)  # x * x > 1 exactly where |x| > 1
+            tails.append(tail + lo)
+            tail_x.append(xb[tail])
+            np.multiply(xb, _polevl(z[:n], _ERF_T, p[:n]), out=dst[lo : lo + n])
+            dst[lo : lo + n] /= _p1evl(z[:n], _ERF_U, q[:n])
+    if tails:
+        dst[np.concatenate(tails)] = _erf_tail(np.concatenate(tail_x))
+    if out is None or res is out:
+        return res
+    out[...] = res
+    return out
+
+
 def gelu(a: Tensor):
     """Exact (erf-based) Gaussian error linear unit: x * cdf with
     cdf = 0.5 * (1 + erf(x / sqrt 2)).  The cdf and the gradient
@@ -349,7 +440,7 @@ def gelu(a: Tensor):
     evaluated in that order in one buffer."""
     x = a.data
     cdf = x / _SQRT2
-    erf(cdf, out=cdf)
+    erf(cdf, cdf)
     cdf += 1.0
     cdf *= 0.5
     out_data = x * cdf
@@ -381,7 +472,7 @@ def geglu(h: Tensor, inner: int):
     g * val once the gate's gradient no longer reads it."""
     val, gate = h.data[..., :inner], h.data[..., inner:]
     cdf = gate / _SQRT2
-    erf(cdf, out=cdf)
+    erf(cdf, cdf)
     cdf += 1.0
     cdf *= 0.5
     if not _records((h,)):
@@ -715,8 +806,8 @@ def gru_sequence(x_pre: Tensor, w_hh: Tensor, b_hh: Tensor, h0: Tensor):
 
     Recorded, the gates r, z, n and h @ W_hn + b_hn of every step are kept,
     four more [B, T, H] arrays that only the backward pass reads.  Not
-    recorded, only the hidden states are; the steps are the same calls, so
-    the same bytes.
+    recorded, only the hidden states are, and each step runs `gru_cell`'s
+    operations in its order in buffers allocated once, so the same bytes.
     """
     B, T, threeH = x_pre.data.shape
     H = threeH // 3
@@ -725,9 +816,29 @@ def gru_sequence(x_pre: Tensor, w_hh: Tensor, b_hh: Tensor, h0: Tensor):
     hs = np.empty((B, T, H))
     h = h0.data
     if not _records((x_pre, w_hh, b_hh, h0)):
-        for t in range(T):
-            h = gru_cell(x_pre.data[:, t, :], h, wh, bh)[0]
-            hs[:, t] = h
+        gh, rz = np.empty((B, 3 * H)), np.empty((B, 2 * H))
+        n, zh, h_new = np.empty((B, H)), np.empty((B, H)), np.empty((B, H))
+        r, z, hn = rz[:, :H], rz[:, H:], gh[:, 2 * H :]
+        h = h.copy()  # stepped in place from here on; the caller's h0 stays
+        with np.errstate(over="ignore"):
+            for t in range(T):
+                gi = x_pre.data[:, t, :]
+                np.matmul(h, wh, out=gh)
+                gh += bh
+                np.add(gi[:, : 2 * H], gh[:, : 2 * H], out=rz)
+                np.negative(rz, out=rz)  # logistic: 1 / (1 + exp(-x))
+                np.exp(rz, out=rz)
+                rz += 1.0
+                np.divide(1.0, rz, out=rz)
+                np.multiply(r, hn, out=n)
+                np.add(gi[:, 2 * H :], n, out=n)
+                np.tanh(n, out=n)
+                np.subtract(1.0, z, out=h_new)  # (1 - z) * n + z * h
+                h_new *= n
+                np.multiply(z, h, out=zh)
+                h_new += zh
+                hs[:, t] = h_new
+                h, h_new = h_new, h
         return Tensor(hs)
     rs = np.empty((B, T, H))
     zs = np.empty((B, T, H))

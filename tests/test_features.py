@@ -1,5 +1,6 @@
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -73,6 +74,90 @@ def test_load_audio_rejects_an_unsupported_sample_format(tmp_path):
 
     wavfile.write(tmp_path / "x.wav", SR, np.zeros(8, dtype=np.int64))
     with pytest.raises(F.AudioIOError, match="unsupported WAV sample format int64"):
+        F.load_audio(tmp_path / "x.wav")
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.uint8, np.float32, np.float64])
+def test_read_wav_gives_the_rate_and_array_of_scipy(tmp_path, dtype, channels):
+    rng = np.random.default_rng(7)
+    if np.issubdtype(dtype, np.integer):
+        info = np.iinfo(dtype)
+        pcm = rng.integers(info.min, info.max, size=(1001, channels), endpoint=True, dtype=dtype)
+    else:
+        pcm = rng.normal(size=(1001, channels)).astype(dtype)
+    wavfile.write(tmp_path / "x.wav", 44100, pcm[:, 0] if channels == 1 else pcm)
+    want_sr, want = wavfile.read(tmp_path / "x.wav")
+    sr, got = F._read_wav(tmp_path / "x.wav")
+    assert (sr, got.dtype, got.shape, got.tobytes()) == (want_sr, want.dtype, want.shape, want.tobytes())
+
+
+def _riff(fmt_body: bytes, data: bytes, before_data: bytes = b"") -> bytes:
+    chunks = b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body + before_data
+    chunks += b"data" + struct.pack("<I", len(data)) + data + b"\0" * (len(data) % 2)
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+def _fmt(tag, channels, width, bits, sr=SR) -> bytes:
+    return struct.pack("<HHIIHH", tag, channels, sr, sr * channels * width, channels * width, bits)
+
+
+def _extensible(subformat, channels, width, bits) -> bytes:
+    guid = struct.pack("<I", subformat) + F._SUBFORMAT_GUID_TAIL
+    return _fmt(F.WAVE_FORMAT_EXTENSIBLE, channels, width, bits) + struct.pack("<HHI", 22, bits, 3) + guid
+
+
+SAMPLES_24 = np.random.default_rng(8).integers(0, 256, size=3 * 2 * 37, dtype=np.uint8).tobytes()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        _riff(_fmt(F.WAVE_FORMAT_PCM, 2, 3, 24), SAMPLES_24),
+        _riff(_extensible(F.WAVE_FORMAT_PCM, 2, 3, 24), SAMPLES_24),
+        _riff(_extensible(F.WAVE_FORMAT_IEEE_FLOAT, 1, 4, 32), np.float32([0.5, -0.25, 1.5]).tobytes()),
+        _riff(_fmt(F.WAVE_FORMAT_PCM, 1, 2, 16), np.int16([1, -2, 3]).tobytes(),
+              before_data=b"LIST" + struct.pack("<I", 5) + b"INFOx\0"),
+        _riff(_fmt(F.WAVE_FORMAT_PCM, 1, 1, 8), bytes([0, 128, 255])),
+    ],
+    ids=["pcm24", "extensible-pcm24", "extensible-float32", "odd-list-chunk", "uint8-odd-length"],
+)
+def test_read_wav_gives_scipys_array_for_hand_built_files(tmp_path, raw):
+    (tmp_path / "x.wav").write_bytes(raw)
+    want_sr, want = wavfile.read(tmp_path / "x.wav")
+    sr, got = F._read_wav(tmp_path / "x.wav")
+    assert (sr, got.dtype, got.shape, got.tobytes()) == (want_sr, want.dtype, want.shape, want.tobytes())
+
+
+def test_load_audio_scales_24_bit_pcm_left_justified(tmp_path):
+    pcm = np.array([-(2**23), -(2**22), 0, 2**22, 2**23 - 1], dtype="<i4")
+    samples = pcm.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()  # the low 3 bytes of each
+    (tmp_path / "x.wav").write_bytes(_riff(_fmt(F.WAVE_FORMAT_PCM, 1, 3, 24), samples))
+    assert np.array_equal(F.load_audio(tmp_path / "x.wav"), [-1.0, -0.5, 0.0, 0.5, 1 - 2.0**-23])
+
+
+@pytest.mark.parametrize("n", [0, 1001])
+def test_write_wav_writes_the_bytes_of_scipy(tmp_path, n):
+    wav = np.random.default_rng(9).uniform(-1.1, 1.1, n)
+    F.write_wav(tmp_path / "ours.wav", wav, 44100)
+    wavfile.write(tmp_path / "scipy.wav", 44100, np.clip(np.round(wav * 32767.0), -32768, 32767).astype(np.int16))
+    assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+
+def test_load_audio_rejects_a_truncated_file_naming_both_byte_counts(tmp_path):
+    F.write_wav(tmp_path / "whole.wav", sine(440, dur=0.5), SR)
+    raw = (tmp_path / "whole.wav").read_bytes()
+    (tmp_path / "cut.wav").write_bytes(raw[:-1001])
+    n = len(raw) - 44
+    with pytest.raises(F.AudioIOError, match=rf"cut\.wav: truncated file: its data chunk holds {n} bytes, but only {n - 1001} follow"):
+        F.load_audio(tmp_path / "cut.wav")
+
+
+@pytest.mark.parametrize("head", [b"RF64", b"RIFX"])
+def test_load_audio_rejects_other_containers_naming_the_file(tmp_path, head):
+    F.write_wav(tmp_path / "x.wav", sine(440, dur=0.1), SR)
+    (tmp_path / "x.wav").write_bytes(head + (tmp_path / "x.wav").read_bytes()[4:])
+    with pytest.raises(F.AudioIOError, match=rf"cannot read audio file .*x\.wav: not a RIFF WAVE file"):
         F.load_audio(tmp_path / "x.wav")
 
 

@@ -148,6 +148,61 @@ def test_gru_sequence_unrecorded_holds_no_gate_arrays():
     assert peak < 1.5 * hs.data.nbytes, peak / 1e6
 
 
+def test_gru_sequence_unrecorded_with_saturated_gates_returns_the_recorded_bytes():
+    # the segmenter head's size (B = 1, so h @ W_hh is a one-row product);
+    # inputs at scale 40 drive many gates to exactly 0 or 1 without warning
+    x_pre, w_hh, b_hh, h0 = _gru_leaves(1, 60, 64, 40)
+    x_pre.data *= 10.0
+    h0_bytes = h0.data.tobytes()
+    recorded = nn.gru_sequence(x_pre, w_hh, b_hh, h0)
+    with nn.no_grad():
+        plain = nn.gru_sequence(x_pre, w_hh, b_hh, h0)
+    assert plain.data.tobytes() == recorded.data.tobytes()
+    assert h0.data.tobytes() == h0_bytes
+
+
+def _erf_inputs():
+    rng = np.random.default_rng(41)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    one_up = np.nextafter(1.0, 2.0)
+    edges = [0.0, 1.0, one_up, 5.99, 6.0, 8.0, np.inf, tiny, 1e-310, 2.2e-308, 1e-200, 1e200]
+    scales = (0.3, 1.0, 3.0, 10.0, 30.0)
+    return np.concatenate([np.linspace(-7.0, 7.0, 280_001), *(rng.normal(scale=s, size=20_000) for s in scales),
+                           edges, np.negative(edges)])
+
+
+def test_erf_matches_scipy_bit_for_bit():
+    from scipy.special import erf as scipy_erf  # the reference, as tests/*_reference.py are
+
+    x = _erf_inputs()
+    assert tz.erf(x, None).tobytes() == scipy_erf(x).tobytes()
+    assert tz.erf(np.array([-0.0]), None)[0].tobytes() == np.float64(-0.0).tobytes()
+
+
+def test_erf_propagates_nan_and_keeps_the_other_elements():
+    from scipy.special import erf as scipy_erf
+
+    x = np.array([np.nan, 0.5, -np.nan, 3.0, np.nan])
+    y = tz.erf(x, None)
+    assert np.isnan(y[[0, 2, 4]]).all()
+    assert y[[1, 3]].tobytes() == scipy_erf(x[[1, 3]]).tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, tz.ERF_BLOCK, tz.ERF_BLOCK + 1])
+def test_erf_of_any_size_and_layout_matches_scipy(n):
+    from scipy.special import erf as scipy_erf
+
+    base = np.random.default_rng(42).normal(scale=2.0, size=(3, n))  # about 60 % above |x| = 1
+    want = scipy_erf(base)
+    assert tz.erf(base.T, None).tobytes() == want.T.tobytes()  # a new array from a transposed view
+    x = base.copy().T
+    assert tz.erf(x, x) is x and x.tobytes() == want.T.tobytes()
+    gaps = np.repeat(base, 2, axis=1)  # out is x on a view with gaps between its elements
+    view = gaps[:, ::2]
+    tz.erf(view, view)
+    assert view.tobytes() == want.tobytes() and gaps[:, 1::2].tobytes() == base.tobytes()
+
+
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(5)
     y = nn.softmax(nn.Tensor(rng.normal(size=(7, 11)) * 5), axis=-1)

@@ -5,7 +5,10 @@ import hashlib
 import importlib.util
 import json
 import logging
+import os
 import shutil
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -25,6 +28,8 @@ from notetune import spp as sp
 from notetune import workflow as wf
 from notetune.config import load_config
 from notetune.frontend import FrameEncoderConfig
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TINY = [
     "corpus.n_songs=20",
@@ -294,6 +299,32 @@ def test_correct_on_a_take_with_a_nan_sample_exits_2(cli_run, tmp_path, capsys):
     assert run_cli("correct", tmp_path / "nan.wav", tmp_path / "o.wav", "--checkpoint-dir", cli_run["ckpt"]) == 2
     assert "non-finite samples (NaN or inf) in audio file" in capsys.readouterr().err
     assert not (tmp_path / "o.wav").exists()
+
+
+def test_correct_on_a_truncated_take_exits_2_and_writes_nothing(cli_run, tmp_path, capsys):
+    raw = cli_run["take"].read_bytes()
+    (tmp_path / "cut.wav").write_bytes(raw[:-1001])
+    assert run_cli("correct", tmp_path / "cut.wav", tmp_path / "o.wav", "--checkpoint-dir", cli_run["ckpt"]) == 2
+    err = capsys.readouterr().err
+    assert f"cut.wav: truncated file: its data chunk holds {len(raw) - 44} bytes, but only {len(raw) - 1045} follow" in err
+    assert not list(tmp_path.glob("o.*"))
+
+
+def test_correct_at_the_model_rate_loads_no_scipy(cli_run, tmp_path):
+    # a fresh interpreter: the test process has imported scipy itself
+    probe = (
+        "import sys\n"
+        "from notetune import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    ann = cli_run["data"] / "annotations" / "moderate_eval_000.json"
+    argv = ["correct", cli_run["take"], tmp_path / "o.wav", "--checkpoint-dir", cli_run["ckpt"], "--annotations", ann,
+            "-q", *(arg for item in TINY for arg in ("--set", item))]
+    out = subprocess.run([sys.executable, "-c", probe, *map(str, argv)], env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "o.wav").read_bytes() == (cli_run["out"] / "plain.wav").read_bytes()
 
 
 def test_spp_validation_runs_every_eval_step(cli_run):
