@@ -163,7 +163,8 @@ def _psola_region(wav, out, norm, off, a, b, hop, f0_hz, period, spacing, sr):
 
 
 def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.ndarray:
-    """Per-note pitch shift by 2^(-delta/12), duration preserved.
+    """Per-note pitch shift of `wav` by 2^(-delta/12), in place, duration
+    preserved; returns `wav`.
 
     The epochs step on per-frame tables of period and synthesis spacing,
     which is exact because f0 and ratio are constant over each hop: numpy's
@@ -174,11 +175,12 @@ def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.
     grains of a region [a, b) stay within L + 1 samples of it.  Regions go
     in groups, split where a gap exceeds 2 * (the take's largest L + 2);
     each group overlap-adds into its own grain and weight sums, which cover
-    its regions and L + 2 samples each side, and is divided into the one
-    output before the next group starts.  No grain reaches a region of
-    another group, so every read sample sums the same terms in the same
-    order as with take-long sums: the same bytes, with two buffers of the
-    longest group's span in place of two of the take's length.
+    its regions and L + 2 samples each side.  Only then are its regions
+    written, in place, into `wav`, which is returned: a group reads `wav`
+    only within L + 2 samples of its regions and writes only inside them,
+    so no group reads a sample another has written, and every sample gets
+    the bytes a shift into a copy would give.  The caller hands over the
+    samples; it holds no take-long buffer beside them.
     """
     sr = track.sample_rate
     hop = track.hop
@@ -197,7 +199,7 @@ def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.
         )
         deltas = np.clip(deltas, -MAX_SHIFT_SEMITONES, MAX_SHIFT_SEMITONES)
     if not deltas.any():
-        return wav.copy()
+        return wav
 
     frame_ratio = np.ones(T)
     covered = plan.note_map >= 0
@@ -212,7 +214,6 @@ def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.
     reach = int(np.maximum(np.round(sr / f0), 2).max()) + 2
 
     regions = [(a, b) for a, b in _frame_regions(frame_voiced[frames], hop, n) if b - a > 32]
-    out = wav.copy()
     fade = max(int(CROSSFADE_SEC * sr), 8)
     theta = 0.5 * np.pi * (np.arange(fade) + 1) / (fade + 1)
     win_in, win_out = np.sin(theta), np.cos(theta)
@@ -226,12 +227,14 @@ def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.
             seg = synth[a - off : b - off] / np.maximum(norm[a - off : b - off], 1e-3)
             low = norm[a - off : b - off] < 0.25
             seg[low] = wav[a:b][low]
-            out[a:b] = seg
             f = min(fade, (b - a) // 2)
-            if f > 0:
-                out[a : a + f] = seg[:f] * win_in[:f] + wav[a : a + f] * win_out[:f]
-                out[b - f : b] = seg[-f:] * win_in[:f][::-1] + wav[b - f : b] * win_out[:f][::-1]
-    return out
+            if f > 0:  # crossfades of disjoint ends: seg * win_in + wav * win_out
+                seg[:f] *= win_in[:f]
+                seg[:f] += wav[a : a + f] * win_out[:f]
+                seg[-f:] *= win_in[:f][::-1]
+                seg[-f:] += wav[b - f : b] * win_out[:f][::-1]
+            wav[a:b] = seg
+    return wav
 
 
 # ---- verification ---------------------------------------------------------------

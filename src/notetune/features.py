@@ -119,6 +119,7 @@ def semitones_to_hz(p):
 WAVE_FORMAT_PCM = 0x0001
 WAVE_FORMAT_IEEE_FLOAT = 0x0003
 WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+WAV_BLOCK = 65536  # samples `write_wav` scales, rounds, clips and converts at a time
 # the last 12 bytes of a KSDATAFORMAT_SUBTYPE GUID whose first 4 hold the tag
 _SUBFORMAT_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
@@ -229,20 +230,23 @@ def load_audio(path, target_sr: int = DEFAULT_SR) -> np.ndarray:
 
 
 def write_wav(path, wav: np.ndarray, sr: int = DEFAULT_SR):
-    """Write mono float waveform as 16-bit PCM, scaled, rounded and clipped
-    in one buffer: a 44-byte RIFF header, then the samples."""
+    """Write mono float waveform as 16-bit PCM: a 44-byte RIFF header, then
+    the samples, scaled by 32767, rounded and clipped in one float buffer
+    and converted, WAV_BLOCK samples at a time.  Every step is elementwise,
+    so the bytes are those of converting the whole take at once, with two
+    block-long buffers in place of two take-long ones."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    pcm = np.multiply(wav, 32767.0)
-    np.round(pcm, out=pcm)
-    np.clip(pcm, -32768, 32767, out=pcm)
-    samples = pcm.astype("<i2")
-    n = samples.nbytes
+    n = 2 * len(wav)
     header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + n, b"WAVE", b"fmt ", 16,
                          WAVE_FORMAT_PCM, 1, sr, 2 * sr, 2, 16, b"data", n)
     with open(path, "wb") as f:
         f.write(header)
-        samples.tofile(f)
+        for lo in range(0, len(wav), WAV_BLOCK):
+            pcm = np.multiply(wav[lo : lo + WAV_BLOCK], 32767.0)
+            np.round(pcm, out=pcm)
+            np.clip(pcm, -32768, 32767, out=pcm)
+            pcm.astype("<i2").tofile(f)
 
 
 # ---- pitch tracking ----------------------------------------------------------

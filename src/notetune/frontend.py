@@ -4,10 +4,19 @@ Input per frame: interpolated pitch (semitones), voicing flag, and the log
 mel-spectrogram.  Pitch and voicing go through one projection, mel through
 another; the concatenated projections are fused and encoded by the
 windowed-attention stack.
+
+Both frame models train on crops of 256 frames (`crop` in their `train`
+config), so they only ever learn positions 0..255.  At inference
+(`windowed`) they run on windows of at most WINDOW frames, each with its
+own positions from 0, and keep each window's WINDOW_CORE core frames: a
+take of any length gets positions the models were trained on, and a pass
+holds the activations of WINDOW_GROUP windows, not of the whole take.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +29,65 @@ PITCH_SCALE = 12.0
 MEL_SHIFT = 10.0
 MEL_SCALE = 8.0
 
+# inference windows: WINDOW frames, of which the WINDOW_CORE in the middle
+# are kept and WINDOW_HALO each side are context; WINDOW_GROUP windows of
+# one length are stacked on the batch axis of one pass
+WINDOW = 256
+WINDOW_HALO = 16
+WINDOW_CORE = WINDOW - 2 * WINDOW_HALO
+WINDOW_GROUP = 8
+
 
 def track_inputs(track: FrameTrack) -> np.ndarray:
     """Stack normalized per-frame features [T, 2 + n_mels]."""
-    p = (track.pitch_filled - PITCH_CENTER) / PITCH_SCALE
-    v = track.voiced.astype(np.float64)
-    m = (track.mel + MEL_SHIFT) / MEL_SCALE
+    return _frame_inputs(track, 0, track.n_frames)
+
+
+def _frame_inputs(track: FrameTrack, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of `track_inputs`; every value is its frame's own."""
+    p = (track.pitch_filled[start:stop] - PITCH_CENTER) / PITCH_SCALE
+    v = track.voiced[start:stop].astype(np.float64)
+    m = (track.mel[start:stop] + MEL_SHIFT) / MEL_SCALE
     return np.concatenate([p[:, None], v[:, None], m], axis=1)
+
+
+def frame_windows(T: int) -> list[tuple[int, int, int, int]]:
+    """(start, stop, lo, hi) of each inference window of a T-frame take: it
+    reads frames start..stop-1 and keeps frames lo..hi-1.
+
+    The kept cores tile 0..T-1 in runs of WINDOW_CORE.  A take of at most
+    WINDOW frames is one window.  Otherwise every window but the last reads
+    WINDOW frames, WINDOW_HALO before its core where the take allows (the
+    first window starts at 0 and keeps the first WINDOW_CORE frames); the
+    last reads from WINDOW_HALO before its core to the take's end, so it is
+    shorter than WINDOW and runs in a pass of its own."""
+    if T <= WINDOW:
+        return [(0, T, 0, T)]
+    windows = []
+    for lo in range(0, T, WINDOW_CORE):
+        hi = min(lo + WINDOW_CORE, T)
+        start = lo - WINDOW_HALO if hi == T else min(max(lo - WINDOW_HALO, 0), T - WINDOW)
+        windows.append((start, hi if hi == T else start + WINDOW, lo, hi))
+    return windows
+
+
+def windowed(forward_batch: Callable, track: FrameTrack) -> np.ndarray:
+    """One value per frame of `track` from `forward_batch` ([B, t, 2 + n_mels]
+    -> [B, t]), run without recording on the `frame_windows` of the take,
+    in groups of up to WINDOW_GROUP consecutive windows of one length; each
+    frame's value comes from the core of the one window that keeps it."""
+    out = np.empty(track.n_frames)
+    with nn.no_grad():
+        for _, same in itertools.groupby(frame_windows(track.n_frames), key=lambda w: w[1] - w[0]):
+            same = list(same)
+            for g in range(0, len(same), WINDOW_GROUP):
+                group = same[g : g + WINDOW_GROUP]
+                first = group[0][0]
+                x = _frame_inputs(track, first, group[-1][1])
+                y = forward_batch(np.stack([x[a - first : b - first] for a, b, _, _ in group])).data
+                for row, (a, _, lo, hi) in zip(y, group):
+                    out[lo:hi] = row[lo - a : hi - a]
+    return out
 
 
 @dataclass
@@ -46,20 +107,11 @@ class FrameEncoder(nn.Module):
         self.fuse = nn.Linear(rng, 2 * d, d)
         self.encoder = nn.LocalEncoder(cfg)
 
-    def _fused(self, x: nn.Tensor) -> nn.Tensor:
-        return self.fuse(nn.concat([self.pitch_proj(x[:, :, 0:2]), self.mel_proj(x[:, :, 2:])], axis=-1))
-
     def __call__(self, x) -> nn.Tensor:
-        """x: Tensor or ndarray [B, T, 2 + n_mels] -> hidden [B, T, D].
-
-        Not recorded, the two input projections and the fusion run on row
-        blocks (`nncore.row_blocks`) into one [B, T, D] array: every step
-        is row-wise, so the same bytes."""
+        """x: Tensor or ndarray [B, T, 2 + n_mels] -> hidden [B, T, D], with
+        positions 0..T-1 in every row of the batch: in training a crop, at
+        inference one of `windowed`'s windows."""
         if not isinstance(x, nn.Tensor):
             x = nn.Tensor(x)
-        if self.records(x):
-            return self.encoder(self._fused(x))
-        h = np.empty(x.shape[:-1] + (self.cfg.model_dim,))
-        for rows in nn.row_blocks(x.shape[-2]):
-            h[rows] = self._fused(nn.Tensor(x.data[rows])).data
-        return self.encoder(nn.Tensor(h))
+        fused = self.fuse(nn.concat([self.pitch_proj(x[:, :, 0:2]), self.mel_proj(x[:, :, 2:])], axis=-1))
+        return self.encoder(fused)

@@ -39,7 +39,6 @@ from .layers import (
     MultiHeadAttention,
     attention,
     sinusoid_positions,
-    row_blocks,
     uniform_init,
 )
 from .losses import focal_loss, PROB_EPS

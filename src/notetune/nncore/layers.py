@@ -18,31 +18,8 @@ import numpy as np
 from . import tensor as tz
 from .tensor import Tensor
 
-# most rows per block of a row-wise step that is not recorded
-ROW_BLOCK = 512
-
-
-def row_blocks(T: int) -> list:
-    """Index expressions [..., a:b, :] that split T rows into near-equal
-    blocks of at most ROW_BLOCK rows, none of one row unless T is 1.
-
-    A row-wise step run on these blocks gives the bytes it gives on all T
-    rows at once where each row of a product is computed alike whatever
-    rows share its product.  With OpenBLAS that holds for the 32- and
-    64-column products of the frame models, not for every width (a
-    [rows, 64] @ [64, 340] product rounds its last 4 columns by the rows
-    around them), and never for a one-row product, which numpy hands to
-    gemv.  The tests compare the blocked and the recorded frame models."""
-    n = -(-T // ROW_BLOCK)
-    return [np.s_[..., T * i // n : T * (i + 1) // n, :] for i in range(n)]
-
-
 class Module:
     """Parameter container; children register through attribute assignment."""
-
-    def records(self, x: Tensor) -> bool:
-        """Whether this module's nodes on input `x` are recorded (`tensor._records`)."""
-        return tz._records((x, *self.params().values()))
 
     def params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -187,31 +164,16 @@ class StreamAttention(Module):
         return xs + tz.banded_attention(self.wq[j](h), self.wk[j](h), self.wv[j](h), self.cfg.window)
 
     def __call__(self, x: Tensor) -> Tensor:
-        """Not recorded, each stream's output goes straight into its columns
-        of one preallocated array, in place of the concatenation."""
+        """Each stream on its own channel group; the outputs are concatenated in stream order."""
         d = self.cfg.head_dim
-        cols = [np.s_[..., j * d : (j + 1) * d] for j in range(self.cfg.heads)]
-        if self.records(x):
-            return tz.concat([self._stream(j, x[c]) for j, c in enumerate(cols)], axis=-1)
-        out = np.empty(x.shape)
-        for j, c in enumerate(cols):
-            out[c] = self._stream(j, Tensor(x.data[c])).data
-        return Tensor(out)
+        return tz.concat([self._stream(j, x[..., j * d : (j + 1) * d]) for j in range(self.cfg.heads)], axis=-1)
 
 
 class Geglu(Module):
     """Pre-norm GEGLU feedforward with a residual (Shazeer 2020):
     x + out(val * gelu(gate)), where [val, gate] = proj(norm(x)) splits the
     2 * inner projection in halves.  The gating is one node,
-    `tensor.geglu`.
-
-    Not recorded, the projection is still one product over all T frames,
-    but the gating, `out` and the residual run on `row_blocks` into one
-    preallocated output, so the [..., T, inner] gated array and the
-    [..., T, dim] `out` product never exist for the whole input; same
-    bytes.  The projection stays whole: with OpenBLAS, blocks of it move
-    its last 4 of 340 columns by an ulp, and with them the frame models'
-    outputs and the detuner's training targets."""
+    `tensor.geglu`, which under `no_grad` gates in its cdf buffer."""
 
     def __init__(self, rng, dim: int, inner: int):
         self.norm = LayerNorm(dim)
@@ -220,13 +182,7 @@ class Geglu(Module):
         self.inner = inner
 
     def __call__(self, x: Tensor) -> Tensor:
-        if self.records(x):
-            return x + self.out(tz.geglu(self.proj(self.norm(x)), self.inner))
-        h = self.proj(self.norm(x)).data
-        out = np.empty(x.shape)
-        for rows in row_blocks(x.shape[-2]):
-            out[rows] = (Tensor(x.data[rows]) + self.out(tz.geglu(Tensor(h[rows]), self.inner))).data
-        return Tensor(out)
+        return x + self.out(tz.geglu(self.proj(self.norm(x)), self.inner))
 
 
 class LocalEncoder(Module):

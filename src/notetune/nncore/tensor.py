@@ -16,11 +16,11 @@ One rule, `_records`, decides whether a node is recorded: gradients are
 enabled (no `no_grad` block) and some parent requires a gradient or is
 itself a recorded node.  A node that is not recorded keeps nothing for a
 backward pass, so it may overwrite its own temporaries (`geglu` returns
-its cdf buffer), but never its inputs, which the caller still owns.  It
-may also compute in blocks, so that its wide temporaries never exist for
-the whole input at once (`banded_attention` scores `BAND_GROUP` query
-blocks at a time, `gru_sequence` keeps no gates); each such node says in
-its docstring that its blocks give the recorded path's bytes.
+its cdf buffer) or not keep them (`gru_sequence` keeps no gates), but
+never its inputs, which the caller still owns; each such node says in its
+docstring that it gives the recorded path's bytes.  No node splits its
+input into blocks: inference bounds memory by what it feeds the graph
+(the frame models see windows of at most 256 frames, `frontend.windowed`).
 
 `backward` releases the graph as it sweeps: each node drops its backward
 closure and its parents once its own backward has run, so the forward
@@ -36,9 +36,6 @@ import math
 import numpy as np
 
 _GRAD_ENABLED = True
-
-# query blocks of `banded_attention` scored at a time when not recorded
-BAND_GROUP = 16
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -648,25 +645,6 @@ def _fold_bands(g: np.ndarray, w: int, n_blocks: int, T: int) -> np.ndarray:
     return out.reshape(lead + ((n_blocks + 2) * w, d))[..., w : w + T, :]
 
 
-def _band_probs(qb, kt, band, scale, b0, nb, T, w):
-    """Attention probabilities [..., G, w, 3w] of query blocks b0..b0+G-1
-    (of nb) against their key bands, scaled, masked, exponentiated and
-    normalised in place in one buffer.  Each block's scores are their own
-    [w, d] @ [d, 3w] product and each row is normalised on its own, so a
-    block's bytes do not depend on which blocks are scored with it."""
-    p = qb @ kt
-    p *= scale
-    p += band
-    if b0 == 0:
-        p[..., 0, :, :w] += -1e30  # key index (b - 1) * w + c < 0
-    for b in range(max(nb - 2, b0), min(nb, b0 + p.shape[-3])):
-        p[..., b - b0, :, T - (b - 1) * w :] += -1e30  # key index >= T
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
-
-
 def banded_attention(q: Tensor, k: Tensor, v: Tensor, window: int):
     """Scaled dot-product attention where query i sees key j only when
     |i - j| <= window; q, k, v are [..., T, d].
@@ -683,12 +661,6 @@ def banded_attention(q: Tensor, k: Tensor, v: Tensor, window: int):
     pass builds its score gradient in place too; no mask is cached between
     calls.  Any window >= T - 1 gives the same w, and so exactly the same
     arithmetic.
-
-    Recorded, the probabilities of all blocks are kept for the backward
-    pass.  Not recorded, `BAND_GROUP` query blocks are scored at a time and
-    multiplied into one preallocated output, so the probabilities take
-    [..., BAND_GROUP, w, 3w] instead of [..., T / w, w, 3w]; every block is
-    its own product either way, so the output bytes are the same.
     """
     T, d = q.shape[-2], q.shape[-1]
     w = max(1, min(window, T - 1))
@@ -702,14 +674,15 @@ def banded_attention(q: Tensor, k: Tensor, v: Tensor, window: int):
     qb = np.pad(q.data, tail).reshape(lead + (nb, w, d))
     kt = _band_blocks(k.data, w, nb)
     vt = _band_blocks(v.data, w, nb)
-    if not _records((q, k, v)):
-        out = np.empty(lead + (nb, w, d))
-        for b0 in range(0, nb, BAND_GROUP):
-            g = np.s_[..., b0 : b0 + BAND_GROUP, :, :]
-            p = _band_probs(qb[g], kt[g], band, scale, b0, nb, T, w)
-            np.matmul(p, vt[g].swapaxes(-1, -2), out=out[g])
-        return Tensor(out.reshape(lead + (nb * w, d))[..., :T, :])
-    p = _band_probs(qb, kt, band, scale, 0, nb, T, w)
+    p = qb @ kt
+    p *= scale
+    p += band
+    p[..., 0, :, :w] += -1e30  # key index (b - 1) * w + c < 0
+    for b in range(max(nb - 2, 0), nb):
+        p[..., b, :, T - (b - 1) * w :] += -1e30  # key index >= T
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
     out_data = (p @ vt.swapaxes(-1, -2)).reshape(lead + (nb * w, d))[..., :T, :]
 
     def bw(g):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nncore as nn
 from .features import FrameTrack
-from .frontend import FrameEncoder, FrameEncoderConfig, track_inputs
+from .frontend import FrameEncoder, FrameEncoderConfig, windowed
 
 BRIDGE_SEC = 0.2
 MIN_SPAN_FRAMES = 10
@@ -48,7 +48,8 @@ class Segmenter(nn.Module):
         self.head_out = nn.Linear(rng, cfg.model_dim, 1)
 
     def forward_batch(self, x) -> nn.Tensor:
-        """[B, T, 2+n_mels] -> boundary probabilities [B, T]."""
+        """[B, T, 2+n_mels] -> boundary probabilities [B, T]; the GRU head
+        starts every row of the batch from a zero state."""
         h = self.encoder(x)
         g = self.head_gru(h)
         logits = self.head_out(g)
@@ -56,9 +57,9 @@ class Segmenter(nn.Module):
         return nn.sigmoid(logits.reshape((B, T)))
 
     def predict(self, track: FrameTrack) -> np.ndarray:
-        with nn.no_grad():
-            probs = self.forward_batch(track_inputs(track)[None, :, :])
-        return probs.data[0]
+        """Boundary probability per frame, from `forward_batch` on the
+        inference windows of the take (`frontend.windowed`)."""
+        return windowed(self.forward_batch, track)
 
 
 # ---- labels ---------------------------------------------------------------

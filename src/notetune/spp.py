@@ -15,7 +15,7 @@ import numpy as np
 
 from . import nncore as nn
 from .features import FrameTrack
-from .frontend import FrameEncoder, FrameEncoderConfig, track_inputs
+from .frontend import FrameEncoder, FrameEncoderConfig, windowed
 from .segmenter import NoteInterval
 
 PTR_LO_CENTS = -10.0
@@ -55,9 +55,9 @@ class StationaryPitchPredictor(nn.Module):
         return e.reshape((B, T))
 
     def frame_logits(self, track: FrameTrack) -> np.ndarray:
-        with nn.no_grad():
-            e = self.forward_batch(track_inputs(track)[None, :, :])
-        return e.data[0]
+        """Logit per frame, from `forward_batch` on the inference windows of
+        the take (`frontend.windowed`)."""
+        return windowed(self.forward_batch, track)
 
     def estimate(self, track: FrameTrack, notes: list[NoteInterval]) -> list[StationaryEstimate]:
         logits = self.frame_logits(track)

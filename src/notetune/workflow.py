@@ -735,12 +735,14 @@ def stage_correct(
     shifted audio and its residuals.
 
     The input samples are dropped once the take is tracked and read again
-    for `shift_audio`, so the frame models run without them; a take whose
-    length changed in between is an error.  The verify pass re-tracks the
-    written audio and re-estimates each note's stationary pitch; by then
-    neither the input samples nor the corrected ones are held (each is
-    dropped once its last reader has returned), only the two tracks, the
-    plan and the models."""
+    for `shift_audio`, so the frame models, which run on windows of at most
+    256 frames (`frontend.windowed`), run without them; a take whose length
+    changed in between is an error.  `shift_audio` corrects the samples read
+    again in place, and `write_wav` writes them in blocks.  The verify pass
+    re-tracks the written audio and re-estimates each note's stationary
+    pitch; by then the samples are not held (they are dropped once their
+    last reader has returned), only the two tracks, the plan and the
+    models."""
     if annotations is not None:
         ann = dk.import_annotations(annotations)
         meta = sym.GridMeta.from_annotation(ann)
@@ -786,11 +788,10 @@ def stage_correct(
     wav = ft.load_audio(in_wav, sr)
     if len(wav) != n_samples:
         raise ft.AudioIOError(f"{in_wav} changed while it was corrected: {n_samples} samples, now {len(wav)}")
-    corrected = corr.shift_audio(wav, plan, track)
+    wav = corr.shift_audio(wav, plan, track)
+    ft.write_wav(out_path, wav, sr)
+    track2 = _extract_track(wav, audio_cfg)
     del wav
-    ft.write_wav(out_path, corrected, sr)
-    track2 = _extract_track(corrected, audio_cfg)
-    del corrected
     ests2 = pipeline.spp.estimate(track2, notes)
     rows = corr.verify_plan(ests2, plan, track)
     residuals = [r["residual_cents"] for r in rows if not r["flagged"]]

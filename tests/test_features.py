@@ -558,6 +558,26 @@ def test_write_wav_bytes_match_the_two_temporary_expression(tmp_path):
     assert pcm.tobytes() == np.clip(np.round(wav * 32767.0), -32768, 32767).astype(np.int16).tobytes()
 
 
+def _one_buffer_wav_bytes(wav, sr):
+    """The RIFF file of the whole take scaled, rounded and clipped in one
+    float buffer and converted at once."""
+    pcm = np.multiply(wav, 32767.0)
+    np.round(pcm, out=pcm)
+    np.clip(pcm, -32768, 32767, out=pcm)
+    samples = pcm.astype("<i2").tobytes()
+    n = len(samples)
+    return struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + n, b"WAVE", b"fmt ", 16,
+                       F.WAVE_FORMAT_PCM, 1, sr, 2 * sr, 2, 16, b"data", n) + samples
+
+
+@pytest.mark.parametrize("n", [0, 1, F.WAV_BLOCK - 1, F.WAV_BLOCK, F.WAV_BLOCK + 1])
+def test_write_wav_in_blocks_writes_the_one_buffer_bytes(tmp_path, n):
+    # half the samples beyond +-1, so both clips act in every block
+    wav = np.random.default_rng(n).uniform(-2.0, 2.0, n)
+    F.write_wav(tmp_path / "w.wav", wav, SR)
+    assert (tmp_path / "w.wav").read_bytes() == _one_buffer_wav_bytes(wav, SR)
+
+
 def test_write_wav_holds_one_float_buffer_beside_the_samples(tmp_path):
     # 60 s: the samples take 10.6 MB; scaling, rounding and clipping in one
     # float64 buffer plus the int16 cast peak at 13.2 MB traced above them,

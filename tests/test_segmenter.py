@@ -7,7 +7,8 @@ from conftest import make_track
 from notetune import nncore as nn
 from notetune import segmenter as seg
 from notetune import spp as sp
-from notetune.nncore import layers
+from notetune import frontend
+from notetune.config import DEFAULTS
 from notetune.frontend import FrameEncoderConfig, track_inputs
 
 
@@ -165,11 +166,10 @@ def test_forward_outputs_are_probabilities_and_deterministic():
     assert np.array_equal(p1, p2)
 
 
-@pytest.mark.parametrize("T", [1, 2, 300, layers.ROW_BLOCK + 1, 2 * layers.ROW_BLOCK + 77])
+@pytest.mark.parametrize("T", [1, 2, 300, 513, 1101])
 def test_frame_models_unrecorded_return_the_recorded_bytes(T):
-    # default shape, so every blocked product has 32 or 64 columns; more than
-    # one row block, and T = ROW_BLOCK + 1, which fixed blocks would leave
-    # a one-row product
+    # default shape; lengths past one inference window, as a caller of
+    # forward_batch may pass any
     pitch = 60 + np.random.default_rng(T).normal(0, 1, size=T)
     pitch[T // 3 : T // 2] = np.nan
     x = track_inputs(make_track(pitch))[None, :, :]
@@ -181,37 +181,71 @@ def test_frame_models_unrecorded_return_the_recorded_bytes(T):
         assert plain.shape == recorded.shape and plain.data.tobytes() == recorded.data.tobytes()
 
 
-def test_predict_on_4096_frames_holds_one_geglu_temporary_beside_the_projection(monkeypatch):
-    # Default shape (inner = 170).  Traced peaks above what was held: the
-    # two-slice, gelu, mul chain took 33.4 MB for predict and 22.35 MB in
-    # each GEGLU step (h plus two [T, inner] arrays); the one-node geglu
-    # takes 28.0 MB and 16.78 MB (h plus one)
+WINDOW_LENGTHS = [1, 255, 256, 257, 2 * frontend.WINDOW_CORE + 1, 5168]
+
+
+@pytest.mark.parametrize("T", WINDOW_LENGTHS)
+def test_frame_windows_tile_the_take_with_cores_no_window_longer_than_the_crop(T):
+    windows = frontend.frame_windows(T)
+    kept = np.zeros(T, dtype=int)
+    for start, stop, lo, hi in windows:
+        assert 0 <= start <= lo < hi <= stop <= T
+        assert stop - start <= frontend.WINDOW == DEFAULTS["segmenter"]["train"]["crop"]
+        assert stop - start <= DEFAULTS["spp"]["train"]["crop"]
+        kept[lo:hi] += 1
+    assert np.all(kept == 1)
+    # only the last window may be shorter than WINDOW, when the take is longer
+    assert all(stop - start == min(T, frontend.WINDOW) for start, stop, _, _ in windows[:-1])
+
+
+def _reference_windowed(forward_batch, track):
+    """Each window's core rows of the recorded `forward_batch` on its frames.
+    The windows go in the batches `windowed` runs: the full ones in runs of
+    WINDOW_GROUP, the last alone, since one GRU step on one row (gemv) rounds
+    unlike one on several."""
+    x = track_inputs(track)
+    windows = frontend.frame_windows(track.n_frames)
+    full = windows[:-1]
+    batches = [full[i : i + frontend.WINDOW_GROUP] for i in range(0, len(full), frontend.WINDOW_GROUP)]
+    out = np.full(track.n_frames, np.nan)
+    for batch in batches + [windows[-1:]]:
+        y = forward_batch(np.stack([x[start:stop] for start, stop, _, _ in batch]))
+        assert y._backward is not None
+        for row, (start, _, lo, hi) in zip(y.data, batch):
+            assert np.all(np.isnan(out[lo:hi]))
+            out[lo:hi] = row[lo - start : hi - start]
+    return out
+
+
+@pytest.mark.parametrize("T", WINDOW_LENGTHS)
+def test_frame_models_on_a_take_run_the_recorded_forward_on_each_window(T):
+    rng = np.random.default_rng(T)
+    pitch = 60 + rng.normal(0, 1, size=T)
+    pitch[T // 3 : T // 2] = np.nan
+    track = make_track(pitch)
+    track.mel[:] += rng.normal(0, 1, size=track.mel.shape)
+    segmenter, spp = seg.Segmenter(FrameEncoderConfig()), sp.StationaryPitchPredictor(FrameEncoderConfig())
+    for got, model in ((segmenter.predict(track), segmenter), (spp.frame_logits(track), spp)):
+        want = _reference_windowed(model.forward_batch, track)
+        assert got.shape == (T,) and got.tobytes() == want.tobytes()
+
+
+def test_predict_peak_does_not_grow_with_the_take():
+    # default shape.  A whole-take pass held the [T, 2 * inner] projection,
+    # 28.0 MB traced at 4,096 frames; on windows the peak is one group's,
+    # 14.0 MB, and only the [T] output grows: 0.12 MB more at 16,384 frames
     model = seg.Segmenter(FrameEncoderConfig())
-    T, inner = 4096, model.cfg.ffn_inner
-    track = make_track(60 + np.random.default_rng(13).normal(0, 1, size=T))
-    raw = layers.Geglu.__call__
-    steps = []
-
-    def traced(self, x):
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        out = raw(self, x)
-        steps.append(tracemalloc.get_traced_memory()[1] - held)
-        return out
-
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        model.predict(track)
-        whole = tracemalloc.get_traced_memory()[1] - held
-        monkeypatch.setattr(layers.Geglu, "__call__", traced)
-        model.predict(track)
-    finally:
-        tracemalloc.stop()
-    assert whole < 31e6, whole / 1e6
-    h_bytes = T * 2 * inner * 8
-    assert len(steps) == model.cfg.layers
-    assert max(steps) < h_bytes + 1.5 * T * inner * 8, [s / 1e6 for s in steps]
+    peaks = []
+    for T in (4096, 16384):
+        track = make_track(60 + np.random.default_rng(13).normal(0, 1, size=T))
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            model.predict(track)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 1e6, [p / 1e6 for p in peaks]
 
 
 def test_predict_on_a_60_s_take_holds_the_projection_and_few_take_long_rows_beside_it():

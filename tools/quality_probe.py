@@ -7,9 +7,14 @@ For each seed S, runs `workflow.run_full_recipe` into WORKDIR/seed_S with
 eval sets of 8 (spp_bench), 8 (moderate_eval), 8 (high_eval) and 2
 (intune_eval) songs, `seed=S` and two extract jobs.  It prints one JSON line
 per seed: the ablation RPA of each variant on each split, the spp_bench PTR
-of each stationary-pitch estimator, and the run's wall time.  Then it prints
-one JSON line per row (`rpa <variant>`, `ptr`), giving for each column the
-median and the min-max over the seeds.
+of each stationary-pitch estimator, the segmenter's onset F1 on
+moderate_eval and high_eval (`workflow._validate_segmenter`), the notes
+`correct` detects on the benchmark's 60 s and 3-minute takes
+(`perfbench/fixture.long_takes(7, ..., 60)` and `long_takes(8, ..., 180)`,
+90 and 270 annotated notes, rendered once into WORKDIR/long_takes), and the
+run's wall time.  Then it prints one JSON line per row (`rpa <variant>`,
+`ptr`, `onset_f1`, `notes`), giving for each column the median and the
+min-max over the seeds.
 
 A WORKDIR/seed_S left by an earlier run is reused as the stages reuse their
 outputs, so give a fresh WORKDIR to measure a change.
@@ -31,11 +36,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from fixture import FIXTURE_OVERRIDES  # noqa: E402
+from fixture import FIXTURE_OVERRIDES, long_takes  # noqa: E402
+from notetune import features as ft  # noqa: E402
 from notetune import workflow as wf  # noqa: E402
 from notetune.config import load_config  # noqa: E402
 
 EVAL_SONGS = {"spp_bench": 8, "moderate_eval": 8, "high_eval": 8, "intune_eval": 2}
+LONG_TAKES = {"60 s": (7, 60.0), "180 s": (8, 180.0)}  # column: (take seed, seconds)
 
 
 def probe_config(seed: int) -> dict:
@@ -44,14 +51,30 @@ def probe_config(seed: int) -> dict:
     return load_config(overrides=overrides + [f"seed={seed}"])
 
 
-def run_seed(workdir: Path, seed: int) -> dict:
+def long_tracks(workdir: Path, cfg: dict) -> dict:
+    """The track of each of LONG_TAKES, rendered into WORKDIR/long_takes."""
+    tracks = {}
+    for column, (take_seed, seconds) in LONG_TAKES.items():
+        (take,) = long_takes(take_seed, workdir / "long_takes" / f"{take_seed}", seconds)
+        tracks[column] = wf._extract_track(ft.load_audio(take["wav"], cfg["audio"]["sample_rate"]), cfg["audio"])
+    return tracks
+
+
+def run_seed(workdir: Path, seed: int, tracks: dict) -> dict:
     start = time.perf_counter()
-    metrics = wf.run_full_recipe(probe_config(seed), workdir / f"seed_{seed}", jobs=2)["metrics"]
+    cfg = probe_config(seed)
+    metrics = wf.run_full_recipe(cfg, workdir / f"seed_{seed}", jobs=2)["metrics"]
+    data, ckpt = workdir / f"seed_{seed}" / "data", workdir / f"seed_{seed}" / "checkpoints"
+    segmenter = wf.load_segmenter(ckpt, cfg)
+    doc = wf.load_dataset(data)
     return {
         "seed": seed,
         "seconds": round(time.perf_counter() - start, 1),
         "rpa": metrics["ablation_rpa"],
         "ptr": {name: score["ptr_percent"] for name, score in metrics["spp_benchmark"].items()},
+        "onset_f1": {split: wf._validate_segmenter(segmenter, wf.songs_by(data, doc, subset=split), cfg)["f1"]
+                     for split in ("moderate_eval", "high_eval")},
+        "notes": {column: len(wf._detect_notes(segmenter, track, cfg)) for column, track in tracks.items()},
     }
 
 
@@ -64,12 +87,14 @@ def main(argv: list[str]) -> int:
     parser.add_argument("workdir", type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     args = parser.parse_args(argv)
+    tracks = long_tracks(args.workdir, probe_config(args.seeds[0]))
     runs = []
     for seed in args.seeds:
-        runs.append(run_seed(args.workdir, seed))
+        runs.append(run_seed(args.workdir, seed, tracks))
         print(json.dumps(runs[-1]), flush=True)
     rows = {f"rpa {variant}": [run["rpa"][variant] for run in runs] for variant in wf.VARIANTS}
-    rows["ptr"] = [run["ptr"] for run in runs]
+    for row in ("ptr", "onset_f1", "notes"):
+        rows[row] = [run[row] for run in runs]
     for row, cells in rows.items():
         print(json.dumps({"row": row, **{col: spread([c[col] for c in cells]) for col in cells[0]}}))
     return 0
