@@ -39,7 +39,6 @@ DEFAULTS = {
         "train": {
             "steps": 1500,
             "batch": 8,
-            "crop": 256,
             "lr": 1e-3,
             "warmup": 50,
             "weight_decay": 0.01,
@@ -56,7 +55,6 @@ DEFAULTS = {
         "train": {
             "steps": 1200,
             "batch": 4,
-            "crop": 256,
             "lr": 1e-3,
             "warmup": 50,
             "weight_decay": 0.01,
@@ -118,13 +116,13 @@ def apply_override(cfg: dict, dotted: str):
 
 
 EVAL_SET_KEYS = {"n_songs", "detune"}
-WHOLE_MINIMUM = {"seed": 0, "steps": 0, "n_songs": 0, "batch": 1, "crop": 1, "eval_every": 1}
+WHOLE_MINIMUM = {"seed": 0, "steps": 0, "n_songs": 0, "batch": 1, "eval_every": 1}
 
 
 def _check_keys(node: dict, ref: dict, path: str):
     """Reject keys that `ref` (DEFAULTS) does not have, objects where it has
     a plain value or the reverse, a value that is not an int (bools are not)
-    where `ref` holds an int, and a seed, steps, n_songs, batch, crop or
+    where `ref` holds an int, and a seed, steps, n_songs, batch or
     eval_every below WHOLE_MINIMUM.  New corpus.eval_sets entries must give
     exactly n_songs and detune."""
     for key, value in node.items():

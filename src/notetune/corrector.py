@@ -1,13 +1,14 @@
-"""Note-level pitch correction: per-note deltas, target curve, resynthesis.
+"""Note-level pitch correction: per-note deltas, target contour, resynthesis.
 
 The correction is a pure per-note offset: delta_i = stationary estimate -
 target pitch, and every voiced frame's target is its input pitch minus the
-note's delta.  Deltas are quantized to 2^-13 semitones (about 0.01 cents,
-far below audibility) and `FrameTrack` holds its pitch on a 2^-32-semitone
-grid; on these two grids the per-frame subtraction is exact in float64,
-also where it crosses a power of two (61.3 -> 66 crosses 64), so the
-contour shape is preserved bit-for-bit.  The delta grid alone would not
-do: float64 spacing doubles at each power of two.
+note's delta; PSOLA renders that per-frame contour.  Deltas are quantized
+to 2^-13 semitones (about 0.01 cents, far below audibility) and
+`FrameTrack` holds its pitch on a 2^-32-semitone grid; on these two grids
+the per-frame subtraction is exact in float64, also where it crosses a
+power of two (61.3 -> 66 crosses 64), so the contour shape is preserved
+bit-for-bit.  The delta grid alone would not do: float64 spacing doubles
+at each power of two.
 
 Audio is shifted with time-domain PSOLA over voiced regions (epoch spacing
 from the tracked f0), unvoiced audio passes through, and joins get a 10 ms
@@ -26,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .evalkit import note_pitch_curve
 from .features import FrameTrack, semitones_to_hz
 from .segmenter import NoteInterval
 from .spp import StationaryEstimate
@@ -43,11 +45,10 @@ def quantize_delta(delta: float) -> float:
 
 @dataclass
 class CorrectionPlan:
-    deltas: np.ndarray  # per note, semitones
+    deltas: np.ndarray  # per note, semitones: stationary estimate - target
     est_pitch: np.ndarray  # stationary estimates per note
     targets: np.ndarray  # predicted note pitches per note
-    target_pitch: np.ndarray  # per frame, NaN where no voiced target
-    note_map: np.ndarray  # frame -> note index, -1 outside notes
+    target_pitch: np.ndarray  # per frame, the contour to render; NaN where unshifted
     notes: list[NoteInterval]
 
 
@@ -60,8 +61,9 @@ def build_plan(
     """delta_i = p_hat_i - p_tilde_i; frame targets = input pitch - delta.
 
     `target_pitch - track.pitch_semitones` is exactly -delta_i on every
-    voiced frame of note i, because the track's pitch grid (see
-    `FrameTrack`) and the delta grid make the subtraction exact.
+    voiced frame of note i (the later of overlapping notes), because the
+    track's pitch grid (see `FrameTrack`) and the delta grid make the
+    subtraction exact; it is NaN on every other frame.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if not (len(estimates) == len(targets) == len(notes)):
@@ -69,24 +71,15 @@ def build_plan(
             f"misaligned inputs: {len(estimates)} estimates, "
             f"{len(targets)} targets, {len(notes)} notes"
         )
-    T = track.n_frames
-    deltas = np.zeros(len(notes))
-    est = np.zeros(len(notes))
-    note_map = np.full(T, -1, dtype=np.int64)
-    target_pitch = np.full(T, np.nan)
-    for i, (e, tgt, note) in enumerate(zip(estimates, targets, notes)):
-        est[i] = e.pitch
-        deltas[i] = 0.0 if e.flagged else quantize_delta(e.pitch - tgt)
-        a, b = note.start_frame, max(note.start_frame, min(note.end_frame, T))
-        note_map[a:b] = i
-        sel = track.voiced[a:b]
-        target_pitch[a:b][sel] = track.pitch_semitones[a:b][sel] - deltas[i]
+    est = np.array([e.pitch for e in estimates], dtype=np.float64)
+    deltas = np.array([0.0 if e.flagged else quantize_delta(e.pitch - t) for e, t in zip(estimates, targets)])
+    curve = note_pitch_curve(notes, deltas, track.n_frames)
+    target_pitch = np.where(track.voiced, track.pitch_semitones - curve, np.nan)
     return CorrectionPlan(
         deltas=deltas,
         est_pitch=est,
         targets=targets,
         target_pitch=target_pitch,
-        note_map=note_map,
         notes=notes,
     )
 
@@ -163,8 +156,12 @@ def _psola_region(wav, out, norm, off, a, b, hop, f0_hz, period, spacing, sr):
 
 
 def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.ndarray:
-    """Per-note pitch shift of `wav` by 2^(-delta/12), in place, duration
-    preserved; returns `wav`.
+    """Render the contour `plan.target_pitch` into `wav`, in place, duration
+    preserved; returns `wav`.  Each frame with a finite target moves by its
+    target minus its input pitch, clamped per frame to +-MAX_SHIFT_SEMITONES
+    (by -delta_i on the voiced frames of note i, in a plan of `build_plan`).
+    The clamp warning counts the notes whose delta exceeds the limit; a plan
+    whose deltas are all zero returns `wav` untouched.
 
     The epochs step on per-frame tables of period and synthesis spacing,
     which is exact because f0 and ratio are constant over each hop: numpy's
@@ -186,25 +183,23 @@ def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.
     hop = track.hop
     n = len(wav)
     T = track.n_frames
-    if len(plan.note_map) != T:
-        raise ValueError(f"plan covers {len(plan.note_map)} frames but the track has {T}")
+    if len(plan.target_pitch) != T:
+        raise ValueError(f"plan covers {len(plan.target_pitch)} frames but the track has {T}")
 
-    deltas = plan.deltas.copy()
-    too_big = np.abs(deltas) > MAX_SHIFT_SEMITONES
+    too_big = np.abs(plan.deltas) > MAX_SHIFT_SEMITONES
     if too_big.any():
         log.warning(
             "clamping %d note shift(s) beyond +-%.0f semitones",
             int(too_big.sum()),
             MAX_SHIFT_SEMITONES,
         )
-        deltas = np.clip(deltas, -MAX_SHIFT_SEMITONES, MAX_SHIFT_SEMITONES)
-    if not deltas.any():
+    if not plan.deltas.any():
         return wav
 
+    shifted = np.isfinite(plan.target_pitch)
+    shift = plan.target_pitch[shifted] - track.pitch_semitones[shifted]
     frame_ratio = np.ones(T)
-    covered = plan.note_map >= 0
-    frame_ratio[covered] = np.exp2(-deltas[plan.note_map[covered]] / 12.0)
-    frame_voiced = track.voiced & covered
+    frame_ratio[shifted] = np.exp2(np.clip(shift, -MAX_SHIFT_SEMITONES, MAX_SHIFT_SEMITONES) / 12.0)
 
     # one entry per frame that a sample reaches; past the track, the last frame
     frames = np.minimum(np.arange(max(T, -(-n // hop))), T - 1)
@@ -213,7 +208,7 @@ def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.
     spacing = (sr / f0 / frame_ratio[frames]).tolist()
     reach = int(np.maximum(np.round(sr / f0), 2).max()) + 2
 
-    regions = [(a, b) for a, b in _frame_regions(frame_voiced[frames], hop, n) if b - a > 32]
+    regions = [(a, b) for a, b in _frame_regions(shifted[frames], hop, n) if b - a > 32]
     fade = max(int(CROSSFADE_SEC * sr), 8)
     theta = 0.5 * np.pi * (np.arange(fade) + 1) / (fade + 1)
     win_in, win_out = np.sin(theta), np.cos(theta)

@@ -63,8 +63,8 @@ class FrameTrack:
     about 1e-8 cents); NaN stays NaN and the caller's array is untouched.
     On this grid a pitch minus any delta on the corrector's 2^-13 grid is
     exact in float64 whenever the result is below 2^21 in magnitude, even
-    when it crosses a power of two, so a correction plan moves every frame
-    of a note by exactly its delta.
+    when it crosses a power of two, so the shift that `shift_audio` reads
+    off a plan, target minus pitch, is exactly minus its note's delta.
     Rounding is idempotent, so saved tracks load back bit for bit.
 
     `pitch_filled` is the gridded pitch with unvoiced gaps filled by linear
@@ -194,7 +194,7 @@ def load_audio(path, target_sr: int = DEFAULT_SR) -> np.ndarray:
     gives it).  Chunks other than `fmt ` and `data` are skipped.  Any other
     file raises AudioIOError naming it: RF64, RIFX and other containers,
     other sample formats, a `data` chunk longer than the bytes that follow
-    it (a truncated file), and a NaN or infinite sample.  Only a file at
+    it (a truncated file), and a NaN or infinite float sample.  Only a file at
     another rate imports `scipy.signal` for `resample_poly`, once per
     process: that import takes about 1 s and 45 MB of resident memory on
     2 vCPUs, as it pulls in `scipy.stats`, `scipy.linalg`, `scipy.optimize`
@@ -217,7 +217,7 @@ def load_audio(path, target_sr: int = DEFAULT_SR) -> np.ndarray:
         wav /= 128.0
     if wav.ndim == 2:
         wav = wav.mean(axis=1)
-    if not np.isfinite(wav).all():
+    if data.dtype.kind == "f" and not np.isfinite(wav).all():
         raise AudioIOError(f"non-finite samples (NaN or inf) in audio file {path}")
     if file_sr != target_sr:
         # imported here, not at the top, so that a process whose takes are

@@ -5,12 +5,12 @@ mel-spectrogram.  Pitch and voicing go through one projection, mel through
 another; the concatenated projections are fused and encoded by the
 windowed-attention stack.
 
-Both frame models train on crops of 256 frames (`crop` in their `train`
-config), so they only ever learn positions 0..255.  At inference
-(`windowed`) they run on windows of at most WINDOW frames, each with its
-own positions from 0, and keep each window's WINDOW_CORE core frames: a
-take of any length gets positions the models were trained on, and a pass
-holds the activations of WINDOW_GROUP windows, not of the whole take.
+Both frame models train on crops of WINDOW = 256 frames, so they only
+ever learn positions 0..255.  At inference (`windowed`) they run on
+windows of at most WINDOW frames, each with its own positions from 0, and
+keep each window's WINDOW_CORE core frames: a take of any length gets
+positions the models were trained on, and a pass holds the activations of
+WINDOW_GROUP windows, not of the whole take.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ PITCH_SCALE = 12.0
 MEL_SHIFT = 10.0
 MEL_SCALE = 8.0
 
-# inference windows: WINDOW frames, of which the WINDOW_CORE in the middle
-# are kept and WINDOW_HALO each side are context; WINDOW_GROUP windows of
-# one length are stacked on the batch axis of one pass
+# training crops and inference windows: WINDOW frames; of a window, the
+# WINDOW_CORE in the middle are kept and WINDOW_HALO each side are context;
+# WINDOW_GROUP windows of one length are stacked on the batch axis of one pass
 WINDOW = 256
 WINDOW_HALO = 16
 WINDOW_CORE = WINDOW - 2 * WINDOW_HALO

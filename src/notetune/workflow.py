@@ -36,7 +36,7 @@ from . import segmenter as seg
 from . import spp as sp
 from . import symbolic as sym
 from .config import config_hash
-from .frontend import FrameEncoderConfig, track_inputs
+from .frontend import WINDOW, FrameEncoderConfig, track_inputs
 
 log = logging.getLogger(__name__)
 
@@ -302,7 +302,7 @@ def train_segmenter_on(songs, val_songs, cfg: dict) -> tuple[seg.Segmenter, dict
         hard[[n.start_frame for n in song.notes]] = 1.0
         data.append((track_inputs(song.track), hard, seg.soften_labels(hard, scfg["soft_sigma"])))
 
-    crop = min([tr["crop"], *(song.track.n_frames for song in songs)])
+    crop = min([WINDOW, *(song.track.n_frames for song in songs)])
     history = {"loss": [], "val": []}
     for step in range(tr["steps"]):
         xs, softs, hards = [], [], []
@@ -353,7 +353,7 @@ def train_spp_on(songs, val_songs, cfg: dict) -> tuple[sp.StationaryPitchPredict
     opt = nn.AdamW(model.params(), tr["lr"], tr["steps"], tr["warmup"], tr["weight_decay"])
     rng = np.random.default_rng(_derived_seed(cfg["seed"], "train_spp", 0))
     data = [(song, track_inputs(song.track), sp.local_pitch_std(song.track.pitch_filled)) for song in songs]
-    crop = min([tr["crop"], *(song.track.n_frames for song in songs)])
+    crop = min([WINDOW, *(song.track.n_frames for song in songs)])
     history = {"loss": [], "val": []}
     for step in range(tr["steps"]):
         batch = []

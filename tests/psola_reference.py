@@ -2,8 +2,9 @@
 
 `_sample_regions`, `_psola_region` and `shift_audio` are the per-sample form
 that stepped its epochs on arrays of one f0 and one ratio per sample, kept
-verbatim.  `psola_region` is the per-grain overlap-add that the batched
-`_psola_region` replaced, also verbatim.
+verbatim but for reading its frame -> note map from `_note_map`, since a
+plan no longer carries one.  `psola_region` is the per-grain overlap-add
+that the batched `_psola_region` replaced, also verbatim.
 """
 
 from unittest import mock
@@ -12,6 +13,15 @@ import numpy as np
 
 from notetune.corrector import CROSSFADE_SEC, MAX_SHIFT_SEMITONES, CorrectionPlan, log
 from notetune.features import FrameTrack, semitones_to_hz
+
+
+def _note_map(plan: CorrectionPlan) -> np.ndarray:
+    """Frame -> index of the last note of `plan.notes` covering it, -1
+    outside notes, over the plan's `len(plan.target_pitch)` frames."""
+    note_map = np.full(len(plan.target_pitch), -1, dtype=np.int64)
+    for i, note in enumerate(plan.notes):
+        note_map[note.start_frame : note.end_frame] = i
+    return note_map
 
 
 def _sample_regions(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -75,6 +85,7 @@ def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.
     sr = track.sample_rate
     hop = track.hop
     n = len(wav)
+    note_map = _note_map(plan)
 
     deltas = plan.deltas.copy()
     too_big = np.abs(deltas) > MAX_SHIFT_SEMITONES
@@ -87,15 +98,15 @@ def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.
         deltas = np.clip(deltas, -MAX_SHIFT_SEMITONES, MAX_SHIFT_SEMITONES)
     if not deltas.any():
         return wav.copy()
-    if len(plan.note_map) != track.n_frames:
+    if len(note_map) != track.n_frames:
         raise ValueError(
-            f"plan covers {len(plan.note_map)} frames but the track has {track.n_frames}"
+            f"plan covers {len(note_map)} frames but the track has {track.n_frames}"
         )
 
     # frame-level ratio, expanded to samples
     frame_ratio = np.ones(track.n_frames)
-    covered = plan.note_map >= 0
-    frame_ratio[covered] = np.exp2(-deltas[plan.note_map[covered]] / 12.0)
+    covered = note_map >= 0
+    frame_ratio[covered] = np.exp2(-deltas[note_map[covered]] / 12.0)
 
     frame_voiced = track.voiced.astype(bool) & covered
     sample_idx = np.minimum(np.arange(n) // hop, track.n_frames - 1)

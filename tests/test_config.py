@@ -55,7 +55,7 @@ def test_cli_unknown_key_exits_2_before_running(tmp_path):
 @pytest.mark.parametrize("item", [
     "segmenter.train.eval_every=0",
     "spp.train.eval_every=0",
-    "segmenter.train.crop=0",
+    "segmenter.train.batch=0",
     "cnpp.pretrain.batch=0",
     "detuner.batch=-1",
     "spp.train.batch=2.5",
@@ -76,7 +76,7 @@ def test_cli_count_below_one_exits_2_naming_the_key(tmp_path, capsys, item):
     ("cnpp.pretrain.n_songs=\"8\"", 0),
     ("corpus.eval_sets.spp_bench.n_songs=2.0", 0),
     ("segmenter.train.batch=true", 1),
-    ("spp.train.crop=true", 1),
+    ("spp.train.eval_every=true", 1),
     ("segmenter.train.eval_every=true", 1),
 ])
 def test_whole_number_keys_are_checked_at_load(item, minimum):

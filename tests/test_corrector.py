@@ -140,6 +140,21 @@ def test_roundtrip_shift_within_10_cents():
     assert len(back) == len(wav)
 
 
+def test_shift_audio_renders_a_target_contour_that_is_not_a_per_note_offset():
+    wav, track = _tone_track(220.0)
+    T = track.n_frames
+    p0 = float(np.nanmean(track.pitch_semitones))
+    plan = C.build_plan([_est(p0, T)], [p0 + 1.0], [NoteInterval(0, T)], track)
+    # a 0 -> 2 semitone glide over the note, where the note's delta moves it by 1 flat
+    plan.target_pitch = np.where(track.voiced, track.pitch_semitones + np.linspace(0.0, 2.0, T), np.nan)
+    out_pitch = F.extract_track(C.shift_audio(wav, plan, track)).pitch_semitones
+    inner = np.zeros(T, dtype=bool)
+    inner[20:-20] = True
+    frames = inner & np.isfinite(plan.target_pitch) & np.isfinite(out_pitch)
+    assert frames.sum() > T // 2
+    assert np.max(np.abs(out_pitch[frames] - plan.target_pitch[frames])) * 100.0 < 5.0
+
+
 def test_clamp_warns_and_limits(caplog):
     wav, track = _tone_track(440.0, dur=1.0)
     notes = [NoteInterval(0, track.n_frames)]

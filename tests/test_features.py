@@ -208,6 +208,22 @@ def test_load_audio_rejects_non_finite_samples(tmp_path, bad):
         F.load_audio(tmp_path / "x.wav")
 
 
+def test_load_audio_of_a_16_bit_mono_take_holds_its_samples_and_one_float_copy(tmp_path):
+    n = 30 * SR
+    F.write_wav(tmp_path / "x.wav", sine(440, dur=30.0), SR)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        wav = F.load_audio(tmp_path / "x.wav")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(wav) == n
+    # the int16 samples and their float64 copy are 10 bytes a sample; a
+    # take-long bool array of the finiteness check would add one more
+    assert peak - held < 10.5 * n
+
+
 def test_load_unreadable_file_raises(tmp_path):
     bad = tmp_path / "nope.wav"
     bad.write_bytes(b"not audio at all")

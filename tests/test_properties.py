@@ -89,7 +89,10 @@ def test_shift_audio_keeps_length_and_leaves_unvoiced_samples(case):
     out = C.shift_audio(wav.copy(), plan, track)  # it writes into what it is given
     assert out.shape == wav.shape
     assert np.all(np.isfinite(out))
-    frame_voiced = track.voiced.astype(bool) & (plan.note_map >= 0)
+    covered = np.zeros(track.n_frames, dtype=bool)
+    for note in plan.notes:
+        covered[note.start_frame : note.end_frame] = True
+    frame_voiced = track.voiced & covered
     sample_voiced = frame_voiced[np.minimum(np.arange(len(wav)) // HOP, track.n_frames - 1)]
     assert np.array_equal(out[~sample_voiced], wav[~sample_voiced])
 

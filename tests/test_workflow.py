@@ -27,7 +27,7 @@ from notetune import segmenter as seg
 from notetune import spp as sp
 from notetune import workflow as wf
 from notetune.config import load_config
-from notetune.frontend import FrameEncoderConfig
+from notetune.frontend import WINDOW, FrameEncoderConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -358,7 +358,7 @@ def test_frame_model_trainers_take_songs_shorter_than_the_crop():
         wav, ann = dk.synth_song(dk.SynthSpec(seed=seed, n_notes=n_notes, detune=dk.DetuneSpec(kind="none")))
         songs.append(wf.SongData(ann, ft.extract_track(wav)))
     lengths = {song.track.n_frames for song in songs}
-    assert len(lengths) == 2 and min(lengths) < cfg["segmenter"]["train"]["crop"] == cfg["spp"]["train"]["crop"]
+    assert len(lengths) == 2 and min(lengths) < WINDOW
     _seg, seg_history = wf.train_segmenter_on(songs, [], cfg)
     _spp, spp_history = wf.train_spp_on(songs, [], cfg)
     assert len(seg_history["loss"]) == 4 and spp_history["loss"]
