@@ -45,7 +45,6 @@ def _add_common(p: argparse.ArgumentParser):
         metavar="KEY.PATH=VALUE",
         help="override a config value (repeatable), e.g. --set seed=7",
     )
-    p.add_argument("--seed", type=int, help="shorthand for --set seed=N")
     p.add_argument("-q", "--quiet", action="store_true", help="warnings only")
 
 
@@ -115,10 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _setup(args) -> dict:
     level = logging.WARNING if args.quiet else logging.INFO
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-    overrides = list(args.overrides)
-    if args.seed is not None:
-        overrides.append(f"seed={args.seed}")
-    return load_config(args.config, overrides)
+    return load_config(args.config, args.overrides)
 
 
 def main(argv=None) -> int:

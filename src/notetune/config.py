@@ -68,7 +68,6 @@ DEFAULTS = {
             "layers": 2,
             "model_dim": 64,
             "heads": 4,
-            "max_events": 512,
             "dropout": 0.1,
         },
         "pretrain": {"steps": 3000, "batch": 16, "lr": 1e-3, "n_songs": 1500, "mask_prob": 0.3},

@@ -2,13 +2,13 @@
 
 The correction is a pure per-note offset: delta_i = stationary estimate -
 target pitch, and every voiced frame's target is its input pitch minus the
-note's delta; PSOLA renders that per-frame contour.  Deltas are quantized
-to 2^-13 semitones (about 0.01 cents, far below audibility) and
-`FrameTrack` holds its pitch on a 2^-32-semitone grid; on these two grids
-the per-frame subtraction is exact in float64, also where it crosses a
-power of two (61.3 -> 66 crosses 64), so the contour shape is preserved
-bit-for-bit.  The delta grid alone would not do: float64 spacing doubles
-at each power of two.
+note's delta.  PSOLA renders that per-frame contour, of any shape, and reads
+nothing else of a plan.  Deltas are quantized to 2^-13 semitones (about
+0.01 cents, far below audibility) and `FrameTrack` holds its pitch on a
+2^-32-semitone grid; on these two grids the per-frame subtraction is exact
+in float64, also where it crosses a power of two (61.3 -> 66 crosses 64),
+so the contour shape is preserved bit-for-bit.  The delta grid alone would
+not do: float64 spacing doubles at each power of two.
 
 Audio is shifted with time-domain PSOLA over voiced regions (epoch spacing
 from the tracked f0), unvoiced audio passes through, and joins get a 10 ms
@@ -160,8 +160,8 @@ def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.
     preserved; returns `wav`.  Each frame with a finite target moves by its
     target minus its input pitch, clamped per frame to +-MAX_SHIFT_SEMITONES
     (by -delta_i on the voiced frames of note i, in a plan of `build_plan`).
-    The clamp warning counts the notes whose delta exceeds the limit; a plan
-    whose deltas are all zero returns `wav` untouched.
+    The clamp warning counts the clamped frames; a plan whose finite frames
+    all equal the input pitch returns `wav` untouched, whatever its deltas.
 
     The epochs step on per-frame tables of period and synthesis spacing,
     which is exact because f0 and ratio are constant over each hop: numpy's
@@ -186,18 +186,17 @@ def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.
     if len(plan.target_pitch) != T:
         raise ValueError(f"plan covers {len(plan.target_pitch)} frames but the track has {T}")
 
-    too_big = np.abs(plan.deltas) > MAX_SHIFT_SEMITONES
+    shifted = np.isfinite(plan.target_pitch)
+    shift = plan.target_pitch[shifted] - track.pitch_semitones[shifted]
+    if not shift.any():
+        return wav
+    too_big = np.abs(shift) > MAX_SHIFT_SEMITONES
     if too_big.any():
         log.warning(
-            "clamping %d note shift(s) beyond +-%.0f semitones",
+            "clamping %d frame shift(s) beyond +-%.0f semitones",
             int(too_big.sum()),
             MAX_SHIFT_SEMITONES,
         )
-    if not plan.deltas.any():
-        return wav
-
-    shifted = np.isfinite(plan.target_pitch)
-    shift = plan.target_pitch[shifted] - track.pitch_semitones[shifted]
     frame_ratio = np.ones(T)
     frame_ratio[shifted] = np.exp2(np.clip(shift, -MAX_SHIFT_SEMITONES, MAX_SHIFT_SEMITONES) / 12.0)
 

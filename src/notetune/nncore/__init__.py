@@ -27,6 +27,7 @@ from .tensor import (
     gru_sequence,
 )
 from .layers import (
+    MAX_EVENTS,
     Module,
     Linear,
     Embedding,

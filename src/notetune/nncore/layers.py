@@ -6,7 +6,7 @@ models), and a conventional pre-norm transformer encoder (used by the note
 model).  The windowed encoder scores only keys within +-window of each
 query (block-banded, `tensor.banded_attention`), so its time and memory
 grow as O(T * window) in the frame count T; the note model's attention is
-dense, O(T^2) in the event count.
+dense, heads x N x N scores a layer for N <= MAX_EVENTS events.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import numpy as np
 
 from . import tensor as tz
 from .tensor import Tensor
+
+MAX_EVENTS = 512  # longest sequence `TransformerEncoder` attends over densely
 
 class Module:
     """Parameter container; children register through attribute assignment."""
@@ -237,7 +239,6 @@ class TransformerConfig:
     model_dim: int = 64
     heads: int = 4
     dropout: float = 0.1
-    max_events: int = 512
     seed: int = 0
 
 
@@ -262,22 +263,19 @@ class TransformerBlock(Module):
 
 
 class TransformerEncoder(Module):
-    """Pre-norm transformer with learned absolute positions."""
+    """Pre-norm transformer with no position term: its input places each element."""
 
     def __init__(self, cfg: TransformerConfig):
         rng = np.random.default_rng(cfg.seed)
-        self.cfg = cfg
-        self.pos = Embedding(rng, cfg.max_events, cfg.model_dim)
         self.blocks = [TransformerBlock(rng, cfg) for _ in range(cfg.layers)]
         self.final_norm = LayerNorm(cfg.model_dim)
 
     def __call__(self, x: Tensor, pad_mask: np.ndarray, rng=None) -> Tensor:
         """pad_mask: [B, T] with 1 for real positions, 0 for padding."""
-        B, T, _ = x.shape
-        if T > self.cfg.max_events:
-            raise ValueError(f"sequence length {T} exceeds max_events {self.cfg.max_events}")
-        h = x + self.pos(np.arange(T))
+        T = x.shape[1]
+        if T > MAX_EVENTS:
+            raise ValueError(f"sequence length {T} exceeds MAX_EVENTS {MAX_EVENTS}")
         mask = np.where(pad_mask[:, None, None, :] > 0, 0.0, -1e30)
         for blk in self.blocks:
-            h = blk(h, mask, rng=rng)
-        return self.final_norm(h)
+            x = blk(x, mask, rng=rng)
+        return self.final_norm(x)

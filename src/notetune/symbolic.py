@@ -7,7 +7,8 @@ note: `pitch` float64, the other seven fields int64.  The pitch field enters
 the model through interpolated embeddings so fractional stationary pitches
 keep their sub-semitone information.  The model sums the 8 field embeddings,
 each `model_dim` wide, and reads one linear head per field off the encoder
-output; the pitch head classifies over the 128 discrete pitches.
+output; the pitch head classifies over the 128 discrete pitches.  Events
+are placed by their bar and pos fields alone; the encoder adds no index term.
 """
 
 from __future__ import annotations

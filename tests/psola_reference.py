@@ -3,8 +3,12 @@
 `_sample_regions`, `_psola_region` and `shift_audio` are the per-sample form
 that stepped its epochs on arrays of one f0 and one ratio per sample, kept
 verbatim but for reading its frame -> note map from `_note_map`, since a
-plan no longer carries one.  `psola_region` is the per-grain overlap-add
-that the batched `_psola_region` replaced, also verbatim.
+plan no longer carries one, and for its early return, which follows the
+contour as `corrector.shift_audio` does: the input comes back untouched
+when no finite frame of `plan.target_pitch` differs from the input pitch,
+also when a note without voiced frames has a nonzero delta.
+`psola_region` is the per-grain overlap-add that the batched
+`_psola_region` replaced, also verbatim.
 """
 
 from unittest import mock
@@ -96,12 +100,13 @@ def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.
             MAX_SHIFT_SEMITONES,
         )
         deltas = np.clip(deltas, -MAX_SHIFT_SEMITONES, MAX_SHIFT_SEMITONES)
-    if not deltas.any():
-        return wav.copy()
     if len(note_map) != track.n_frames:
         raise ValueError(
             f"plan covers {len(note_map)} frames but the track has {track.n_frames}"
         )
+    finite = np.isfinite(plan.target_pitch)
+    if not np.any(plan.target_pitch[finite] != track.pitch_semitones[finite]):
+        return wav.copy()
 
     # frame-level ratio, expanded to samples
     frame_ratio = np.ones(track.n_frames)

@@ -107,7 +107,7 @@ def test_cli_fractional_seed_exits_2_naming_the_key(tmp_path, capsys):
     "audio.hop=true",
     "audio.sample_rate=22050.0",
     "corpus.notes_min=2.5",
-    "cnpp.model.max_events=true",
+    "cnpp.model.layers=true",
     "segmenter.model.window=\"64\"",
     "segmenter.nms_window=null",
     "spp.train.warmup=false",

@@ -147,12 +147,38 @@ def test_shift_audio_renders_a_target_contour_that_is_not_a_per_note_offset():
     plan = C.build_plan([_est(p0, T)], [p0 + 1.0], [NoteInterval(0, T)], track)
     # a 0 -> 2 semitone glide over the note, where the note's delta moves it by 1 flat
     plan.target_pitch = np.where(track.voiced, track.pitch_semitones + np.linspace(0.0, 2.0, T), np.nan)
+    _assert_renders_within_5_cents(wav, plan, track)
+
+
+def _assert_renders_within_5_cents(wav, plan, track):
+    """The re-tracked output follows `plan.target_pitch` on the voiced frames
+    at least 20 frames from either end."""
+    T = track.n_frames
     out_pitch = F.extract_track(C.shift_audio(wav, plan, track)).pitch_semitones
     inner = np.zeros(T, dtype=bool)
     inner[20:-20] = True
     frames = inner & np.isfinite(plan.target_pitch) & np.isfinite(out_pitch)
     assert frames.sum() > T // 2
     assert np.max(np.abs(out_pitch[frames] - plan.target_pitch[frames])) * 100.0 < 5.0
+
+
+def test_shift_audio_renders_the_contour_of_a_plan_without_notes():
+    wav, track = _tone_track(220.0)
+    none = np.zeros(0)
+    target_pitch = np.where(track.voiced, track.pitch_semitones + 1.0, np.nan)
+    plan = C.CorrectionPlan(deltas=none, est_pitch=none, targets=none, target_pitch=target_pitch, notes=[])
+    _assert_renders_within_5_cents(wav, plan, track)
+
+
+def test_shift_audio_returns_the_input_when_only_a_note_without_voiced_frames_has_a_delta():
+    pitch = np.full(40, np.nan)
+    pitch[:20] = 58.0 + 0.2 * np.sin(np.linspace(0, 3, 20))
+    track = make_track(pitch)
+    notes = [NoteInterval(0, 20), NoteInterval(25, 40)]
+    plan = C.build_plan([_est(60.0, 20), _est(61.5, 15)], [60.0, 61.0], notes, track)
+    assert plan.deltas.tolist() == [0.0, 0.5]
+    wav = np.random.default_rng(0).normal(0, 0.1, 39 * 256 + 100)
+    assert C.shift_audio(wav.copy(), plan, track).tobytes() == wav.tobytes()
 
 
 def test_clamp_warns_and_limits(caplog):
@@ -164,7 +190,8 @@ def test_clamp_warns_and_limits(caplog):
 
     with caplog.at_level(logging.WARNING, logger="notetune.corrector"):
         out = C.shift_audio(wav, plan, track)
-    assert any("clamping" in r.message for r in caplog.records)
+    voiced = int(np.count_nonzero(track.voiced))
+    assert f"clamping {voiced} frame shift(s) beyond +-3 semitones" in [r.message for r in caplog.records]
     repitch = np.nanmean(F.extract_track(out).pitch_semitones[20:-20])
     # shift limited to 3 semitones, not 12
     assert abs(repitch - (est[0].pitch - 3.0)) < 0.2

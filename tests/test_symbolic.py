@@ -99,8 +99,8 @@ def test_detune_schedule_endpoints():
         sym.detune_schedule(0, 100, p_max=1.5, ramp_frac=0.3)
 
 
-def _tiny_model(max_events=64):
-    return sym.Cnpp(nn.TransformerConfig(layers=1, model_dim=16, heads=2, max_events=max_events, seed=5))
+def _tiny_model():
+    return sym.Cnpp(nn.TransformerConfig(layers=1, model_dim=16, heads=2, seed=5))
 
 
 def _events(n=6):
@@ -161,8 +161,7 @@ def _folded(ref: cnpp_reference.Cnpp) -> sym.Cnpp:
     """A Cnpp with the reference's encoder whose field tables hold `down`
     (its bias in the bar table) and whose heads hold `up`."""
     cfg = ref.cfg
-    model = sym.Cnpp(nn.TransformerConfig(layers=cfg.layers, model_dim=cfg.model_dim, heads=cfg.heads,
-                                          max_events=cfg.max_events, seed=cfg.seed))
+    model = sym.Cnpp(nn.TransformerConfig(layers=cfg.layers, model_dim=cfg.model_dim, heads=cfg.heads, seed=cfg.seed))
     model.encoder = ref.encoder
     E = cfg.embed_dim
     for k, name in enumerate(sym.FIELD_NAMES):
@@ -192,9 +191,11 @@ def test_cnpp_computes_what_the_projected_reference_computes(rounded, masked):
 
 
 def test_cnpp_rejects_overlong_sequences():
-    model = _tiny_model(max_events=4)
-    with pytest.raises(ValueError):
-        model.predict(_events(10))
+    model = _tiny_model()
+    with pytest.raises(ValueError, match=f"sequence length {nn.MAX_EVENTS + 1} exceeds MAX_EVENTS"):
+        model.predict(_events(nn.MAX_EVENTS + 1))
+    tokens, probs = model.predict(_events(nn.MAX_EVENTS))
+    assert tokens.shape == (nn.MAX_EVENTS,) and probs.shape == (nn.MAX_EVENTS, sym.PITCH_TOKENS)
 
 
 def test_octuples_from_annotation_and_midi_import(tmp_path):

@@ -50,7 +50,7 @@ def run_cli(*argv, overrides=()) -> int:
 
 
 FRAME_MODEL = {"layers": 2, "model_dim": 64, "heads": 2, "window": 64}
-CNPP_MODEL = {"layers": 2, "model_dim": 64, "heads": 4, "max_events": 512, "dropout": 0.1}
+CNPP_MODEL = {"layers": 2, "model_dim": 64, "heads": 4, "dropout": 0.1}
 CHECKPOINT_CONFIGS = {
     "segmenter": {"kind": "segmenter", "model": FRAME_MODEL, "seed": 1234},
     "spp": {"kind": "spp", "model": FRAME_MODEL, "seed": 1234},
@@ -159,6 +159,18 @@ def test_correct_with_a_cnpp_checkpoint_of_the_projected_layout_exits_2(cli_run,
     nn.save_checkpoint(ckpt / "cnpp_full.npz", stale.params(), CHECKPOINT_CONFIGS["cnpp_full"])
     assert run_cli("correct", cli_run["take"], tmp_path / "o.wav", "--checkpoint-dir", ckpt) == 2
     assert "missing=[] surplus=['down.b', 'down.w', 'up.b', 'up.w']" in capsys.readouterr().err
+    assert not (tmp_path / "o.wav").exists()
+
+
+def test_correct_with_a_cnpp_checkpoint_of_learned_event_positions_exits_2(cli_run, tmp_path, capsys):
+    # the encoder once added a learned row per event index, `encoder.pos`
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(cli_run["ckpt"], ckpt)
+    params = wf.load_cnpp(ckpt, load_config(None, TINY)).params()
+    params["encoder.pos.table"] = nn.Tensor(np.zeros((512, CNPP_MODEL["model_dim"])))
+    nn.save_checkpoint(ckpt / "cnpp_full.npz", params, CHECKPOINT_CONFIGS["cnpp_full"])
+    assert run_cli("correct", cli_run["take"], tmp_path / "o.wav", "--checkpoint-dir", ckpt) == 2
+    assert "missing=[] surplus=['encoder.pos.table']" in capsys.readouterr().err
     assert not (tmp_path / "o.wav").exists()
 
 

@@ -1,6 +1,6 @@
 """The quality probe: the full recipe at the benchmark fixture's size, per seed.
 
-    python3 tools/quality_probe.py WORKDIR --seeds S [S ...]
+    python3 tools/quality_probe.py WORKDIR --seeds S [S ...] [--against PARENT.txt]
 
 For each seed S, runs `workflow.run_full_recipe` into WORKDIR/seed_S with
 `perfbench/fixture.FIXTURE_OVERRIDES` minus its four `n_songs=0` entries,
@@ -15,6 +15,11 @@ moderate_eval and high_eval (`workflow._validate_segmenter`), the notes
 run's wall time.  Then it prints one JSON line per row (`rpa <variant>`,
 `ptr`, `onset_f1`, `notes`), giving for each column the median and the
 min-max over the seeds.
+
+With `--against PARENT.txt`, a saved stdout of an earlier probe run, it
+then prints one JSON line per `rpa` row and split: over the seeds both runs
+share, the mean change of the per-seed cells and how many of them rose.
+A last line pools the cells of every CNPP variant (`workflow.CNPP_VARIANTS`).
 
 A WORKDIR/seed_S left by an earlier run is reused as the stages reuse their
 outputs, so give a fresh WORKDIR to measure a change.
@@ -82,11 +87,39 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "min": min(values), "max": max(values)}
 
 
+def read_runs(text: str) -> dict[int, dict]:
+    """The per-seed lines of a saved probe output, by seed."""
+    docs = [json.loads(line) for line in text.splitlines() if line.startswith("{")]
+    return {doc["seed"]: doc for doc in docs if "seed" in doc}
+
+
+def change(row: str, split: str, deltas: list[float]) -> dict:
+    return {"against": row, "split": split, "cells": len(deltas),
+            "mean_change": round(statistics.mean(deltas), 3), "rose": sum(d > 0 for d in deltas)}
+
+
+def against(runs: list[dict], parent: dict[int, dict]) -> list[dict]:
+    """Per `rpa` row and split, the change of the per-seed cells from
+    `parent` (`read_runs`) over the shared seeds; then the CNPP variants' cells pooled."""
+    shared = [(run["rpa"], parent[run["seed"]]["rpa"]) for run in runs if run["seed"] in parent]
+    if not shared:
+        raise SystemExit("no seed in common with the earlier run")
+    lines, pooled = [], []
+    for variant in wf.VARIANTS:
+        for split in shared[0][0][variant]:
+            deltas = [new[variant][split] - old[variant][split] for new, old in shared]
+            lines.append(change(f"rpa {variant}", split, deltas))
+            pooled += deltas if variant in wf.CNPP_VARIANTS else []
+    return lines + [change("rpa " + " + ".join(wf.CNPP_VARIANTS), "all", pooled)]
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("workdir", type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--against", type=Path, help="a saved stdout of an earlier probe run to compare with")
     args = parser.parse_args(argv)
+    parent = read_runs(args.against.read_text()) if args.against else None
     tracks = long_tracks(args.workdir, probe_config(args.seeds[0]))
     runs = []
     for seed in args.seeds:
@@ -97,6 +130,8 @@ def main(argv: list[str]) -> int:
         rows[row] = [run[row] for run in runs]
     for row, cells in rows.items():
         print(json.dumps({"row": row, **{col: spread([c[col] for c in cells]) for col in cells[0]}}))
+    for line in against(runs, parent) if parent is not None else []:
+        print(json.dumps(line))
     return 0
 
 
