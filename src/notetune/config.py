@@ -121,8 +121,9 @@ WHOLE_MINIMUM = {"seed": 0, "steps": 0, "n_songs": 0, "batch": 1, "eval_every": 
 def _check_keys(node: dict, ref: dict, path: str):
     """Reject keys that `ref` (DEFAULTS) does not have, objects where it has
     a plain value or the reverse, a value that is not an int (bools are not)
-    where `ref` holds an int, and a seed, steps, n_songs, batch or
-    eval_every below WHOLE_MINIMUM.  New corpus.eval_sets entries must give
+    where `ref` holds an int, or not an int or a float where it holds a
+    float, and a seed, steps, n_songs, batch or eval_every below
+    WHOLE_MINIMUM.  New corpus.eval_sets entries must give
     exactly n_songs and detune."""
     for key, value in node.items():
         name = path + key
@@ -143,6 +144,8 @@ def _check_keys(node: dict, ref: dict, path: str):
                              f"{WHOLE_MINIMUM[key]}, got {value!r}")
         elif type(ref[key]) is int and type(value) is not int:
             raise ValueError(f"config key {name} must be a whole number, got {value!r}")
+        elif type(ref[key]) is float and type(value) not in (int, float):
+            raise ValueError(f"config key {name} must be a number, got {value!r}")
 
 
 def load_config(path=None, overrides: list[str] | None = None) -> dict:

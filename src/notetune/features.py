@@ -475,8 +475,9 @@ def extract_track(
 def track_cache_key(wav: np.ndarray, sr: int, hop: int, win: int, n_mels: int) -> str:
     """24 hex digits of the SHA-256 of the waveform and of every setting
     that `extract_track` reads: its arguments, the track format version and
-    the extractor constants (read at call time)."""
-    key = hashlib.sha256(wav.tobytes())
+    the extractor constants (read at call time).  The waveform's bytes are
+    hashed from its buffer, not copied, when it is C-contiguous."""
+    key = hashlib.sha256(np.ascontiguousarray(wav))
     settings = [sr, hop, win, n_mels, TRACK_FORMAT_VERSION, YIN_FMIN, YIN_FMAX, YIN_THRESHOLD,
                 YIN_INTEGRATION, RMS_FLOOR_DB, MEL_FMIN, LOG_FLOOR_EPS, PITCH_GRID]
     key.update(json.dumps(settings).encode())

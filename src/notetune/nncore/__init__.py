@@ -19,7 +19,7 @@ from .tensor import (
     tmean,
     softmax,
     layer_norm,
-    banded_attention,
+    attention,
     embedding,
     dropout,
     cross_entropy_logits,
@@ -38,7 +38,6 @@ from .layers import (
     TransformerEncoder,
     TransformerConfig,
     MultiHeadAttention,
-    attention,
     sinusoid_positions,
     uniform_init,
 )

@@ -3,10 +3,11 @@
 Two encoder families live here: a windowed-attention encoder whose
 attention runs as parallel single-head channel streams (used by the frame
 models), and a conventional pre-norm transformer encoder (used by the note
-model).  The windowed encoder scores only keys within +-window of each
-query (block-banded, `tensor.banded_attention`), so its time and memory
-grow as O(T * window) in the frame count T; the note model's attention is
-dense, heads x N x N scores a layer for N <= MAX_EVENTS events.
+model).  Both attend through the one node `tensor.attention`, dense over
+the sequence given: the windowed encoder adds a band mask that keeps only
+keys within +-window of each query, T x T scores a stream for T frames, and
+every caller gives it at most `frontend.WINDOW` frames; the note model adds
+a padding mask, heads x N x N scores a layer for N <= MAX_EVENTS events.
 """
 
 from __future__ import annotations
@@ -101,22 +102,14 @@ def sinusoid_positions(T: int, dim: int) -> np.ndarray:
     return table
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray):
-    """Scaled dot-product attention; q, k, v are [..., T, d]; `mask` is
-    added to the scores (0 to keep, -1e30 to drop)."""
-    d = q.shape[-1]
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(d)) + mask
-    return tz.softmax(scores, axis=-1) @ v
-
-
 @dataclass
 class LocalEncoderConfig:
     """Windowed-attention encoder shape.
 
-    Each frame attends to the frames within +-`window` of it.  Attention is
-    block-banded: blocks of `window` queries score three blocks of keys, so
-    a forward or backward pass costs O(T * window) time and memory, never
-    a T x T score matrix.
+    Each frame attends to the frames within +-`window` of it, through a
+    band mask on dense attention over the frames given: a pass holds T x T
+    scores per stream, and every caller gives at most `frontend.WINDOW`
+    frames (inference windows and training crops).
 
     `heads` is also the number of parallel channel streams: attention runs
     single-headed per stream of width model_dim // heads, and the streams
@@ -149,8 +142,8 @@ class LocalEncoderConfig:
 class StreamAttention(Module):
     """Parallel single-head attention paths over channel groups.
 
-    Each stream attends within +-cfg.window frames through the block-banded
-    `tensor.banded_attention`: O(T * window) per stream, no mask argument.
+    Each stream attends through `tensor.attention` under the [T, T] band
+    mask that `LocalEncoder` builds once per call.
     """
 
     def __init__(self, rng, cfg: LocalEncoderConfig):
@@ -161,14 +154,15 @@ class StreamAttention(Module):
         self.wk = [Linear(rng, d, d) for _ in range(cfg.heads)]
         self.wv = [Linear(rng, d, d) for _ in range(cfg.heads)]
 
-    def _stream(self, j: int, xs: Tensor) -> Tensor:
+    def _stream(self, j: int, xs: Tensor, mask: np.ndarray) -> Tensor:
         h = self.norms[j](xs)
-        return xs + tz.banded_attention(self.wq[j](h), self.wk[j](h), self.wv[j](h), self.cfg.window)
+        return xs + tz.attention(self.wq[j](h), self.wk[j](h), self.wv[j](h), mask)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
         """Each stream on its own channel group; the outputs are concatenated in stream order."""
         d = self.cfg.head_dim
-        return tz.concat([self._stream(j, x[..., j * d : (j + 1) * d]) for j in range(self.cfg.heads)], axis=-1)
+        streams = [self._stream(j, x[..., j * d : (j + 1) * d], mask) for j in range(self.cfg.heads)]
+        return tz.concat(streams, axis=-1)
 
 
 class Geglu(Module):
@@ -200,9 +194,12 @@ class LocalEncoder(Module):
         self.final_norm = LayerNorm(cfg.model_dim)
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = x + sinusoid_positions(x.shape[-2], self.cfg.model_dim)
+        T = x.shape[-2]
+        idx = np.arange(T)
+        band = np.where(np.abs(idx[:, None] - idx[None, :]) <= self.cfg.window, 0.0, -1e30)
+        h = x + sinusoid_positions(T, self.cfg.model_dim)
         for i in range(0, len(self.blocks), 2):
-            h = self.blocks[i](h)
+            h = self.blocks[i](h, band)
             h = self.blocks[i + 1](h)
         return self.final_norm(h)
 
@@ -228,7 +225,7 @@ class MultiHeadAttention(Module):
     def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
         B, T, _ = x.shape
         q, k, v = self._split(self.wq(x)), self._split(self.wk(x)), self._split(self.wv(x))
-        a = attention(q, k, v, mask)
+        a = tz.attention(q, k, v, mask)
         a = a.swapaxes(1, 2).reshape((B, T, self.dim))
         return self.wo(a)
 

@@ -19,8 +19,11 @@ backward pass, so it may overwrite its own temporaries (`geglu` returns
 its cdf buffer) or not keep them (`gru_sequence` keeps no gates), but
 never its inputs, which the caller still owns; each such node says in its
 docstring that it gives the recorded path's bytes.  No node splits its
-input into blocks: inference bounds memory by what it feeds the graph
-(the frame models see windows of at most 256 frames, `frontend.windowed`).
+input into blocks: a caller bounds memory by what it feeds the graph.
+`attention` is dense, T x T scores per head, so its callers bound T: the
+frame models see windows of at most `frontend.WINDOW` = 256 frames
+(`frontend.windowed`, and the training crops), the note model at most
+`layers.MAX_EVENTS` events.
 
 `backward` releases the graph as it sweeps: each node drops its backward
 closure and its parents once its own backward has run, so the forward
@@ -625,79 +628,36 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor):
     return _make(out_data, (x, gamma, beta), bw)
 
 
-def _band_blocks(a: np.ndarray, w: int, n_blocks: int) -> np.ndarray:
-    """[..., T, d] -> [..., n_blocks, d, 3w]: for query block b, rows of
-    blocks b-1, b, b+1 of `a` (zero-padded at both ends), transposed.  A
-    strided view of one padded copy; nothing is copied per block."""
-    T = a.shape[-2]
-    pad = [(0, 0)] * (a.ndim - 2) + [(w, n_blocks * w - T + w), (0, 0)]
-    windows = np.lib.stride_tricks.sliding_window_view(np.pad(a, pad), 3 * w, axis=-2)
-    return windows[..., ::w, :, :]
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray):
+    """Scaled dot-product attention softmax(q k^T / sqrt(d) + mask) v as one
+    node; q, k, v are [..., T, d] and `mask` broadcasts against the
+    [..., T, T] scores (0 to keep, -1e30 to drop).
 
-
-def _fold_bands(g: np.ndarray, w: int, n_blocks: int, T: int) -> np.ndarray:
-    """Adjoint of `_band_blocks` (untransposed): [..., n_blocks, 3w, d] -> [..., T, d]."""
-    lead, d = g.shape[:-3], g.shape[-1]
-    out = np.zeros(lead + (n_blocks + 2, w, d))
-    out[..., :n_blocks, :, :] += g[..., :w, :]
-    out[..., 1 : n_blocks + 1, :, :] += g[..., w : 2 * w, :]
-    out[..., 2:, :, :] += g[..., 2 * w :, :]
-    return out.reshape(lead + ((n_blocks + 2) * w, d))[..., w : w + T, :]
-
-
-def banded_attention(q: Tensor, k: Tensor, v: Tensor, window: int):
-    """Scaled dot-product attention where query i sees key j only when
-    |i - j| <= window; q, k, v are [..., T, d].
-
-    Block-banded (Longformer-style sliding window): with
-    w = max(1, min(window, T - 1)), queries go in blocks of w frames and
-    block b scores only key blocks b-1, b, b+1, so time and memory are
-    O(T * 3w * d) rather than O(T^2).  Additive -1e30 masks hide
-    |i - j| > w (one [w, 3w] band, the same in every block) and the zero
-    padding (key columns before frame 0 in the first block and past frame
-    T - 1 in the last two); a score both out of band and padded gets
-    -2e30, as from one summed mask.  The scores are scaled, masked,
-    exponentiated and normalised in place in one buffer, and the backward
-    pass builds its score gradient in place too; no mask is cached between
-    calls.  Any window >= T - 1 gives the same w, and so exactly the same
-    arithmetic.
+    The float operations of the five-node chain matmul, scale, mask,
+    softmax, matmul, in its order, done in place in one score buffer: only
+    the probabilities p are kept for the backward pass, which builds its
+    score gradient in place too and hands out the gradients in the chain's
+    order (v, q, k).  Dense: callers bound T (module docstring).
     """
-    T, d = q.shape[-2], q.shape[-1]
-    w = max(1, min(window, T - 1))
-    nb = -(-T // w)
-    lead = q.shape[:-2]
-    c = np.arange(3 * w)
-    band = np.where(np.abs(np.arange(w)[:, None] + w - c) <= w, 0.0, -1e30)
-
-    scale = 1.0 / np.sqrt(d)
-    tail = [(0, 0)] * len(lead) + [(0, nb * w - T), (0, 0)]
-    qb = np.pad(q.data, tail).reshape(lead + (nb, w, d))
-    kt = _band_blocks(k.data, w, nb)
-    vt = _band_blocks(v.data, w, nb)
-    p = qb @ kt
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    p = q.data @ k.data.swapaxes(-1, -2)
     p *= scale
-    p += band
-    p[..., 0, :, :w] += -1e30  # key index (b - 1) * w + c < 0
-    for b in range(max(nb - 2, 0), nb):
-        p[..., b, :, T - (b - 1) * w :] += -1e30  # key index >= T
+    p += mask
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out_data = (p @ vt.swapaxes(-1, -2)).reshape(lead + (nb * w, d))[..., :T, :]
 
     def bw(g):
         # ds = p * (dp - rowsum(dp * p)) * scale, built in place in dp
-        gb = np.pad(g, tail).reshape(lead + (nb, w, d))
-        ds = gb @ vt
+        ds = g @ v.data.swapaxes(-1, -2)
+        v._accumulate(p.swapaxes(-1, -2) @ g)
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= scale
-        dq = (ds @ kt.swapaxes(-1, -2)).reshape(lead + (nb * w, d))[..., :T, :]
-        q._accumulate(dq)
-        k._accumulate(_fold_bands(ds.swapaxes(-1, -2) @ qb, w, nb, T))
-        v._accumulate(_fold_bands(p.swapaxes(-1, -2) @ gb, w, nb, T))
+        q._accumulate(ds @ k.data)
+        k._accumulate((q.data.swapaxes(-1, -2) @ ds).swapaxes(-1, -2))
 
-    return _make(out_data, (q, k, v), bw)
+    return _make(p @ v.data, (q, k, v), bw)
 
 
 def embedding(table: Tensor, idx: np.ndarray):

@@ -10,11 +10,10 @@ from notetune.nncore.tensor import (
     _SQRT2,
     LAYER_NORM_EPS,
     Tensor,
-    _band_blocks,
-    _fold_bands,
     _is_fancy,
     _make,
     _unbroadcast,
+    softmax,
 )
 
 
@@ -97,44 +96,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor):
     return _make(out_data, (x, gamma, beta), bw)
 
 
-def banded_attention(q: Tensor, k: Tensor, v: Tensor, window: int):
-    """Scaled dot-product attention where query i sees key j only when
-    |i - j| <= window; q, k, v are [..., T, d].
-
-    Block-banded (Longformer-style sliding window): with
-    w = max(1, min(window, T - 1)), queries go in blocks of w frames and
-    block b scores only key blocks b-1, b, b+1, so time and memory are
-    O(T * 3w * d) rather than O(T^2).  A static additive -1e30 mask hides
-    |i - j| > w and the zero padding.  Any window >= T - 1 gives the same w,
-    and so exactly the same arithmetic.
-    """
-    T, d = q.shape[-2], q.shape[-1]
-    w = max(1, min(window, T - 1))
-    nb = -(-T // w)
-    lead = q.shape[:-2]
-    c = np.arange(3 * w)
-    band = np.abs(np.arange(w)[:, None] + w - c) <= w  # |i - j|, the same in every block
-    key = (np.arange(nb)[:, None, None] - 1) * w + c  # key index of each column
-    mask = np.where(band, 0.0, -1e30) + np.where((key >= 0) & (key < T), 0.0, -1e30)
-
-    scale = 1.0 / np.sqrt(d)
-    tail = [(0, 0)] * len(lead) + [(0, nb * w - T), (0, 0)]
-    qb = np.pad(q.data, tail).reshape(lead + (nb, w, d))
-    kt = _band_blocks(k.data, w, nb)
-    vt = _band_blocks(v.data, w, nb)
-    scores = (qb @ kt) * scale + mask
-    scores -= scores.max(axis=-1, keepdims=True)
-    p = np.exp(scores)
-    p /= p.sum(axis=-1, keepdims=True)
-    out_data = (p @ vt.swapaxes(-1, -2)).reshape(lead + (nb * w, d))[..., :T, :]
-
-    def bw(g):
-        gb = np.pad(g, tail).reshape(lead + (nb, w, d))
-        dp = gb @ vt
-        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
-        dq = (ds @ kt.swapaxes(-1, -2)).reshape(lead + (nb * w, d))[..., :T, :]
-        q._accumulate(dq)
-        k._accumulate(_fold_bands(ds.swapaxes(-1, -2) @ qb, w, nb, T))
-        v._accumulate(_fold_bands(p.swapaxes(-1, -2) @ gb, w, nb, T))
-
-    return _make(out_data, (q, k, v), bw)
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray):
+    """The five-node chain: matmul, scale, mask, softmax, matmul."""
+    d = q.shape[-1]
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(d)) + mask
+    return softmax(scores, axis=-1) @ v

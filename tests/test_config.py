@@ -118,6 +118,26 @@ def test_every_integer_setting_must_be_a_whole_number(item):
         load_config(None, [item])
 
 
+@pytest.mark.parametrize("item", [
+    "segmenter.train.lr=\"fast\"",
+    "segmenter.theta=true",
+    "spp.loss.lambda_s=null",
+    "cnpp.model.dropout=[1]",
+    "corpus.ar1.rho=false",
+])
+def test_every_float_setting_must_be_a_number(item):
+    key, value = item.split("=")
+    with pytest.raises(ValueError, match=f"config key {key} must be a number, got "):
+        load_config(None, [item])
+
+
+def test_cli_string_learning_rate_exits_2_naming_the_key(tmp_path, capsys):
+    argv = ["synth-data", "--data-dir", str(tmp_path), "--set", "segmenter.train.lr=fast", "-q"]
+    assert cli.main(argv) == 2
+    assert "config key segmenter.train.lr must be a number, got 'fast'" in capsys.readouterr().err
+    assert not (tmp_path / "dataset.json").exists()
+
+
 def test_a_whole_number_is_accepted_where_a_float_is_expected():
     cfg = load_config(None, ["spp.train.lr=1", "segmenter.theta=0", "audio.hop=128"])
     assert (cfg["spp"]["train"]["lr"], cfg["segmenter"]["theta"], cfg["audio"]["hop"]) == (1, 0, 128)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import struct
 import subprocess
@@ -319,6 +320,25 @@ def test_extract_track_consistent_and_cache_roundtrip(tmp_path):
     assert np.array_equal(loaded.pitch_semitones, track.pitch_semitones, equal_nan=True)
     assert np.array_equal(loaded.mel, track.mel)
     assert loaded.sample_rate == track.sample_rate
+
+
+def test_track_cache_key_hashes_the_take_without_copying_it():
+    wav = np.random.default_rng(30).normal(scale=0.1, size=30 * 22050)
+    settings = [22050, 256, 1024, 80, F.TRACK_FORMAT_VERSION, F.YIN_FMIN, F.YIN_FMAX, F.YIN_THRESHOLD,
+                F.YIN_INTEGRATION, F.RMS_FLOOR_DB, F.MEL_FMIN, F.LOG_FLOOR_EPS, F.PITCH_GRID]
+    formula = hashlib.sha256(wav.tobytes())
+    formula.update(json.dumps(settings).encode())
+    tracemalloc.start()
+    try:
+        key = F.track_cache_key(wav, 22050, 256, 1024, 80)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert key == formula.hexdigest()[:24]
+    assert peak < 0.05 * wav.nbytes, (peak, wav.nbytes)
+    # a view that is not contiguous hashes its elements in order, as tobytes() gives them
+    wide = np.repeat(wav, 2)
+    assert F.track_cache_key(wide[::2], 22050, 256, 1024, 80) == key
 
 
 def test_frame_track_keeps_uint8_voicing_as_a_bool_mask():

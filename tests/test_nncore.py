@@ -278,38 +278,99 @@ def test_local_attention_masks_outside_window():
     assert np.allclose(full, changed, atol=1e-12)
 
 
-def dense_band_attention(q, k, v, window):
-    """Reference: full T x T scores under an additive band mask."""
-    idx = np.arange(q.shape[-2])
-    mask = np.where(np.abs(idx[:, None] - idx[None, :]) <= window, 0.0, -1e30)
-    return nn.attention(q, k, v, mask)
+def band_mask(T, window):
+    idx = np.arange(T)
+    return np.where(np.abs(idx[:, None] - idx[None, :]) <= window, 0.0, -1e30)
 
 
-@pytest.mark.parametrize("window", [1, 3, 64])
-def test_banded_attention_matches_dense_masked_attention(window):
-    rng = np.random.default_rng(19)
-    for T in sorted({1, 2, window - 1, window, window + 1, 2 * window + 1, 300, 512} - {0}):
-        q, k, v = (nn.Tensor(rng.normal(size=(2, T, 8)), requires_grad=True) for _ in range(3))
-        r = rng.normal(size=(2, T, 8))
-        grads = []
-        for fn in (nn.banded_attention, dense_band_attention):
-            out = fn(q, k, v, window)
-            (out * r).sum().backward()
-            grads.append((out.data, q.grad, k.grad, v.grad))
-            for t in (q, k, v):
-                t.zero_grad()
-        for got, want in zip(*grads):
-            assert np.abs(got - want).max() < 1e-12, (T, window)
+def pad_mask(seed, B, N):
+    """The CNPP's [B, 1, 1, N] mask over keys; every row keeps its first key."""
+    real = np.random.default_rng(seed).random((B, N)) < 0.7
+    real[:, 0] = True
+    return np.where(real[:, None, None, :], 0.0, -1e30)
 
 
-@pytest.mark.parametrize("T, window", [(7, 3), (6, 2), (5, 8), (2, 1), (1, 4)])
-def test_banded_attention_gradients_match_finite_differences(T, window):
+def attention_cases():
+    """(leaf shape, mask): band masks [T, T] for T around two windows and at
+    the longest frame-model window, and CNPP pad masks [B, 1, 1, N]."""
+    cases = []
+    for w in (3, 64):
+        for T in sorted({1, 2, w - 1, w, w + 1, 2 * w + 1, 256}):
+            cases += [((2, T, 8), band_mask(T, w)), ((2, 3, T, 8), band_mask(T, w))]
+    cases += [((16, 4, 48, 16), pad_mask(1, 16, 48)), ((1, 4, 90, 12), pad_mask(2, 1, 90))]
+    return cases
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "swapaxes", "slice"])
+def test_attention_matches_the_five_node_chain_bytes(layout):
+    for shape, mask in attention_cases():
+        T = shape[-2]
+        _check_against_reference(
+            lambda: _leaves(T, [shape] * 3, layout),
+            lambda kz, q, k, v: kz.attention(q, k, v, mask),
+        )
+        # one tensor as query, key and value: its gradient is accumulated three times
+        _check_against_reference(
+            lambda: _leaves(T, [shape], layout),
+            lambda kz, x: kz.attention(x, x, x, mask),
+        )
+
+
+@pytest.mark.parametrize("T, window", [(7, 3), (6, 2), (5, 8), (2, 1), (1, 4), (5, None)])
+def test_attention_gradients_match_finite_differences(T, window):
+    """Band masks [T, T], and a pad mask [2, 1, 1, T] over 2 heads (window None)."""
     rng = np.random.default_rng(20)
-    q, k, v = (nn.Tensor(rng.normal(size=(2, T, 3)), requires_grad=True) for _ in range(3))
-    r = rng.normal(size=(2, T, 3))
-    fn = lambda: (nn.banded_attention(q, k, v, window) * r).sum()
+    shape, mask = ((2, 2, T, 3), pad_mask(3, 2, T)) if window is None else ((2, T, 3), band_mask(T, window))
+    q, k, v = (nn.Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(3))
+    r = rng.normal(size=shape)
+    fn = lambda: (nn.attention(q, k, v, mask) * r).sum()
     worst = nn.finite_difference_check(fn, [q, k, v], rtol=1e-6)
     assert worst < 1e-6
+
+
+def test_local_encoder_gives_every_stream_one_band_mask_per_call():
+    enc = nn.LocalEncoder(nn.LocalEncoderConfig(layers=2, model_dim=16, heads=2, window=3, seed=1))
+    masks = []
+    attention = tz.attention
+
+    def spy(q, k, v, mask):
+        masks.append(mask)
+        return attention(q, k, v, mask)
+
+    with mock.patch.object(tz, "attention", spy):
+        enc(nn.Tensor(np.random.default_rng(2).normal(size=(2, 9, 16))))
+    assert len(masks) == 4 and all(m is masks[0] for m in masks)  # 2 layers x 2 streams
+    assert masks[0].tobytes() == band_mask(9, 3).tobytes()
+
+
+def test_transformer_encoder_keeps_the_bytes_of_the_five_node_chain():
+    """The note model's output and parameter gradients, with its attention
+    through the node and through the chain it replaced."""
+    x = np.random.default_rng(3).normal(size=(3, 11, 24))
+    pad = np.ones((3, 11))
+    pad[1, 7:] = 0.0
+    pad[2, 2:] = 0.0
+    runs = []
+    for kernel in (tz.attention, autograd_reference.attention):
+        enc = nn.TransformerEncoder(nn.TransformerConfig(layers=2, model_dim=24, heads=4, seed=4))
+        with mock.patch.object(tz, "attention", kernel):
+            out = enc(nn.Tensor(x), pad, rng=np.random.default_rng(5))
+            (out * np.random.default_rng(6).normal(size=out.shape)).sum().backward()
+        runs.append([out.data] + [p.grad for _, p in sorted(enc.params().items())])
+    for got, want in zip(*runs):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_attention_unrecorded_returns_the_recorded_bytes():
+    rng = np.random.default_rng(40)
+    for shape, mask in attention_cases():
+        q, k, v = (nn.Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(3))
+        recorded = nn.attention(q, k, v, mask)
+        with nn.no_grad():
+            plain = nn.attention(q, k, v, mask)
+        assert recorded._backward is not None and plain._backward is None
+        assert plain.shape == recorded.shape == shape
+        assert plain.data.tobytes() == recorded.data.tobytes(), shape
 
 
 def _check_against_reference(make_leaves, forward):
@@ -350,40 +411,6 @@ def _leaves(seed, shapes, layout):
             data = rng.normal(size=shape)
         out.append(nn.Tensor(data, requires_grad=True))
     return out
-
-
-@pytest.mark.parametrize("layout", ["contiguous", "swapaxes", "slice"])
-@pytest.mark.parametrize("window", [3, 64])
-def test_banded_attention_matches_reference_bytes(window, layout):
-    for T in sorted({1, 2, window - 1, window, window + 1, 2 * window + 1, 300} - {0}):
-        for lead in ((2,), (2, 3)):
-            shape = lead + (T, 8)
-            _check_against_reference(
-                lambda: _leaves(T, [shape] * 3, layout),
-                lambda kz, q, k, v: kz.banded_attention(q, k, v, window),
-            )
-            # one tensor as query and key: its gradient is accumulated twice
-            _check_against_reference(
-                lambda: _leaves(T, [shape] * 2, layout),
-                lambda kz, x, v: kz.banded_attention(x, x, v, window),
-            )
-
-
-@pytest.mark.parametrize("lead", [(2,), (1, 2)])
-@pytest.mark.parametrize("window", [3, 64])
-def test_banded_attention_unrecorded_returns_the_recorded_bytes(window, lead):
-    # one block, many blocks, and windows >= T - 1
-    rng = np.random.default_rng(40)
-    lengths = {1, window - 1, window, window + 1, 16 * window + 5, 5168} - {0}
-    cases = [(T, window) for T in sorted(lengths)] + [(30, 29), (30, 500)]
-    for T, win in cases:
-        q, k, v = (nn.Tensor(rng.normal(size=lead + (T, 8)), requires_grad=True) for _ in range(3))
-        recorded = nn.banded_attention(q, k, v, win)
-        with nn.no_grad():
-            plain = nn.banded_attention(q, k, v, win)
-        assert recorded._backward is not None and plain._backward is None
-        assert plain.shape == recorded.shape == lead + (T, 8), (T, win)
-        assert plain.data.tobytes() == recorded.data.tobytes(), (T, win)
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "swapaxes", "slice"])
@@ -488,20 +515,6 @@ def test_backward_releases_the_graph_and_keeps_leaf_gradients():
         t.zero_grad()
     loss.backward()  # the released graph reaches no parameter
     assert all(t.grad is None for t in leaves)
-
-
-def test_local_encoder_forward_memory_is_linear_in_length():
-    # dense T x T scores and mask at T = 4096 alone would take 134 MB each
-    enc = nn.LocalEncoder(nn.LocalEncoderConfig())
-    x = nn.Tensor(np.random.default_rng(21).normal(size=(1, 4096, 64)))
-    tracemalloc.start()
-    try:
-        with nn.no_grad():
-            enc(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 128e6
 
 
 def test_focal_loss_perfect_prediction_is_zero():

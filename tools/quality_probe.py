@@ -17,9 +17,10 @@ run's wall time.  Then it prints one JSON line per row (`rpa <variant>`,
 min-max over the seeds.
 
 With `--against PARENT.txt`, a saved stdout of an earlier probe run, it
-then prints one JSON line per `rpa` row and split: over the seeds both runs
-share, the mean change of the per-seed cells and how many of them rose.
-A last line pools the cells of every CNPP variant (`workflow.CNPP_VARIANTS`).
+then prints one JSON line per row and column (each `rpa` row by split, then
+`ptr`, `onset_f1` and `notes`): over the seeds both runs share, the mean
+change of the per-seed cells and how many of them rose.  A last line pools
+the `rpa` cells of every CNPP variant (`workflow.CNPP_VARIANTS`).
 
 A WORKDIR/seed_S left by an earlier run is reused as the stages reuse their
 outputs, so give a fresh WORKDIR to measure a change.
@@ -48,6 +49,7 @@ from notetune.config import load_config  # noqa: E402
 
 EVAL_SONGS = {"spp_bench": 8, "moderate_eval": 8, "high_eval": 8, "intune_eval": 2}
 LONG_TAKES = {"60 s": (7, 60.0), "180 s": (8, 180.0)}  # column: (take seed, seconds)
+ROWS = ("ptr", "onset_f1", "notes")  # the per-seed rows after `rpa`
 
 
 def probe_config(seed: int) -> dict:
@@ -93,23 +95,28 @@ def read_runs(text: str) -> dict[int, dict]:
     return {doc["seed"]: doc for doc in docs if "seed" in doc}
 
 
-def change(row: str, split: str, deltas: list[float]) -> dict:
-    return {"against": row, "split": split, "cells": len(deltas),
+def change(row: str, column: str, deltas: list[float]) -> dict:
+    return {"against": row, "column": column, "cells": len(deltas),
             "mean_change": round(statistics.mean(deltas), 3), "rose": sum(d > 0 for d in deltas)}
 
 
 def against(runs: list[dict], parent: dict[int, dict]) -> list[dict]:
-    """Per `rpa` row and split, the change of the per-seed cells from
-    `parent` (`read_runs`) over the shared seeds; then the CNPP variants' cells pooled."""
-    shared = [(run["rpa"], parent[run["seed"]]["rpa"]) for run in runs if run["seed"] in parent]
+    """Per `rpa` row and split, then per column of each of ROWS, the change
+    of the per-seed cells from `parent` (`read_runs`) over the shared seeds;
+    then the CNPP variants' `rpa` cells pooled."""
+    shared = [(run, parent[run["seed"]]) for run in runs if run["seed"] in parent]
     if not shared:
         raise SystemExit("no seed in common with the earlier run")
+    cells = {f"rpa {variant}": [(new["rpa"][variant], old["rpa"][variant]) for new, old in shared]
+             for variant in wf.VARIANTS}
+    cells.update({row: [(new[row], old[row]) for new, old in shared] for row in ROWS})
+    cnpp_rows = {f"rpa {variant}" for variant in wf.CNPP_VARIANTS}
     lines, pooled = [], []
-    for variant in wf.VARIANTS:
-        for split in shared[0][0][variant]:
-            deltas = [new[variant][split] - old[variant][split] for new, old in shared]
-            lines.append(change(f"rpa {variant}", split, deltas))
-            pooled += deltas if variant in wf.CNPP_VARIANTS else []
+    for row, pairs in cells.items():
+        for column in pairs[0][0]:
+            deltas = [new[column] - old[column] for new, old in pairs]
+            lines.append(change(row, column, deltas))
+            pooled += deltas if row in cnpp_rows else []
     return lines + [change("rpa " + " + ".join(wf.CNPP_VARIANTS), "all", pooled)]
 
 
@@ -126,7 +133,7 @@ def main(argv: list[str]) -> int:
         runs.append(run_seed(args.workdir, seed, tracks))
         print(json.dumps(runs[-1]), flush=True)
     rows = {f"rpa {variant}": [run["rpa"][variant] for run in runs] for variant in wf.VARIANTS}
-    for row in ("ptr", "onset_f1", "notes"):
+    for row in ROWS:
         rows[row] = [run[row] for run in runs]
     for row, cells in rows.items():
         print(json.dumps({"row": row, **{col: spread([c[col] for c in cells]) for col in cells[0]}}))
