@@ -290,20 +290,70 @@ def pad_mask(seed, B, N):
     return np.where(real[:, None, None, :], 0.0, -1e30)
 
 
-def attention_cases():
-    """(leaf shape, mask): band masks [T, T] for T around two windows and at
-    the longest frame-model window, and CNPP pad masks [B, 1, 1, N]."""
-    cases = []
-    for w in (3, 64):
-        for T in sorted({1, 2, w - 1, w, w + 1, 2 * w + 1, 256}):
-            cases += [((2, T, 8), band_mask(T, w)), ((2, 3, T, 8), band_mask(T, w))]
-    cases += [((16, 4, 48, 16), pad_mask(1, 16, 48)), ((1, 4, 90, 12), pad_mask(2, 1, 90))]
-    return cases
+def pad_cases():
+    """(leaf shape, mask): CNPP pad masks [B, 1, 1, N] over 4 heads."""
+    return [((16, 4, 48, 16), pad_mask(1, 16, 48)), ((1, 4, 90, 12), pad_mask(2, 1, 90))]
+
+
+def banded_reference(q, k, v, window, g):
+    """Attention of each query over the keys within `window` of it only, and
+    the gradients of sum(out * g) for q, k, v, in plain numpy row by row."""
+    T, d = q.shape[-2:]
+    scale = 1.0 / np.sqrt(d)
+    out, dq, dk, dv = (np.zeros_like(q) for _ in range(4))
+    for i in range(T):
+        lo, hi = max(0, i - window), min(T, i + window + 1)
+        kj, vj = k[..., lo:hi, :], v[..., lo:hi, :]
+        s = np.einsum("...d,...jd->...j", q[..., i, :], kj) * scale
+        p = np.exp(s - s.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        out[..., i, :] = np.einsum("...j,...jd->...d", p, vj)
+        dv[..., lo:hi, :] += p[..., :, None] * g[..., i, None, :]
+        dp = np.einsum("...d,...jd->...j", g[..., i, :], vj)
+        ds = p * (dp - (p * dp).sum(axis=-1, keepdims=True)) * scale
+        dq[..., i, :] = np.einsum("...j,...jd->...d", ds, kj)
+        dk[..., lo:hi, :] += ds[..., :, None] * q[..., i, None, :]
+    return out, dq, dk, dv
+
+
+@pytest.mark.parametrize("window", [1, 3, 64])
+def test_banded_attention_matches_dense_masked_attention(window):
+    """The attention node under a band mask equals attention over each
+    query's band alone: the dropped keys add nothing, forward or backward."""
+    rng = np.random.default_rng(19)
+    for T in sorted({1, 2, window - 1, window, window + 1, 2 * window + 1, 256} - {0}):
+        q, k, v = (nn.Tensor(rng.normal(size=(2, T, 8)), requires_grad=True) for _ in range(3))
+        r = rng.normal(size=(2, T, 8))
+        out = nn.attention(q, k, v, band_mask(T, window))
+        (out * r).sum().backward()
+        want = banded_reference(q.data, k.data, v.data, window, r)
+        for got, ref in zip((out.data, q.grad, k.grad, v.grad), want):
+            assert np.abs(got - ref).max() < 1e-12, (T, window)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "swapaxes", "slice"])
+@pytest.mark.parametrize("window", [3, 64])
+def test_banded_attention_matches_reference_bytes(window, layout):
+    """Band masks [T, T] for T around the window and at the longest
+    frame-model window, against the five-node chain."""
+    for T in sorted({1, 2, window - 1, window, window + 1, 2 * window + 1, 256} - {0}):
+        mask = band_mask(T, window)
+        for lead in ((2,), (2, 3)):
+            shape = lead + (T, 8)
+            _check_against_reference(
+                lambda: _leaves(T, [shape] * 3, layout),
+                lambda kz, q, k, v: kz.attention(q, k, v, mask),
+            )
+            # one tensor as query and key: its gradient is accumulated twice
+            _check_against_reference(
+                lambda: _leaves(T, [shape] * 2, layout),
+                lambda kz, x, v: kz.attention(x, x, v, mask),
+            )
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "swapaxes", "slice"])
 def test_attention_matches_the_five_node_chain_bytes(layout):
-    for shape, mask in attention_cases():
+    for shape, mask in pad_cases():
         T = shape[-2]
         _check_against_reference(
             lambda: _leaves(T, [shape] * 3, layout),
@@ -361,16 +411,30 @@ def test_transformer_encoder_keeps_the_bytes_of_the_five_node_chain():
         assert got.tobytes() == want.tobytes()
 
 
+def _check_unrecorded(rng, shape, mask):
+    q, k, v = (nn.Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(3))
+    recorded = nn.attention(q, k, v, mask)
+    with nn.no_grad():
+        plain = nn.attention(q, k, v, mask)
+    assert recorded._backward is not None and plain._backward is None
+    assert plain.shape == recorded.shape == shape
+    assert plain.data.tobytes() == recorded.data.tobytes(), shape
+
+
+@pytest.mark.parametrize("lead", [(2,), (1, 2)])
+@pytest.mark.parametrize("window", [3, 64])
+def test_banded_attention_unrecorded_returns_the_recorded_bytes(window, lead):
+    # lengths around the window, the longest frame-model window, and windows >= T - 1
+    rng = np.random.default_rng(40)
+    lengths = {1, window - 1, window, window + 1, 2 * window + 1, 256} - {0}
+    for T, win in [(T, window) for T in sorted(lengths)] + [(30, 29), (30, 500)]:
+        _check_unrecorded(rng, lead + (T, 8), band_mask(T, win))
+
+
 def test_attention_unrecorded_returns_the_recorded_bytes():
     rng = np.random.default_rng(40)
-    for shape, mask in attention_cases():
-        q, k, v = (nn.Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(3))
-        recorded = nn.attention(q, k, v, mask)
-        with nn.no_grad():
-            plain = nn.attention(q, k, v, mask)
-        assert recorded._backward is not None and plain._backward is None
-        assert plain.shape == recorded.shape == shape
-        assert plain.data.tobytes() == recorded.data.tobytes(), shape
+    for shape, mask in pad_cases():
+        _check_unrecorded(rng, shape, mask)
 
 
 def _check_against_reference(make_leaves, forward):
