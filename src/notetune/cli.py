@@ -3,9 +3,10 @@
 Stages write checkpoints and reports into --checkpoint-dir and read the
 dataset produced by synth-data/extract from --data-dir.  Configuration
 comes from defaults, then --config FILE, then --set key.path=value
-overrides (flags win).  A key the defaults do not have, from the file or
-from --set, is rejected with exit status 2; only corpus.eval_sets may name
-new sets, each with exactly n_songs and detune.  NOTETUNE_CACHE_DIR, when
+overrides (flags win).  A key the defaults do not have, or a value unlike
+its default's (`config._check_keys`), from the file or from --set, is
+rejected with exit status 2; only corpus.eval_sets may name new sets, each
+with exactly n_songs and detune.  NOTETUNE_CACHE_DIR, when
 set, caches feature tracks extracted by `correct` (the only environment
 variable consulted); `features.track_cache_key` gives a cached track's key,
 which covers the decoded waveform, the audio settings and every extractor

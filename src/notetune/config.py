@@ -12,7 +12,10 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from pathlib import Path
+
+from .datakit import DETUNE_KINDS
 
 CONFIG_VERSION = 1
 
@@ -118,13 +121,18 @@ EVAL_SET_KEYS = {"n_songs", "detune"}
 WHOLE_MINIMUM = {"seed": 0, "steps": 0, "n_songs": 0, "batch": 1, "eval_every": 1}
 
 
+def _is_finite_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def _check_keys(node: dict, ref: dict, path: str):
     """Reject keys that `ref` (DEFAULTS) does not have, objects where it has
     a plain value or the reverse, a value that is not an int (bools are not)
-    where `ref` holds an int, or not an int or a float where it holds a
-    float, and a seed, steps, n_songs, batch or eval_every below
-    WHOLE_MINIMUM.  New corpus.eval_sets entries must give
-    exactly n_songs and detune."""
+    where `ref` holds an int, not a finite int or float where it holds a
+    float, not a list of as many finite numbers where it holds a list, a
+    detune that is not one of DETUNE_KINDS, and a seed, steps, n_songs,
+    batch or eval_every below WHOLE_MINIMUM.  New corpus.eval_sets entries
+    must give exactly n_songs and detune."""
     for key, value in node.items():
         name = path + key
         if key not in ref:
@@ -146,6 +154,15 @@ def _check_keys(node: dict, ref: dict, path: str):
             raise ValueError(f"config key {name} must be a whole number, got {value!r}")
         elif type(ref[key]) is float and type(value) not in (int, float):
             raise ValueError(f"config key {name} must be a number, got {value!r}")
+        elif type(ref[key]) is float and not math.isfinite(value):
+            raise ValueError(f"config key {name} must be a finite number, got {value!r}")
+        elif type(ref[key]) is list and not (
+            type(value) is list and len(value) == len(ref[key]) and all(map(_is_finite_number, value))
+        ):
+            raise ValueError(f"config key {name} must be a list of {len(ref[key])} finite numbers, "
+                             f"got {value!r}")
+        elif key == "detune" and value not in DETUNE_KINDS:
+            raise ValueError(f"config key {name} must be one of {', '.join(DETUNE_KINDS)}, got {value!r}")
 
 
 def load_config(path=None, overrides: list[str] | None = None) -> dict:

@@ -241,9 +241,12 @@ def split_dataset(sample_errors: dict[str, float], seed: int = 0) -> dict[str, t
 
 # ---- detune models -------------------------------------------------------------
 
+DETUNE_KINDS = ("none", "uniform", "ar1")
+
+
 @dataclass
 class DetuneSpec:
-    """Per-note pitch-error model: 'none', 'uniform' or 'ar1'."""
+    """Per-note pitch-error model: one of DETUNE_KINDS."""
 
     kind: str = "none"
     lo: float = -0.5

@@ -38,13 +38,10 @@ WINDOW_CORE = WINDOW - 2 * WINDOW_HALO
 WINDOW_GROUP = 8
 
 
-def track_inputs(track: FrameTrack) -> np.ndarray:
-    """Stack normalized per-frame features [T, 2 + n_mels]."""
-    return _frame_inputs(track, 0, track.n_frames)
-
-
-def _frame_inputs(track: FrameTrack, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of `track_inputs`; every value is its frame's own."""
+def frame_inputs(track: FrameTrack, start: int, stop: int) -> np.ndarray:
+    """The normalized features [stop - start, 2 + n_mels] of frames
+    start..stop-1: pitch, voicing, then the mel bands.  Every value is its
+    frame's own, so a crop's rows are those of the whole take."""
     p = (track.pitch_filled[start:stop] - PITCH_CENTER) / PITCH_SCALE
     v = track.voiced[start:stop].astype(np.float64)
     m = (track.mel[start:stop] + MEL_SHIFT) / MEL_SCALE
@@ -83,7 +80,7 @@ def windowed(forward_batch: Callable, track: FrameTrack) -> np.ndarray:
             for g in range(0, len(same), WINDOW_GROUP):
                 group = same[g : g + WINDOW_GROUP]
                 first = group[0][0]
-                x = _frame_inputs(track, first, group[-1][1])
+                x = frame_inputs(track, first, group[-1][1])
                 y = forward_batch(np.stack([x[a - first : b - first] for a, b, _, _ in group])).data
                 for row, (a, _, lo, hi) in zip(y, group):
                     out[lo:hi] = row[lo - a : hi - a]

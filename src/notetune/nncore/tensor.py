@@ -7,27 +7,41 @@ matmuls go to BLAS, which may use several.  Deterministic given fixed inputs
 and a fixed BLAS thread count: the BLAS thread count can change how a
 matmul rounds, and so the trained bytes.
 
+The graph is made of nodes, apart from the tensors.  A recorded op's output
+Tensor points to a `_Node` that holds four things: the op's backward
+closure, the gradient sinks of its parents (their nodes, a leaf Tensor, or
+`_PLAIN` for a plain input), the gradient in flight, and the shape and
+strides its first gradient buffer is laid out by.  The closure captures only
+the arrays its backward reads, never a Tensor, and receives the parents'
+sinks as arguments.  So an output that no backward reads, such as a
+residual sum or a `concat`, is freed in the forward pass as soon as its
+caller drops it; its node stays until the sweep.
+Leaves (parameters, inputs made with requires_grad=True) keep their
+gradient in `Tensor.grad`.
+
 A gradient buffer is first written as 0.0 + g and then only added to, so it
 never holds -0.0: the kernels may hand `_accumulate` a gradient that
 differs from another only in the sign of a zero, and add into a buffer in
-place, without changing its bytes.
+place, without changing its bytes.  The first buffer is laid out as
+`np.empty_like` lays out the output it belongs to (C order for a
+C-contiguous one): that layout picks the BLAS path of later matmuls.
 
 One rule, `_records`, decides whether a node is recorded: gradients are
 enabled (no `no_grad` block) and some parent requires a gradient or is
-itself a recorded node.  A node that is not recorded keeps nothing for a
-backward pass, so it may overwrite its own temporaries (`geglu` returns
-its cdf buffer) or not keep them (`gru_sequence` keeps no gates), but
-never its inputs, which the caller still owns; each such node says in its
-docstring that it gives the recorded path's bytes.  No node splits its
-input into blocks: a caller bounds memory by what it feeds the graph.
-`attention` is dense, T x T scores per head, so its callers bound T: the
-frame models see windows of at most `frontend.WINDOW` = 256 frames
+itself recorded.  An op that is not recorded makes no node and keeps
+nothing for a backward pass, so it may overwrite its own temporaries
+(`geglu` returns its cdf buffer) or not keep them (`gru_sequence` keeps no
+gates), but never its inputs, which the caller still owns; each such op
+says in its docstring that it gives the recorded path's bytes.  No op
+splits its input into blocks: a caller bounds memory by what it feeds the
+graph.  `attention` is dense, T x T scores per head, so its callers bound
+T: the frame models see windows of at most `frontend.WINDOW` = 256 frames
 (`frontend.windowed`, and the training crops), the note model at most
 `layers.MAX_EVENTS` events.
 
 `backward` releases the graph as it sweeps: each node drops its backward
-closure and its parents once its own backward has run, so the forward
-activations are freed during the sweep and no graph outlives its
+closure and its parents once its own backward has run, so the arrays the
+closures hold are freed during the sweep and no graph outlives its
 `backward()`.  Call it once per forward; a second call on the same loss
 reaches no parameter.
 """
@@ -37,6 +51,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 _GRAD_ENABLED = True
 
@@ -73,17 +88,67 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-class Tensor:
-    """N-d float64 array with an optional gradient buffer."""
+class _Sink:
+    """What a backward closure adds a gradient to: a node's or a leaf's `grad`."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    __slots__ = ()
+
+    def _accumulate(self, g: np.ndarray):
+        """Add `g` to the gradient.  The first write is 0.0 + g into an
+        uninitialised buffer from `_empty_grad`, which is what zero-fill then
+        += gave."""
+        if self.grad is None:
+            self.grad = np.add(g, 0.0, out=self._empty_grad())
+        else:
+            self.grad += g
+
+
+class _Plain:
+    """The sink of a plain input (no gradient, no graph): it takes none."""
+
+    __slots__ = ()
+
+    def _accumulate(self, g: np.ndarray):
+        pass
+
+
+_PLAIN = _Plain()
+_LAYOUT = np.empty(1)  # the buffer a layout proxy in `_Node._empty_grad` points at
+
+
+class _Node(_Sink):
+    """One recorded op: its backward closure, its parents' sinks, the
+    gradient in flight, and the shape and strides of its output (strides
+    None when C-contiguous)."""
+
+    __slots__ = ("backward", "parents", "grad", "shape", "strides")
+
+    def __init__(self, backward, parents: tuple, data: np.ndarray):
+        self.backward = backward
+        self.parents = parents
+        self.grad = None
+        self.shape = data.shape
+        self.strides = None if data.flags.c_contiguous else data.strides
+
+    def _empty_grad(self) -> np.ndarray:
+        """An uninitialised buffer laid out as `np.empty_like(output)`: numpy
+        takes the layout from a view with the output's shape and strides over
+        a one-element buffer, whose entries are never read."""
+        if self.strides is None:
+            return np.empty(self.shape)
+        return np.empty_like(as_strided(_LAYOUT, self.shape, self.strides, writeable=False))
+
+
+class Tensor(_Sink):
+    """N-d float64 array; a leaf's gradient buffer, or a recorded op's node."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
-        self._backward = None
-        self._parents = ()
+        self._node = None
 
     # ---- introspection -------------------------------------------------
     @property
@@ -103,33 +168,39 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray):
-        """Add `g` to the gradient.  The first write is 0.0 + g into an
-        uninitialised buffer laid out like `data` (its layout picks the BLAS
-        path of later matmuls), which is what zero-fill then += gave."""
-        if self.grad is None:
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
-        else:
-            self.grad += g
+    def _empty_grad(self) -> np.ndarray:
+        # laid out like `data`: its layout picks the BLAS path of later matmuls
+        return np.empty_like(self.data)
+
+    def _sink(self):
+        """Where this tensor's gradient goes: its node, itself as a leaf, or
+        nowhere (`_PLAIN`)."""
+        if self._node is not None:
+            return self._node
+        return self if self.requires_grad else _PLAIN
 
     # ---- graph ----------------------------------------------------------
     def backward(self, grad=None):
         """Backpropagate from this tensor (scalar unless `grad` given).
 
-        Only leaves keep their gradient: an intermediate's is dropped once
-        its own backward has run, so a step holds the gradients in flight,
-        not one per node of the graph.  The graph is released in the same
-        sweep: every node, this one included, loses its backward closure and
-        its parents once its backward has run or been skipped, which frees
-        the activations the closures hold.  So call this once per forward; a
-        second call on the same tensor reaches no parameter."""
+        Only leaves keep their gradient: a node's is dropped once its own
+        backward has run, so a step holds the gradients in flight, not one
+        per node of the graph.  The graph is released in the same sweep:
+        every node, this one's included, loses its backward closure and its
+        parents once its backward has run or been skipped, which frees the
+        arrays the closures hold.  So call this once per forward; a second
+        call on the same tensor reaches no parameter."""
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without grad requires a scalar tensor")
             grad = np.ones_like(self.data)
-        topo: list[Tensor] = []
+        grad = np.asarray(grad, dtype=np.float64)
+        if self._node is None:  # a leaf or a plain tensor: nothing to sweep
+            self._accumulate(grad)
+            return
+        topo: list[_Node] = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(self._node, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -139,16 +210,15 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
+            for p in node.parents:
+                if type(p) is _Node and id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(np.asarray(grad, dtype=np.float64))
+        self._node._accumulate(grad)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                node.grad = None
-            node._backward = None
-            node._parents = ()
+            if node.backward is not None and node.grad is not None:
+                node.backward(node.grad, *node.parents)
+            node.backward = node.grad = None
+            node.parents = ()
 
     # ---- operators -------------------------------------------------------
     def __add__(self, other):
@@ -208,17 +278,18 @@ def _as_const(x) -> np.ndarray:
 
 
 def _records(parents) -> bool:
-    """Whether a node on `parents` is recorded: gradients are enabled and
-    some parent requires a gradient or is itself a recorded node."""
-    return _GRAD_ENABLED and any(p.requires_grad or p._parents for p in parents)
+    """Whether an op on `parents` is recorded: gradients are enabled and
+    some parent requires a gradient or is itself recorded."""
+    return _GRAD_ENABLED and any(p.requires_grad or p._node is not None for p in parents)
 
 
 def _make(data, parents, backward):
+    """The output Tensor of an op; recorded, with a node whose closure
+    `backward(g, *sinks)` gets the gradient and the sinks of `parents`."""
     out = Tensor(data)
     if _records(parents):
         out.requires_grad = any(p.requires_grad for p in parents)
-        out._parents = tuple(parents)
-        out._backward = backward
+        out._node = _Node(backward, tuple(p._sink() for p in parents), data)
     return out
 
 
@@ -226,24 +297,23 @@ def _make(data, parents, backward):
 
 def add(a: Tensor, b):
     if not isinstance(b, Tensor):
-        bc = _as_const(b)
-        out_data = a.data + bc
+        a_shape = a.shape
 
-        def bw(g):
-            a._accumulate(_unbroadcast(g, a.data.shape))
+        def bw(g, a):
+            a._accumulate(_unbroadcast(g, a_shape))
 
-        return _make(out_data, (a,), bw)
-    out_data = a.data + b.data
+        return _make(a.data + _as_const(b), (a,), bw)
+    a_shape, b_shape = a.shape, b.shape
 
-    def bw(g):
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(g, b.data.shape))
+    def bw(g, a, b):
+        a._accumulate(_unbroadcast(g, a_shape))
+        b._accumulate(_unbroadcast(g, b_shape))
 
-    return _make(out_data, (a, b), bw)
+    return _make(a.data + b.data, (a, b), bw)
 
 
 def neg(a: Tensor):
-    def bw(g):
+    def bw(g, a):
         a._accumulate(-g)
 
     return _make(-a.data, (a,), bw)
@@ -251,55 +321,58 @@ def neg(a: Tensor):
 
 def mul(a: Tensor, b):
     if not isinstance(b, Tensor):
-        bc = _as_const(b)
+        bc, a_shape = _as_const(b), a.shape
 
-        def bw(g):
-            a._accumulate(_unbroadcast(g * bc, a.data.shape))
+        def bw(g, a):
+            a._accumulate(_unbroadcast(g * bc, a_shape))
 
         return _make(a.data * bc, (a,), bw)
+    x, y = a.data, b.data
 
-    def bw(g):
-        a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+    def bw(g, a, b):
+        a._accumulate(_unbroadcast(g * y, x.shape))
+        b._accumulate(_unbroadcast(g * x, y.shape))
 
-    return _make(a.data * b.data, (a, b), bw)
+    return _make(x * y, (a, b), bw)
 
 
 def pow_const(a: Tensor, c: float):
-    out_data = a.data**c
+    x = a.data
 
-    def bw(g):
-        a._accumulate(g * c * a.data ** (c - 1.0))
+    def bw(g, a):
+        a._accumulate(g * c * x ** (c - 1.0))
 
-    return _make(out_data, (a,), bw)
+    return _make(x**c, (a,), bw)
 
 
 def matmul(a: Tensor, b: Tensor):
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul requires tensors with ndim >= 2")
+    x, y = a.data, b.data
 
     # an operand that is a plain input (no gradient, no graph) gets none
-    def bw(g):
-        if a.requires_grad or a._parents:
-            a._accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        if b.requires_grad or b._parents:
-            b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+    def bw(g, a, b):
+        if a is not _PLAIN:
+            a._accumulate(_unbroadcast(g @ y.swapaxes(-1, -2), x.shape))
+        if b is not _PLAIN:
+            b._accumulate(_unbroadcast(x.swapaxes(-1, -2) @ g, y.shape))
 
-    return _make(a.data @ b.data, (a, b), bw)
+    return _make(x @ y, (a, b), bw)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor):
-    """x @ w + b as one node: the float operations of the two-node form,
-    with one [..., out] array kept for the backward pass instead of two."""
-    out_data = x.data @ w.data
+    """x @ w + b as one node: the float operations of the two-node form.
+    Its backward reads x and w, never the [..., out] output."""
+    xd, wd, b_shape = x.data, w.data, b.shape
+    out_data = xd @ wd
     out_data += b.data
 
     # a plain input x (no gradient, no graph) gets none, as in `matmul`
-    def bw(g):
-        if x.requires_grad or x._parents:
-            x._accumulate(_unbroadcast(g @ w.data.swapaxes(-1, -2), x.data.shape))
-        w._accumulate(_unbroadcast(x.data.swapaxes(-1, -2) @ g, w.data.shape))
-        b._accumulate(_unbroadcast(g, b.data.shape))
+    def bw(g, x, w, b):
+        if x is not _PLAIN:
+            x._accumulate(_unbroadcast(g @ wd.swapaxes(-1, -2), xd.shape))
+        w._accumulate(_unbroadcast(xd.swapaxes(-1, -2) @ g, wd.shape))
+        b._accumulate(_unbroadcast(g, b_shape))
 
     return _make(out_data, (x, w, b), bw)
 
@@ -307,10 +380,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor):
 # ---- elementwise nonlinearities -------------------------------------------
 
 def tlog(a: Tensor):
-    def bw(g):
-        a._accumulate(g / a.data)
+    x = a.data
 
-    return _make(np.log(a.data), (a,), bw)
+    def bw(g, a):
+        a._accumulate(g / x)
+
+    return _make(np.log(x), (a,), bw)
 
 
 _SIGMOID_LO = np.nextafter(0.0, 1.0)
@@ -335,7 +410,7 @@ def sigmoid(a: Tensor):
     raw = _logistic(a.data)
     out_data = np.clip(raw, _SIGMOID_LO, _SIGMOID_HI)
 
-    def bw(g):
+    def bw(g, a):
         a._accumulate(g * raw * (1.0 - raw))
 
     return _make(out_data, (a,), bw)
@@ -445,7 +520,7 @@ def gelu(a: Tensor):
     cdf *= 0.5
     out_data = x * cdf
 
-    def bw(g):
+    def bw(g, a):
         d = x * -0.5
         d *= x
         np.exp(d, out=d)
@@ -470,7 +545,8 @@ def geglu(h: Tensor, inner: int):
     is kept (the chain kept it and gate * cdf); the backward pass rebuilds
     gate * cdf inside the gradient of h and reuses the cdf buffer for
     g * val once the gate's gradient no longer reads it."""
-    val, gate = h.data[..., :inner], h.data[..., inner:]
+    hd = h.data
+    val, gate = hd[..., :inner], hd[..., inner:]
     cdf = gate / _SQRT2
     erf(cdf, cdf)
     cdf += 1.0
@@ -482,9 +558,9 @@ def geglu(h: Tensor, inner: int):
     out_data = gate * cdf
     out_data *= val
 
-    def bw(g):
+    def bw(g, h):
         # d val = g * (gate * cdf); d gate = (g * val) * (cdf + gate * pdf)
-        full = np.empty_like(h.data)
+        full = np.empty_like(hd)
         dval, dgate = full[..., :inner], full[..., inner:]
         np.multiply(gate, cdf, out=dval)
         dval *= g
@@ -503,13 +579,13 @@ def geglu(h: Tensor, inner: int):
 
 def clip(a: Tensor, lo: float, hi: float):
     """Clamp values; gradient passes only strictly inside the range."""
-    out_data = np.clip(a.data, lo, hi)
+    x = a.data
 
-    def bw(g):
-        mask = (a.data > lo) & (a.data < hi)
+    def bw(g, a):
+        mask = (x > lo) & (x < hi)
         a._accumulate(g * mask)
 
-    return _make(out_data, (a,), bw)
+    return _make(np.clip(x, lo, hi), (a,), bw)
 
 
 # ---- shape / indexing -------------------------------------------------------
@@ -517,14 +593,14 @@ def clip(a: Tensor, lo: float, hi: float):
 def reshape(a: Tensor, shape):
     orig = a.data.shape
 
-    def bw(g):
+    def bw(g, a):
         a._accumulate(g.reshape(orig))
 
     return _make(a.data.reshape(shape), (a,), bw)
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int):
-    def bw(g):
+    def bw(g, a):
         a._accumulate(g.swapaxes(ax1, ax2))
 
     return _make(a.data.swapaxes(ax1, ax2), (a,), bw)
@@ -536,20 +612,21 @@ def _is_fancy(key) -> bool:
 
 
 def getitem(a: Tensor, key):
-    out_data = a.data[key]
+    a_shape = a.shape
     fancy = _is_fancy(key)
 
-    def bw(g):
+    def bw(g, a):
         if fancy:
-            full = np.zeros_like(a.data)
+            full = np.zeros(a_shape)
             np.add.at(full, key, g)
             a._accumulate(full)
             return
         if a.grad is None:
-            a.grad = np.zeros_like(a.data)
+            a.grad = a._empty_grad()
+            a.grad.fill(0.0)
         a.grad[key] += g
 
-    return _make(out_data, (a,), bw)
+    return _make(a.data[key], (a,), bw)
 
 
 def concat(tensors, axis: int = -1):
@@ -558,7 +635,7 @@ def concat(tensors, axis: int = -1):
     sizes = [d.shape[axis] for d in datas]
     offsets = np.cumsum([0] + sizes)
 
-    def bw(g):
+    def bw(g, *tensors):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
@@ -569,9 +646,10 @@ def concat(tensors, axis: int = -1):
 
 def tsum(a: Tensor):
     """Sum of all elements."""
+    a_shape = a.shape
 
-    def bw(g):
-        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+    def bw(g, a):
+        a._accumulate(np.broadcast_to(g, a_shape).copy())
 
     return _make(a.data.sum(), (a,), bw)
 
@@ -588,7 +666,7 @@ def softmax(a: Tensor, axis: int = -1):
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
 
-    def bw(g):
+    def bw(g, a):
         dot = (g * out_data).sum(axis=axis, keepdims=True)
         a._accumulate(out_data * (g - dot))
 
@@ -608,14 +686,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor):
     xhat *= inv
     np.multiply(xhat, gamma.data, out=out_data)
     out_data += beta.data
+    gd = gamma.data
 
-    def bw(g):
+    def bw(g, x, gamma, beta):
         # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
         lead = tuple(range(g.ndim - 1))
         t = g * xhat
         gamma._accumulate(t.sum(axis=lead))
         beta._accumulate(g.sum(axis=lead))
-        dxhat = g * gamma.data
+        dxhat = g * gd
         m1 = dxhat.mean(axis=-1, keepdims=True)
         np.multiply(dxhat, xhat, out=t)
         m2 = t.mean(axis=-1, keepdims=True)
@@ -639,38 +718,39 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray):
     score gradient in place too and hands out the gradients in the chain's
     order (v, q, k).  Dense: callers bound T (module docstring).
     """
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    p = q.data @ k.data.swapaxes(-1, -2)
+    qd, kd, vd = q.data, k.data, v.data
+    scale = 1.0 / np.sqrt(qd.shape[-1])
+    p = qd @ kd.swapaxes(-1, -2)
     p *= scale
     p += mask
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
 
-    def bw(g):
+    def bw(g, q, k, v):
         # ds = p * (dp - rowsum(dp * p)) * scale, built in place in dp
-        ds = g @ v.data.swapaxes(-1, -2)
+        ds = g @ vd.swapaxes(-1, -2)
         v._accumulate(p.swapaxes(-1, -2) @ g)
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= scale
-        q._accumulate(ds @ k.data)
-        k._accumulate((q.data.swapaxes(-1, -2) @ ds).swapaxes(-1, -2))
+        q._accumulate(ds @ kd)
+        k._accumulate((qd.swapaxes(-1, -2) @ ds).swapaxes(-1, -2))
 
-    return _make(p @ v.data, (q, k, v), bw)
+    return _make(p @ vd, (q, k, v), bw)
 
 
 def embedding(table: Tensor, idx: np.ndarray):
     """Row lookup: out[..., :] = table[idx[...]]."""
     idx = np.asarray(idx, dtype=np.int64)
-    out_data = table.data[idx]
+    t_shape = table.shape
 
-    def bw(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx.ravel(), g.reshape(-1, table.data.shape[1]))
+    def bw(g, table):
+        full = np.zeros(t_shape)
+        np.add.at(full, idx.ravel(), g.reshape(-1, t_shape[1]))
         table._accumulate(full)
 
-    return _make(out_data, (table,), bw)
+    return _make(table.data[idx], (table,), bw)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator):
@@ -679,7 +759,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator):
         return x
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
 
-    def bw(g):
+    def bw(g, x):
         x._accumulate(g * mask)
 
     return _make(x.data * mask, (x,), bw)
@@ -701,7 +781,7 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray, mask: np.ndarray):
     count = max(m.sum(), 1.0)
     out_data = np.asarray((nll * m).sum() / count)
 
-    def bw(g):
+    def bw(g, logits):
         p = np.exp(logp)
         p[rows, t] -= 1.0
         logits._accumulate(g * p * (m / count)[:, None])
@@ -781,7 +861,9 @@ def gru_sequence(x_pre: Tensor, w_hh: Tensor, b_hh: Tensor, h0: Tensor):
         h, r, z, n, hn = gru_cell(x_pre.data[:, t, :], h, wh, bh)
         rs[:, t], zs[:, t], ns[:, t], hns[:, t], hs[:, t] = r, z, n, hn, h
 
-    def bw(g):
+    h0d = h0.data
+
+    def bw(g, x_pre, w_hh, b_hh, h0):
         dx = np.zeros((B, T, 3 * H))
         dwh = np.zeros_like(wh)
         dbh = np.zeros_like(bh)
@@ -789,7 +871,7 @@ def gru_sequence(x_pre: Tensor, w_hh: Tensor, b_hh: Tensor, h0: Tensor):
         dgates_h = np.empty((B, 3 * H))  # (dpre_r, dpre_z, dhn), rewritten each step
         for t in range(T - 1, -1, -1):
             dh = dh + g[:, t, :]
-            h_prev = hs[:, t - 1] if t > 0 else h0.data
+            h_prev = hs[:, t - 1] if t > 0 else h0d
             r, z, n, hn = rs[:, t], zs[:, t], ns[:, t], hns[:, t]
             dn = dh * (1.0 - z)
             dz = dh * (h_prev - n)

@@ -36,7 +36,7 @@ from . import segmenter as seg
 from . import spp as sp
 from . import symbolic as sym
 from .config import config_hash
-from .frontend import WINDOW, FrameEncoderConfig, track_inputs
+from .frontend import WINDOW, FrameEncoderConfig, frame_inputs
 
 log = logging.getLogger(__name__)
 
@@ -300,16 +300,16 @@ def train_segmenter_on(songs, val_songs, cfg: dict) -> tuple[seg.Segmenter, dict
     for song in songs:
         hard = np.zeros(song.track.n_frames)
         hard[[n.start_frame for n in song.notes]] = 1.0
-        data.append((track_inputs(song.track), hard, seg.soften_labels(hard, scfg["soft_sigma"])))
+        data.append((song.track, hard, seg.soften_labels(hard, scfg["soft_sigma"])))
 
     crop = min([WINDOW, *(song.track.n_frames for song in songs)])
     history = {"loss": [], "val": []}
     for step in range(tr["steps"]):
         xs, softs, hards = [], [], []
         for _ in range(tr["batch"]):
-            inputs, hard, soft = data[int(rng.integers(0, len(data)))]
+            track, hard, soft = data[int(rng.integers(0, len(data)))]
             start = int(rng.integers(0, max(len(hard) - crop, 1)))
-            xs.append(inputs[start : start + crop])
+            xs.append(frame_inputs(track, start, start + crop))
             hards.append(hard[start : start + crop])
             softs.append(soft[start : start + crop])
         probs = model.forward_batch(np.stack(xs))
@@ -352,13 +352,13 @@ def train_spp_on(songs, val_songs, cfg: dict) -> tuple[sp.StationaryPitchPredict
     model = sp.StationaryPitchPredictor(_frame_model_cfg(cfg, "spp"))
     opt = nn.AdamW(model.params(), tr["lr"], tr["steps"], tr["warmup"], tr["weight_decay"])
     rng = np.random.default_rng(_derived_seed(cfg["seed"], "train_spp", 0))
-    data = [(song, track_inputs(song.track), sp.local_pitch_std(song.track.pitch_filled)) for song in songs]
+    data = [(song, sp.local_pitch_std(song.track.pitch_filled)) for song in songs]
     crop = min([WINDOW, *(song.track.n_frames for song in songs)])
     history = {"loss": [], "val": []}
     for step in range(tr["steps"]):
         batch = []
         for _ in range(tr["batch"]):
-            song, inputs, sigma = data[int(rng.integers(0, len(data)))]
+            song, sigma = data[int(rng.integers(0, len(data)))]
             j = int(rng.integers(0, len(song.notes)))
             start = int(np.clip(song.notes[j].start_frame, 0, song.track.n_frames - crop))
             inside = [
@@ -368,7 +368,7 @@ def train_spp_on(songs, val_songs, cfg: dict) -> tuple[sp.StationaryPitchPredict
             ]
             if not inside:
                 continue
-            batch.append((inputs[start : start + crop], inside, song, sigma, start))
+            batch.append((frame_inputs(song.track, start, start + crop), inside, song, sigma, start))
         if not batch:
             continue
         x = np.stack([b[0] for b in batch])

@@ -1,6 +1,8 @@
 """The autograd kernels that the in-place forms in `nncore.tensor` replaced,
-kept verbatim as the reference those forms must match byte for byte.
-`_accumulate` is the `Tensor` method, here as a plain function."""
+kept as the reference those forms must match byte for byte: the same
+float operations, with closures that take their parents' gradient sinks
+as the `nncore.tensor` closures do.  `_accumulate` is the leaf `Tensor`
+method, here as a plain function."""
 
 import numpy as np
 from scipy.special import erf
@@ -27,11 +29,13 @@ def matmul(a: Tensor, b: Tensor):
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul requires tensors with ndim >= 2")
 
-    def bw(g):
-        a._accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+    x, y = a.data, b.data
 
-    return _make(a.data @ b.data, (a, b), bw)
+    def bw(g, a, b):
+        a._accumulate(_unbroadcast(g @ y.swapaxes(-1, -2), x.shape))
+        b._accumulate(_unbroadcast(x.swapaxes(-1, -2) @ g, y.shape))
+
+    return _make(x @ y, (a, b), bw)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor):
@@ -45,7 +49,7 @@ def gelu(a: Tensor):
     cdf = 0.5 * (1.0 + erf(x / _SQRT2))
     out_data = x * cdf
 
-    def bw(g):
+    def bw(g, a):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
         a._accumulate(g * (cdf + x * pdf))
 
@@ -61,18 +65,18 @@ def geglu(h: Tensor, inner: int):
 
 
 def getitem(a: Tensor, key):
-    out_data = a.data[key]
+    ad = a.data
     fancy = _is_fancy(key)
 
-    def bw(g):
-        full = np.zeros_like(a.data)
+    def bw(g, a):
+        full = np.zeros_like(ad)
         if fancy:
             np.add.at(full, key, g)
         else:
             full[key] += g
         a._accumulate(full)
 
-    return _make(out_data, (a,), bw)
+    return _make(ad[key], (a,), bw)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor):
@@ -82,13 +86,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor):
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
-    out_data = xhat * gamma.data + beta.data
+    gd = gamma.data
+    out_data = xhat * gd + beta.data
 
-    def bw(g):
+    def bw(g, x, gamma, beta):
         lead = tuple(range(g.ndim - 1))
         gamma._accumulate((g * xhat).sum(axis=lead))
         beta._accumulate(g.sum(axis=lead))
-        dxhat = g * gamma.data
+        dxhat = g * gd
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         x._accumulate(inv * (dxhat - m1 - xhat * m2))

@@ -148,3 +148,48 @@ def test_cli_fractional_integer_setting_exits_2_naming_the_key(tmp_path, capsys)
     assert cli.main(argv) == 2
     assert "config key corpus.notes_min must be a whole number, got 2.5" in capsys.readouterr().err
     assert not (tmp_path / "dataset.json").exists()
+
+
+@pytest.mark.parametrize("item", ["segmenter.train.lr=NaN", "segmenter.theta=-Infinity", "corpus.ar1.sigma=Infinity"])
+def test_every_float_setting_must_be_finite(item):
+    key = item.split("=")[0]
+    with pytest.raises(ValueError, match=f"config key {key} must be a finite number, got "):
+        load_config(None, [item])
+
+
+@pytest.mark.parametrize("item", [
+    "corpus.uniform_range=\"x\"",
+    "corpus.uniform_range=[1]",
+    "corpus.uniform_range=[-0.5, 0.5, 1]",
+    "corpus.uniform_range=[-0.5, NaN]",
+    "corpus.uniform_range=[false, 0.5]",
+])
+def test_a_list_setting_must_hold_as_many_finite_numbers_as_its_default(item):
+    with pytest.raises(ValueError, match="config key corpus.uniform_range must be a list of 2 finite numbers, got "):
+        load_config(None, [item])
+
+
+def test_a_list_setting_of_finite_numbers_is_accepted():
+    assert load_config(None, ["corpus.uniform_range=[-1, 0.25]"])["corpus"]["uniform_range"] == [-1, 0.25]
+
+
+@pytest.mark.parametrize("item, key", [
+    ("corpus.eval_sets.spp_bench.detune=\"bogus\"", "corpus.eval_sets.spp_bench.detune"),
+    ("corpus.eval_sets.extra={\"n_songs\": 3, \"detune\": 5}", "corpus.eval_sets.extra.detune"),
+])
+def test_an_eval_set_detune_must_be_a_detune_kind(item, key):
+    with pytest.raises(ValueError, match=f"config key {key} must be one of none, uniform, ar1, got "):
+        load_config(None, [item])
+
+
+@pytest.mark.parametrize("item, message", [
+    ("segmenter.train.lr=NaN", "config key segmenter.train.lr must be a finite number, got nan"),
+    ("corpus.uniform_range=[1]", "config key corpus.uniform_range must be a list of 2 finite numbers, got [1]"),
+    ("corpus.eval_sets.spp_bench.detune=bogus",
+     "config key corpus.eval_sets.spp_bench.detune must be one of none, uniform, ar1, got 'bogus'"),
+])
+def test_cli_malformed_setting_exits_2_naming_the_key(tmp_path, capsys, item, message):
+    argv = ["synth-data", "--data-dir", str(tmp_path), "--set", item, "-q"]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "dataset.json").exists()

@@ -128,7 +128,7 @@ def test_gru_sequence_unrecorded_returns_the_recorded_bytes(B, T):
     recorded = nn.gru_sequence(*leaves)
     with nn.no_grad():
         plain = nn.gru_sequence(*leaves)
-    assert recorded._backward is not None and plain._backward is None
+    assert recorded._node is not None and plain._node is None
     assert plain.shape == recorded.shape and plain.data.tobytes() == recorded.data.tobytes()
 
 
@@ -416,7 +416,7 @@ def _check_unrecorded(rng, shape, mask):
     recorded = nn.attention(q, k, v, mask)
     with nn.no_grad():
         plain = nn.attention(q, k, v, mask)
-    assert recorded._backward is not None and plain._backward is None
+    assert recorded._node is not None and plain._node is None
     assert plain.shape == recorded.shape == shape
     assert plain.data.tobytes() == recorded.data.tobytes(), shape
 
@@ -559,7 +559,7 @@ def test_geglu_layer_unrecorded_returns_the_recorded_bytes(T, lead):
     recorded = ffn(x)
     with nn.no_grad():
         plain = ffn(x)
-    assert recorded._backward is not None and plain._backward is None
+    assert recorded._node is not None and plain._node is None
     assert plain.shape == recorded.shape and plain.data.tobytes() == recorded.data.tobytes()
 
 
@@ -579,6 +579,48 @@ def test_backward_releases_the_graph_and_keeps_leaf_gradients():
         t.zero_grad()
     loss.backward()  # the released graph reaches no parameter
     assert all(t.grad is None for t in leaves)
+
+
+def test_an_output_no_backward_reads_is_freed_before_backward():
+    rng = np.random.default_rng(23)
+    x, y = (nn.Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True) for _ in range(2))
+    norm = nn.LayerNorm(4)
+    s = tz.add(x, y)
+    summed = weakref.ref(s.data)  # read by neither the add's nor the layer norm's backward
+    loss = norm(s).sum()
+    del s
+    assert summed() is None
+    loss.backward()
+    assert x.grad is not None and y.grad is not None
+
+
+def test_the_input_a_linear_reads_lives_until_its_backward_has_run():
+    rng = np.random.default_rng(24)
+    lin = nn.Linear(rng, 4, 3)
+    x = nn.Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+    h = nn.gelu(x)
+    activation = weakref.ref(h.data)  # read by the linear's backward for the weight gradient
+    loss = lin(h).sum()
+    del h
+    assert activation() is not None
+    loss.backward()
+    assert activation() is None and lin.w.grad is not None
+
+
+@pytest.mark.parametrize("view", [False, True])
+def test_a_node_first_gradient_is_laid_out_as_empty_like_its_output(view):
+    # an identity op that records the gradient buffer its node hands it
+    seen = []
+
+    def spy(t):
+        return tz._make(t.data, (t,), lambda g, a: (seen.append(g), a._accumulate(g)))
+
+    x = nn.Tensor(np.random.default_rng(25).normal(size=(2, 5, 4)), requires_grad=True)
+    out = tz.swapaxes(x, 1, 2) if view else nn.gelu(x)
+    (spy(out) * 3.0).sum().backward()  # the gradient arrives C-contiguous
+    want = np.empty_like(out.data)
+    assert seen[0].shape == want.shape and seen[0].strides == want.strides
+    assert seen[0].flags.c_contiguous != view
 
 
 def test_focal_loss_perfect_prediction_is_zero():

@@ -8,7 +8,7 @@ from notetune import nncore as nn
 from notetune import segmenter as seg
 from notetune import spp as sp
 from notetune import frontend
-from notetune.frontend import FrameEncoderConfig, track_inputs
+from notetune.frontend import FrameEncoderConfig, frame_inputs
 
 
 def test_soften_single_boundary_values():
@@ -171,12 +171,13 @@ def test_frame_models_unrecorded_return_the_recorded_bytes(T):
     # forward_batch may pass any
     pitch = 60 + np.random.default_rng(T).normal(0, 1, size=T)
     pitch[T // 3 : T // 2] = np.nan
-    x = track_inputs(make_track(pitch))[None, :, :]
+    track = make_track(pitch)
+    x = frame_inputs(track, 0, track.n_frames)[None, :, :]
     for model in (seg.Segmenter(FrameEncoderConfig()), sp.StationaryPitchPredictor(FrameEncoderConfig())):
         recorded = model.forward_batch(x)
         with nn.no_grad():
             plain = model.forward_batch(x)
-        assert recorded._backward is not None and plain._backward is None
+        assert recorded._node is not None and plain._node is None
         assert plain.shape == recorded.shape and plain.data.tobytes() == recorded.data.tobytes()
 
 
@@ -201,14 +202,14 @@ def _reference_windowed(forward_batch, track):
     The windows go in the batches `windowed` runs: the full ones in runs of
     WINDOW_GROUP, the last alone, since one GRU step on one row (gemv) rounds
     unlike one on several."""
-    x = track_inputs(track)
+    x = frame_inputs(track, 0, track.n_frames)
     windows = frontend.frame_windows(track.n_frames)
     full = windows[:-1]
     batches = [full[i : i + frontend.WINDOW_GROUP] for i in range(0, len(full), frontend.WINDOW_GROUP)]
     out = np.full(track.n_frames, np.nan)
     for batch in batches + [windows[-1:]]:
         y = forward_batch(np.stack([x[start:stop] for start, stop, _, _ in batch]))
-        assert y._backward is not None
+        assert y._node is not None
         for row, (start, _, lo, hi) in zip(y.data, batch):
             assert np.all(np.isnan(out[lo:hi]))
             out[lo:hi] = row[lo - start : hi - start]

@@ -87,9 +87,11 @@ def test_segmenter_training_step_memory_is_bounded():
     # kept for every graph node peaked at 216 MB; with intermediate
     # gradients dropped once used, 137 MB before the in-place kernels and
     # 134 MB with them; with the graph released during backward and Linear
-    # one node, 102.6 MB.  Two steps whose caller keeps `loss` while the
-    # next forward runs, as the training loops do, peaked at 237 MB while
-    # the graph outlived backward; now at what one step takes
+    # one node, 102.6 MB; 92.8 MB before the graph nodes held only what
+    # backward reads, and 72.3 MB since, as outputs that no backward reads
+    # are freed in the forward pass.  Two steps whose caller keeps `loss`
+    # while the next forward runs, as the training loops do, peaked at
+    # 237 MB while the graph outlived backward; now at what one step takes
     cfg = load_config()
     model = Segmenter(_frame_model_cfg(cfg, "segmenter"))
     opt = _optimizer(model, "segmenter", cfg)
