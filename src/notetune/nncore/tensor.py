@@ -10,21 +10,21 @@ matmul rounds, and so the trained bytes.
 The graph is made of nodes, apart from the tensors.  A recorded op's output
 Tensor points to a `_Node` that holds four things: the op's backward
 closure, the gradient sinks of its parents (their nodes, a leaf Tensor, or
-`_PLAIN` for a plain input), the gradient in flight, and the shape and
-strides its first gradient buffer is laid out by.  The closure captures only
-the arrays its backward reads, never a Tensor, and receives the parents'
-sinks as arguments.  So an output that no backward reads, such as a
-residual sum or a `concat`, is freed in the forward pass as soon as its
-caller drops it; its node stays until the sweep.
+`_PLAIN` for a plain input), the gradient in flight, and the shape of its
+first gradient buffer.  The closure captures only the arrays its backward
+reads, never a Tensor, and receives the parents' sinks as arguments.  So an
+output that no backward reads, such as a residual sum or a `concat`, is
+freed in the forward pass as soon as its caller drops it; its node stays
+until the sweep.
 Leaves (parameters, inputs made with requires_grad=True) keep their
 gradient in `Tensor.grad`.
 
 A gradient buffer is first written as 0.0 + g and then only added to, so it
 never holds -0.0: the kernels may hand `_accumulate` a gradient that
 differs from another only in the sign of a zero, and add into a buffer in
-place, without changing its bytes.  The first buffer is laid out as
-`np.empty_like` lays out the output it belongs to (C order for a
-C-contiguous one): that layout picks the BLAS path of later matmuls.
+place, without changing its bytes.  A node's first buffer is C-ordered,
+whatever the layout of its output; a leaf's is laid out like its data
+(`np.empty_like`).
 
 One rule, `_records`, decides whether a node is recorded: gradients are
 enabled (no `no_grad` block) and some parent requires a gradient or is
@@ -51,7 +51,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 _GRAD_ENABLED = True
 
@@ -113,30 +112,22 @@ class _Plain:
 
 
 _PLAIN = _Plain()
-_LAYOUT = np.empty(1)  # the buffer a layout proxy in `_Node._empty_grad` points at
 
 
 class _Node(_Sink):
     """One recorded op: its backward closure, its parents' sinks, the
-    gradient in flight, and the shape and strides of its output (strides
-    None when C-contiguous)."""
+    gradient in flight, and the shape of its output."""
 
-    __slots__ = ("backward", "parents", "grad", "shape", "strides")
+    __slots__ = ("backward", "parents", "grad", "shape")
 
     def __init__(self, backward, parents: tuple, data: np.ndarray):
         self.backward = backward
         self.parents = parents
         self.grad = None
         self.shape = data.shape
-        self.strides = None if data.flags.c_contiguous else data.strides
 
     def _empty_grad(self) -> np.ndarray:
-        """An uninitialised buffer laid out as `np.empty_like(output)`: numpy
-        takes the layout from a view with the output's shape and strides over
-        a one-element buffer, whose entries are never read."""
-        if self.strides is None:
-            return np.empty(self.shape)
-        return np.empty_like(as_strided(_LAYOUT, self.shape, self.strides, writeable=False))
+        return np.empty(self.shape)
 
 
 class Tensor(_Sink):
@@ -790,10 +781,13 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray, mask: np.ndarray):
 
 
 def gru_cell(gi: np.ndarray, h: np.ndarray, w_hh: np.ndarray, b_hh: np.ndarray):
-    """One GRU step on plain arrays (no graph).
+    """One GRU step on plain arrays (no graph): the only GRU step there is.
+    `gru_sequence`, recorded for training or not for `correct`, and the
+    detuner rollout all step through it.
 
     gi : [..., 3H] input-side preactivations (x @ W_ih + b_ih), gate order
-         (reset, update, candidate); h : [..., H] previous hidden state.
+         (reset, update, candidate); h : [..., H] previous hidden state,
+         never written.
     Returns the new hidden state and the gates (r, z, n, h @ W_hn + b_hn)
     that the backward pass of `gru_sequence` needs.  r and z come from one
     logistic over the first 2H columns, elementwise as if apart, so the
@@ -817,10 +811,12 @@ def gru_sequence(x_pre: Tensor, w_hh: Tensor, b_hh: Tensor, h0: Tensor):
     w_hh  : [H, 3H], b_hh : [3H], h0 : [B, H]
     Returns the hidden state sequence [B, T, H].
 
+    Every step is one `gru_cell` call, recorded or not, the step the
+    detuner rollout runs too; so training, `correct` and the rollout share
+    one step, and a recorded and an unrecorded pass give the same bytes.
     Recorded, the gates r, z, n and h @ W_hn + b_hn of every step are kept,
-    four more [B, T, H] arrays that only the backward pass reads.  Not
-    recorded, only the hidden states are, and each step runs `gru_cell`'s
-    operations in its order in buffers allocated once, so the same bytes.
+    four more [B, T, H] arrays that only the backward pass reads; not
+    recorded, only the hidden states are.
     """
     B, T, threeH = x_pre.data.shape
     H = threeH // 3
@@ -828,39 +824,16 @@ def gru_sequence(x_pre: Tensor, w_hh: Tensor, b_hh: Tensor, h0: Tensor):
     bh = b_hh.data
     hs = np.empty((B, T, H))
     h = h0.data
-    if not _records((x_pre, w_hh, b_hh, h0)):
-        gh, rz = np.empty((B, 3 * H)), np.empty((B, 2 * H))
-        n, zh, h_new = np.empty((B, H)), np.empty((B, H)), np.empty((B, H))
-        r, z, hn = rz[:, :H], rz[:, H:], gh[:, 2 * H :]
-        h = h.copy()  # stepped in place from here on; the caller's h0 stays
-        with np.errstate(over="ignore"):
-            for t in range(T):
-                gi = x_pre.data[:, t, :]
-                np.matmul(h, wh, out=gh)
-                gh += bh
-                np.add(gi[:, : 2 * H], gh[:, : 2 * H], out=rz)
-                np.negative(rz, out=rz)  # logistic: 1 / (1 + exp(-x))
-                np.exp(rz, out=rz)
-                rz += 1.0
-                np.divide(1.0, rz, out=rz)
-                np.multiply(r, hn, out=n)
-                np.add(gi[:, 2 * H :], n, out=n)
-                np.tanh(n, out=n)
-                np.subtract(1.0, z, out=h_new)  # (1 - z) * n + z * h
-                h_new *= n
-                np.multiply(z, h, out=zh)
-                h_new += zh
-                hs[:, t] = h_new
-                h, h_new = h_new, h
-        return Tensor(hs)
-    rs = np.empty((B, T, H))
-    zs = np.empty((B, T, H))
-    ns = np.empty((B, T, H))
-    hns = np.empty((B, T, H))
+    recorded = _records((x_pre, w_hh, b_hh, h0))
+    if recorded:
+        rs, zs, ns, hns = np.empty((4, B, T, H))
     for t in range(T):
         h, r, z, n, hn = gru_cell(x_pre.data[:, t, :], h, wh, bh)
-        rs[:, t], zs[:, t], ns[:, t], hns[:, t], hs[:, t] = r, z, n, hn, h
-
+        hs[:, t] = h
+        if recorded:
+            rs[:, t], zs[:, t], ns[:, t], hns[:, t] = r, z, n, hn
+    if not recorded:
+        return Tensor(hs)
     h0d = h0.data
 
     def bw(g, x_pre, w_hh, b_hh, h0):

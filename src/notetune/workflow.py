@@ -98,18 +98,6 @@ def _derived_seed(base: int, group: str, index: int) -> int:
 
 # ---- stage: synth-data -----------------------------------------------------------
 
-def _detune_spec(cfg: dict, kind: str) -> dk.DetuneSpec:
-    if kind == "none":
-        return dk.DetuneSpec(kind="none")
-    if kind == "uniform":
-        lo, hi = cfg["corpus"]["uniform_range"]
-        return dk.DetuneSpec(kind="uniform", lo=lo, hi=hi)
-    if kind == "ar1":
-        a = cfg["corpus"]["ar1"]
-        return dk.DetuneSpec(kind="ar1", rho=a["rho"], sigma=a["sigma"], clip=a["clip"])
-    raise ValueError(f"unknown detune kind {kind!r}")
-
-
 def stage_synth_data(cfg: dict, data_dir) -> dict:
     """Render the training corpus plus held-out evaluation sets."""
     paths = data_paths(data_dir)
@@ -117,6 +105,7 @@ def stage_synth_data(cfg: dict, data_dir) -> dict:
         paths[key].mkdir(parents=True, exist_ok=True)
     corpus_cfg = cfg["corpus"]
     seed = cfg["seed"]
+    lo, hi = corpus_cfg["uniform_range"]
     rng = np.random.default_rng(_derived_seed(seed, "assign", 0))
 
     n = corpus_cfg["n_songs"]
@@ -134,7 +123,7 @@ def stage_synth_data(cfg: dict, data_dir) -> dict:
         spec = dk.SynthSpec(
             seed=_derived_seed(seed, group, index),
             n_notes=int(rng.integers(corpus_cfg["notes_min"], corpus_cfg["notes_max"] + 1)),
-            detune=_detune_spec(cfg, kind),
+            detune=dk.DetuneSpec(kind=kind, lo=lo, hi=hi, **corpus_cfg["ar1"]),
             sample_rate=cfg["audio"]["sample_rate"],
         )
         wav, ann = dk.synth_song(spec)

@@ -132,6 +132,25 @@ def test_gru_sequence_unrecorded_returns_the_recorded_bytes(B, T):
     assert plain.shape == recorded.shape and plain.data.tobytes() == recorded.data.tobytes()
 
 
+@pytest.mark.parametrize("recorded", [True, False])
+def test_gru_sequence_runs_one_gru_cell_per_frame(monkeypatch, recorded):
+    cell, calls = tz.gru_cell, []
+
+    def counting(*args):
+        calls.append(1)
+        return cell(*args)
+
+    monkeypatch.setattr(tz, "gru_cell", counting)
+    leaves = _gru_leaves(2, 11, 8, 42)
+    if recorded:
+        hs = nn.gru_sequence(*leaves)
+    else:
+        with nn.no_grad():
+            hs = nn.gru_sequence(*leaves)
+    assert (hs._node is not None) == recorded
+    assert len(calls) == 11
+
+
 def test_gru_sequence_unrecorded_holds_no_gate_arrays():
     # recorded, the gates are four more [B, T, H] arrays beside the states
     B, T, H = 1, 4000, 64
@@ -607,8 +626,8 @@ def test_the_input_a_linear_reads_lives_until_its_backward_has_run():
     assert activation() is None and lin.w.grad is not None
 
 
-@pytest.mark.parametrize("view", [False, True])
-def test_a_node_first_gradient_is_laid_out_as_empty_like_its_output(view):
+@pytest.mark.parametrize("op", ["gelu", "swapaxes"])
+def test_a_node_first_gradient_is_c_contiguous(op):
     # an identity op that records the gradient buffer its node hands it
     seen = []
 
@@ -616,11 +635,10 @@ def test_a_node_first_gradient_is_laid_out_as_empty_like_its_output(view):
         return tz._make(t.data, (t,), lambda g, a: (seen.append(g), a._accumulate(g)))
 
     x = nn.Tensor(np.random.default_rng(25).normal(size=(2, 5, 4)), requires_grad=True)
-    out = tz.swapaxes(x, 1, 2) if view else nn.gelu(x)
-    (spy(out) * 3.0).sum().backward()  # the gradient arrives C-contiguous
-    want = np.empty_like(out.data)
-    assert seen[0].shape == want.shape and seen[0].strides == want.strides
-    assert seen[0].flags.c_contiguous != view
+    out = tz.swapaxes(x, 1, 2) if op == "swapaxes" else nn.gelu(x)
+    assert out.data.flags.c_contiguous == (op == "gelu")
+    (spy(out) * 3.0).sum().backward()
+    assert seen[0].shape == out.shape and seen[0].flags.c_contiguous
 
 
 def test_focal_loss_perfect_prediction_is_zero():

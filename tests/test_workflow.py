@@ -116,6 +116,29 @@ def test_trainers_before_extract_exit_2_and_pretrain_nothing(tmp_path, capsys):
     assert not (ckpt / "cnpp_pretrained.npz").exists()
 
 
+def test_synth_data_renders_each_detune_kind_from_the_config(tmp_path):
+    # 10 songs: one in tune, eight uniform, one ar1 (the default fractions)
+    cfg = load_config(None, [
+        "corpus.n_songs=10",
+        "corpus.notes_min=8",
+        "corpus.notes_max=8",
+        "corpus.uniform_range=[0.2,0.3]",
+        "corpus.ar1.clip=0.1",
+        *(f"corpus.eval_sets.{s}.n_songs=0" for s in ("spp_bench", "moderate_eval", "high_eval", "intune_eval")),
+    ])
+    samples = wf.stage_synth_data(cfg, tmp_path)["samples"]
+    in_range = {
+        "none": lambda d: d == 0.0,
+        "uniform": lambda d: 0.2 - 1e-12 <= d < 0.3 + 1e-12,
+        "ar1": lambda d: abs(d) <= 0.1 + 1e-12,
+    }
+    assert sorted({s["detune_kind"] for s in samples.values()}) == sorted(in_range)
+    for sid, sample in samples.items():
+        notes = dk.import_annotations(tmp_path / sample["annotation"]).notes
+        errors = [n.sung_pitch - n.pitch for n in notes]
+        assert len(errors) == 8 and all(map(in_range[sample["detune_kind"]], errors)), (sid, errors)
+
+
 @pytest.mark.parametrize("stage", ["correct", "evaluate"])
 def test_an_unknown_variant_is_rejected_before_any_checkpoint_is_read(cli_run, tmp_path, monkeypatch, stage):
     def no_read(*_args, **_kwargs):

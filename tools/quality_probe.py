@@ -25,9 +25,10 @@ the `rpa` cells of every CNPP variant (`workflow.CNPP_VARIANTS`).
 A WORKDIR/seed_S left by an earlier run is reused as the stages reuse their
 outputs, so give a fresh WORKDIR to measure a change.
 
-On 2 vCPUs, run one probe at a time: each process starts its own BLAS
-threads, two extract workers and a YIN pool, so two probes side by side
-took 612-752 s per seed, against 66-91 s for one alone.
+On a small host, run one probe at a time, and no benchmark beside it: each
+process starts its own OpenBLAS threads, two extract workers and a YIN
+pool, so on 2 vCPUs two probes side by side took 612-752 s per seed,
+against 66-91 s for one alone.
 """
 
 from __future__ import annotations
