@@ -30,7 +30,7 @@ import sys
 from . import workflow as wf
 from .config import load_config
 from .evalkit import format_ablation_table
-from .features import AudioIOError
+from .features import YIN_THREADS, AudioIOError
 from .nncore import CheckpointError
 
 log = logging.getLogger("notetune")
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract features, score errors, assign splits")
     p.add_argument("--data-dir", required=True)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers over files")
+    p.add_argument("--jobs", type=int, default=YIN_THREADS, help="pitch-tracking threads")
     _add_common(p)
 
     for name, helptext in [

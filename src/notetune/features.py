@@ -11,6 +11,7 @@ import json
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -381,7 +382,7 @@ def _yin_rows(x: np.ndarray, sr: int, hop: int):
     return f0, voiced
 
 
-def track_pitch(wav: np.ndarray, sr: int = DEFAULT_SR, hop: int = DEFAULT_HOP):
+def track_pitch(wav: np.ndarray, sr: int = DEFAULT_SR, hop: int = DEFAULT_HOP, pool=None):
     """Per-frame f0 via the cumulative-mean-normalized difference function.
 
     Returns (pitch_semitones[T], bool voiced[T]); unvoiced frames hold NaN.
@@ -392,9 +393,11 @@ def track_pitch(wav: np.ndarray, sr: int = DEFAULT_SR, hop: int = DEFAULT_HOP):
     made of hop-sample blocks that the next frames share: each block's lag
     products and energies come from one FFT triple over the block and its
     tau_max samples of lag, and a frame adds up its blocks (see _lag_products).
-    Chunks of YIN_CHUNK frames run on one thread per CPU, up to YIN_THREADS
-    (numpy's FFTs and ufuncs release the GIL); each frame is decided on its
-    own, so the bytes depend neither on the split nor on the worker count.
+    Chunks of YIN_CHUNK frames run on `pool`, an executor the caller owns
+    (`stage_extract` tracks every song on one), or else on a pool of one
+    thread per CPU, up to YIN_THREADS, opened for this call (numpy's FFTs
+    and ufuncs release the GIL); each frame is decided on its own, so the
+    bytes depend neither on the split nor on the worker count.
     """
     if len(wav) == 0:
         raise ValueError("empty waveform")
@@ -402,7 +405,8 @@ def track_pitch(wav: np.ndarray, sr: int = DEFAULT_SR, hop: int = DEFAULT_HOP):
     T = frame_count(len(wav), hop)
     spans = (_padded_span(wav, frame_len, i * hop, (min(i + YIN_CHUNK, T) - 1) * hop + frame_len)
              for i in range(0, T, YIN_CHUNK))
-    with ThreadPoolExecutor(min(YIN_THREADS, os.cpu_count() or 1)) as pool:
+    own = ThreadPoolExecutor(min(YIN_THREADS, os.cpu_count() or 1)) if pool is None else nullcontext(pool)
+    with own as pool:
         f0, voiced = zip(*pool.map(lambda x: _yin_rows(x, sr, hop), spans))
     f0, voiced = np.concatenate(f0), np.concatenate(voiced)
 

@@ -24,7 +24,13 @@ never holds -0.0: the kernels may hand `_accumulate` a gradient that
 differs from another only in the sign of a zero, and add into a buffer in
 place, without changing its bytes.  A node's first buffer is C-ordered,
 whatever the layout of its output; a leaf's is laid out like its data
-(`np.empty_like`).
+(`np.empty_like`).  A kernel that allocates a parent's gradient itself
+hands it over with `_take`: as the first gradient, a C-contiguous array of
+the sink's shape becomes the sink's buffer, made 0.0 + g in place, where
+the first buffer would be C-ordered too.  The bytes and the layout are
+those of `_accumulate`'s copy, and the copy is not made: a training step
+holds one GRU input gradient at its peak, not two.  Any other buffer, such
+as attention's dk (a transposed view), is copied as before.
 
 One rule, `_records`, decides whether a node is recorded: gradients are
 enabled (no `no_grad` block) and some parent requires a gradient or is
@@ -101,6 +107,20 @@ class _Sink:
         else:
             self.grad += g
 
+    def _take(self, buf: np.ndarray):
+        """Add `buf`, a gradient the calling kernel has just allocated and
+        holds nowhere else.  As the first gradient it is taken over, made
+        0.0 + buf in place: the bytes `_accumulate` gives, without its copy.
+        Only a C-contiguous array (not a numpy scalar) of the sink's shape
+        is taken over, and only where the first buffer would be C-ordered
+        too; any other goes through `_accumulate`."""
+        if (self.grad is None and isinstance(buf, np.ndarray) and buf.shape == self.shape
+                and buf.flags.c_contiguous and self._c_grad):
+            # viewed flat and back: a size-1 axis gets the stride a new array gives it
+            self.grad = np.add(buf, 0.0, out=buf).reshape(-1).reshape(self.shape)
+        else:
+            self._accumulate(buf)
+
 
 class _Plain:
     """The sink of a plain input (no gradient, no graph): it takes none."""
@@ -109,6 +129,8 @@ class _Plain:
 
     def _accumulate(self, g: np.ndarray):
         pass
+
+    _take = _accumulate
 
 
 _PLAIN = _Plain()
@@ -119,6 +141,7 @@ class _Node(_Sink):
     gradient in flight, and the shape of its output."""
 
     __slots__ = ("backward", "parents", "grad", "shape")
+    _c_grad = True  # `_empty_grad` is C-ordered
 
     def __init__(self, backward, parents: tuple, data: np.ndarray):
         self.backward = backward
@@ -162,6 +185,11 @@ class Tensor(_Sink):
     def _empty_grad(self) -> np.ndarray:
         # laid out like `data`: its layout picks the BLAS path of later matmuls
         return np.empty_like(self.data)
+
+    @property
+    def _c_grad(self) -> bool:
+        """Whether `_empty_grad` is C-ordered."""
+        return self.data.flags.c_contiguous
 
     def _sink(self):
         """Where this tensor's gradient goes: its node, itself as a leaf, or
@@ -305,7 +333,7 @@ def add(a: Tensor, b):
 
 def neg(a: Tensor):
     def bw(g, a):
-        a._accumulate(-g)
+        a._take(-g)
 
     return _make(-a.data, (a,), bw)
 
@@ -315,14 +343,14 @@ def mul(a: Tensor, b):
         bc, a_shape = _as_const(b), a.shape
 
         def bw(g, a):
-            a._accumulate(_unbroadcast(g * bc, a_shape))
+            a._take(_unbroadcast(g * bc, a_shape))
 
         return _make(a.data * bc, (a,), bw)
     x, y = a.data, b.data
 
     def bw(g, a, b):
-        a._accumulate(_unbroadcast(g * y, x.shape))
-        b._accumulate(_unbroadcast(g * x, y.shape))
+        a._take(_unbroadcast(g * y, x.shape))
+        b._take(_unbroadcast(g * x, y.shape))
 
     return _make(x * y, (a, b), bw)
 
@@ -331,7 +359,7 @@ def pow_const(a: Tensor, c: float):
     x = a.data
 
     def bw(g, a):
-        a._accumulate(g * c * x ** (c - 1.0))
+        a._take(g * c * x ** (c - 1.0))
 
     return _make(x**c, (a,), bw)
 
@@ -344,9 +372,9 @@ def matmul(a: Tensor, b: Tensor):
     # an operand that is a plain input (no gradient, no graph) gets none
     def bw(g, a, b):
         if a is not _PLAIN:
-            a._accumulate(_unbroadcast(g @ y.swapaxes(-1, -2), x.shape))
+            a._take(_unbroadcast(g @ y.swapaxes(-1, -2), x.shape))
         if b is not _PLAIN:
-            b._accumulate(_unbroadcast(x.swapaxes(-1, -2) @ g, y.shape))
+            b._take(_unbroadcast(x.swapaxes(-1, -2) @ g, y.shape))
 
     return _make(x @ y, (a, b), bw)
 
@@ -361,8 +389,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor):
     # a plain input x (no gradient, no graph) gets none, as in `matmul`
     def bw(g, x, w, b):
         if x is not _PLAIN:
-            x._accumulate(_unbroadcast(g @ wd.swapaxes(-1, -2), xd.shape))
-        w._accumulate(_unbroadcast(xd.swapaxes(-1, -2) @ g, wd.shape))
+            x._take(_unbroadcast(g @ wd.swapaxes(-1, -2), xd.shape))
+        w._take(_unbroadcast(xd.swapaxes(-1, -2) @ g, wd.shape))
         b._accumulate(_unbroadcast(g, b_shape))
 
     return _make(out_data, (x, w, b), bw)
@@ -374,7 +402,7 @@ def tlog(a: Tensor):
     x = a.data
 
     def bw(g, a):
-        a._accumulate(g / x)
+        a._take(g / x)
 
     return _make(np.log(x), (a,), bw)
 
@@ -402,7 +430,7 @@ def sigmoid(a: Tensor):
     out_data = np.clip(raw, _SIGMOID_LO, _SIGMOID_HI)
 
     def bw(g, a):
-        a._accumulate(g * raw * (1.0 - raw))
+        a._take(g * raw * (1.0 - raw))
 
     return _make(out_data, (a,), bw)
 
@@ -519,7 +547,7 @@ def gelu(a: Tensor):
         d *= x
         d += cdf
         d *= g
-        a._accumulate(d)
+        a._take(d)
 
     return _make(out_data, (a,), bw)
 
@@ -563,7 +591,7 @@ def geglu(h: Tensor, inner: int):
         dgate += cdf
         np.multiply(g, val, out=cdf)
         dgate *= cdf
-        h._accumulate(full)
+        h._take(full)
 
     return _make(out_data, (h,), bw)
 
@@ -574,7 +602,7 @@ def clip(a: Tensor, lo: float, hi: float):
 
     def bw(g, a):
         mask = (x > lo) & (x < hi)
-        a._accumulate(g * mask)
+        a._take(g * mask)
 
     return _make(np.clip(x, lo, hi), (a,), bw)
 
@@ -610,7 +638,7 @@ def getitem(a: Tensor, key):
         if fancy:
             full = np.zeros(a_shape)
             np.add.at(full, key, g)
-            a._accumulate(full)
+            a._take(full)
             return
         if a.grad is None:
             a.grad = a._empty_grad()
@@ -640,7 +668,7 @@ def tsum(a: Tensor):
     a_shape = a.shape
 
     def bw(g, a):
-        a._accumulate(np.broadcast_to(g, a_shape).copy())
+        a._take(np.broadcast_to(g, a_shape).copy())
 
     return _make(a.data.sum(), (a,), bw)
 
@@ -652,14 +680,14 @@ def tmean(a: Tensor):
 
 # ---- fused ops --------------------------------------------------------------
 
-def softmax(a: Tensor, axis: int = -1):
+def softmax(a: Tensor, axis: int):
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
 
     def bw(g, a):
         dot = (g * out_data).sum(axis=axis, keepdims=True)
-        a._accumulate(out_data * (g - dot))
+        a._take(out_data * (g - dot))
 
     return _make(out_data, (a,), bw)
 
@@ -683,8 +711,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor):
         # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
         lead = tuple(range(g.ndim - 1))
         t = g * xhat
-        gamma._accumulate(t.sum(axis=lead))
-        beta._accumulate(g.sum(axis=lead))
+        gamma._take(t.sum(axis=lead))
+        beta._take(g.sum(axis=lead))
         dxhat = g * gd
         m1 = dxhat.mean(axis=-1, keepdims=True)
         np.multiply(dxhat, xhat, out=t)
@@ -693,7 +721,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor):
         np.multiply(xhat, m2, out=t)
         dxhat -= t
         dxhat *= inv
-        x._accumulate(dxhat)
+        x._take(dxhat)
 
     return _make(out_data, (x, gamma, beta), bw)
 
@@ -721,12 +749,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray):
     def bw(g, q, k, v):
         # ds = p * (dp - rowsum(dp * p)) * scale, built in place in dp
         ds = g @ vd.swapaxes(-1, -2)
-        v._accumulate(p.swapaxes(-1, -2) @ g)
+        v._take(p.swapaxes(-1, -2) @ g)
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= scale
-        q._accumulate(ds @ kd)
-        k._accumulate((qd.swapaxes(-1, -2) @ ds).swapaxes(-1, -2))
+        q._take(ds @ kd)
+        k._take((qd.swapaxes(-1, -2) @ ds).swapaxes(-1, -2))
 
     return _make(p @ vd, (q, k, v), bw)
 
@@ -739,7 +767,7 @@ def embedding(table: Tensor, idx: np.ndarray):
     def bw(g, table):
         full = np.zeros(t_shape)
         np.add.at(full, idx.ravel(), g.reshape(-1, t_shape[1]))
-        table._accumulate(full)
+        table._take(full)
 
     return _make(table.data[idx], (table,), bw)
 
@@ -751,7 +779,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator):
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
 
     def bw(g, x):
-        x._accumulate(g * mask)
+        x._take(g * mask)
 
     return _make(x.data * mask, (x,), bw)
 
@@ -775,7 +803,7 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray, mask: np.ndarray):
     def bw(g, logits):
         p = np.exp(logp)
         p[rows, t] -= 1.0
-        logits._accumulate(g * p * (m / count)[:, None])
+        logits._take(g * p * (m / count)[:, None])
 
     return _make(out_data, (logits,), bw)
 
@@ -859,9 +887,9 @@ def gru_sequence(x_pre: Tensor, w_hh: Tensor, b_hh: Tensor, h0: Tensor):
             dwh += h_prev.T @ dgates_h
             dbh += dgates_h.sum(axis=0)
             dh = dh_prev + dgates_h @ wh.T
-        x_pre._accumulate(dx)
-        w_hh._accumulate(dwh)
-        b_hh._accumulate(dbh)
-        h0._accumulate(dh)
+        x_pre._take(dx)
+        w_hh._take(dwh)
+        b_hh._take(dbh)
+        h0._take(dh)
 
     return _make(hs, (x_pre, w_hh, b_hh, h0), bw)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -162,15 +163,17 @@ def _extract_track(wav: np.ndarray, audio_cfg: dict) -> ft.FrameTrack:
     )
 
 
-def stage_extract(cfg: dict, data_dir, jobs: int = 1) -> dict:
+def stage_extract(cfg: dict, data_dir, jobs: int = ft.YIN_THREADS) -> dict:
     """Extract feature tracks, score corpus pitch errors, assign splits.
 
     A song's pitch error (`delta_bar`) is the mean |trimmed mean - intended
     pitch| over its unflagged annotated notes.  The pitch of every song is
-    tracked first, `jobs` songs at a time; then one song at a time gets its
-    mel, its saved track and its pitch error.
-    So no mel matmul (BLAS threads) competes with the YIN threads, and only
-    the pitch arrays are held across songs.
+    tracked first, one song after another, each song's YIN chunks on one
+    pool of `jobs` threads (at most one per CPU) that serves every song;
+    then one song at a time gets its mel, its saved track and its pitch
+    error.  So no mel matmul (BLAS threads) competes with the YIN threads,
+    no more than `jobs` of them run at once, and only the pitch arrays are
+    held across songs.  The bytes do not depend on `jobs`.
     """
     paths = data_paths(data_dir)
     paths["features"].mkdir(parents=True, exist_ok=True)
@@ -182,8 +185,8 @@ def stage_extract(cfg: dict, data_dir, jobs: int = 1) -> dict:
     def load(entry):
         return ft.load_audio(paths["root"] / entry["audio"], sr)
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        pitches = list(pool.map(lambda item: ft.track_pitch(load(item[1]), sr=sr, hop=hop), items))
+    with ThreadPoolExecutor(min(jobs, os.cpu_count() or 1)) as pool:
+        pitches = [ft.track_pitch(load(entry), sr=sr, hop=hop, pool=pool) for _, entry in items]
 
     results = {}
     for (sid, entry), (pitch, voiced) in zip(items, pitches):
@@ -798,7 +801,7 @@ def stage_correct(
 
 # ---- full recipe -----------------------------------------------------------------------
 
-def run_full_recipe(cfg: dict, workdir, jobs: int = 1) -> dict:
+def run_full_recipe(cfg: dict, workdir, jobs: int = ft.YIN_THREADS) -> dict:
     """synth-data -> extract -> all trainings -> evaluation.
 
     Returns a summary dict; writes reports under <workdir>/checkpoints.

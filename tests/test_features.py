@@ -461,10 +461,10 @@ def test_track_pitch_chunks_match_one_call_over_all_frames():
 
 
 def test_track_pitch_same_bytes_inside_a_thread_pool():
-    # stage_extract(jobs=2) calls track_pitch from two workers at once
+    # stage_extract tracks its songs one after another on one pool it owns
     wavs = [gliding_take(6.0, seed) for seed in (1, 2, 3, 4)]
     with ThreadPoolExecutor(2) as pool:
-        pooled = list(pool.map(F.track_pitch, wavs))
+        pooled = [F.track_pitch(wav, pool=pool) for wav in wavs]
     for wav, (pitch, voiced) in zip(wavs, pooled):
         whole_pitch, whole_voiced = _one_yin_call(wav)
         assert voiced.tobytes() == whole_voiced.tobytes()

@@ -641,6 +641,72 @@ def test_a_node_first_gradient_is_c_contiguous(op):
     assert seen[0].shape == out.shape and seen[0].flags.c_contiguous
 
 
+def _odd_strided():
+    """A C-contiguous [2, 1, 8] array whose size-1 axis has a stride no new
+    array has: attention's dk at T = 1."""
+    a = np.random.default_rng(26).normal(size=(2, 8, 1)) @ np.ones((2, 1, 1))
+    out = a.swapaxes(-1, -2)
+    assert out.flags.c_contiguous and out.strides != np.empty(out.shape).strides
+    return out
+
+
+@pytest.mark.parametrize("sink", ["node", "leaf", "odd strides"])
+def test_a_handed_over_first_gradient_has_the_copied_bytes(sink):
+    if sink == "odd strides":
+        buf = _odd_strided()
+    else:
+        buf = np.random.default_rng(27).normal(size=(3, 5))
+        buf[0], buf[1, ::2] = -0.0, 0.0
+    g = buf.copy()
+    make = lambda: nn.Tensor(np.zeros(g.shape)) if sink == "leaf" else tz._Node(None, (), g)
+    taken, copied = make(), make()
+    copied._accumulate(g)
+    taken._take(buf)
+    assert np.shares_memory(taken.grad, buf)  # handed over, not copied
+    assert taken.grad.tobytes() == copied.grad.tobytes()
+    assert taken.grad.flags.c_contiguous and taken.grad.strides == copied.grad.strides
+    assert not np.signbit(taken.grad[taken.grad == 0.0]).any()
+    if sink != "odd strides":
+        assert np.signbit(g[g == 0.0]).sum() == 5
+
+
+def test_attention_copies_its_transposed_dk_and_hands_over_dq_and_dv(monkeypatch):
+    rng = np.random.default_rng(28)
+    q, k, v = (nn.Tensor(rng.normal(size=(2, 6, 4)), requires_grad=True) for _ in range(3))
+    copied = []
+    accumulate = tz._Sink._accumulate
+
+    def spy(self, g):
+        copied.append(self)
+        accumulate(self, g)
+
+    monkeypatch.setattr(tz._Sink, "_accumulate", spy)
+    (tz.attention(q, k, v, np.zeros((6, 6))) * rng.normal(size=(2, 6, 4))).sum().backward()
+    assert [t for t in (q, k, v) if any(s is t for s in copied)] == [k]
+    assert all(t.grad.flags.c_contiguous for t in (q, k, v))
+
+
+def test_gru_backward_holds_one_input_gradient_at_its_peak():
+    # its dx becomes the input projection's gradient; copied there, it made
+    # two [B, T, 3H] arrays at the peak
+    rng = np.random.default_rng(29)
+    B, T, D, H = 8, 128, 8, 16
+    lin = nn.Linear(rng, D, 3 * H)
+    gru = nn.GRU(rng, D, H)
+    x_pre = lin(nn.Tensor(rng.normal(size=(B, T, D))))
+    out = tz.gru_sequence(x_pre, gru.w_hh, gru.b_hh, nn.Tensor(np.zeros((B, H))))
+    node, g = out._node, rng.normal(size=(B, T, H))
+    tracemalloc.start()
+    try:
+        node.backward(g, *node.parents)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one = B * T * 3 * H * 8
+    assert x_pre._node.grad.shape == (B, T, 3 * H)
+    assert one <= peak < 1.25 * one
+
+
 def test_focal_loss_perfect_prediction_is_zero():
     pred = nn.Tensor(np.array([1.0]))
     loss = nn.focal_loss(pred, np.array([1.0]), np.array([1.0]), gamma=4.0, alpha_pos=29.0, alpha_neg=1.0)

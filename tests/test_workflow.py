@@ -9,6 +9,8 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -463,6 +465,43 @@ def test_extract_tracks_every_pitch_before_any_mel(cli_run, tmp_path, monkeypatc
     wav = ft.load_audio(data / entry["audio"], cfg["audio"]["sample_rate"])
     ft.save_track(tmp_path / "one.npz", wf._extract_track(wav, cfg["audio"]))
     assert (tmp_path / "one.npz").read_bytes() == (data / entry["features"]).read_bytes()
+
+
+def test_extract_never_runs_more_yin_chunks_at_once_than_jobs(cli_run, tmp_path, monkeypatch):
+    # one pool of `jobs` threads serves every song, however many CPUs
+    data = tmp_path / "data"
+    shutil.copytree(cli_run["data"], data)
+    lock, running, most = threading.Lock(), [0], [0]
+    yin_rows = ft._yin_rows
+
+    def counting_yin_rows(*args):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+        try:
+            time.sleep(0.002)  # long enough for calls that may overlap to meet
+            return yin_rows(*args)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(ft, "_yin_rows", counting_yin_rows)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    wf.stage_extract(load_config(None, TINY), data, jobs=2)
+    assert most[0] == 2
+
+
+def test_extract_writes_the_same_bytes_for_any_jobs(cli_run, tmp_path):
+    written = []
+    for jobs in (1, 2):
+        data = tmp_path / f"jobs_{jobs}"
+        shutil.copytree(cli_run["data"], data)
+        shutil.rmtree(data / "features")
+        wf.stage_extract(load_config(None, TINY), data, jobs=jobs)
+        files = [data / "dataset.json", *sorted((data / "features").iterdir())]
+        written.append({p.relative_to(data): p.read_bytes() for p in files})
+    assert len(written[0]) == len(wf.load_dataset(cli_run["data"])["samples"]) + 1
+    assert written[0] == written[1]
 
 
 def test_changed_pretrain_settings_retrain_the_pretrained_cnpp(cli_run, tmp_path):

@@ -5,11 +5,12 @@
 For each seed S, runs `workflow.run_full_recipe` into WORKDIR/seed_S with
 `perfbench/fixture.FIXTURE_OVERRIDES` minus its four `n_songs=0` entries,
 eval sets of 8 (spp_bench), 8 (moderate_eval), 8 (high_eval) and 2
-(intune_eval) songs, `seed=S` and two extract jobs.  It prints one JSON line
-per seed: the ablation RPA of each variant on each split, the spp_bench PTR
-of each stationary-pitch estimator, the segmenter's onset F1 on
-moderate_eval and high_eval (`workflow._validate_segmenter`), the notes
-`correct` detects on the benchmark's 60 s and 3-minute takes
+(intune_eval) songs, `seed=S` and `jobs=2` (two pitch-tracking threads in
+extraction).  It prints one JSON line per seed: the ablation RPA of each
+variant on each split, the spp_bench PTR of each stationary-pitch
+estimator, the segmenter's onset F1 on moderate_eval and high_eval
+(`workflow._validate_segmenter`), the notes `correct` detects on the
+benchmark's 60 s and 3-minute takes
 (`perfbench/fixture.long_takes(7, ..., 60)` and `long_takes(8, ..., 180)`,
 90 and 270 annotated notes, rendered once into WORKDIR/long_takes), and the
 run's wall time.  Then it prints one JSON line per row (`rpa <variant>`,
@@ -26,9 +27,10 @@ A WORKDIR/seed_S left by an earlier run is reused as the stages reuse their
 outputs, so give a fresh WORKDIR to measure a change.
 
 On a small host, run one probe at a time, and no benchmark beside it: each
-process starts its own OpenBLAS threads, two extract workers and a YIN
-pool, so on 2 vCPUs two probes side by side took 612-752 s per seed,
-against 66-91 s for one alone.
+process starts its own OpenBLAS threads and pitch-tracking threads, so on
+2 vCPUs two probes side by side took 612-752 s per seed, against 66-91 s
+for one alone (measured when extraction still nested a song pool over the
+pitch-tracking pools).
 """
 
 from __future__ import annotations

@@ -3,15 +3,15 @@
     python3 tools/run_digest.py WORKDIR [--against PARENT.json]
 
 Runs the full recipe on the tiny configuration of `tests/test_workflow.py`
-(`TINY`, two extract jobs) into WORKDIR, then `correct` on the
-`moderate_eval_000` take with its annotation into WORKDIR/correct, and once
-more on a 44,100 Hz copy of that take (linear interpolation, written with
-`write_wav` to WORKDIR/take_44100.wav), so the resampling branch of
-`load_audio` is covered too, and on the first take with the variants
-`no_cnpp` and `rounded_embed`, so each variant's decode path is covered.
-Then it runs `evaluate` on `moderate_eval` with every variant, which writes
-the split's `metrics.json` (no stage of the recipe does), and one dry-run
-`correct`, which writes a plan and no audio.
+(`TINY`, extraction on two pitch-tracking threads) into WORKDIR, then
+`correct` on the `moderate_eval_000` take with its annotation into
+WORKDIR/correct, and once more on a 44,100 Hz copy of that take (linear
+interpolation, written with `write_wav` to WORKDIR/take_44100.wav), so the
+resampling branch of `load_audio` is covered too, and on the first take
+with the variants `no_cnpp` and `rounded_embed`, so each variant's decode
+path is covered.  Then it runs `evaluate` on `moderate_eval` with every
+variant, which writes the split's `metrics.json` (no stage of the recipe
+does), and one dry-run `correct`, which writes a plan and no audio.
 It prints {relative path: sha256} for every file under WORKDIR, sorted by
 path.  Two checkouts that give the same bytes (same host, same BLAS thread
 count) print the same object, so comparing the output of a change with that
