@@ -107,9 +107,10 @@ class LocalEncoderConfig:
     """Windowed-attention encoder shape.
 
     Each frame attends to the frames within +-`window` of it, through a
-    band mask on dense attention over the frames given: a pass holds T x T
-    scores per stream, and every caller gives at most `frontend.WINDOW`
-    frames (inference windows and training crops).
+    band mask on dense attention over the frames given: the attention op
+    holds T x T scores per stream while it runs (a training graph keeps
+    none of them), and every caller gives at most `frontend.WINDOW` frames
+    (inference windows and training crops).
 
     `heads` is also the number of parallel channel streams: attention runs
     single-headed per stream of width model_dim // heads, and the streams

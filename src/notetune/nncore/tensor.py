@@ -29,8 +29,11 @@ hands it over with `_take`: as the first gradient, a C-contiguous array of
 the sink's shape becomes the sink's buffer, made 0.0 + g in place, where
 the first buffer would be C-ordered too.  The bytes and the layout are
 those of `_accumulate`'s copy, and the copy is not made: a training step
-holds one GRU input gradient at its peak, not two.  Any other buffer, such
-as attention's dk (a transposed view), is copied as before.
+holds one GRU input gradient at its peak, not two.  `add` hands over its
+incoming gradient too, which is its node's own buffer and dropped once
+its backward returns: its second parent copies it, then its first takes
+it.  Any other buffer, such as attention's dk (a transposed view), is
+copied.
 
 One rule, `_records`, decides whether a node is recorded: gradients are
 enabled (no `no_grad` block) and some parent requires a gradient or is
@@ -40,10 +43,13 @@ nothing for a backward pass, so it may overwrite its own temporaries
 gates), but never its inputs, which the caller still owns; each such op
 says in its docstring that it gives the recorded path's bytes.  No op
 splits its input into blocks: a caller bounds memory by what it feeds the
-graph.  `attention` is dense, T x T scores per head, so its callers bound
-T: the frame models see windows of at most `frontend.WINDOW` = 256 frames
-(`frontend.windowed`, and the training crops), the note model at most
-`layers.MAX_EVENTS` events.
+graph.  `attention` is dense, T x T scores per head while it runs, so its
+callers bound T: the frame models see windows of at most
+`frontend.WINDOW` = 256 frames (`frontend.windowed`, and the training
+crops), the note model at most `layers.MAX_EVENTS` events.  A recorded
+attention node holds q, k, v, the mask and two row statistics of the
+scores, so no T x T array per head lives from forward to backward: the
+backward pass rebuilds the probabilities.
 
 `backward` releases the graph as it sweeps: each node drops its backward
 closure and its parents once its own backward has run, so the arrays the
@@ -319,14 +325,16 @@ def add(a: Tensor, b):
         a_shape = a.shape
 
         def bw(g, a):
-            a._accumulate(_unbroadcast(g, a_shape))
+            a._take(_unbroadcast(g, a_shape))
 
         return _make(a.data + _as_const(b), (a,), bw)
     a_shape, b_shape = a.shape, b.shape
 
+    # g is the node's own buffer, dropped once this returns: b copies it
+    # first, then a may take it over
     def bw(g, a, b):
-        a._accumulate(_unbroadcast(g, a_shape))
         b._accumulate(_unbroadcast(g, b_shape))
+        a._take(_unbroadcast(g, a_shape))
 
     return _make(a.data + b.data, (a, b), bw)
 
@@ -726,32 +734,49 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor):
     return _make(out_data, (x, gamma, beta), bw)
 
 
+def _scores(qd: np.ndarray, kd: np.ndarray, scale, mask: np.ndarray) -> np.ndarray:
+    """q k^T * scale + mask, in place in one [..., T, T] buffer."""
+    s = qd @ kd.swapaxes(-1, -2)
+    s *= scale
+    s += mask
+    return s
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray):
     """Scaled dot-product attention softmax(q k^T / sqrt(d) + mask) v as one
     node; q, k, v are [..., T, d] and `mask` broadcasts against the
     [..., T, T] scores (0 to keep, -1e30 to drop).
 
     The float operations of the five-node chain matmul, scale, mask,
-    softmax, matmul, in its order, done in place in one score buffer: only
-    the probabilities p are kept for the backward pass, which builds its
-    score gradient in place too and hands out the gradients in the chain's
-    order (v, q, k).  Dense: callers bound T (module docstring).
+    softmax, matmul, in its order, done in place in one score buffer, which
+    is dropped once p v is made.  Recorded, the node keeps q, k, v, the mask
+    and each score row's max m and sum l ([..., T, 1] each); the backward
+    pass rebuilds the probabilities p from them with the forward's float
+    operations in its order, so p, and every gradient, has the chain's
+    bytes.  It builds its score gradient in place too and hands out the
+    gradients in the chain's order (v, q, k).  Dense: callers bound T
+    (module docstring).
     """
     qd, kd, vd = q.data, k.data, v.data
     scale = 1.0 / np.sqrt(qd.shape[-1])
-    p = qd @ kd.swapaxes(-1, -2)
-    p *= scale
-    p += mask
-    p -= p.max(axis=-1, keepdims=True)
+    p = _scores(qd, kd, scale, mask)
+    m = p.max(axis=-1, keepdims=True)
+    p -= m
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    l = p.sum(axis=-1, keepdims=True)
+    p /= l
 
     def bw(g, q, k, v):
+        p = _scores(qd, kd, scale, mask)
+        p -= m
+        np.exp(p, out=p)
+        p /= l
         # ds = p * (dp - rowsum(dp * p)) * scale, built in place in dp
         ds = g @ vd.swapaxes(-1, -2)
         v._take(p.swapaxes(-1, -2) @ g)
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
+        del p
         ds *= scale
         q._take(ds @ kd)
         k._take((qd.swapaxes(-1, -2) @ ds).swapaxes(-1, -2))

@@ -686,6 +686,45 @@ def test_attention_copies_its_transposed_dk_and_hands_over_dq_and_dv(monkeypatch
     assert all(t.grad.flags.c_contiguous for t in (q, k, v))
 
 
+@pytest.mark.parametrize("case", ["equal shapes", "x + x", "broadcast b"])
+def test_add_copies_its_gradient_to_b_and_hands_it_over_to_a(monkeypatch, case):
+    rng = np.random.default_rng(30)
+    x = nn.Tensor(rng.normal(size=(2, 6, 4)), requires_grad=True)
+    y = nn.Tensor(rng.normal(size=(4,) if case == "broadcast b" else (2, 6, 4)), requires_grad=True)
+    copied = []
+    accumulate = tz._Sink._accumulate
+
+    def spy(self, g):
+        copied.append(self)
+        accumulate(self, g)
+
+    monkeypatch.setattr(tz._Sink, "_accumulate", spy)
+    b = x if case == "x + x" else y
+    r = rng.normal(size=(2, 6, 4))
+    (tz.add(x, b) * r).sum().backward()
+    assert [s for s in copied if s is x or s is y] == [b] * (1 + (case == "x + x"))
+    if case == "x + x":
+        assert x.grad.tobytes() == (r + r).tobytes()
+    elif case == "broadcast b":
+        assert y.grad.tobytes() == r.sum(axis=(0, 1)).tobytes()
+        assert x.grad.tobytes() == (0.0 + r).tobytes()
+    else:
+        assert x.grad.tobytes() == y.grad.tobytes() == (0.0 + r).tobytes()
+
+
+def test_attention_node_keeps_no_score_array():
+    # the shared [T, T] band mask is the largest array the node may keep,
+    # not the [8, T, T] probabilities
+    rng = np.random.default_rng(31)
+    T = 256
+    q, k, v = (nn.Tensor(rng.normal(size=(8, T, 32)), requires_grad=True) for _ in range(3))
+    out = nn.attention(q, k, v, band_mask(T, 64))
+    cells = [c.cell_contents for c in out._node.backward.__closure__]
+    arrays = [c for c in cells if isinstance(c, np.ndarray)]
+    assert any(a.size == T * T for a in arrays)  # the mask
+    assert max(a.size for a in arrays) <= T * T
+
+
 def test_gru_backward_holds_one_input_gradient_at_its_peak():
     # its dx becomes the input projection's gradient; copied there, it made
     # two [B, T, 3H] arrays at the peak

@@ -649,11 +649,16 @@ def test_trainers_do_not_read_the_run_manifest(cli_run, tmp_path):
     assert sorted(manifest_stages(ckpt)) == ["train_cnpp_full", "train_detuner"]
 
 
-def test_stage_peaks_prints_one_line_of_steps_and_the_untraced_output_hashes(cli_run, tmp_path, capsys):
+def _stage_peaks_tool():
     path = Path(__file__).resolve().parents[1] / "tools" / "stage_peaks.py"
     spec = importlib.util.spec_from_file_location("stage_peaks", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_stage_peaks_prints_one_line_of_steps_and_the_untraced_output_hashes(cli_run, tmp_path, capsys):
+    tool = _stage_peaks_tool()
     take, ckpt = cli_run["take"], cli_run["ckpt"]
     ann = cli_run["data"] / "annotations" / "moderate_eval_000.json"
     capsys.readouterr()
@@ -670,3 +675,22 @@ def test_stage_peaks_prints_one_line_of_steps_and_the_untraced_output_hashes(cli
     untraced = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
     assert set(untraced) == {"out.wav", "out.plan.tsv", "out.residuals.tsv"}
     assert doc["outputs"] == untraced
+
+
+@pytest.mark.parametrize("model", ["segmenter", "spp"])
+def test_stage_peaks_prints_one_line_for_a_training_step(model, capsys):
+    tool = _stage_peaks_tool()
+    assert tool.main(["--train-step", model]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    cfg = load_config()
+    assert (doc["train_step"], doc["batch"], doc["crop"]) == (model, cfg[model]["train"]["batch"], WINDOW)
+    assert 0 < doc["held_after_forward_mb"] <= doc["traced_peak_mb"]
+    top = [t["mb"] for t in doc["top_lines"]]
+    assert len(top) == tool.TOP_LINES and top == sorted(top, reverse=True)
+    assert sum(top) <= doc["held_after_forward_mb"] + 0.1 * len(top)  # each figure is rounded
+    assert all(t["line"].startswith("notetune/") for t in doc["top_lines"])
+    with pytest.raises(SystemExit) as exit_info:
+        tool.main([])  # no take, no checkpoints, no --train-step
+    assert exit_info.value.code == 2
