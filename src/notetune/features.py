@@ -470,8 +470,11 @@ def extract_track(
     hop: int = DEFAULT_HOP,
     win: int = DEFAULT_WIN,
     n_mels: int = DEFAULT_N_MELS,
+    pool=None,
 ) -> FrameTrack:
-    pitch, voiced = track_pitch(wav, sr=sr, hop=hop)
+    """The track of `wav`: pitch, then mel, which starts only once every YIN
+    chunk has returned from `pool` (an executor, as for `track_pitch`)."""
+    pitch, voiced = track_pitch(wav, sr=sr, hop=hop, pool=pool)
     mel = mel_spectrogram(wav, sr=sr, hop=hop, win=win, n_mels=n_mels)
     return FrameTrack(sample_rate=sr, hop=hop, pitch_semitones=pitch, voiced=voiced, mel=mel)
 

@@ -1,7 +1,10 @@
-"""Minimal standard MIDI file support: format 0/1, note events, tempo map.
+"""Minimal standard MIDI file reader: format 0/1, note events, tempo map.
 
 Only what the annotation importer needs; no channel semantics beyond
-note-on/note-off pairing, no pitch bend, no SysEx interpretation.
+note-on/note-off pairing, no pitch bend, no SysEx interpretation.  A file
+cut short (its header, a track header, or a chunk or event that runs past
+the bytes that hold it) raises MidiError naming the file.  The tests write
+their MIDI files with `tests/midi_writer.py`.
 """
 
 from __future__ import annotations
@@ -44,12 +47,17 @@ class MidiSong:
         return sec
 
 
-def _read_varlen(data: bytes, pos: int) -> tuple[int, int]:
+def _take(data: bytes, pos: int, n: int, path) -> bytes:
+    """The n bytes of the track chunk `data` at pos; raise if it ends first."""
+    if pos + n > len(data):
+        raise MidiError(f"{path}: an event runs past the end of its track chunk")
+    return data[pos : pos + n]
+
+
+def _read_varlen(data: bytes, pos: int, path) -> tuple[int, int]:
     value = 0
     while True:
-        if pos >= len(data):
-            raise MidiError("truncated variable-length quantity")
-        byte = data[pos]
+        byte = _take(data, pos, 1, path)[0]
         pos += 1
         value = (value << 7) | (byte & 0x7F)
         if not byte & 0x80:
@@ -58,8 +66,8 @@ def _read_varlen(data: bytes, pos: int) -> tuple[int, int]:
 
 def read_midi(path) -> MidiSong:
     raw = Path(path).read_bytes()
-    if raw[:4] != b"MThd":
-        raise MidiError(f"{path}: not a standard MIDI file")
+    if raw[:4] != b"MThd" or len(raw) < 14:
+        raise MidiError(f"{path}: not a standard MIDI file, or its header is cut short")
     header_len, fmt, n_tracks, division = struct.unpack(">IHHH", raw[4:14])
     if fmt not in (0, 1):
         raise MidiError(f"{path}: unsupported MIDI format {fmt}")
@@ -73,26 +81,29 @@ def read_midi(path) -> MidiSong:
     time_sig = (4, 4)
     sig_seen = False
     for _ in range(n_tracks):
-        if raw[pos : pos + 4] != b"MTrk":
-            raise MidiError(f"{path}: malformed track chunk")
+        if raw[pos : pos + 4] != b"MTrk" or len(raw) < pos + 8:
+            raise MidiError(f"{path}: malformed or cut-short track chunk header")
         track_len = struct.unpack(">I", raw[pos + 4 : pos + 8])[0]
-        data = raw[pos + 8 : pos + 8 + track_len]
-        pos += 8 + track_len
+        pos += 8
+        if pos + track_len > len(raw):
+            raise MidiError(f"{path}: track chunk of {track_len} bytes, {len(raw) - pos} follow")
+        data = raw[pos : pos + track_len]
+        pos += track_len
         tick = 0
         p = 0
         status = 0
         open_notes: dict[int, tuple[int, int]] = {}
         while p < len(data):
-            delta, p = _read_varlen(data, p)
+            delta, p = _read_varlen(data, p, path)
             tick += delta
-            byte = data[p]
+            byte = _take(data, p, 1, path)[0]
             if byte & 0x80:
                 status = byte
                 p += 1
             if status == 0xFF:
-                meta = data[p]
-                length, p2 = _read_varlen(data, p + 1)
-                body = data[p2 : p2 + length]
+                meta = _take(data, p, 1, path)[0]
+                length, p2 = _read_varlen(data, p + 1, path)
+                body = _take(data, p2, length, path)
                 p = p2 + length
                 if meta == 0x51:
                     us = int.from_bytes(body, "big")
@@ -103,15 +114,15 @@ def read_midi(path) -> MidiSong:
                     time_sig = (body[0], 1 << body[1])
                     sig_seen = True
             elif status in (0xF0, 0xF7):
-                length, p2 = _read_varlen(data, p)
-                p = p2 + length
+                length, p = _read_varlen(data, p, path)
+                p += len(_take(data, p, length, path))
             else:
                 kind = status & 0xF0
                 if kind in (0x80, 0x90, 0xA0, 0xB0, 0xE0):
-                    d1, d2 = data[p], data[p + 1]
+                    d1, d2 = _take(data, p, 2, path)
                     p += 2
                 elif kind in (0xC0, 0xD0):
-                    d1, d2 = data[p], 0
+                    d1, d2 = _take(data, p, 1, path)[0], 0
                     p += 1
                 else:
                     raise MidiError(f"{path}: unexpected status byte {status:#x}")
@@ -126,47 +137,3 @@ def read_midi(path) -> MidiSong:
     notes.sort(key=lambda n: (n.onset_tick, n.pitch))
     tempo_map.sort(key=lambda t: t[0])
     return MidiSong(tpqn=division, notes=notes, tempo_map=tempo_map, time_signature=time_sig)
-
-
-def _varlen(value: int) -> bytes:
-    out = [value & 0x7F]
-    value >>= 7
-    while value:
-        out.append(0x80 | (value & 0x7F))
-        value >>= 7
-    return bytes(reversed(out))
-
-
-def write_midi(
-    path,
-    notes: list[tuple[float, float, int]],
-    tempo_bpm: float = 120.0,
-    time_signature: tuple[int, int] = (4, 4),
-    tpqn: int = 480,
-):
-    """Write (onset_sec, offset_sec, pitch) notes as a single-track file."""
-    us_per_beat = round(60e6 / tempo_bpm)
-    ticks_per_sec = tpqn * 1e6 / us_per_beat
-
-    events: list[tuple[int, int, bytes]] = []  # (tick, order, payload)
-    num, den = time_signature
-    events.append((0, 0, bytes([0xFF, 0x58, 0x04, num, den.bit_length() - 1, 24, 8])))
-    events.append((0, 0, b"\xff\x51\x03" + us_per_beat.to_bytes(3, "big")))
-    for onset, offset, pitch in notes:
-        on_tick = round(onset * ticks_per_sec)
-        off_tick = max(on_tick + 1, round(offset * ticks_per_sec))
-        events.append((on_tick, 1, bytes([0x90, pitch, 100])))
-        events.append((off_tick, 0, bytes([0x80, pitch, 0])))
-    events.sort(key=lambda e: (e[0], e[1]))
-
-    body = bytearray()
-    prev = 0
-    for tick, _, payload in events:
-        body += _varlen(tick - prev) + payload
-        prev = tick
-    body += _varlen(0) + bytes([0xFF, 0x2F, 0x00])
-
-    out = bytearray(b"MThd")
-    out += struct.pack(">IHHH", 6, 0, 1, tpqn)
-    out += b"MTrk" + struct.pack(">I", len(body)) + body
-    Path(path).write_bytes(bytes(out))

@@ -3,25 +3,14 @@
 from .tensor import (
     Tensor,
     no_grad,
-    add,
-    mul,
-    matmul,
     tlog,
     sigmoid,
     gelu,
-    geglu,
     clip,
-    reshape,
-    swapaxes,
-    getitem,
     concat,
-    tsum,
-    tmean,
     softmax,
-    layer_norm,
     attention,
     embedding,
-    dropout,
     cross_entropy_logits,
     gru_cell,
     gru_sequence,
@@ -37,11 +26,7 @@ from .layers import (
     LocalEncoderConfig,
     TransformerEncoder,
     TransformerConfig,
-    MultiHeadAttention,
-    sinusoid_positions,
-    uniform_init,
 )
-from .losses import focal_loss, PROB_EPS
+from .losses import focal_loss
 from .optim import AdamW, train_step, DivergenceError
 from .checkpoint import save_checkpoint, load_checkpoint, CheckpointError, save_npz, load_npz
-from .gradcheck import finite_difference_check

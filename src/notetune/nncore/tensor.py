@@ -179,9 +179,6 @@ class Tensor(_Sink):
     def ndim(self):
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.grad is not None})"
 
@@ -249,9 +246,6 @@ class Tensor(_Sink):
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return add(self, -_as_const(other)) if not isinstance(other, Tensor) else add(self, neg(other))
 
@@ -272,9 +266,6 @@ class Tensor(_Sink):
             return mul(self, pow_const(other, -1.0))
         return mul(self, 1.0 / np.asarray(other, dtype=np.float64))
 
-    def __rtruediv__(self, other):
-        return mul(pow_const(self, -1.0), other)
-
     def __pow__(self, exponent):
         return pow_const(self, float(exponent))
 
@@ -294,9 +285,6 @@ class Tensor(_Sink):
     def sum(self):
         return tsum(self)
 
-    def mean(self):
-        return tmean(self)
-
 
 def _as_const(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
@@ -313,7 +301,6 @@ def _make(data, parents, backward):
     `backward(g, *sinks)` gets the gradient and the sinks of `parents`."""
     out = Tensor(data)
     if _records(parents):
-        out.requires_grad = any(p.requires_grad for p in parents)
         out._node = _Node(backward, tuple(p._sink() for p in parents), data)
     return out
 
@@ -679,11 +666,6 @@ def tsum(a: Tensor):
         a._take(np.broadcast_to(g, a_shape).copy())
 
     return _make(a.data.sum(), (a,), bw)
-
-
-def tmean(a: Tensor):
-    """Mean of all elements."""
-    return mul(tsum(a), 1.0 / a.data.size)
 
 
 # ---- fused ops --------------------------------------------------------------

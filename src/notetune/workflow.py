@@ -153,13 +153,14 @@ def stage_synth_data(cfg: dict, data_dir) -> dict:
 
 # ---- stage: extract ------------------------------------------------------------
 
-def _extract_track(wav: np.ndarray, audio_cfg: dict) -> ft.FrameTrack:
+def _extract_track(wav: np.ndarray, audio_cfg: dict, pool=None) -> ft.FrameTrack:
     return ft.extract_track(
         wav,
         sr=audio_cfg["sample_rate"],
         hop=audio_cfg["hop"],
         win=audio_cfg["win"],
         n_mels=audio_cfg["n_mels"],
+        pool=pool,
     )
 
 
@@ -167,37 +168,29 @@ def stage_extract(cfg: dict, data_dir, jobs: int = ft.YIN_THREADS) -> dict:
     """Extract feature tracks, score corpus pitch errors, assign splits.
 
     A song's pitch error (`delta_bar`) is the mean |trimmed mean - intended
-    pitch| over its unflagged annotated notes.  The pitch of every song is
-    tracked first, one song after another, each song's YIN chunks on one
-    pool of `jobs` threads (at most one per CPU) that serves every song;
-    then one song at a time gets its mel, its saved track and its pitch
-    error.  So no mel matmul (BLAS threads) competes with the YIN threads,
-    no more than `jobs` of them run at once, and only the pitch arrays are
-    held across songs.  The bytes do not depend on `jobs`.
+    pitch| over its unflagged annotated notes.  One pass per song, one song
+    after another: each song is read once, and its track is extracted, saved
+    and scored before the next song is read.  Every song's YIN chunks run on
+    one pool of `jobs` threads (at most one per CPU), and `extract_track`
+    starts a song's mel only after its last chunk returns, so no mel matmul
+    (BLAS threads) competes with the YIN threads and no more than `jobs`
+    of them run at once.  The bytes do not depend on `jobs`.
     """
     paths = data_paths(data_dir)
     paths["features"].mkdir(parents=True, exist_ok=True)
     doc = load_dataset(data_dir)
     audio_cfg = cfg["audio"]
-    sr, hop = audio_cfg["sample_rate"], audio_cfg["hop"]
-    items = sorted(doc["samples"].items())
-
-    def load(entry):
-        return ft.load_audio(paths["root"] / entry["audio"], sr)
-
-    with ThreadPoolExecutor(min(jobs, os.cpu_count() or 1)) as pool:
-        pitches = [ft.track_pitch(load(entry), sr=sr, hop=hop, pool=pool) for _, entry in items]
-
     results = {}
-    for (sid, entry), (pitch, voiced) in zip(items, pitches):
-        mel = ft.mel_spectrogram(load(entry), sr=sr, hop=hop, win=audio_cfg["win"],
-                                 n_mels=audio_cfg["n_mels"])
-        track = ft.FrameTrack(sample_rate=sr, hop=hop, pitch_semitones=pitch, voiced=voiced, mel=mel)
-        ft.save_track(paths["features"] / f"{sid}.npz", track)
-        song = SongData(ann=dk.import_annotations(paths["root"] / entry["annotation"]), track=track)
-        ests = sp.aggregate_trimmed_mean(track, song.notes)
-        errors = [abs(e.pitch - p) for e, p in zip(ests, song.pitches) if not e.flagged]
-        results[sid] = float(np.mean(errors)) if errors else 0.0
+    with ThreadPoolExecutor(min(jobs, os.cpu_count() or 1)) as pool:
+        for sid, entry in sorted(doc["samples"].items()):
+            wav = ft.load_audio(paths["root"] / entry["audio"], audio_cfg["sample_rate"])
+            track = _extract_track(wav, audio_cfg, pool)
+            del wav  # not held while the track is saved and scored, nor while the next song loads
+            ft.save_track(paths["features"] / f"{sid}.npz", track)
+            song = SongData(ann=dk.import_annotations(paths["root"] / entry["annotation"]), track=track)
+            ests = sp.aggregate_trimmed_mean(track, song.notes)
+            errors = [abs(e.pitch - p) for e, p in zip(ests, song.pitches) if not e.flagged]
+            results[sid] = float(np.mean(errors)) if errors else 0.0
 
     corpus_errors = {sid: results[sid] for sid, e in doc["samples"].items() if e["group"] == "corpus"}
     split = dk.split_dataset(corpus_errors, seed=cfg["seed"])
@@ -212,7 +205,7 @@ def stage_extract(cfg: dict, data_dir, jobs: int = ft.YIN_THREADS) -> dict:
             entry["subset"] = entry["group"]
             entry["role"] = "test"
     dk.write_json(data_paths(data_dir)["dataset"], doc)
-    log.info("extracted features for %d samples", len(items))
+    log.info("extracted features for %d samples", len(results))
     return doc
 
 

@@ -3,11 +3,13 @@
 import ast
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-_path = Path(__file__).resolve().parents[1] / "tools" / "code_size.py"
+ROOT = Path(__file__).resolve().parents[1]
+_path = ROOT / "tools" / "code_size.py"
 _spec = importlib.util.spec_from_file_location("code_size", _path)
 code_size = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(code_size)
@@ -45,3 +47,25 @@ def test_main_counts_lines_and_values_over_py_files_only(tmp_path, capsys):
 def test_main_with_two_arguments_prints_its_usage_and_exits_2(capsys):
     assert code_size.main(["a", "b"]) == 2
     assert "code_size.py [SRC_DIR]" in capsys.readouterr().err
+
+
+def _uses(tree: ast.AST) -> Counter:
+    """How often each name is used in `tree`, as a `Name` or an `Attribute`;
+    an import is not a use."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_module_level_definition_in_src_is_used_outside_the_tests():
+    # a helper that only tests call belongs under tests/
+    trees = [ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "notetune").rglob("*.py"))]
+    in_src = sum((_uses(tree) for tree in trees), Counter())
+    elsewhere = sum((_uses(ast.parse(path.read_text()))
+                     for folder in ("tools", "perfbench") for path in sorted((ROOT / folder).rglob("*.py"))),
+                    Counter())
+    unused = sorted(
+        node.name for tree in trees for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and in_src[node.name] == _uses(node)[node.name] and not elsewhere[node.name]
+    )
+    assert unused == []

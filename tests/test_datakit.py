@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_track
+from midi_writer import write_midi
 from notetune import datakit as dk
 from notetune import features as F
 from notetune import midifile
@@ -237,7 +238,7 @@ def test_midi_tempo_map_integration():
 def test_midi_write_read_roundtrip(tmp_path):
     notes = [(0.0, 0.45, 60), (0.5, 0.95, 64), (1.0, 1.45, 67)]
     path = tmp_path / "r.mid"
-    midifile.write_midi(path, notes, tempo_bpm=120.0, time_signature=(3, 4))
+    write_midi(path, notes, tempo_bpm=120.0, time_signature=(3, 4))
     ann = dk.import_annotations(path)
     assert [n.pitch for n in ann.notes] == [60, 64, 67]
     assert ann.tempo_bpm == pytest.approx(120.0)
@@ -249,8 +250,39 @@ def test_midi_write_read_roundtrip(tmp_path):
 
 def test_midi_overlap_rejected(tmp_path):
     path = tmp_path / "o.mid"
-    midifile.write_midi(path, [(0.0, 1.0, 60), (0.5, 1.5, 62)], tempo_bpm=120.0)
+    write_midi(path, [(0.0, 1.0, 60), (0.5, 1.5, 62)], tempo_bpm=120.0)
     with pytest.raises(dk.AnnotationError, match="overlapping"):
+        dk.import_annotations(path)
+
+
+def _import_or_reject(path) -> bool:
+    """Whether `path` imports; a rejection must be an annotation or MIDI
+    error that names the file, never anything else."""
+    try:
+        dk.import_annotations(path)
+    except (dk.AnnotationError, midifile.MidiError) as exc:
+        assert path.name in str(exc)
+        return False
+    return True
+
+
+def test_midi_cut_short_imports_or_raises_a_midi_error(tmp_path):
+    full = tmp_path / "full.mid"
+    write_midi(full, [(0.0, 0.5, 60), (0.5, 1.0, 62)], tempo_bpm=120.0)
+    raw = full.read_bytes()
+    body = raw[22:]  # after the 14-byte header and the 8-byte track header
+    assert raw[14:18] == b"MTrk" and int.from_bytes(raw[18:22], "big") == len(body)
+    path = tmp_path / "cut.mid"
+    for n in range(len(raw)):
+        path.write_bytes(raw[:n])
+        assert not _import_or_reject(path), n  # every track chunk overruns the file
+    imported = []
+    for n in range(len(body)):  # the track chunk shortened, its length rewritten to match
+        path.write_bytes(raw[:18] + n.to_bytes(4, "big") + body[:n])
+        imported.append(_import_or_reject(path))
+    assert any(imported) and not all(imported)
+    path.write_bytes(raw[:18] + (10_000).to_bytes(4, "big") + body)
+    with pytest.raises(midifile.MidiError, match="track chunk of 10000 bytes"):
         dk.import_annotations(path)
 
 

@@ -199,12 +199,12 @@ def test_cnpp_rejects_overlong_sequences():
 
 
 def test_octuples_from_annotation_and_midi_import(tmp_path):
-    from notetune import midifile
+    from midi_writer import write_midi
     from notetune.datakit import import_annotations
 
     notes = [(0.0, 0.45, 60), (0.5, 0.95, 62), (1.0, 1.45, 64)]
     midi_path = tmp_path / "m.mid"
-    midifile.write_midi(midi_path, notes, tempo_bpm=120.0)
+    write_midi(midi_path, notes, tempo_bpm=120.0)
     ann = import_annotations(midi_path)
     evs = sym.octuples_from_annotation(ann)
     assert evs["pos"].tolist() == [0, 4, 8]  # 0.5 s = 1 beat = 4 sixteenths

@@ -19,11 +19,11 @@ import pytest
 
 import cnpp_reference
 from conftest import make_track
+from midi_writer import write_midi
 from notetune import cli
 from notetune import corrector as corr
 from notetune import datakit as dk
 from notetune import features as ft
-from notetune import midifile
 from notetune import nncore as nn
 from notetune import segmenter as seg
 from notetune import spp as sp
@@ -440,31 +440,53 @@ def test_extract_with_zero_jobs_exits_2(cli_run):
     assert run_cli("extract", "--data-dir", cli_run["data"], "--jobs", 0) == 2
 
 
-def test_extract_tracks_every_pitch_before_any_mel(cli_run, tmp_path, monkeypatch):
-    # no mel matmul may compete with the YIN threads; the tracks stay those
-    # of extract_track
+def test_extract_runs_no_mel_while_yin_chunks_run(cli_run, tmp_path, monkeypatch):
+    # no mel matmul (BLAS threads) may compete with the YIN threads: no mel
+    # starts while a YIN chunk runs, nor a chunk while a mel runs; the tracks
+    # stay those of extract_track
     data = tmp_path / "data"
     shutil.copytree(cli_run["data"], data)
-    calls = []
+    lock, running, overlaps = threading.Lock(), {"yin": 0, "mel": 0}, []
+    yin_rows, mel_spectrogram = ft._yin_rows, ft.mel_spectrogram
 
-    def recorded(name, fn):
+    def counted(kind, other, fn):
         def call(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            calls.append(name)
-            return out
+            with lock:
+                running[kind] += 1
+                overlaps.append(running[other])
+            try:
+                time.sleep(0.002)  # long enough for calls that may overlap to meet
+                return fn(*args, **kwargs)
+            finally:
+                with lock:
+                    running[kind] -= 1
         return call
 
-    monkeypatch.setattr(ft, "track_pitch", recorded("pitch", ft.track_pitch))
-    monkeypatch.setattr(ft, "mel_spectrogram", recorded("mel", ft.mel_spectrogram))
+    monkeypatch.setattr(ft, "_yin_rows", counted("yin", "mel", yin_rows))
+    monkeypatch.setattr(ft, "mel_spectrogram", counted("mel", "yin", mel_spectrogram))
     cfg = load_config(None, TINY)
     doc = wf.stage_extract(cfg, data, jobs=2)
-    n = len(doc["samples"])
-    assert calls == ["pitch"] * n + ["mel"] * n
+    assert len(overlaps) > len(doc["samples"]) and not any(overlaps)
     monkeypatch.undo()
     entry = doc["samples"][min(doc["samples"])]
     wav = ft.load_audio(data / entry["audio"], cfg["audio"]["sample_rate"])
     ft.save_track(tmp_path / "one.npz", wf._extract_track(wav, cfg["audio"]))
     assert (tmp_path / "one.npz").read_bytes() == (data / entry["features"]).read_bytes()
+
+
+def test_extract_reads_each_song_once(cli_run, tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    shutil.copytree(cli_run["data"], data)
+    reads = []
+    load_audio = ft.load_audio
+
+    def counted(path, *args, **kwargs):
+        reads.append(Path(path))
+        return load_audio(path, *args, **kwargs)
+
+    monkeypatch.setattr(ft, "load_audio", counted)
+    doc = wf.stage_extract(load_config(None, TINY), data, jobs=2)
+    assert sorted(reads) == sorted(data / entry["audio"] for entry in doc["samples"].values())
 
 
 def test_extract_never_runs_more_yin_chunks_at_once_than_jobs(cli_run, tmp_path, monkeypatch):
@@ -609,7 +631,7 @@ def test_correct_with_a_zero_midi_division_or_tempo_exits_2(tmp_path, monkeypatc
 
     monkeypatch.setattr(wf.Pipeline, "load", no_load)
     path = tmp_path / f"zero_{field}.mid"
-    midifile.write_midi(path, [(0.0, 0.5, 60), (0.5, 1.0, 62)], tempo_bpm=120.0)
+    write_midi(path, [(0.0, 0.5, 60), (0.5, 1.0, 62)], tempo_bpm=120.0)
     raw = bytearray(path.read_bytes())
     if field == "division":
         raw[12:14] = bytes(2)
@@ -621,6 +643,19 @@ def test_correct_with_a_zero_midi_division_or_tempo_exits_2(tmp_path, monkeypatc
     assert run_cli(*argv, "--annotations", path) == 2
     err = capsys.readouterr().err
     assert message in err and path.name in err
+
+
+@pytest.mark.parametrize("keep", [10, 19, -5])
+def test_correct_with_a_midi_annotation_cut_short_exits_2(cli_run, tmp_path, capsys, keep):
+    path = tmp_path / "cut.mid"
+    write_midi(path, [(0.0, 0.5, 60), (0.5, 1.0, 62)], tempo_bpm=120.0)
+    path.write_bytes(path.read_bytes()[:keep])
+    out = tmp_path / "o.wav"
+    capsys.readouterr()
+    argv = ["correct", cli_run["take"], out, "--checkpoint-dir", cli_run["ckpt"]]
+    assert run_cli(*argv, "--annotations", path) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, missing, prerequisite", [
