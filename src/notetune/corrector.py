@@ -15,20 +15,25 @@ from the tracked f0), unvoiced audio passes through, and joins get a 10 ms
 equal-power crossfade.  The f0 and the shift ratio are constant over each
 hop, so the epochs step on per-frame tables: sample t reads frame t // hop,
 exactly the value a per-sample array repeated hop times would hold.  Grains
-are overlap-added with `np.add.at` in grain order, so every sample sums its
-terms as a one-grain-at-a-time loop would.
+are overlap-added with `np.add.at` in grain order, in batches of about
+WAV_BLOCK samples, so every sample sums its terms as a one-grain-at-a-time
+loop would.  `shifted_blocks` reads the take, an array or a
+`features.WavReader`, a span at a time and gives the corrected samples in
+order, so no take-long array is needed; `shift_audio` writes them into an
+array in place.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .evalkit import note_pitch_curve
-from .features import FrameTrack, semitones_to_hz
+from .features import WAV_BLOCK, FrameTrack, semitones_to_hz
 from .segmenter import NoteInterval
 from .spp import StationaryEstimate
 
@@ -105,14 +110,14 @@ def _region_groups(regions: list[tuple[int, int]], margin: int) -> list[list[tup
     return groups
 
 
-def _psola_region(wav, out, norm, off, a, b, hop, f0_hz, period, spacing, sr):
+def _psola_region(x, out, norm, off, n, a, b, hop, f0_hz, period, spacing, sr):
     """Overlap-add Hann grains from analysis epochs onto retimed epochs.
 
-    `out` and `norm` hold samples off, off + 1, ... of the take.  `f0_hz`
-    (array), `period` and `spacing` (lists) hold one entry per frame; an
-    epoch at sample t reads frame int(t) // hop.
+    `x`, `out` and `norm` hold samples off, off + 1, ... of a take of n
+    samples: `x` its input samples, reaching every sample a grain of the
+    region [a, b) reads.  `f0_hz` (array), `period` and `spacing` (lists)
+    hold one entry per frame; an epoch at sample t reads frame int(t) // hop.
     """
-    n = len(wav)
     # analysis marks one local period apart, then synthesis positions one
     # local period / ratio apart: two sequential recurrences
     marks = []
@@ -121,7 +126,7 @@ def _psola_region(wav, out, norm, off, a, b, hop, f0_hz, period, spacing, sr):
         marks.append(t)
         t += period[int(t) // hop]
     if len(marks) < 2:
-        out[a - off : b - off] += wav[a:b]
+        out[a - off : b - off] += x[a - off : b - off]
         norm[a - off : b - off] += 1.0
         return
     pos, frames = [], []
@@ -142,26 +147,36 @@ def _psola_region(wav, out, norm, off, a, b, hop, f0_hz, period, spacing, sr):
     lo = np.maximum(np.maximum(-L, -mj), -rs)
     hi = np.maximum(np.minimum(np.minimum(L + 1, n - mj), n - rs), lo)
 
-    # grain g covers offsets lo[g]..hi[g]-1 around rs[g] (out) and mj[g] (wav)
+    # grain g covers offsets lo[g]..hi[g]-1 around rs[g] (out) and mj[g]
+    # (x), added in batches of consecutive grains of about WAV_BLOCK samples
     sizes = hi - lo
-    k = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes - lo, sizes)
-    hann = {x: np.hanning(2 * x + 1) for x in set(L.tolist())}
-    bounds = zip(L.tolist(), lo.tolist(), hi.tolist())
-    window = np.concatenate([hann[x][l + x : h + x] for x, l, h in bounds])
-    dst = np.repeat(rs - off, sizes) + k
-    # np.add.at is unbuffered: every sample takes its grains' terms in grain
-    # order, the same float additions as adding one grain at a time
-    np.add.at(out, dst, wav[np.repeat(mj, sizes) + k] * window)
-    np.add.at(norm, dst, window)
+    ends = np.cumsum(sizes)
+    hann = {w: np.hanning(2 * w + 1) for w in set(L.tolist())}
+    g = 0
+    while g < len(sizes):
+        h = max(int(np.searchsorted(ends, ends[g] - sizes[g] + WAV_BLOCK, side="right")), g + 1)
+        size, first = sizes[g:h], lo[g:h]
+        k = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size - first, size)
+        bounds = zip(L[g:h].tolist(), first.tolist(), hi[g:h].tolist())
+        window = np.concatenate([hann[w][l + w : e + w] for w, l, e in bounds])
+        dst = np.repeat(rs[g:h] - off, size) + k
+        # np.add.at is unbuffered: every sample takes its grains' terms in
+        # grain order, the same float additions as adding one grain at a
+        # time, and so do consecutive batches
+        np.add.at(out, dst, x[np.repeat(mj[g:h] - off, size) + k] * window)
+        np.add.at(norm, dst, window)
+        g = h
 
 
-def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.ndarray:
-    """Render the contour `plan.target_pitch` into `wav`, in place, duration
-    preserved; returns `wav`.  Each frame with a finite target moves by its
-    target minus its input pitch, clamped per frame to +-MAX_SHIFT_SEMITONES
-    (by -delta_i on the voiced frames of note i, in a plan of `build_plan`).
-    The clamp warning counts the clamped frames; a plan whose finite frames
-    all equal the input pitch returns `wav` untouched, whatever its deltas.
+def shifted_blocks(wav, plan: CorrectionPlan, track: FrameTrack) -> Iterator[np.ndarray]:
+    """The samples of `wav` (an array or a `features.WavReader`) with the
+    contour `plan.target_pitch` rendered, duration preserved, as consecutive
+    arrays from the first sample to the last.  Each frame with a finite
+    target moves by its target minus its input pitch, clamped per frame to
+    +-MAX_SHIFT_SEMITONES (by -delta_i on the voiced frames of note i, in a
+    plan of `build_plan`).  The clamp warning counts the clamped frames; a
+    plan whose finite frames all equal the input pitch gives the samples of
+    `wav` untouched, whatever its deltas.
 
     The epochs step on per-frame tables of period and synthesis spacing,
     which is exact because f0 and ratio are constant over each hop: numpy's
@@ -171,13 +186,13 @@ def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.
     A grain of half-length L around sample r reaches r - L .. r + L, so the
     grains of a region [a, b) stay within L + 1 samples of it.  Regions go
     in groups, split where a gap exceeds 2 * (the take's largest L + 2);
-    each group overlap-adds into its own grain and weight sums, which cover
-    its regions and L + 2 samples each side.  Only then are its regions
-    written, in place, into `wav`, which is returned: a group reads `wav`
-    only within L + 2 samples of its regions and writes only inside them,
-    so no group reads a sample another has written, and every sample gets
-    the bytes a shift into a copy would give.  The caller hands over the
-    samples; it holds no take-long buffer beside them.
+    each group reads its span of `wav`, its regions and L + 2 samples each
+    side, once, and overlap-adds into its own grain and weight sums over
+    that span.  Unshifted samples pass through WAV_BLOCK at a time, read
+    when they are due.  So the blocks hold one group's span at most, and
+    `wav` may be written with each block as it comes (`shift_audio` does):
+    a group reads `wav` only within L + 2 samples of its regions, and each
+    block starts after every sample a block before it holds.
     """
     sr = track.sample_rate
     hop = track.hop
@@ -188,46 +203,70 @@ def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.
 
     shifted = np.isfinite(plan.target_pitch)
     shift = plan.target_pitch[shifted] - track.pitch_semitones[shifted]
-    if not shift.any():
-        return wav
-    too_big = np.abs(shift) > MAX_SHIFT_SEMITONES
-    if too_big.any():
-        log.warning(
-            "clamping %d frame shift(s) beyond +-%.0f semitones",
-            int(too_big.sum()),
-            MAX_SHIFT_SEMITONES,
-        )
-    frame_ratio = np.ones(T)
-    frame_ratio[shifted] = np.exp2(np.clip(shift, -MAX_SHIFT_SEMITONES, MAX_SHIFT_SEMITONES) / 12.0)
+    groups = []
+    if shift.any():
+        too_big = np.abs(shift) > MAX_SHIFT_SEMITONES
+        if too_big.any():
+            log.warning(
+                "clamping %d frame shift(s) beyond +-%.0f semitones",
+                int(too_big.sum()),
+                MAX_SHIFT_SEMITONES,
+            )
+        frame_ratio = np.ones(T)
+        frame_ratio[shifted] = np.exp2(np.clip(shift, -MAX_SHIFT_SEMITONES, MAX_SHIFT_SEMITONES) / 12.0)
 
-    # one entry per frame that a sample reaches; past the track, the last frame
-    frames = np.minimum(np.arange(max(T, -(-n // hop))), T - 1)
-    f0 = semitones_to_hz(track.pitch_filled[frames])
-    period = np.maximum(sr / f0, 2.0).tolist()
-    spacing = (sr / f0 / frame_ratio[frames]).tolist()
-    reach = int(np.maximum(np.round(sr / f0), 2).max()) + 2
+        # one entry per frame that a sample reaches; past the track, the last frame
+        frames = np.minimum(np.arange(max(T, -(-n // hop))), T - 1)
+        f0 = semitones_to_hz(track.pitch_filled[frames])
+        period = np.maximum(sr / f0, 2.0).tolist()
+        spacing = (sr / f0 / frame_ratio[frames]).tolist()
+        reach = int(np.maximum(np.round(sr / f0), 2).max()) + 2
+        regions = [(a, b) for a, b in _frame_regions(shifted[frames], hop, n) if b - a > 32]
+        groups = _region_groups(regions, 2 * reach)
+        fade = max(int(CROSSFADE_SEC * sr), 8)
+        theta = 0.5 * np.pi * (np.arange(fade) + 1) / (fade + 1)
+        win_in, win_out = np.sin(theta), np.cos(theta)
 
-    regions = [(a, b) for a, b in _frame_regions(shifted[frames], hop, n) if b - a > 32]
-    fade = max(int(CROSSFADE_SEC * sr), 8)
-    theta = 0.5 * np.pi * (np.arange(fade) + 1) / (fade + 1)
-    win_in, win_out = np.sin(theta), np.cos(theta)
-    for group in _region_groups(regions, 2 * reach):
+    pos = 0
+    for group in groups:
         off = max(group[0][0] - reach, 0)
-        synth = np.zeros(min(group[-1][1] + reach, n) - off)
+        x = wav[off : min(group[-1][1] + reach, n)]
+        synth = np.zeros(len(x))
         norm = np.zeros_like(synth)
         for a, b in group:
-            _psola_region(wav, synth, norm, off, a, b, hop, f0, period, spacing, sr)
+            _psola_region(x, synth, norm, off, n, a, b, hop, f0, period, spacing, sr)
         for a, b in group:
+            yield from _blocks(wav, pos, a)
             seg = synth[a - off : b - off] / np.maximum(norm[a - off : b - off], 1e-3)
             low = norm[a - off : b - off] < 0.25
-            seg[low] = wav[a:b][low]
+            seg[low] = x[a - off : b - off][low]
             f = min(fade, (b - a) // 2)
             if f > 0:  # crossfades of disjoint ends: seg * win_in + wav * win_out
                 seg[:f] *= win_in[:f]
-                seg[:f] += wav[a : a + f] * win_out[:f]
+                seg[:f] += x[a - off : a - off + f] * win_out[:f]
                 seg[-f:] *= win_in[:f][::-1]
-                seg[-f:] += wav[b - f : b] * win_out[:f][::-1]
-            wav[a:b] = seg
+                seg[-f:] += x[b - off - f : b - off] * win_out[:f][::-1]
+            yield seg
+            pos = b
+    yield from _blocks(wav, pos, n)
+
+
+def _blocks(wav, a: int, b: int) -> Iterator[np.ndarray]:
+    """Samples a..b-1 of `wav`, WAV_BLOCK at a time, each read when it is due."""
+    for lo in range(a, b, WAV_BLOCK):
+        yield wav[lo : min(lo + WAV_BLOCK, b)]
+
+
+def shift_audio(wav: np.ndarray, plan: CorrectionPlan, track: FrameTrack) -> np.ndarray:
+    """Render the contour `plan.target_pitch` into `wav`, in place, and return
+    `wav`: each block of `shifted_blocks` is written over the samples it
+    replaces as it comes, which gives every sample the bytes a shift into a
+    copy would give.  The caller hands over the samples; it holds no
+    take-long buffer beside them."""
+    pos = 0
+    for block in shifted_blocks(wav, plan, track):
+        wav[pos : pos + len(block)] = block
+        pos += len(block)
     return wav
 
 

@@ -27,7 +27,7 @@ class DetunerConfig:
 class Detuner(nn.Module):
     def __init__(self, cfg: DetunerConfig):
         self.cfg = cfg
-        rng = np.random.default_rng(cfg.seed + 17)
+        rng = nn.init_rng(cfg.seed + 17)
         self.gru1 = nn.GRU(rng, 3, cfg.hidden)
         self.gru2 = nn.GRU(rng, cfg.hidden, cfg.hidden)
         self.out = nn.Linear(rng, cfg.hidden, 1)

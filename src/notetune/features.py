@@ -2,16 +2,22 @@
 
 All tracks for one recording share the same frame count T = 1 + len // hop,
 with frame i centered at sample i * hop (reflect padding at the edges).
+
+The extractors read their samples a chunk's span at a time, from an array
+or from a `WavReader`, which reads a WAV file a block at a time; so a take
+is tracked, and `corrector.shifted_blocks` shifts it, without a take-long
+array of its samples.  `WavWriter` writes a take a block at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,8 +48,9 @@ RMS_FLOOR_DB = -50.0
 # threads.  Neither result's bytes depend on it.
 YIN_CHUNK = 64
 # track_pitch runs at most this many chunks at once (fewer on fewer CPUs),
-# so its peak memory, the padded take plus one chunk's temporaries (about
-# 2.5 MB) per thread, does not grow with the host: 15.6 MB traced on 60 s.
+# so its peak memory, one chunk's span and temporaries (about 2.5 MB) per
+# thread, does not grow with the host: 5.2 MB traced on 60 s read through
+# a WavReader.
 # On 2 CPUs, 2 threads take track_pitch on 60 s from 0.19 to 0.125 s; more
 # were never measured.
 YIN_THREADS = 2
@@ -147,42 +154,138 @@ def _parse_fmt(body: bytes) -> tuple[int, int, str, int]:
     raise ValueError(f"unsupported WAV sample format: tag {tag:#06x}, {bits} bits")
 
 
-def _read_wav(path: Path) -> tuple[int, np.ndarray]:
-    """Sample rate and samples [n] or [n, channels] of a RIFF WAVE file.
+def _parse_header(fd: int, size: int) -> tuple[int, int, str, int, int, int]:
+    """Sample rate, channel count, numpy dtype, sample width, data offset and
+    data length in bytes of the RIFF WAVE file open as `fd`, `size` bytes long.
 
-    Walks the chunks, reads `fmt ` and the samples of the first `data`
-    chunk after it, and skips any other chunk and its pad byte.  The
-    samples are read straight into their array.
-    """
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        riff = f.read(12)
-        if riff[:4] != b"RIFF" or riff[8:12] != b"WAVE":
-            raise ValueError(f"not a RIFF WAVE file (it starts {riff[:4]!r})")
-        fmt = None
-        while len(head := f.read(8)) == 8:
-            chunk, n = head[:4], struct.unpack("<I", head[4:])[0]
-            if chunk == b"fmt ":
-                fmt = _parse_fmt(f.read(n))
-                f.seek(n & 1, os.SEEK_CUR)
-            elif chunk == b"data":
-                if fmt is None:
-                    raise ValueError("data chunk before the fmt chunk")
-                left = size - f.tell()
-                if n > left:
-                    raise ValueError(f"truncated file: its data chunk holds {n} bytes, but only {left} follow")
-                rate, channels, dtype, width = fmt
-                count = n // width
-                if width == 3:  # 24-bit, left-justified into int32 as scipy loads it
-                    data = np.zeros((count, 4), np.uint8)
-                    data[:, 1:] = np.fromfile(f, np.uint8, 3 * count).reshape(count, 3)
-                    data = data.view("<i4").reshape(count)
-                else:
-                    data = np.fromfile(f, dtype, count)
-                return rate, data.reshape(-1, channels) if channels > 1 else data
-            else:
-                f.seek(n + (n & 1), os.SEEK_CUR)
+    Walks the chunks, reads `fmt ` and finds the first `data` chunk after
+    it, and skips any other chunk and its pad byte."""
+    riff = os.pread(fd, 12, 0)
+    if riff[:4] != b"RIFF" or riff[8:12] != b"WAVE":
+        raise ValueError(f"not a RIFF WAVE file (it starts {riff[:4]!r})")
+    fmt, pos = None, 12
+    while len(head := os.pread(fd, 8, pos)) == 8:
+        chunk, n = head[:4], struct.unpack("<I", head[4:])[0]
+        pos += 8
+        if chunk == b"fmt ":
+            fmt = _parse_fmt(os.pread(fd, n, pos))
+        elif chunk == b"data":
+            if fmt is None:
+                raise ValueError("data chunk before the fmt chunk")
+            if n > size - pos:
+                raise ValueError(f"truncated file: its data chunk holds {n} bytes, but only {size - pos} follow")
+            if n // fmt[3] % fmt[1]:
+                raise ValueError(f"data chunk of {n // fmt[3]} samples in {fmt[1]} channels")
+            return *fmt, pos, n
+        pos += n + (n & 1)
     raise ValueError("no data chunk")
+
+
+class WavReader:
+    """The samples of a RIFF WAVE file, read a block at a time.
+
+    The file is a path, opened here and closed by `close` or at the end of
+    a `with` block, or a binary file the caller keeps open.  Its header is
+    parsed once (see `load_audio` for the formats read and the errors
+    raised).  `read(a, b)`, or the slice `reader[a:b]`, gives samples a to
+    b - 1 as mono float64, converted as `load_audio` converts them, WAV_BLOCK
+    samples at a time; so a reader and a waveform array serve alike as the
+    `wav` of `track_pitch`, `mel_spectrogram`, `extract_track`,
+    `track_cache_key` and `corrector.shifted_blocks`.  Reads go through
+    `os.pread`, so threads may read at once.  A read from a file whose size
+    has changed since its header was parsed raises AudioIOError.
+    """
+
+    def __init__(self, file):
+        self._own = isinstance(file, (str, os.PathLike))
+        self.name = str(file) if self._own else getattr(file, "name", "a WAV file")
+        try:
+            if self._own:
+                self._file = open(file, "rb")
+            else:
+                self._file = file
+                file.flush()
+            self._size = os.fstat(self._file.fileno()).st_size
+            header = _parse_header(self._file.fileno(), self._size)
+        except (OSError, ValueError) as exc:
+            self.close()
+            raise AudioIOError(f"cannot read audio file {self.name}: {exc}") from exc
+        self.sample_rate, self._channels, self._dtype, self._width, self._offset, nbytes = header
+        self._frame = self._width * self._channels
+        self._n = nbytes // self._frame
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, span: slice) -> np.ndarray:
+        a, b, _ = span.indices(self._n)
+        return self.read(a, b)
+
+    def __enter__(self) -> "WavReader":
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self):
+        if self._own and hasattr(self, "_file"):
+            self._file.close()
+
+    def _raw(self, a: int, b: int) -> np.ndarray:
+        """Samples a..b-1 as stored, [b - a] or [b - a, channels], as
+        `scipy.io.wavfile` reads them (24-bit left-justified into int32)."""
+        fd, count = self._file.fileno(), (b - a) * self._channels
+        raw = os.pread(fd, (b - a) * self._frame, self._offset + a * self._frame)
+        size = os.fstat(fd).st_size
+        if size != self._size or len(raw) < (b - a) * self._frame:
+            raise AudioIOError(f"{self.name} changed while it was read: {self._size} bytes, now {size}")
+        if self._width == 3:
+            data = np.zeros((count, 4), np.uint8)
+            data[:, 1:] = np.frombuffer(raw, np.uint8).reshape(count, 3)
+            data = data.view("<i4").reshape(count)
+        else:
+            data = np.frombuffer(raw, self._dtype)
+        return data.reshape(-1, self._channels) if self._channels > 1 else data
+
+    def read(self, a: int, b: int) -> np.ndarray:
+        out = np.empty(max(b - a, 0))
+        for lo in range(a, b, WAV_BLOCK):
+            data = self._raw(lo, min(lo + WAV_BLOCK, b))
+            # cast to float64 and scaled in place, in the output itself when
+            # there is one channel, else in a block the channels average from
+            span = np.s_[lo - a : lo - a + len(data)]
+            wav = out[span] if data.ndim == 1 else np.empty(data.shape)
+            wav[...] = data
+            if data.dtype == np.int16:
+                wav /= 32768.0
+            elif data.dtype == np.int32:
+                wav /= 2147483648.0
+            elif data.dtype == np.uint8:
+                wav -= 128.0
+                wav /= 128.0
+            if wav.ndim == 2:
+                out[span] = wav = wav.mean(axis=1)
+            if data.dtype.kind == "f" and not np.isfinite(wav).all():
+                raise AudioIOError(f"non-finite samples (NaN or inf) in audio file {self.name}")
+        return out
+
+
+@contextmanager
+def open_audio(path, target_sr: int):
+    """The samples of a WAV file at `target_sr`, for the `with` block: a
+    WavReader when the file is at that rate, else the whole take read and
+    resampled (`scipy.signal.resample_poly`) into one array."""
+    with WavReader(path) as reader:
+        if reader.sample_rate == target_sr:
+            yield reader
+            return
+        wav, file_sr = reader.read(0, len(reader)), reader.sample_rate
+    # imported here, not at the top, so that a process whose takes are
+    # at the model rate does not pay about 1 s and 45 MB for it
+    from scipy.signal import resample_poly
+
+    g = np.gcd(int(file_sr), int(target_sr))
+    yield resample_poly(wav, target_sr // g, file_sr // g)
 
 
 def load_audio(path, target_sr: int = DEFAULT_SR) -> np.ndarray:
@@ -195,59 +298,52 @@ def load_audio(path, target_sr: int = DEFAULT_SR) -> np.ndarray:
     gives it).  Chunks other than `fmt ` and `data` are skipped.  Any other
     file raises AudioIOError naming it: RF64, RIFX and other containers,
     other sample formats, a `data` chunk longer than the bytes that follow
-    it (a truncated file), and a NaN or infinite float sample.  Only a file at
-    another rate imports `scipy.signal` for `resample_poly`, once per
-    process: that import takes about 1 s and 45 MB of resident memory on
-    2 vCPUs, as it pulls in `scipy.stats`, `scipy.linalg`, `scipy.optimize`
-    and more.
+    it (a truncated file), and a NaN or infinite float sample.  The samples
+    are read and converted WAV_BLOCK at a time into the one float64 array
+    returned (`WavReader.read`).  Only a file at another rate imports
+    `scipy.signal` for `resample_poly`, once per process: that import takes
+    about 1 s and 45 MB of resident memory on 2 vCPUs, as it pulls in
+    `scipy.stats`, `scipy.linalg`, `scipy.optimize` and more.
     """
-    path = Path(path)
-    try:
-        file_sr, data = _read_wav(path)
-    except (OSError, ValueError) as exc:
-        raise AudioIOError(f"cannot read audio file {path}: {exc}") from exc
-    # integer PCM is scaled in place: one float64 copy of the take, not two,
-    # without relying on numpy eliding the temporary of `astype(...) / c`
-    wav = data.astype(np.float64)
-    if data.dtype == np.int16:
-        wav /= 32768.0
-    elif data.dtype == np.int32:
-        wav /= 2147483648.0
-    elif data.dtype == np.uint8:
-        wav -= 128.0
-        wav /= 128.0
-    if wav.ndim == 2:
-        wav = wav.mean(axis=1)
-    if data.dtype.kind == "f" and not np.isfinite(wav).all():
-        raise AudioIOError(f"non-finite samples (NaN or inf) in audio file {path}")
-    if file_sr != target_sr:
-        # imported here, not at the top, so that a process whose takes are
-        # at the model rate does not pay about 1 s and 45 MB for it
-        from scipy.signal import resample_poly
+    with open_audio(path, target_sr) as src:
+        return src[0 : len(src)]
 
-        g = np.gcd(int(file_sr), int(target_sr))
-        wav = resample_poly(wav, target_sr // g, file_sr // g)
-    return wav
+
+class WavWriter:
+    """Mono samples written to an open binary file as a WAV file for
+    `n_samples` samples: a 44-byte RIFF header, then each block given to
+    `write`, in order.  `dtype` "<i2" writes 16-bit PCM, scaled by 32767,
+    rounded and clipped in one float buffer and converted, WAV_BLOCK samples
+    at a time; "<f8" writes the float64 samples as they are, which
+    `WavReader` reads back bit for bit.  Every step is elementwise, so the
+    bytes do not depend on how the samples are split into blocks."""
+
+    def __init__(self, f, n_samples: int, sr: int, dtype: str):
+        self._f, self._pcm = f, dtype == "<i2"
+        width = np.dtype(dtype).itemsize
+        n = width * n_samples
+        tag = WAVE_FORMAT_PCM if self._pcm else WAVE_FORMAT_IEEE_FLOAT
+        f.write(struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + n, b"WAVE", b"fmt ", 16,
+                            tag, 1, sr, width * sr, width, 8 * width, b"data", n))
+
+    def write(self, wav: np.ndarray):
+        for lo in range(0, len(wav), WAV_BLOCK):
+            if self._pcm:
+                pcm = np.multiply(wav[lo : lo + WAV_BLOCK], 32767.0)
+                np.round(pcm, out=pcm)
+                np.clip(pcm, -32768, 32767, out=pcm)
+                self._f.write(pcm.astype("<i2").tobytes())
+            else:
+                self._f.write(np.ascontiguousarray(wav[lo : lo + WAV_BLOCK], "<f8").tobytes())
 
 
 def write_wav(path, wav: np.ndarray, sr: int = DEFAULT_SR):
-    """Write mono float waveform as 16-bit PCM: a 44-byte RIFF header, then
-    the samples, scaled by 32767, rounded and clipped in one float buffer
-    and converted, WAV_BLOCK samples at a time.  Every step is elementwise,
-    so the bytes are those of converting the whole take at once, with two
+    """Write mono float waveform as 16-bit PCM (`WavWriter`), with two
     block-long buffers in place of two take-long ones."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    n = 2 * len(wav)
-    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + n, b"WAVE", b"fmt ", 16,
-                         WAVE_FORMAT_PCM, 1, sr, 2 * sr, 2, 16, b"data", n)
     with open(path, "wb") as f:
-        f.write(header)
-        for lo in range(0, len(wav), WAV_BLOCK):
-            pcm = np.multiply(wav[lo : lo + WAV_BLOCK], 32767.0)
-            np.round(pcm, out=pcm)
-            np.clip(pcm, -32768, 32767, out=pcm)
-            pcm.astype("<i2").tofile(f)
+        WavWriter(f, len(wav), sr, "<i2").write(wav)
 
 
 # ---- pitch tracking ----------------------------------------------------------
@@ -258,18 +354,18 @@ def _pad_signal(wav: np.ndarray, frame_len: int) -> np.ndarray:
     return np.pad(wav, (half, frame_len), mode=mode)
 
 
-def _padded_span(wav: np.ndarray, frame_len: int, lo: int, hi: int) -> np.ndarray:
+def _padded_span(wav, frame_len: int, lo: int, hi: int) -> np.ndarray:
     """`_pad_signal(wav, frame_len)[lo:hi]` without a padded copy of the take:
-    a view of `wav` inside it, else the padding of a piece of `wav` that
-    holds the span and the samples its reflected ends mirror (samples 1 to
-    half and the last frame_len + 1).  Reflection within each end gives the
-    values of the whole padded take; a take too short to reflect is padded
-    whole."""
+    the samples of `wav` (an array or a `WavReader`) inside it, a view of an
+    array, else the padding of a piece of `wav` that holds the span and the
+    samples its reflected ends mirror (samples 1 to half and the last
+    frame_len + 1).  Reflection within each end gives the values of the
+    whole padded take; a take too short to reflect is padded whole."""
     half, n = frame_len // 2, len(wav)
     if half <= lo and hi <= half + n:
         return wav[lo - half : hi - half]
     if n <= max(half, frame_len):
-        return _pad_signal(wav, frame_len)[lo:hi]
+        return _pad_signal(wav[0:n], frame_len)[lo:hi]
     head, tail = lo < half, hi > half + n
     start = 0 if head else min(lo - half, n - frame_len - 1)
     stop = n if tail else max(hi - half, half + 1)
@@ -382,7 +478,7 @@ def _yin_rows(x: np.ndarray, sr: int, hop: int):
     return f0, voiced
 
 
-def track_pitch(wav: np.ndarray, sr: int = DEFAULT_SR, hop: int = DEFAULT_HOP, pool=None):
+def track_pitch(wav, sr: int = DEFAULT_SR, hop: int = DEFAULT_HOP, pool=None):
     """Per-frame f0 via the cumulative-mean-normalized difference function.
 
     Returns (pitch_semitones[T], bool voiced[T]); unvoiced frames hold NaN.
@@ -397,17 +493,23 @@ def track_pitch(wav: np.ndarray, sr: int = DEFAULT_SR, hop: int = DEFAULT_HOP, p
     (`stage_extract` tracks every song on one), or else on a pool of one
     thread per CPU, up to YIN_THREADS, opened for this call (numpy's FFTs
     and ufuncs release the GIL); each frame is decided on its own, so the
-    bytes depend neither on the split nor on the worker count.
+    bytes depend neither on the split nor on the worker count.  `wav` is an
+    array or a `WavReader`; each chunk reads its padded span of it where it
+    runs, so a reader's samples are held only by the chunks running.
     """
-    if len(wav) == 0:
+    n = len(wav)
+    if n == 0:
         raise ValueError("empty waveform")
     frame_len = _yin_lags(sr)[3]
-    T = frame_count(len(wav), hop)
-    spans = (_padded_span(wav, frame_len, i * hop, (min(i + YIN_CHUNK, T) - 1) * hop + frame_len)
-             for i in range(0, T, YIN_CHUNK))
+    T = frame_count(n, hop)
+
+    def chunk(i: int):
+        span = _padded_span(wav, frame_len, i * hop, (min(i + YIN_CHUNK, T) - 1) * hop + frame_len)
+        return _yin_rows(span, sr, hop)
+
     own = ThreadPoolExecutor(min(YIN_THREADS, os.cpu_count() or 1)) if pool is None else nullcontext(pool)
     with own as pool:
-        f0, voiced = zip(*pool.map(lambda x: _yin_rows(x, sr, hop), spans))
+        f0, voiced = zip(*pool.map(chunk, range(0, T, YIN_CHUNK)))
     f0, voiced = np.concatenate(f0), np.concatenate(voiced)
 
     pitch = np.full(T, np.nan)
@@ -434,19 +536,28 @@ def mel_filterbank(sr: int, n_fft: int, n_mels: int):
     return fb
 
 
+@functools.lru_cache(maxsize=None)
+def _mel_constants(sr: int, win: int, n_mels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The transposed filterbank and the Hann window of `mel_spectrogram`,
+    built once per (sr, win, n_mels) and read-only, as every call shares them."""
+    fb, window = mel_filterbank(sr, win, n_mels), np.hanning(win)
+    fb.flags.writeable = window.flags.writeable = False
+    return fb.T, window
+
+
 def mel_spectrogram(
-    wav: np.ndarray,
+    wav,
     sr: int = DEFAULT_SR,
     hop: int = DEFAULT_HOP,
     win: int = DEFAULT_WIN,
     n_mels: int = DEFAULT_N_MELS,
 ) -> np.ndarray:
-    """Log mel magnitude spectrogram [T, n_mels] on the shared frame grid."""
+    """Log mel magnitude spectrogram [T, n_mels] on the shared frame grid, of
+    an array or a `WavReader`, read one chunk's padded span at a time."""
     if len(wav) < win:
         raise ValueError(f"waveform shorter than the analysis window ({len(wav)} < {win})")
     T = frame_count(len(wav), hop)
-    fb_t = mel_filterbank(sr, win, n_mels).T
-    window = np.hanning(win)
+    fb_t, window = _mel_constants(sr, win, n_mels)
     mel = np.empty((T, n_mels))
     # Each product has min(T, YIN_CHUNK) rows, the last chunk overlapping the
     # one before: BLAS sums products of only a few rows in another order.
@@ -465,26 +576,30 @@ LOG_FLOOR = float(np.log(LOG_FLOOR_EPS))
 # ---- full extraction + cache --------------------------------------------------
 
 def extract_track(
-    wav: np.ndarray,
+    wav,
     sr: int = DEFAULT_SR,
     hop: int = DEFAULT_HOP,
     win: int = DEFAULT_WIN,
     n_mels: int = DEFAULT_N_MELS,
     pool=None,
 ) -> FrameTrack:
-    """The track of `wav`: pitch, then mel, which starts only once every YIN
-    chunk has returned from `pool` (an executor, as for `track_pitch`)."""
+    """The track of `wav`, an array or a `WavReader`: pitch, then mel, which
+    starts only once every YIN chunk has returned from `pool` (an executor,
+    as for `track_pitch`)."""
     pitch, voiced = track_pitch(wav, sr=sr, hop=hop, pool=pool)
     mel = mel_spectrogram(wav, sr=sr, hop=hop, win=win, n_mels=n_mels)
     return FrameTrack(sample_rate=sr, hop=hop, pitch_semitones=pitch, voiced=voiced, mel=mel)
 
 
-def track_cache_key(wav: np.ndarray, sr: int, hop: int, win: int, n_mels: int) -> str:
-    """24 hex digits of the SHA-256 of the waveform and of every setting
-    that `extract_track` reads: its arguments, the track format version and
-    the extractor constants (read at call time).  The waveform's bytes are
-    hashed from its buffer, not copied, when it is C-contiguous."""
-    key = hashlib.sha256(np.ascontiguousarray(wav))
+def track_cache_key(wav, sr: int, hop: int, win: int, n_mels: int) -> str:
+    """24 hex digits of the SHA-256 of the waveform (an array or a
+    `WavReader`) and of every setting that `extract_track` reads: its
+    arguments, the track format version and the extractor constants (read
+    at call time).  The float64 samples are hashed WAV_BLOCK at a time,
+    which gives the digest of hashing them at once."""
+    key = hashlib.sha256()
+    for lo in range(0, len(wav), WAV_BLOCK):
+        key.update(np.ascontiguousarray(wav[lo : lo + WAV_BLOCK]))
     settings = [sr, hop, win, n_mels, TRACK_FORMAT_VERSION, YIN_FMIN, YIN_FMAX, YIN_THRESHOLD,
                 YIN_INTEGRATION, RMS_FLOOR_DB, MEL_FMIN, LOG_FLOOR_EPS, PITCH_GRID]
     key.update(json.dumps(settings).encode())

@@ -35,7 +35,7 @@ MEL_SCALE = 8.0
 WINDOW = 256
 WINDOW_HALO = 16
 WINDOW_CORE = WINDOW - 2 * WINDOW_HALO
-WINDOW_GROUP = 8
+WINDOW_GROUP = 4
 
 
 def frame_inputs(track: FrameTrack, start: int, stop: int) -> np.ndarray:
@@ -96,7 +96,7 @@ class FrameEncoderConfig(nn.LocalEncoderConfig):
 
 class FrameEncoder(nn.Module):
     def __init__(self, cfg: FrameEncoderConfig):
-        rng = np.random.default_rng(cfg.seed + 1)
+        rng = nn.init_rng(cfg.seed + 1)
         d = cfg.model_dim
         self.cfg = cfg
         self.pitch_proj = nn.Linear(rng, 2, d)

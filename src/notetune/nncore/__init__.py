@@ -17,6 +17,8 @@ from .tensor import (
 )
 from .layers import (
     MAX_EVENTS,
+    no_init,
+    init_rng,
     Module,
     Linear,
     Embedding,

@@ -21,6 +21,41 @@ from .tensor import Tensor
 
 MAX_EVENTS = 512  # longest sequence `TransformerEncoder` attends over densely
 
+_DRAW_INIT = True
+
+
+class no_init:
+    """Context manager: models built inside it draw no initial weights.  Each
+    parameter is allocated as zeros of its shape, for a checkpoint to fill,
+    and `numpy.random` (about 2.5 MB of resident memory) is not imported."""
+
+    def __enter__(self):
+        global _DRAW_INIT
+        self._prev = _DRAW_INIT
+        _DRAW_INIT = False
+        return self
+
+    def __exit__(self, *exc):
+        global _DRAW_INIT
+        _DRAW_INIT = self._prev
+        return False
+
+
+class _NoDraw:
+    """What `init_rng` gives inside `no_init`: zeros of the shape asked for."""
+
+    def uniform(self, low, high, size):
+        return np.zeros(size)
+
+    normal = uniform
+
+
+def init_rng(seed: int):
+    """The generator a model's constructor draws its initial weights from:
+    `np.random.default_rng(seed)`, or inside `no_init` one that draws nothing."""
+    return np.random.default_rng(seed) if _DRAW_INIT else _NoDraw()
+
+
 class Module:
     """Parameter container; children register through attribute assignment."""
 
@@ -186,7 +221,7 @@ class LocalEncoder(Module):
     """Stack of windowed-attention blocks with pre-norm residuals."""
 
     def __init__(self, cfg: LocalEncoderConfig):
-        rng = np.random.default_rng(cfg.seed)
+        rng = init_rng(cfg.seed)
         self.cfg = cfg
         self.blocks = []
         for _ in range(cfg.layers):
@@ -264,7 +299,7 @@ class TransformerEncoder(Module):
     """Pre-norm transformer with no position term: its input places each element."""
 
     def __init__(self, cfg: TransformerConfig):
-        rng = np.random.default_rng(cfg.seed)
+        rng = init_rng(cfg.seed)
         self.blocks = [TransformerBlock(rng, cfg) for _ in range(cfg.layers)]
         self.final_norm = LayerNorm(cfg.model_dim)
 

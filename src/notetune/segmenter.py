@@ -43,7 +43,7 @@ class Segmenter(nn.Module):
     def __init__(self, cfg: FrameEncoderConfig):
         self.cfg = cfg
         self.encoder = FrameEncoder(cfg)
-        rng = np.random.default_rng(cfg.seed + 2)
+        rng = nn.init_rng(cfg.seed + 2)
         self.head_gru = nn.GRU(rng, cfg.model_dim, cfg.model_dim)
         self.head_out = nn.Linear(rng, cfg.model_dim, 1)
 

@@ -44,7 +44,7 @@ class StationaryPitchPredictor(nn.Module):
     def __init__(self, cfg: FrameEncoderConfig):
         self.cfg = cfg
         self.encoder = FrameEncoder(cfg)
-        rng = np.random.default_rng(cfg.seed + 3)
+        rng = nn.init_rng(cfg.seed + 3)
         self.head = nn.Linear(rng, cfg.model_dim, 1)
 
     def forward_batch(self, x) -> nn.Tensor:

@@ -191,7 +191,7 @@ class Cnpp(nn.Module):
 
     def __init__(self, cfg: nn.TransformerConfig):
         self.cfg = cfg
-        rng = np.random.default_rng(cfg.seed + 11)
+        rng = nn.init_rng(cfg.seed + 11)
         D = cfg.model_dim
         # attributes, not dicts: params() collects Module attributes only
         for name in FIELD_NAMES:

@@ -20,6 +20,7 @@ import hashlib
 import json
 import logging
 import os
+import tempfile
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -592,8 +593,10 @@ def _save_model(out_dir, name: str, model, cfg: dict, shape: dict, extra: dict |
     return path
 
 
-def _load_model(out_dir, name: str, model):
-    """Fill `model` from <out_dir>/<name>.npz; returns it with the checkpoint's extra block.
+def _load_model(out_dir, name: str, build):
+    """The model `build()` makes, filled from <out_dir>/<name>.npz, with the
+    checkpoint's extra block.  It is built inside `nn.no_init`, so no
+    initial weight is drawn for the checkpoint to overwrite.
 
     A missing checkpoint raises StageOrderError naming the command that
     writes it: `train-<name>`, or `train-cnpp --variant <v>` for cnpp_<v>.
@@ -603,24 +606,26 @@ def _load_model(out_dir, name: str, model):
         variant = name.removeprefix("cnpp_")
         command = f"train-{name}" if variant == name else f"train-cnpp --variant {variant}"
         raise StageOrderError(f"checkpoint {path.name} not found in {out_dir}; run `notetune {command}` first")
+    with nn.no_init():
+        model = build()
     return model, nn.load_checkpoint(path, model.params())["extra"]
 
 
 def load_segmenter(out_dir, cfg: dict) -> seg.Segmenter:
-    return _load_model(out_dir, "segmenter", seg.Segmenter(_frame_model_cfg(cfg, "segmenter")))[0]
+    return _load_model(out_dir, "segmenter", lambda: seg.Segmenter(_frame_model_cfg(cfg, "segmenter")))[0]
 
 
 def load_spp(out_dir, cfg: dict) -> sp.StationaryPitchPredictor:
-    return _load_model(out_dir, "spp", sp.StationaryPitchPredictor(_frame_model_cfg(cfg, "spp")))[0]
+    return _load_model(out_dir, "spp", lambda: sp.StationaryPitchPredictor(_frame_model_cfg(cfg, "spp")))[0]
 
 
 def load_detuner(out_dir, cfg: dict) -> tuple[dt.Detuner, float]:
-    model, extra = _load_model(out_dir, "detuner", dt.Detuner(_detuner_cfg(cfg)))
+    model, extra = _load_model(out_dir, "detuner", lambda: dt.Detuner(_detuner_cfg(cfg)))
     return model, float(extra["sigma_e"])
 
 
 def load_cnpp(out_dir, cfg: dict, variant: str = "full") -> sym.Cnpp:
-    return _load_model(out_dir, f"cnpp_{variant}", sym.Cnpp(_cnpp_cfg(cfg)))[0]
+    return _load_model(out_dir, f"cnpp_{variant}", lambda: sym.Cnpp(_cnpp_cfg(cfg)))[0]
 
 
 # ---- transcription + evaluation -------------------------------------------------------
@@ -705,6 +710,17 @@ def stage_ablate(cfg: dict, data_dir, out_dir, splits=("moderate_eval", "high_ev
 
 # ---- stage: correct -----------------------------------------------------------------
 
+def _write_shifted(wav, plan: corr.CorrectionPlan, track: ft.FrameTrack, out_path: Path, corrected):
+    """Write the blocks of `corr.shifted_blocks` as they come: to `out_path`
+    as 16-bit PCM and to the open file `corrected` as float64 samples."""
+    with open(out_path, "wb") as out:
+        pcm = ft.WavWriter(out, len(wav), track.sample_rate, "<i2")
+        floats = ft.WavWriter(corrected, len(wav), track.sample_rate, "<f8")
+        for block in corr.shifted_blocks(wav, plan, track):
+            pcm.write(block)
+            floats.write(block)
+
+
 def stage_correct(
     cfg: dict,
     in_wav,
@@ -719,15 +735,17 @@ def stage_correct(
     target its notes, write the plan sidecar and, unless `dry_run`, the
     shifted audio and its residuals.
 
-    The input samples are dropped once the take is tracked and read again
-    for `shift_audio`, so the frame models, which run on windows of at most
-    256 frames (`frontend.windowed`), run without them; a take whose length
-    changed in between is an error.  `shift_audio` corrects the samples read
-    again in place, and `write_wav` writes them in blocks.  The verify pass
-    re-tracks the written audio and re-estimates each note's stationary
-    pitch; by then the samples are not held (they are dropped once their
-    last reader has returned), only the two tracks, the plan and the
-    models."""
+    No take-long array of samples is held (but for a take at another rate,
+    which is resampled whole).  The take is read through a
+    `features.WavReader`: the cache key, the tracker and the mel read it a
+    block or a chunk's span at a time, and the frame models, which run on
+    windows of at most 256 frames (`frontend.windowed`), hold none of it.
+    `corrector.shifted_blocks` reads it a region group's span at a time and
+    gives the corrected samples in order; each block goes, as it comes, to
+    the output WAV as 16-bit PCM and to an unnamed temporary file beside it
+    as float64.  A take whose size changes in between is an error, and no
+    output WAV is left.  The verify pass tracks the temporary file through
+    a reader of its own and re-estimates each note's stationary pitch."""
     if annotations is not None:
         ann = dk.import_annotations(annotations)
         meta = sym.GridMeta.from_annotation(ann)
@@ -737,46 +755,46 @@ def stage_correct(
     pipeline = Pipeline.load(ckpt_dir, cfg, variants=(variant,))
     audio_cfg = cfg["audio"]
     sr, hop = audio_cfg["sample_rate"], audio_cfg["hop"]
-    wav = ft.load_audio(in_wav, sr)
-    track = None
-    cache_path = None
-    if cache_dir:
-        key = ft.track_cache_key(wav, sr, hop, audio_cfg["win"], audio_cfg["n_mels"])
-        cache_path = Path(cache_dir) / f"track_{key}.npz"
-        if cache_path.exists():
-            # an unreadable entry (cut short by a writer killed before
-            # writes were atomic, or garbage) is a miss; the extraction
-            # below overwrites it
-            try:
-                track = ft.load_track(cache_path)
-            except (OSError, ValueError, KeyError) as exc:
-                log.warning("cannot read cached track %s (%s); extracting it again", cache_path, exc)
-    if track is None:
-        track = _extract_track(wav, audio_cfg)
-        if cache_path is not None:
-            ft.save_track(cache_path, track)
-    n_samples = len(wav)
-    del wav
-    notes, ests = pipeline.transcribe_base(track)
-    targets = pipeline.note_targets(notes, ests, meta, variant, sr, hop)
-    plan = corr.build_plan(ests, targets, notes, track)
     out_path = Path(out_wav)
-    sidecar = out_path.with_suffix(".plan.tsv")
-    corr.write_plan_sidecar(sidecar, plan, track)
-    result = {
-        "n_notes": len(notes),
-        "plan": sidecar,
-        "mean_abs_delta": float(np.abs(plan.deltas).mean()) if len(plan.deltas) else 0.0,
-    }
-    if dry_run:
-        return result
-    wav = ft.load_audio(in_wav, sr)
-    if len(wav) != n_samples:
-        raise ft.AudioIOError(f"{in_wav} changed while it was corrected: {n_samples} samples, now {len(wav)}")
-    wav = corr.shift_audio(wav, plan, track)
-    ft.write_wav(out_path, wav, sr)
-    track2 = _extract_track(wav, audio_cfg)
-    del wav
+    with ft.open_audio(in_wav, sr) as wav:
+        track = None
+        cache_path = None
+        if cache_dir:
+            key = ft.track_cache_key(wav, sr, hop, audio_cfg["win"], audio_cfg["n_mels"])
+            cache_path = Path(cache_dir) / f"track_{key}.npz"
+            if cache_path.exists():
+                # an unreadable entry (cut short by a writer killed before
+                # writes were atomic, or garbage) is a miss; the extraction
+                # below overwrites it
+                try:
+                    track = ft.load_track(cache_path)
+                except (OSError, ValueError, KeyError) as exc:
+                    log.warning("cannot read cached track %s (%s); extracting it again", cache_path, exc)
+        if track is None:
+            track = _extract_track(wav, audio_cfg)
+            if cache_path is not None:
+                ft.save_track(cache_path, track)
+        notes, ests = pipeline.transcribe_base(track)
+        targets = pipeline.note_targets(notes, ests, meta, variant, sr, hop)
+        plan = corr.build_plan(ests, targets, notes, track)
+        sidecar = out_path.with_suffix(".plan.tsv")
+        corr.write_plan_sidecar(sidecar, plan, track)
+        result = {
+            "n_notes": len(notes),
+            "plan": sidecar,
+            "mean_abs_delta": float(np.abs(plan.deltas).mean()) if len(plan.deltas) else 0.0,
+        }
+        if dry_run:
+            return result
+        corrected = tempfile.TemporaryFile(dir=out_path.parent)
+        try:
+            _write_shifted(wav, plan, track, out_path, corrected)
+        except BaseException:
+            corrected.close()
+            out_path.unlink(missing_ok=True)
+            raise
+    with corrected, ft.WavReader(corrected) as wav:
+        track2 = _extract_track(wav, audio_cfg)
     ests2 = pipeline.spp.estimate(track2, notes)
     rows = corr.verify_plan(ests2, plan, track)
     residuals = [r["residual_cents"] for r in rows if not r["flagged"]]

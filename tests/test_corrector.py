@@ -281,6 +281,34 @@ def test_psola_on_a_20_s_song_matches_both_references():
     assert out == psola_reference.shift_audio(wav, plan, track).tobytes()
 
 
+def test_psola_on_a_region_of_several_grain_batches_matches_both_references():
+    # one voiced run of 6 s: its grains cover about twice its 132k samples,
+    # so they are overlap-added in several batches of about WAV_BLOCK samples
+    pitch = 57.0 + 0.5 * np.sin(np.linspace(0, 20, 517))
+    wav, plan, track, regions = _edge_take(pitch, 1.3)
+    (a, b), = regions
+    assert b - a > 2 * F.WAV_BLOCK
+    out = C.shift_audio(wav.copy(), plan, track).tobytes()
+    assert out == reference_shift_audio(wav, plan, track).tobytes()
+    assert out == psola_reference.shift_audio(wav, plan, track).tobytes()
+
+
+def test_shifted_blocks_read_through_a_wav_reader_give_the_bytes_of_shift_audio(tmp_path):
+    wav, ann = dk.synth_song(dk.SynthSpec(seed=7, n_notes=50, tempo_bpm=130.0))
+    track = F.extract_track(wav)
+    notes = [NoteInterval(round(n.onset_sec * SR / 256), round(n.offset_sec * SR / 256)) for n in ann.notes]
+    targets = np.array([float(n.pitch) for n in ann.notes])
+    shifts = np.resize([0.7, -1.3, 0.2, -0.6], len(notes))
+    plan = C.build_plan([_est(t + d, 0) for t, d in zip(targets, shifts)], targets, notes, track)
+    with open(tmp_path / "take.wav", "wb") as f:
+        F.WavWriter(f, len(wav), SR, "<f8").write(wav)
+    with F.WavReader(tmp_path / "take.wav") as reader:
+        blocks = list(C.shifted_blocks(reader, plan, track))
+    # one group's span at most: the song's notes make several groups
+    assert max(map(len, blocks)) < len(wav) / 4
+    assert np.concatenate(blocks).tobytes() == C.shift_audio(wav.copy(), plan, track).tobytes()
+
+
 def test_psola_groups_across_gaps_below_at_and_above_the_margin_match_both_references():
     # the lowest pitch sets the grain half-length L = 382 and so the group
     # margin 2 * (L + 2) = 768 samples, three frames; unvoiced gaps of one

@@ -78,6 +78,12 @@ def test_load_audio_rejects_an_unsupported_sample_format(tmp_path):
         F.load_audio(tmp_path / "x.wav")
 
 
+def _read_wav(path):
+    """The rate and the stored samples of a WAV file, as `WavReader` reads them."""
+    with F.WavReader(path) as reader:
+        return reader.sample_rate, reader._raw(0, len(reader))
+
+
 @pytest.mark.parametrize("channels", [1, 2])
 @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.uint8, np.float32, np.float64])
 def test_read_wav_gives_the_rate_and_array_of_scipy(tmp_path, dtype, channels):
@@ -89,7 +95,7 @@ def test_read_wav_gives_the_rate_and_array_of_scipy(tmp_path, dtype, channels):
         pcm = rng.normal(size=(1001, channels)).astype(dtype)
     wavfile.write(tmp_path / "x.wav", 44100, pcm[:, 0] if channels == 1 else pcm)
     want_sr, want = wavfile.read(tmp_path / "x.wav")
-    sr, got = F._read_wav(tmp_path / "x.wav")
+    sr, got = _read_wav(tmp_path / "x.wav")
     assert (sr, got.dtype, got.shape, got.tobytes()) == (want_sr, want.dtype, want.shape, want.tobytes())
 
 
@@ -126,7 +132,7 @@ SAMPLES_24 = np.random.default_rng(8).integers(0, 256, size=3 * 2 * 37, dtype=np
 def test_read_wav_gives_scipys_array_for_hand_built_files(tmp_path, raw):
     (tmp_path / "x.wav").write_bytes(raw)
     want_sr, want = wavfile.read(tmp_path / "x.wav")
-    sr, got = F._read_wav(tmp_path / "x.wav")
+    sr, got = _read_wav(tmp_path / "x.wav")
     assert (sr, got.dtype, got.shape, got.tobytes()) == (want_sr, want.dtype, want.shape, want.tobytes())
 
 
@@ -220,9 +226,11 @@ def test_load_audio_of_a_16_bit_mono_take_holds_its_samples_and_one_float_copy(t
     finally:
         tracemalloc.stop()
     assert len(wav) == n
-    # the int16 samples and their float64 copy are 10 bytes a sample; a
-    # take-long bool array of the finiteness check would add one more
-    assert peak - held < 10.5 * n
+    # the float64 samples are 8 bytes a sample; the file's int16 samples
+    # held beside them would add 2, a take-long bool array of the finiteness
+    # check 1: each is read, converted and checked a block at a time, so
+    # only a few block-long buffers come on top (1.2 MB at 30 s)
+    assert peak - held < 8 * n + 3 * 8 * F.WAV_BLOCK
 
 
 def test_load_unreadable_file_raises(tmp_path):
@@ -627,3 +635,57 @@ def test_write_wav_holds_one_float_buffer_beside_the_samples(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * wav.nbytes, (peak / 1e6, wav.nbytes / 1e6)
+
+
+@pytest.mark.parametrize("dtype, channels", [("<i2", 1), ("<i2", 2), ("<f4", 1), ("<f8", 1)])
+def test_wav_reader_gives_the_samples_of_load_audio_in_any_span(tmp_path, dtype, channels):
+    n = 2 * F.WAV_BLOCK + 777
+    pcm = np.random.default_rng(3).uniform(-0.9, 0.9, (n, channels))
+    pcm = np.round(pcm * 32767).astype(dtype) if dtype == "<i2" else pcm.astype(dtype)
+    wavfile.write(tmp_path / "x.wav", SR, pcm[:, 0] if channels == 1 else pcm)
+    whole = F.load_audio(tmp_path / "x.wav")
+    with F.WavReader(tmp_path / "x.wav") as reader:
+        assert (reader.sample_rate, len(reader)) == (SR, n)
+        for a, b in [(0, n), (5, F.WAV_BLOCK + 9), (F.WAV_BLOCK, 2 * F.WAV_BLOCK), (n - 3, n), (7, 7)]:
+            assert reader.read(a, b).tobytes() == whole[a:b].tobytes()
+        assert reader[n - 10 :].tobytes() == whole[n - 10 :].tobytes()
+
+
+def test_float64_wav_writer_round_trips_bit_for_bit(tmp_path):
+    wav = gliding_take(4.0, 5) * np.pi
+    with open(tmp_path / "f.wav", "wb") as f:
+        writer = F.WavWriter(f, len(wav), SR, "<f8")
+        writer.write(wav[:1000])
+        writer.write(wav[1000:])
+    assert F.load_audio(tmp_path / "f.wav").tobytes() == wav.tobytes()
+    assert wavfile.read(tmp_path / "f.wav")[1].tobytes() == wav.tobytes()
+
+
+def test_wav_reader_rejects_a_read_after_the_file_changed(tmp_path):
+    F.write_wav(tmp_path / "x.wav", sine(440, dur=1.0), SR)
+    with F.WavReader(tmp_path / "x.wav") as reader:
+        reader.read(0, 100)
+        (tmp_path / "x.wav").write_bytes((tmp_path / "x.wav").read_bytes()[:-2])
+        with pytest.raises(F.AudioIOError, match=r"x\.wav changed while it was read"):
+            reader.read(0, 100)
+
+
+def test_a_track_read_through_a_wav_reader_has_the_bytes_of_the_array_and_holds_no_take(tmp_path):
+    # 60 s: the float64 take is 10.6 MB; each YIN chunk reads its own span
+    wav = gliding_take(60.0, 9)
+    F.write_wav(tmp_path / "x.wav", wav, SR)
+    wav = F.load_audio(tmp_path / "x.wav")
+    want = F.extract_track(wav)
+    with F.WavReader(tmp_path / "x.wav") as reader:
+        assert F.track_cache_key(reader, SR, 256, 1024, 80) == F.track_cache_key(wav, SR, 256, 1024, 80)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            got = F.extract_track(reader)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+    for field in ("pitch_semitones", "voiced", "mel"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    # the track itself is 3.4 MB (the mel 3.3)
+    assert peak < 0.75 * wav.nbytes, peak / 1e6

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from notetune import features as ft
 from notetune import nncore as nn
 from notetune import segmenter as seg
 from notetune import spp as sp
+from notetune import symbolic as sym
 from notetune import workflow as wf
 from notetune.config import load_config
 from notetune.frontend import WINDOW, FrameEncoderConfig
@@ -263,47 +265,104 @@ def test_correct_reads_its_cached_track_and_writes_the_same_bytes(cli_run, tmp_p
 
 
 def test_correct_holds_no_audio_while_verify_estimates(cli_run, tmp_path, monkeypatch):
-    refs = {}
+    refs = []
     alive_at_estimate = []
 
-    def remembered(name, fn):
-        def call(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            refs[name] = weakref.ref(out)
-            return out
+    def read(self, a, b):
+        out = raw_read(self, a, b)
+        refs.append(("read", weakref.ref(out)))
+        return out
 
-        return call
+    def shifted_blocks(*args):
+        for block in raw_shifted_blocks(*args):
+            refs.append(("shifted_blocks", weakref.ref(block)))
+            yield block
 
     def estimate(self, *args, **kwargs):
-        alive_at_estimate.append(sorted(name for name, ref in refs.items() if ref() is not None))
+        alive_at_estimate.append(sorted({name for name, ref in refs if ref() is not None}))
         return raw_estimate(self, *args, **kwargs)
 
+    raw_read, raw_shifted_blocks = ft.WavReader.read, corr.shifted_blocks
     raw_estimate = sp.StationaryPitchPredictor.estimate
-    monkeypatch.setattr(ft, "load_audio", remembered("load_audio", ft.load_audio))
-    monkeypatch.setattr(corr, "shift_audio", remembered("shift_audio", corr.shift_audio))
+    monkeypatch.setattr(ft.WavReader, "read", read)
+    monkeypatch.setattr(corr, "shifted_blocks", shifted_blocks)
     monkeypatch.setattr(sp.StationaryPitchPredictor, "estimate", estimate)
     wf.stage_correct(load_config(None, TINY), cli_run["take"], tmp_path / "o.wav", cli_run["ckpt"],
                      annotations=cli_run["data"] / "annotations" / "moderate_eval_000.json")
-    # the input-side estimate, then the verify pass's: the input samples are
-    # read again for shift_audio, so neither holds any
+    # the input-side estimate, then the verify pass's: the take and the
+    # corrected samples are read a block or a span at a time, so neither
+    # holds any of them
     assert alive_at_estimate == [[], []]
+    assert {name for name, _ in refs} == {"read", "shifted_blocks"}
     assert (tmp_path / "o.wav").read_bytes() == (cli_run["out"] / "plain.wav").read_bytes()
 
 
+def test_correct_writes_the_bytes_of_the_whole_take_array_calls(cli_run, tmp_path):
+    # the array calls perfbench's traced replay makes, the take held whole
+    cfg = load_config(None, TINY)
+    a = cfg["audio"]
+    sr, hop = a["sample_rate"], a["hop"]
+    take, ann = cli_run["take"], cli_run["data"] / "annotations" / "moderate_eval_000.json"
+    wf.stage_correct(cfg, take, tmp_path / "streamed.wav", cli_run["ckpt"], annotations=ann)
+    pipeline = wf.Pipeline.load(cli_run["ckpt"], cfg, variants=("full",))
+    wav = ft.load_audio(take, sr)
+    track = ft.extract_track(wav, sr=sr, hop=hop, win=a["win"], n_mels=a["n_mels"])
+    notes, ests = pipeline.transcribe_base(track)
+    meta = sym.GridMeta.from_annotation(dk.import_annotations(ann))
+    plan = corr.build_plan(ests, pipeline.note_targets(notes, ests, meta, "full", sr, hop), notes, track)
+    out = tmp_path / "arrays.wav"
+    corr.write_plan_sidecar(out.with_suffix(".plan.tsv"), plan, track)
+    corrected = corr.shift_audio(wav, plan, track)
+    ft.write_wav(out, corrected, sr)
+    track2 = ft.extract_track(corrected, sr=sr, hop=hop, win=a["win"], n_mels=a["n_mels"])
+    corr.write_residuals(out.with_suffix(".residuals.tsv"),
+                         corr.verify_plan(pipeline.spp.estimate(track2, notes), plan, track))
+    for suffix in (".wav", ".plan.tsv", ".residuals.tsv"):
+        assert (tmp_path / f"streamed{suffix}").read_bytes() == out.with_suffix(suffix).read_bytes(), suffix
+    assert len(plan.notes) > 0 and np.abs(plan.deltas).max() > 0
+
+
+def test_correct_peak_grows_with_the_take_by_no_more_than_its_two_tracks(cli_run, tmp_path):
+    # the take four and eight times over (40 and 80 s); per frame, the input
+    # track and the verify pass's track hold 657 bytes each (pitch, filled
+    # pitch, voicing, 80 mel bands), and one float64 copy of the samples
+    # would add 2,048 (reading the take whole, these calls grew by 2,410)
+    cfg = load_config(None, TINY)
+    ann = cli_run["data"] / "annotations" / "moderate_eval_000.json"
+    wav = ft.load_audio(cli_run["take"])
+    peaks, frames = [], []
+    for reps in (4, 8):
+        take = tmp_path / f"take_{reps}.wav"
+        ft.write_wav(take, np.tile(wav, reps))
+        if not peaks:  # one-off allocations (the mel constants, numpy's lazy modules) go first
+            wf.stage_correct(cfg, take, tmp_path / "warm.wav", cli_run["ckpt"], annotations=ann)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            wf.stage_correct(cfg, take, tmp_path / f"o_{reps}.wav", cli_run["ckpt"], annotations=ann)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        finally:
+            tracemalloc.stop()
+        frames.append(ft.frame_count(reps * len(wav)))
+    per_frame = 2 * (8 + 8 + 1 + 8 * cfg["audio"]["n_mels"])
+    assert peaks[1] - peaks[0] < 1.1 * per_frame * (frames[1] - frames[0]), (peaks, frames)
+
+
 def test_correct_rejects_a_take_whose_length_changed_before_the_shift(cli_run, tmp_path, monkeypatch):
-    reads = []
+    take = tmp_path / "take.wav"
+    shutil.copyfile(cli_run["take"], take)
 
-    def load_audio(path, sr):
-        wav = raw_load(path, sr)
-        reads.append(len(wav))
-        return wav[:-1] if len(reads) == 2 else wav
+    def build_plan(*args):
+        # the take loses its last sample once it is tracked
+        take.write_bytes(take.read_bytes()[:-2])
+        return raw_build_plan(*args)
 
-    raw_load = ft.load_audio
-    monkeypatch.setattr(ft, "load_audio", load_audio)
-    with pytest.raises(ft.AudioIOError, match="changed while it was corrected"):
-        wf.stage_correct(load_config(None, TINY), cli_run["take"], tmp_path / "o.wav", cli_run["ckpt"],
+    raw_build_plan = corr.build_plan
+    monkeypatch.setattr(corr, "build_plan", build_plan)
+    with pytest.raises(ft.AudioIOError, match="take.wav changed while it was read"):
+        wf.stage_correct(load_config(None, TINY), take, tmp_path / "o.wav", cli_run["ckpt"],
                          annotations=cli_run["data"] / "annotations" / "moderate_eval_000.json")
-    assert len(reads) == 2 and not (tmp_path / "o.wav").exists()
+    assert not (tmp_path / "o.wav").exists()
 
 
 @pytest.mark.parametrize("damage", ["truncated", "garbage"])
@@ -362,6 +421,38 @@ def test_correct_at_the_model_rate_loads_no_scipy(cli_run, tmp_path):
                          capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "0 []"
     assert (tmp_path / "o.wav").read_bytes() == (cli_run["out"] / "plain.wav").read_bytes()
+
+
+def test_correct_loads_its_models_without_numpy_random(cli_run, tmp_path):
+    # a fresh interpreter: the test process has drawn random numbers itself
+    probe = (
+        "import sys\n"
+        "from notetune import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    ann = cli_run["data"] / "annotations" / "moderate_eval_000.json"
+    argv = ["correct", cli_run["take"], tmp_path / "o.wav", "--checkpoint-dir", cli_run["ckpt"], "--annotations", ann,
+            "-q", *(arg for item in TINY for arg in ("--set", item))]
+    out = subprocess.run([sys.executable, "-c", probe, *map(str, argv)], env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "o.wav").read_bytes() == (cli_run["out"] / "plain.wav").read_bytes()
+
+
+def test_models_built_for_loading_draw_no_weights():
+    cfg = FrameEncoderConfig(**FRAME_MODEL)
+    with nn.no_init():
+        quiet = seg.Segmenter(cfg)
+    drawn = seg.Segmenter(cfg)
+    quiet, drawn = quiet.params(), drawn.params()
+    assert set(quiet) == set(drawn)
+    # a drawn weight is zeros; a set one (a LayerNorm gain or any bias) is as drawn
+    skipped = [name for name, p in quiet.items() if p.data.tobytes() != drawn[name].data.tobytes()]
+    assert all(quiet[name].data.shape == drawn[name].data.shape and not quiet[name].data.any() for name in skipped)
+    assert "head_out.w" in skipped and "head_out.b" not in skipped
+    # the context restores drawing, so a model built after it is the trained one's start
+    assert seg.Segmenter(cfg).params()["head_out.w"].data.tobytes() == drawn["head_out.w"].data.tobytes()
 
 
 def test_spp_validation_runs_every_eval_step(cli_run):
@@ -702,9 +793,11 @@ def test_stage_peaks_prints_one_line_of_steps_and_the_untraced_output_hashes(cli
     assert len(lines) == 1
     doc = json.loads(lines[0])
     steps = [s["step"] for s in doc["steps"]]
-    assert "corrector.shift_audio" in steps
+    assert steps.count("workflow._write_shifted") == 1
     assert steps.count("spp.StationaryPitchPredictor.estimate") == 2  # transcribe, then verify
-    assert steps.count("features.load_audio") == 2  # track, then shift
+    assert steps.count("features.track_pitch") == 2  # the take, then the corrected samples
+    # the take is read a block at a time, never whole
+    assert "features.load_audio" not in steps and "corrector.shift_audio" not in steps
     assert all(s["held_mb"] >= 0 and s["peak_above_mb"] >= 0 for s in doc["steps"])
     wf.stage_correct(load_config(), take, tmp_path / "out.wav", ckpt, annotations=ann)
     untraced = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}

@@ -7,12 +7,16 @@ Runs `workflow.stage_correct` once on TAKE.wav with the checkpoints in
 CKPT_DIR and the default config (as `notetune correct` runs it without
 --config or --set), under tracemalloc, writing its outputs to a temporary
 directory.  Every public function that the benchmark tracer wraps
-(`perfbench/spans.LAYERS`) is wrapped for the run; each call of one is a
-step.  It prints one JSON line: for each step in call order, its name, its
-nesting depth, the traced MB held when it started (`held_mb`) and its traced
-peak above that (`peak_above_mb`); then the traced peak of the whole run,
-the process's `ru_maxrss` in MB, and the SHA-256 of each file written.  The
-second `features.load_audio` reads the take again for `shift_audio`, and the
+(`perfbench/spans.LAYERS`) is wrapped for the run, and so is
+`workflow._write_shifted`, which streams the shifted take to the output
+WAV; each call of one is a step.  It prints one JSON line: for each step in
+call order, its name, its nesting depth, the traced MB held when it started
+(`held_mb`) and its traced peak above that (`peak_above_mb`); then the
+traced peak of the whole run, the process's `ru_maxrss` in MB, and the
+SHA-256 of each file written.  `stage_correct` reads the take through a
+block reader, so no `features.load_audio` or `corrector.shift_audio` step
+appears; the second pair of `features.track_pitch` and
+`features.mel_spectrogram` steps tracks the corrected samples, and the
 second `spp.StationaryPitchPredictor.estimate` is the verify pass.
 
 With --train-step, it builds the segmenter or the SPP from the default
@@ -37,6 +41,7 @@ import resource
 import sys
 import tempfile
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +100,16 @@ class PeakTracer(Tracer):
                 self._open.pop()
 
         return call
+
+    @contextmanager
+    def instrument(self):
+        raw = wf._write_shifted
+        wf._write_shifted = self._wrap(raw, "workflow._write_shifted")
+        try:
+            with super().instrument():
+                yield self
+        finally:
+            wf._write_shifted = raw
 
     def table(self) -> list[dict]:
         return [{"step": s["step"], "depth": s["depth"], "held_mb": round(s["held"] / MB, 1),
