@@ -18,9 +18,10 @@ exactly the value a per-sample array repeated hop times would hold.  Grains
 are overlap-added with `np.add.at` in grain order, in batches of about
 WAV_BLOCK samples, so every sample sums its terms as a one-grain-at-a-time
 loop would.  `shifted_blocks` reads the take, an array or a
-`features.WavReader`, a span at a time and gives the corrected samples in
-order, so no take-long array is needed; `shift_audio` writes them into an
-array in place.
+`features.WavReader`, forward as the grains reach it and gives each
+corrected sample once no grain to come touches it, in order; so no array
+as long as the take, or as a voiced region, is needed.  `shift_audio`
+writes them into an array in place.
 """
 
 from __future__ import annotations
@@ -99,24 +100,15 @@ def _frame_regions(voiced: np.ndarray, hop: int, n: int) -> list[tuple[int, int]
     return list(zip(starts.tolist(), ends.tolist()))
 
 
-def _region_groups(regions: list[tuple[int, int]], margin: int) -> list[list[tuple[int, int]]]:
-    """Split `regions` (in order) where the gap to the next one exceeds `margin` samples."""
-    groups: list[list[tuple[int, int]]] = []
-    for a, b in regions:
-        if groups and a - groups[-1][-1][1] <= margin:
-            groups[-1].append((a, b))
-        else:
-            groups.append([(a, b)])
-    return groups
+def _grains(a, b, n, hop, f0_hz, period, spacing, sr):
+    """The Hann grains of the voiced region [a, b) of a take of n samples,
+    in order: for grain g, its synthesis position rs[g], the analysis mark
+    mj[g] it reads at, its half-length L[g] and its offsets lo[g]..hi[g]-1
+    around both.  None for a region of fewer than two analysis marks.
 
-
-def _psola_region(x, out, norm, off, n, a, b, hop, f0_hz, period, spacing, sr):
-    """Overlap-add Hann grains from analysis epochs onto retimed epochs.
-
-    `x`, `out` and `norm` hold samples off, off + 1, ... of a take of n
-    samples: `x` its input samples, reaching every sample a grain of the
-    region [a, b) reads.  `f0_hz` (array), `period` and `spacing` (lists)
-    hold one entry per frame; an epoch at sample t reads frame int(t) // hop.
+    `f0_hz` (array), `period` and `spacing` (lists) hold one entry per
+    frame; an epoch at sample t reads frame int(t) // hop.  rs and mj never
+    decrease, and every grain touches only samples within L + 1 of [a, b).
     """
     # analysis marks one local period apart, then synthesis positions one
     # local period / ratio apart: two sequential recurrences
@@ -126,9 +118,7 @@ def _psola_region(x, out, norm, off, n, a, b, hop, f0_hz, period, spacing, sr):
         marks.append(t)
         t += period[int(t) // hop]
     if len(marks) < 2:
-        out[a - off : b - off] += x[a - off : b - off]
-        norm[a - off : b - off] += 1.0
-        return
+        return None
     pos, frames = [], []
     s = marks[0]
     while s < b:
@@ -146,26 +136,47 @@ def _psola_region(x, out, norm, off, n, a, b, hop, f0_hz, period, spacing, sr):
     L = np.maximum(np.round(sr / f0_hz[frames]).astype(np.int64), 2)
     lo = np.maximum(np.maximum(-L, -mj), -rs)
     hi = np.maximum(np.minimum(np.minimum(L + 1, n - mj), n - rs), lo)
+    return rs, mj, L, lo, hi
 
-    # grain g covers offsets lo[g]..hi[g]-1 around rs[g] (out) and mj[g]
-    # (x), added in batches of consecutive grains of about WAV_BLOCK samples
-    sizes = hi - lo
-    ends = np.cumsum(sizes)
-    hann = {w: np.hanning(2 * w + 1) for w in set(L.tolist())}
-    g = 0
-    while g < len(sizes):
-        h = max(int(np.searchsorted(ends, ends[g] - sizes[g] + WAV_BLOCK, side="right")), g + 1)
-        size, first = sizes[g:h], lo[g:h]
-        k = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size - first, size)
-        bounds = zip(L[g:h].tolist(), first.tolist(), hi[g:h].tolist())
-        window = np.concatenate([hann[w][l + w : e + w] for w, l, e in bounds])
-        dst = np.repeat(rs[g:h] - off, size) + k
+
+class _Overlap:
+    """The input samples `x` and the grain and weight sums `synth` and `norm`
+    of samples lo, lo + 1, ... of the take `wav`: read from `wav` forward as
+    the grains reach them, and dropped from the front once no grain to come
+    touches them and they are given."""
+
+    def __init__(self, wav):
+        self.wav, self.lo = wav, 0
+        self.x = self.synth = self.norm = np.zeros(0)
+
+    def extend(self, hi: int):
+        end = self.lo + len(self.x)
+        if hi > end:
+            self.x = np.concatenate([self.x, self.wav[end:hi]])
+            self.synth = np.concatenate([self.synth, np.zeros(hi - end)])
+            self.norm = np.concatenate([self.norm, np.zeros(hi - end)])
+
+    def drop(self, lo: int):
+        """Forget the samples before `lo`; past the end, start empty at `lo`."""
+        if lo > self.lo:
+            k = min(lo - self.lo, len(self.x))
+            self.x, self.synth, self.norm = (v[k:].copy() for v in (self.x, self.synth, self.norm))
+            self.lo = lo
+
+    def add_grains(self, rs, mj, L, lo, hi, hann):
+        """Overlap-add the grains given (consecutive ones, about WAV_BLOCK
+        samples of them): grain g covers offsets lo[g]..hi[g]-1 around rs[g]
+        (synth, norm) and mj[g] (x)."""
+        self.extend(int(max((rs + hi).max(), (mj + hi).max())))
+        size = hi - lo
+        k = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size - lo, size)
+        window = np.concatenate([hann[w][l + w : e + w] for w, l, e in zip(L.tolist(), lo.tolist(), hi.tolist())])
+        dst = np.repeat(rs - self.lo, size) + k
         # np.add.at is unbuffered: every sample takes its grains' terms in
         # grain order, the same float additions as adding one grain at a
         # time, and so do consecutive batches
-        np.add.at(out, dst, x[np.repeat(mj[g:h] - off, size) + k] * window)
-        np.add.at(norm, dst, window)
-        g = h
+        np.add.at(self.synth, dst, self.x[np.repeat(mj - self.lo, size) + k] * window)
+        np.add.at(self.norm, dst, window)
 
 
 def shifted_blocks(wav, plan: CorrectionPlan, track: FrameTrack) -> Iterator[np.ndarray]:
@@ -183,16 +194,19 @@ def shifted_blocks(wav, plan: CorrectionPlan, track: FrameTrack) -> Iterator[np.
     elementwise `/` and `maximum` round as Python's float operations do, and
     samples past the last frame read the last frame.
 
-    A grain of half-length L around sample r reaches r - L .. r + L, so the
-    grains of a region [a, b) stay within L + 1 samples of it.  Regions go
-    in groups, split where a gap exceeds 2 * (the take's largest L + 2);
-    each group reads its span of `wav`, its regions and L + 2 samples each
-    side, once, and overlap-adds into its own grain and weight sums over
-    that span.  Unshifted samples pass through WAV_BLOCK at a time, read
-    when they are due.  So the blocks hold one group's span at most, and
-    `wav` may be written with each block as it comes (`shift_audio` does):
-    a group reads `wav` only within L + 2 samples of its regions, and each
-    block starts after every sample a block before it holds.
+    The grains of the voiced regions are overlap-added in order, in batches
+    of about WAV_BLOCK samples, into an `_Overlap` that reads `wav` forward
+    as the grains reach it.  A grain of half-length L around sample r
+    touches r - L .. r + L, and r and the analysis mark it reads at never
+    decrease; so once a batch is added, every sample before the next
+    grain's position less (the take's largest L + 2) is final.  Those
+    samples are given (a region's rendered samples, or the unshifted ones
+    between regions WAV_BLOCK at a time, read when they are due) and
+    dropped.  So the memory does not grow with the take or with a voiced
+    region, only with the per-frame tables and the per-grain arrays of one
+    region; and `wav` may be written with each block as it comes
+    (`shift_audio` does): every sample is read before the block that holds
+    it is given.
     """
     sr = track.sample_rate
     hop = track.hop
@@ -203,7 +217,7 @@ def shifted_blocks(wav, plan: CorrectionPlan, track: FrameTrack) -> Iterator[np.
 
     shifted = np.isfinite(plan.target_pitch)
     shift = plan.target_pitch[shifted] - track.pitch_semitones[shifted]
-    groups = []
+    regions = []
     if shift.any():
         too_big = np.abs(shift) > MAX_SHIFT_SEMITONES
         if too_big.any():
@@ -222,33 +236,69 @@ def shifted_blocks(wav, plan: CorrectionPlan, track: FrameTrack) -> Iterator[np.
         spacing = (sr / f0 / frame_ratio[frames]).tolist()
         reach = int(np.maximum(np.round(sr / f0), 2).max()) + 2
         regions = [(a, b) for a, b in _frame_regions(shifted[frames], hop, n) if b - a > 32]
-        groups = _region_groups(regions, 2 * reach)
         fade = max(int(CROSSFADE_SEC * sr), 8)
         theta = 0.5 * np.pi * (np.arange(fade) + 1) / (fade + 1)
         win_in, win_out = np.sin(theta), np.cos(theta)
 
-    pos = 0
-    for group in groups:
-        off = max(group[0][0] - reach, 0)
-        x = wav[off : min(group[-1][1] + reach, n)]
-        synth = np.zeros(len(x))
-        norm = np.zeros_like(synth)
-        for a, b in group:
-            _psola_region(x, synth, norm, off, n, a, b, hop, f0, period, spacing, sr)
-        for a, b in group:
-            yield from _blocks(wav, pos, a)
-            seg = synth[a - off : b - off] / np.maximum(norm[a - off : b - off], 1e-3)
-            low = norm[a - off : b - off] < 0.25
-            seg[low] = x[a - off : b - off][low]
+    acc = _Overlap(wav)
+    pos = 0  # the first sample not yet given
+    given = 0  # regions[given]: the first region not wholly given
+
+    def give(stop: int) -> Iterator[np.ndarray]:
+        """The samples pos..stop-1, each final: a region's rendered, the rest as read."""
+        nonlocal pos, given
+        while pos < stop:
+            if given == len(regions) or pos < regions[given][0]:
+                end = min(stop, regions[given][0] if given < len(regions) else n)
+                yield from _blocks(wav, pos, end)
+                pos = end
+                continue
+            a, b = regions[given]
+            end = min(stop, b)
+            acc.extend(end)
+            i, j = pos - acc.lo, end - acc.lo
+            x, norm = acc.x[i:j], acc.norm[i:j]
+            seg = acc.synth[i:j] / np.maximum(norm, 1e-3)
+            low = norm < 0.25
+            seg[low] = x[low]
+            # crossfades of the region's disjoint ends: seg * win_in + wav * win_out,
+            # the weights running up over its first f samples, down over its last f
             f = min(fade, (b - a) // 2)
-            if f > 0:  # crossfades of disjoint ends: seg * win_in + wav * win_out
-                seg[:f] *= win_in[:f]
-                seg[:f] += x[a - off : a - off + f] * win_out[:f]
-                seg[-f:] *= win_in[:f][::-1]
-                seg[-f:] += x[b - off - f : b - off] * win_out[:f][::-1]
+            h = min(end, a + f)
+            if pos < h:
+                seg[: h - pos] *= win_in[pos - a : h - a]
+                seg[: h - pos] += x[: h - pos] * win_out[pos - a : h - a]
+            t = max(pos, b - f)
+            if t < end:
+                seg[t - pos :] *= win_in[b - end : b - t][::-1]
+                seg[t - pos :] += x[t - pos :] * win_out[b - end : b - t][::-1]
             yield seg
-            pos = b
-    yield from _blocks(wav, pos, n)
+            pos = end
+            given += end == b
+
+    for a, b in regions:
+        # no grain of this region or a later one touches a sample before a - reach
+        yield from give(a - reach)
+        acc.drop(a - reach)
+        grains = _grains(a, b, n, hop, f0, period, spacing, sr)
+        if grains is None:  # the region passes through, with weight 1
+            acc.extend(b)
+            acc.synth[a - acc.lo : b - acc.lo] += acc.x[a - acc.lo : b - acc.lo]
+            acc.norm[a - acc.lo : b - acc.lo] += 1.0
+            continue
+        rs, mj, L, lo, hi = grains
+        sizes = hi - lo
+        ends = np.cumsum(sizes)
+        hann = {w: np.hanning(2 * w + 1) for w in set(L.tolist())}
+        g = 0
+        while g < len(sizes):
+            h = max(int(np.searchsorted(ends, ends[g] - sizes[g] + WAV_BLOCK, side="right")), g + 1)
+            acc.add_grains(rs[g:h], mj[g:h], L[g:h], lo[g:h], hi[g:h], hann)
+            g = h
+            if g < len(sizes):
+                yield from give(int(rs[g]) - reach)
+                acc.drop(int(min(rs[g], mj[g])) - reach)
+    yield from give(n)
 
 
 def _blocks(wav, a: int, b: int) -> Iterator[np.ndarray]:

@@ -182,33 +182,30 @@ def _parse_header(fd: int, size: int) -> tuple[int, int, str, int, int, int]:
 
 
 class WavReader:
-    """The samples of a RIFF WAVE file, read a block at a time.
+    """The samples of the RIFF WAVE file at `path`, read a block at a time.
 
-    The file is a path, opened here and closed by `close` or at the end of
-    a `with` block, or a binary file the caller keeps open.  Its header is
-    parsed once (see `load_audio` for the formats read and the errors
-    raised).  `read(a, b)`, or the slice `reader[a:b]`, gives samples a to
-    b - 1 as mono float64, converted as `load_audio` converts them, WAV_BLOCK
-    samples at a time; so a reader and a waveform array serve alike as the
-    `wav` of `track_pitch`, `mel_spectrogram`, `extract_track`,
+    The file is opened here and closed by `close` or at the end of a `with`
+    block; its header is parsed once (see `load_audio` for the formats read
+    and the errors raised).  The slice `reader[a:b]` gives samples a to
+    b - 1 as mono float64, converted as `load_audio` converts them,
+    WAV_BLOCK samples at a time; so a reader and a waveform array serve
+    alike as the `wav` of `track_pitch`, `mel_spectrogram`, `extract_track`,
     `track_cache_key` and `corrector.shifted_blocks`.  Reads go through
     `os.pread`, so threads may read at once.  A read from a file whose size
     has changed since its header was parsed raises AudioIOError.
     """
 
-    def __init__(self, file):
-        self._own = isinstance(file, (str, os.PathLike))
-        self.name = str(file) if self._own else getattr(file, "name", "a WAV file")
+    def __init__(self, path):
+        self.name = str(path)
         try:
-            if self._own:
-                self._file = open(file, "rb")
-            else:
-                self._file = file
-                file.flush()
+            self._file = open(path, "rb")
+        except OSError as exc:
+            raise AudioIOError(f"cannot read audio file {self.name}: {exc}") from exc
+        try:
             self._size = os.fstat(self._file.fileno()).st_size
             header = _parse_header(self._file.fileno(), self._size)
         except (OSError, ValueError) as exc:
-            self.close()
+            self._file.close()
             raise AudioIOError(f"cannot read audio file {self.name}: {exc}") from exc
         self.sample_rate, self._channels, self._dtype, self._width, self._offset, nbytes = header
         self._frame = self._width * self._channels
@@ -217,10 +214,6 @@ class WavReader:
     def __len__(self) -> int:
         return self._n
 
-    def __getitem__(self, span: slice) -> np.ndarray:
-        a, b, _ = span.indices(self._n)
-        return self.read(a, b)
-
     def __enter__(self) -> "WavReader":
         return self
 
@@ -228,8 +221,7 @@ class WavReader:
         self.close()
 
     def close(self):
-        if self._own and hasattr(self, "_file"):
-            self._file.close()
+        self._file.close()
 
     def _raw(self, a: int, b: int) -> np.ndarray:
         """Samples a..b-1 as stored, [b - a] or [b - a, channels], as
@@ -247,7 +239,8 @@ class WavReader:
             data = np.frombuffer(raw, self._dtype)
         return data.reshape(-1, self._channels) if self._channels > 1 else data
 
-    def read(self, a: int, b: int) -> np.ndarray:
+    def __getitem__(self, span: slice) -> np.ndarray:
+        a, b, _ = span.indices(self._n)
         out = np.empty(max(b - a, 0))
         for lo in range(a, b, WAV_BLOCK):
             data = self._raw(lo, min(lo + WAV_BLOCK, b))
@@ -279,7 +272,7 @@ def open_audio(path, target_sr: int):
         if reader.sample_rate == target_sr:
             yield reader
             return
-        wav, file_sr = reader.read(0, len(reader)), reader.sample_rate
+        wav, file_sr = reader[:], reader.sample_rate
     # imported here, not at the top, so that a process whose takes are
     # at the model rate does not pay about 1 s and 45 MB for it
     from scipy.signal import resample_poly
@@ -300,13 +293,13 @@ def load_audio(path, target_sr: int = DEFAULT_SR) -> np.ndarray:
     other sample formats, a `data` chunk longer than the bytes that follow
     it (a truncated file), and a NaN or infinite float sample.  The samples
     are read and converted WAV_BLOCK at a time into the one float64 array
-    returned (`WavReader.read`).  Only a file at another rate imports
+    returned (`WavReader`).  Only a file at another rate imports
     `scipy.signal` for `resample_poly`, once per process: that import takes
     about 1 s and 45 MB of resident memory on 2 vCPUs, as it pulls in
     `scipy.stats`, `scipy.linalg`, `scipy.optimize` and more.
     """
     with open_audio(path, target_sr) as src:
-        return src[0 : len(src)]
+        return src[:]
 
 
 class WavWriter:

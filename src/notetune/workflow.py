@@ -710,12 +710,12 @@ def stage_ablate(cfg: dict, data_dir, out_dir, splits=("moderate_eval", "high_ev
 
 # ---- stage: correct -----------------------------------------------------------------
 
-def _write_shifted(wav, plan: corr.CorrectionPlan, track: ft.FrameTrack, out_path: Path, corrected):
-    """Write the blocks of `corr.shifted_blocks` as they come: to `out_path`
-    as 16-bit PCM and to the open file `corrected` as float64 samples."""
-    with open(out_path, "wb") as out:
-        pcm = ft.WavWriter(out, len(wav), track.sample_rate, "<i2")
-        floats = ft.WavWriter(corrected, len(wav), track.sample_rate, "<f8")
+def _write_shifted(wav, plan: corr.CorrectionPlan, track: ft.FrameTrack, pcm_path: Path, floats_path: Path):
+    """Write the blocks of `corr.shifted_blocks` as they come: to `pcm_path`
+    as 16-bit PCM and to `floats_path` as float64 samples."""
+    with open(pcm_path, "wb") as pcm_file, open(floats_path, "wb") as floats_file:
+        pcm = ft.WavWriter(pcm_file, len(wav), track.sample_rate, "<i2")
+        floats = ft.WavWriter(floats_file, len(wav), track.sample_rate, "<f8")
         for block in corr.shifted_blocks(wav, plan, track):
             pcm.write(block)
             floats.write(block)
@@ -740,12 +740,18 @@ def stage_correct(
     `features.WavReader`: the cache key, the tracker and the mel read it a
     block or a chunk's span at a time, and the frame models, which run on
     windows of at most 256 frames (`frontend.windowed`), hold none of it.
-    `corrector.shifted_blocks` reads it a region group's span at a time and
-    gives the corrected samples in order; each block goes, as it comes, to
-    the output WAV as 16-bit PCM and to an unnamed temporary file beside it
-    as float64.  A take whose size changes in between is an error, and no
-    output WAV is left.  The verify pass tracks the temporary file through
-    a reader of its own and re-estimates each note's stationary pitch."""
+    `corrector.shifted_blocks` reads it forward a batch of grains at a
+    time and gives the corrected samples in order; however long a voiced
+    run, it holds only that run's per-grain arrays beside a batch.  Each
+    block goes, as it comes, to two files in a temporary directory beside
+    the output: the 16-bit PCM that then replaces the output WAV, so the
+    output may be the take itself and a failed run leaves no partial
+    output, and a float64 copy that the verify pass tracks through a reader
+    of its own before it re-estimates each note's stationary pitch.  That
+    copy takes 8 bytes a sample (10.6 MB per audio minute at 22050 Hz) on
+    the output's filesystem until the verify tracking ends.  A take whose
+    size changes while it is read is an error.
+    """
     if annotations is not None:
         ann = dk.import_annotations(annotations)
         meta = sym.GridMeta.from_annotation(ann)
@@ -786,15 +792,14 @@ def stage_correct(
         }
         if dry_run:
             return result
-        corrected = tempfile.TemporaryFile(dir=out_path.parent)
-        try:
-            _write_shifted(wav, plan, track, out_path, corrected)
-        except BaseException:
-            corrected.close()
-            out_path.unlink(missing_ok=True)
-            raise
-    with corrected, ft.WavReader(corrected) as wav:
-        track2 = _extract_track(wav, audio_cfg)
+        with tempfile.TemporaryDirectory(dir=out_path.parent, prefix=f".{out_path.name}.") as tmp:
+            pcm_path, floats_path = Path(tmp) / "pcm.wav", Path(tmp) / "floats.wav"
+            _write_shifted(wav, plan, track, pcm_path, floats_path)
+            # a new inode: a reader of the old one, the take itself when the
+            # output is the input, reads on unchanged
+            os.replace(pcm_path, out_path)
+            with ft.WavReader(floats_path) as corrected:
+                track2 = _extract_track(corrected, audio_cfg)
     ests2 = pipeline.spp.estimate(track2, notes)
     rows = corr.verify_plan(ests2, plan, track)
     residuals = [r["residual_cents"] for r in rows if not r["flagged"]]

@@ -304,16 +304,71 @@ def test_shifted_blocks_read_through_a_wav_reader_give_the_bytes_of_shift_audio(
         F.WavWriter(f, len(wav), SR, "<f8").write(wav)
     with F.WavReader(tmp_path / "take.wav") as reader:
         blocks = list(C.shifted_blocks(reader, plan, track))
-    # one group's span at most: the song's notes make several groups
-    assert max(map(len, blocks)) < len(wav) / 4
+    # a block holds the samples one batch of grains makes final at most
+    assert max(map(len, blocks)) <= F.WAV_BLOCK
     assert np.concatenate(blocks).tobytes() == C.shift_audio(wav.copy(), plan, track).tobytes()
 
 
+def test_psola_in_batches_of_one_grain_matches_both_references(monkeypatch):
+    # each batch gives the samples before the next grain less L + 2: with
+    # one grain a batch (at ~62 Hz a grain is 715 samples), a region is
+    # given in pieces, some beginning inside its fade-in or its fade-out
+    pitch = 35.0 + 0.4 * np.sin(np.linspace(0.0, 6.0, 40))
+    pitch[[9, 20, 21]] = np.nan
+    monkeypatch.setattr(C, "WAV_BLOCK", 700)
+    fade = int(C.CROSSFADE_SEC * SR)
+    inside = set()
+    for delta in (-1.5, 2.2):
+        wav, plan, track, regions = _edge_take(pitch, delta)
+        assert len(regions) == 3
+        blocks = list(C.shifted_blocks(wav.copy(), plan, track))
+        starts = np.cumsum([len(b) for b in blocks])[:-1]
+        for a, b in regions:
+            inside.update("in" for s in starts if a < s < a + fade)
+            inside.update("out" for s in starts if b - fade < s < b)
+        out = np.concatenate(blocks).tobytes()
+        assert out == reference_shift_audio(wav, plan, track).tobytes()
+        assert out == psola_reference.shift_audio(wav, plan, track).tobytes()
+    assert inside == {"in", "out"}
+
+
+def test_shifted_blocks_through_a_wav_reader_grow_with_a_voiced_run_by_its_grains_alone(tmp_path):
+    # one voiced run of 30 s, then of 60 s, shifted.  Traced, the grain and
+    # weight sums and the samples over the run held 24 bytes a sample; now
+    # the run adds only its per-frame and per-grain arrays (3 grains a
+    # frame), 1 byte a sample, beside a batch of grains (3.7 MB)
+    hop, peaks = 256, []
+    for T in (2584, 5168):
+        n = T * hop
+        track = make_track(60.0 + 0.3 * np.sin(np.arange(T) / 9.0))
+        wav = 0.3 * np.sin(2 * np.pi * 261.6 * np.arange(n) / SR)
+        plan = C.build_plan([_est(60.6, 0)], [60.0], [NoteInterval(0, T)], track)
+        with open(tmp_path / "take.wav", "wb") as f:
+            F.WavWriter(f, n, SR, "<f8").write(wav)
+        got = np.empty(n)
+        pos = 0
+        with F.WavReader(tmp_path / "take.wav") as reader:
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                for block in C.shifted_blocks(reader, plan, track):
+                    got[pos : pos + len(block)] = block
+                    pos += len(block)
+                peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            finally:
+                tracemalloc.stop()
+        assert pos == n and not np.array_equal(got, wav)
+        assert got.tobytes() == C.shift_audio(wav, plan, track).tobytes()
+    assert peaks[1] - peaks[0] < 2 * 2584 * hop, [p / 1e6 for p in peaks]
+
+
 def test_psola_groups_across_gaps_below_at_and_above_the_margin_match_both_references():
-    # the lowest pitch sets the grain half-length L = 382 and so the group
-    # margin 2 * (L + 2) = 768 samples, three frames; unvoiced gaps of one
-    # frame (the grains spill into the next region), three (at the margin,
-    # one group), four (past it, a new group) and two frames
+    # the lowest pitch sets the grain half-length L = 382, so a grain
+    # touches samples up to L + 2 = 384 from its region, and the margin
+    # 2 * (L + 2) = 768 samples, three frames, is where two regions' grains
+    # stop sharing a sample; unvoiced gaps of one frame (the grains spill
+    # into the next region, which is given in two pieces), three (at the
+    # margin), four (past it) and two frames
     low = 69.0 + 12.0 * np.log2(SR / 382.0 / 440.0)
     pitch = low + 0.8 * np.abs(np.sin(np.linspace(0.0, 7.0, 48)))
     pitch[0] = low
@@ -327,8 +382,6 @@ def test_psola_groups_across_gaps_below_at_and_above_the_margin_match_both_refer
         assert regions[0][0] == 0 and regions[-1][1] == len(wav)
         gaps = [b0 - a1 for (_, a1), (b0, _) in zip(regions, regions[1:])]
         assert gaps == [256, 768, 1024, 512] and gaps[0] < L
-        groups = C._region_groups([tuple(map(int, r)) for r in regions], margin)
-        assert [len(g) for g in groups] == [3, 2]
         out = C.shift_audio(wav.copy(), plan, track).tobytes()
         assert out == reference_shift_audio(wav, plan, track).tobytes()
         assert out == psola_reference.shift_audio(wav, plan, track).tobytes()

@@ -647,7 +647,7 @@ def test_wav_reader_gives_the_samples_of_load_audio_in_any_span(tmp_path, dtype,
     with F.WavReader(tmp_path / "x.wav") as reader:
         assert (reader.sample_rate, len(reader)) == (SR, n)
         for a, b in [(0, n), (5, F.WAV_BLOCK + 9), (F.WAV_BLOCK, 2 * F.WAV_BLOCK), (n - 3, n), (7, 7)]:
-            assert reader.read(a, b).tobytes() == whole[a:b].tobytes()
+            assert reader[a:b].tobytes() == whole[a:b].tobytes()
         assert reader[n - 10 :].tobytes() == whole[n - 10 :].tobytes()
 
 
@@ -664,10 +664,10 @@ def test_float64_wav_writer_round_trips_bit_for_bit(tmp_path):
 def test_wav_reader_rejects_a_read_after_the_file_changed(tmp_path):
     F.write_wav(tmp_path / "x.wav", sine(440, dur=1.0), SR)
     with F.WavReader(tmp_path / "x.wav") as reader:
-        reader.read(0, 100)
+        reader[0:100]
         (tmp_path / "x.wav").write_bytes((tmp_path / "x.wav").read_bytes()[:-2])
         with pytest.raises(F.AudioIOError, match=r"x\.wav changed while it was read"):
-            reader.read(0, 100)
+            reader[0:100]
 
 
 def test_a_track_read_through_a_wav_reader_has_the_bytes_of_the_array_and_holds_no_take(tmp_path):

@@ -268,8 +268,8 @@ def test_correct_holds_no_audio_while_verify_estimates(cli_run, tmp_path, monkey
     refs = []
     alive_at_estimate = []
 
-    def read(self, a, b):
-        out = raw_read(self, a, b)
+    def read(self, span):
+        out = raw_read(self, span)
         refs.append(("read", weakref.ref(out)))
         return out
 
@@ -282,9 +282,9 @@ def test_correct_holds_no_audio_while_verify_estimates(cli_run, tmp_path, monkey
         alive_at_estimate.append(sorted({name for name, ref in refs if ref() is not None}))
         return raw_estimate(self, *args, **kwargs)
 
-    raw_read, raw_shifted_blocks = ft.WavReader.read, corr.shifted_blocks
+    raw_read, raw_shifted_blocks = ft.WavReader.__getitem__, corr.shifted_blocks
     raw_estimate = sp.StationaryPitchPredictor.estimate
-    monkeypatch.setattr(ft.WavReader, "read", read)
+    monkeypatch.setattr(ft.WavReader, "__getitem__", read)
     monkeypatch.setattr(corr, "shifted_blocks", shifted_blocks)
     monkeypatch.setattr(sp.StationaryPitchPredictor, "estimate", estimate)
     wf.stage_correct(load_config(None, TINY), cli_run["take"], tmp_path / "o.wav", cli_run["ckpt"],
@@ -362,7 +362,28 @@ def test_correct_rejects_a_take_whose_length_changed_before_the_shift(cli_run, t
     with pytest.raises(ft.AudioIOError, match="take.wav changed while it was read"):
         wf.stage_correct(load_config(None, TINY), take, tmp_path / "o.wav", cli_run["ckpt"],
                          annotations=cli_run["data"] / "annotations" / "moderate_eval_000.json")
-    assert not (tmp_path / "o.wav").exists()
+    # no output WAV, partial or whole, and no temporary file is left
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.plan.tsv", "take.wav"]
+
+
+def test_correct_in_place_writes_the_bytes_of_a_run_to_another_file(cli_run, tmp_path):
+    take = tmp_path / "take.wav"
+    shutil.copyfile(cli_run["take"], take)
+    wf.stage_correct(load_config(None, TINY), take, take, cli_run["ckpt"],
+                     annotations=cli_run["data"] / "annotations" / "moderate_eval_000.json")
+    for suffix in (".wav", ".plan.tsv", ".residuals.tsv"):
+        assert take.with_suffix(suffix).read_bytes() == (cli_run["out"] / f"plain{suffix}").read_bytes(), suffix
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["take.plan.tsv", "take.residuals.tsv", "take.wav"]
+
+
+def test_correct_onto_a_hard_link_of_the_take_leaves_the_take_as_it_was(cli_run, tmp_path):
+    take, link = tmp_path / "take.wav", tmp_path / "link.wav"
+    shutil.copyfile(cli_run["take"], take)
+    os.link(take, link)
+    wf.stage_correct(load_config(None, TINY), take, link, cli_run["ckpt"],
+                     annotations=cli_run["data"] / "annotations" / "moderate_eval_000.json")
+    assert take.read_bytes() == Path(cli_run["take"]).read_bytes()
+    assert link.read_bytes() == (cli_run["out"] / "plain.wav").read_bytes()
 
 
 @pytest.mark.parametrize("damage", ["truncated", "garbage"])

@@ -8,8 +8,9 @@ CKPT_DIR and the default config (as `notetune correct` runs it without
 --config or --set), under tracemalloc, writing its outputs to a temporary
 directory.  Every public function that the benchmark tracer wraps
 (`perfbench/spans.LAYERS`) is wrapped for the run, and so is
-`workflow._write_shifted`, which streams the shifted take to the output
-WAV; each call of one is a step.  It prints one JSON line: for each step in
+`workflow._write_shifted`, which streams the shifted take to the files
+that become the output WAV and the verify pass's input; each call of one
+is a step.  It prints one JSON line: for each step in
 call order, its name, its nesting depth, the traced MB held when it started
 (`held_mb`) and its traced peak above that (`peak_above_mb`); then the
 traced peak of the whole run, the process's `ru_maxrss` in MB, and the
